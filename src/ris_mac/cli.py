@@ -48,7 +48,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("validate", help="check a scenario file's invariants")
     add_scenario_args(sp)
 
-    sp = sub.add_parser("optimize", help="solve frame timing, power, assignment, and phases")
+    sp = sub.add_parser("optimize", help="solve frame timing, power, and assignment")
     add_scenario_args(sp)
     sp.add_argument("--replay-channels", help="reuse a dumped channel realization")
     sp.add_argument("--dump-channels", help="persist the drawn realization for replay")

@@ -1,11 +1,15 @@
-"""Joint frame/power/assignment/phase optimization.
+"""Joint frame/power/assignment optimization.
 
 The throughput maximization decomposes into: closed-form frame timing
 (slot count, period durations, scheduled/contended split), a water-filling
-power allocation over the static users, an exact 0-1 assignment of static
-users to RIS slots, and closed-form per-pair phase alignment.  The
-assignment and power steps alternate; each step can only improve the sum
-rate, so the outer objective is monotone.
+power allocation over the static users, and an exact 0-1 assignment of
+static users to RIS slots.  The assignment and power steps alternate; each
+step can only improve the sum rate, so the outer objective is monotone.
+
+Phases are not part of the plan: every element is co-phased with the
+direct path, which is closed-form in the user's channels, so an allocation
+holds only each user's surface, slot and power, and the phases are derived
+from the channels where they are used.
 """
 
 from __future__ import annotations
@@ -75,39 +79,22 @@ class FrameConfig:
 
 @dataclass
 class AllocationState:
-    """Assignment, phase, and power state for every user.
+    """Surface, slot, and power of every user.
 
     ris_of_user[k] is -1 for unassigned; slot_of_user likewise (mobile users
-    never hold scheduled slots).  Phases are stored per (user, RIS) pair.
+    never hold scheduled slots).  Phases on the assigned surface follow from
+    the channels (channel.align_phases), so they are not stored.
     """
 
     ris_of_user: np.ndarray  # (U,) int
     slot_of_user: np.ndarray  # (U,) int
-    psi: np.ndarray  # (U, M, N) float phases
     rho_sq_w: np.ndarray  # (U,) float transmit power
 
-    def a_km(self, num_ris: int) -> np.ndarray:
-        u = self.ris_of_user.shape[0]
-        a = np.zeros((u, num_ris), dtype=int)
-        for k, m in enumerate(self.ris_of_user):
-            if m >= 0:
-                a[k, m] = 1
-        return a
 
-    def t_kj(self, num_slots: int) -> np.ndarray:
-        u = self.slot_of_user.shape[0]
-        t = np.zeros((u, num_slots), dtype=int)
-        for k, j in enumerate(self.slot_of_user):
-            if j >= 0:
-                t[k, j] = 1
-        return t
-
-
-def empty_allocation(num_users: int, num_ris: int, num_elements: int) -> AllocationState:
+def empty_allocation(num_users: int) -> AllocationState:
     return AllocationState(
         ris_of_user=np.full(num_users, -1, dtype=int),
         slot_of_user=np.full(num_users, -1, dtype=int),
-        psi=np.zeros((num_users, num_ris, num_elements)),
         rho_sq_w=np.zeros(num_users),
     )
 
@@ -120,18 +107,29 @@ def check_allocation(
     num_slots: int,
     p_max_w: float,
 ) -> list:
-    """Standalone feasibility audit; returns a list of violations."""
+    """Standalone feasibility audit; returns a list of violations.
+
+    Each user holds one int surface index, so "at most one RIS" holds by
+    construction; what can go wrong is an index outside 0..M-1 (static
+    users must hold a surface, mobile users may hold none, -1).
+    """
     bad = []
-    a = alloc.a_km(num_ris)
+    ris_of = alloc.ris_of_user
     for k in static_ids:
-        if a[k].sum() != 1:
-            bad.append("static user %d must hold exactly one RIS" % k)
+        if not 0 <= ris_of[k] < num_ris:
+            bad.append(
+                "static user %d holds RIS %d, not one of 0..%d" % (k, ris_of[k], num_ris - 1)
+            )
         if alloc.slot_of_user[k] < 0 or alloc.slot_of_user[k] >= num_slots:
             bad.append("static user %d must hold exactly one data slot" % k)
     for k in mobile_ids:
-        if a[k].sum() > 1:
-            bad.append("mobile user %d holds more than one RIS" % k)
-    per_ris = a[np.asarray(static_ids, dtype=int)].sum(axis=0) if static_ids else np.zeros(num_ris)
+        if ris_of[k] != -1 and not 0 <= ris_of[k] < num_ris:
+            bad.append(
+                "mobile user %d holds RIS %d, not -1 or one of 0..%d" % (k, ris_of[k], num_ris - 1)
+            )
+    static_ris = ris_of[np.asarray(static_ids, dtype=int)]
+    in_range = static_ris[(static_ris >= 0) & (static_ris < num_ris)]
+    per_ris = np.bincount(in_range, minlength=num_ris)
     if np.any(per_ris > num_slots):
         bad.append("a RIS exceeds its slot capacity J=%d" % num_slots)
     # distinct slots within one RIS
@@ -313,42 +311,16 @@ def centralized_ris_config(
     noise_w: float,
     bw_hz: float,
     num_slots: int,
-    max_iter: int = 8,
-    tol: float = 1e-12,
 ) -> tuple:
-    """Alternate phase alignment and RIS assignment for the static users.
+    """RIS and slot assignment for the static users at aligned phases.
 
     Phase alignment is closed-form per (user, RIS) pair and independent of
-    the assignment, so the alternation reaches its fixed point after the
-    first full sweep; the loop keeps the iteration structure and verifies
-    the objective is nondecreasing.  Returns (ris_of, slot_of, psi_static,
-    objective, iterations).
+    the assignment, so one assignment over the aligned rates is the fixed
+    point of the phase/assignment alternation.  Returns (ris_of, slot_of,
+    objective).
     """
-    ids = list(static_ids)
-    rates = chan.aligned_rate_matrix(channels, ids, rho_sq_w, noise_w, bw_hz)
-    prev_obj = -math.inf
-    prev_assignment = None
-    ris_of = slot_of = None
-    objective = 0.0
-    iterations = 0
-    for it in range(1, max_iter + 1):
-        ris_of, slot_of, objective = assign_ris_static(rates, num_slots)
-        if objective < prev_obj - 1e-9:
-            raise RuntimeError("alternation objective decreased")
-        if prev_assignment is not None and (
-            np.array_equal(ris_of, prev_assignment) or objective - prev_obj < tol
-        ):
-            break
-        iterations = it
-        prev_obj = objective
-        prev_assignment = ris_of.copy()
-    psi = np.zeros((len(ids), channels.num_ris, channels.num_elements))
-    for row, k in enumerate(ids):
-        for m in range(channels.num_ris):
-            psi[row, m] = chan.align_phases(
-                channels.r[k], channels.h[k, m], channels.g[k, m]
-            ).theta
-    return ris_of, slot_of, psi, objective, iterations
+    rates = chan.aligned_rate_matrix(channels, static_ids, rho_sq_w, noise_w, bw_hz)
+    return assign_ris_static(rates, num_slots)
 
 
 def distributed_ris_select(
@@ -359,10 +331,10 @@ def distributed_ris_select(
     noise_w: float,
     bw_hz: float,
 ) -> tuple:
-    """Best idle surface for one mobile user, with its aligned phases.
+    """Best idle surface for one mobile user.
 
     Evaluates the aligned-phase rate on every idle RIS and returns
-    (ris_id, PhaseConfig, rate); ties break to the lowest RIS id.
+    (ris_id, rate); ties break to the lowest RIS id.
     """
     idle = sorted(int(m) for m in idle_ris)
     if not idle:
@@ -378,10 +350,7 @@ def distributed_ris_select(
         if rate > best_rate + 1e-15:
             best_rate = rate
             best_m = m
-    theta = chan.align_phases(
-        channels.r[user_id], channels.h[user_id, best_m], channels.g[user_id, best_m]
-    )
-    return best_m, theta, best_rate
+    return best_m, best_rate
 
 
 def complexity_ops(
@@ -482,6 +451,15 @@ class OptimizationResult:
     sweeps: int
 
 
+def throughput_from_bits(frame: FrameConfig, sched_bits: float, cont_bits: float) -> tuple:
+    """(S_s, S_c, S_o) from the bits of each period: S_s = bits/(alpha*t2),
+    S_c = bits/(beta*t2), S_o = t2/(t0+t1+t2) * (alpha*S_s + beta*S_c)."""
+    s_s = sched_bits / frame.scheduled_s if frame.scheduled_s > 0 else 0.0
+    s_c = cont_bits / frame.contended_s if frame.contended_s > 0 else 0.0
+    s_o = frame.t2_s / frame.total_s * (frame.alpha * s_s + frame.beta * s_c)
+    return s_s, s_c, s_o
+
+
 def analytic_throughput(
     frame: FrameConfig,
     alloc: AllocationState,
@@ -512,10 +490,7 @@ def analytic_throughput(
 
     sched_bits = sum(dcf.data_slot_s * user_rate(k) for k in static_ids)
     cont_bits = sum(dcf.payload_time_s * user_rate(k) for k in mobile_ids)
-    s_s = sched_bits / frame.scheduled_s if frame.scheduled_s > 0 else 0.0
-    s_c = cont_bits / frame.contended_s if frame.contended_s > 0 else 0.0
-    s_o = frame.t2_s / frame.total_s * (frame.alpha * s_s + frame.beta * s_c)
-    return s_s, s_c, s_o
+    return throughput_from_bits(frame, sched_bits, cont_bits)
 
 
 def onefactor_throughput(
@@ -557,7 +532,7 @@ def joint_optimize(
     max_sweeps: int = None,
 ) -> OptimizationResult:
     """Full decomposition: frame timing, then alternating power and
-    centralized assignment/phases for the static users, then distributed
+    centralized assignment for the static users, then distributed
     per-mobile RIS selection.
 
     beta_alpha_override scales the contended period to the requested
@@ -587,7 +562,7 @@ def joint_optimize(
         frame.validate(x, c, cascade=cascade if x else None)
 
     n_users = scenario.population.num_total
-    alloc = empty_allocation(n_users, scenario.ris.num_ris, scenario.ris.elements_per_ris)
+    alloc = empty_allocation(n_users)
     alloc.rho_sq_w[mobile_ids] = radio.tx_power_mobile_w
 
     trace = []
@@ -599,9 +574,9 @@ def joint_optimize(
         cap = comp.l1 if max_sweeps is None else max_sweeps
         for sweep in range(1, cap + 1):
             sweeps = sweep
-            ris_of, slot_of, psi, obj, _ = centralized_ris_config(
+            ris_of, slot_of, _ = centralized_ris_config(
                 channels, static_ids, rho_static, radio.noise_w,
-                radio.subchannel_bw_hz, frame.num_slots, max_iter=comp.l2,
+                radio.subchannel_bw_hz, frame.num_slots,
             )
             gains = np.array(
                 [
@@ -626,16 +601,13 @@ def joint_optimize(
             prev_obj = obj
         alloc.ris_of_user[sidx] = ris_of
         alloc.slot_of_user[sidx] = slot_of
-        alloc.psi[sidx] = psi
         alloc.rho_sq_w[sidx] = rho_static
 
     for k in mobile_ids:
-        m, theta, _ = distributed_ris_select(
+        alloc.ris_of_user[k], _ = distributed_ris_select(
             channels, k, range(scenario.ris.num_ris),
             radio.tx_power_mobile_w, radio.noise_w, radio.subchannel_bw_hz,
         )
-        alloc.ris_of_user[k] = m
-        alloc.psi[k, m] = theta.theta
 
     bad = check_allocation(
         alloc, static_ids, mobile_ids, scenario.ris.num_ris,

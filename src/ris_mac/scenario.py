@@ -7,10 +7,9 @@ converted to linear watts once at load time; all internal math is linear.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -131,12 +130,16 @@ class RisInventory:
 
 @dataclass(frozen=True)
 class ComputeModel:
-    """Knobs for the computing-period duration and solver iteration caps.
+    """Knobs for the computing-period duration and the complexity counters.
 
     ``kappa_s_per_op`` converts the optimizer's operation count into the
     frame's computing period t1.  The default is calibrated so t1 is about
     0.5% of the transmission period at the default 200-user scenario; larger
     values penalize centralized scheduling more heavily.
+
+    ``l1`` caps the power/assignment sweeps of the joint optimization and
+    enters the operation count.  ``l2`` and ``l3`` only feed the complexity
+    counters (``centralized_ops`` and ``distributed_ops``); they cap no loop.
     """
 
     kappa_s_per_op: float = 1.6e-9
@@ -286,10 +289,8 @@ def build_ris_inventory(
 def with_per_user_static_budget(radio: RadioParams, num_static: int) -> RadioParams:
     """Provision the static power budget at the per-user dissipation level
     (the mobile TX power), so per-user power stays put as populations sweep."""
-    import dataclasses
-
     budget = radio.tx_power_mobile_dbm + 10.0 * math.log10(max(num_static, 1))
-    return dataclasses.replace(radio, tx_power_budget_static_dbm=budget)
+    return replace(radio, tx_power_budget_static_dbm=budget)
 
 
 def default_scenario(
@@ -446,28 +447,13 @@ def load_scenario(path: str, seed_override=None) -> Scenario:
             seed=s.seed,
             area_side_m=s.area_side_m,
         )
-        s = Scenario(
-            population=pop,
-            radio=s.radio,
-            dcf=s.dcf,
-            ris=s.ris,
-            compute=s.compute,
-            seed=s.seed,
-            area_side_m=s.area_side_m,
-            bs_position=s.bs_position,
-            csi_best_channel=s.csi_best_channel,
-        )
+        s = replace(s, population=pop)
     return s
 
 
 def save_scenario(s: Scenario, path: str) -> None:
     with open(path, "w", encoding="utf-8") as f:
         f.write(scenario_to_json(s))
-
-
-def scenario_hash(path: str) -> str:
-    with open(path, "rb") as f:
-        return hashlib.sha256(f.read()).hexdigest()
 
 
 def advance_frame(pop: UserPopulation, area_side_m: float, seed: int) -> UserPopulation:

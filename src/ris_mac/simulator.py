@@ -1,7 +1,10 @@
 """Monte-Carlo frame engine: pilots, computing, scheduled slots, and the
 RTS/CTS contention rounds, event by event.
 
-The scheduled period is deterministic given the allocation.  The contended
+The scheduled period is deterministic given the allocation: each scheduled
+user transmits through its assigned surface with that surface's phases
+co-phased to the direct path, derived from the channels at transmit time
+(allocations carry only surface, slot and power).  The contended
 period advances in rounds of one handshake time t_r each: contenders pick a
 subchannel, draw backoff counters, and the BS paces its CTS grants to the
 closed-form service recursion (the BS sizes the contention budget from that
@@ -106,7 +109,9 @@ def resolve_backoff(counters: dict) -> tuple:
 
 
 def _user_rate_via(channels, alloc, k, m, noise_w, bw_hz):
-    theta = chan.PhaseConfig(theta=alloc.psi[k, m])
+    # explicit phases through chan.snr, not chan.aligned_snr: the two differ
+    # in the last bit for some inputs, and the tables stay byte-stable
+    theta = chan.align_phases(channels.r[k], channels.h[k, m], channels.g[k, m])
     s = chan.snr(
         channels.r[k], channels.h[k, m], channels.g[k, m],
         theta, float(alloc.rho_sq_w[k]), noise_w,
@@ -240,7 +245,7 @@ def _run_contention(
         if got is None:
             best = (-1.0, live_channels[0])
             for ch in live_channels:
-                _, _, rate = opt.distributed_ris_select(
+                _, rate = opt.distributed_ris_select(
                     channels, k, ris_on_channel[ch], float(alloc.rho_sq_w[k]),
                     radio.noise_w, radio.subchannel_bw_hz,
                 )
@@ -289,7 +294,7 @@ def _run_contention(
             if winner is None:
                 # post-collision re-draw inside the round settles on one user
                 winner = users_here[int(rng.integers(0, len(users_here)))]
-            m_star, theta, rate = opt.distributed_ris_select(
+            m_star, rate = opt.distributed_ris_select(
                 channels, winner, ris_on_channel[ch], float(alloc.rho_sq_w[winner]),
                 radio.noise_w, radio.subchannel_bw_hz,
             )
@@ -325,8 +330,8 @@ def measure_throughput(trace: FrameTrace, frame: opt.FrameConfig) -> tuple:
     """(S_s, S_c, S_o) recomputed from the trace's data events.
 
     Scheduled bits are the data events inside [t0+t1, t0+t1+alpha*t2);
-    contended bits the ones after.  S_o weights both periods by
-    t2/(t0+t1+t2).
+    contended bits the ones after; optimizer.throughput_from_bits composes
+    the three figures.
     """
     sched_start = frame.t0_s + frame.t1_s
     sched_end = sched_start + frame.scheduled_s
@@ -339,10 +344,7 @@ def measure_throughput(trace: FrameTrace, frame: opt.FrameConfig) -> tuple:
             sched_bits += e.value
         else:
             cont_bits += e.value
-    s_s = sched_bits / frame.scheduled_s if frame.scheduled_s > 0 else 0.0
-    s_c = cont_bits / frame.contended_s if frame.contended_s > 0 else 0.0
-    s_o = frame.t2_s / frame.total_s * (frame.alpha * s_s + frame.beta * s_c)
-    return s_s, s_c, s_o
+    return opt.throughput_from_bits(frame, sched_bits, cont_bits)
 
 
 def measure_fairness(traces) -> dict:
@@ -419,7 +421,7 @@ def plan_scheme1(scenario, channels, t2_common: float) -> tuple:
     c = radio.num_subchannels
     j1 = -(-k_exist // c) if k_exist else 0
 
-    alloc = opt.empty_allocation(pop.num_total, scenario.ris.num_ris, scenario.ris.elements_per_ris)
+    alloc = opt.empty_allocation(pop.num_total)
     if k_exist:
         rho = np.array(
             [
@@ -432,11 +434,6 @@ def plan_scheme1(scenario, channels, t2_common: float) -> tuple:
         eidx = np.asarray(existing, dtype=int)
         alloc.ris_of_user[eidx] = ris_of
         alloc.slot_of_user[eidx] = slot_of
-        for i, k in enumerate(existing):
-            m = ris_of[i]
-            alloc.psi[k, m] = chan.align_phases(
-                channels.r[k], channels.h[k, m], channels.g[k, m]
-            ).theta
         if static_ids:
             gains = np.array(
                 [
@@ -476,9 +473,7 @@ def plan_scheme2(scenario, t2_common: float) -> tuple:
     """Distributed benchmark: no pilots, no central computing; everyone
     contends at the fixed mobile power."""
     radio = scenario.radio
-    alloc = opt.empty_allocation(
-        scenario.population.num_total, scenario.ris.num_ris, scenario.ris.elements_per_ris
-    )
+    alloc = opt.empty_allocation(scenario.population.num_total)
     alloc.rho_sq_w[:] = radio.tx_power_mobile_w
     frame = opt.FrameConfig(
         t0_s=0.0,

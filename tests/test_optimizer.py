@@ -188,21 +188,22 @@ class TestCentralizedConfig:
     def test_single_user_single_ris_one_iteration(self):
         s = small_scenario(total_users=1, ratio=(1, 0, 0), num_ris=1, elements=4)
         ch = chan.draw_channels(s, 1)
-        ris_of, slot_of, psi, obj, iters = opt.centralized_ris_config(
+        ris_of, slot_of, obj = opt.centralized_ris_config(
             ch, [0], np.array([0.01]), s.radio.noise_w,
             s.radio.subchannel_bw_hz, num_slots=1,
         )
-        assert iters == 1
         assert ris_of[0] == 0 and slot_of[0] == 0
-        want = chan.align_phases(ch.r[0], ch.h[0, 0], ch.g[0, 0]).theta
-        assert np.allclose(psi[0, 0], want)
+        rates = chan.aligned_rate_matrix(
+            ch, [0], np.array([0.01]), s.radio.noise_w, s.radio.subchannel_bw_hz
+        )
+        assert obj == rates[0, 0]
 
     def test_matches_brute_force_with_aligned_phases(self):
         s = small_scenario(total_users=8, ratio=(1, 1, 0), num_ris=2, elements=4)
         ch = chan.draw_channels(s, 2)
         static_ids, _ = classify_users(s.population)
         rho = np.full(len(static_ids), 0.01)
-        _, _, _, obj, _ = opt.centralized_ris_config(
+        _, _, obj = opt.centralized_ris_config(
             ch, static_ids, rho, s.radio.noise_w, s.radio.subchannel_bw_hz, num_slots=2,
         )
         rates = chan.aligned_rate_matrix(
@@ -228,7 +229,7 @@ class TestDistributedSelect:
     def test_single_idle_ris_chosen(self):
         s = small_scenario(total_users=4, num_ris=2, elements=4)
         ch = chan.draw_channels(s, 3)
-        m, theta, rate = opt.distributed_ris_select(
+        m, _ = opt.distributed_ris_select(
             ch, 0, [1], 0.01, s.radio.noise_w, s.radio.subchannel_bw_hz
         )
         assert m == 1
@@ -242,7 +243,7 @@ class TestDistributedSelect:
         g[0, 1] = 2.0
         h[0, 1] = 2.0
         ch = chan.ChannelRealization(g=g, h=h, r=np.array([1.0 + 0j]))
-        m, _, _ = opt.distributed_ris_select(ch, 0, [0, 1], 1.0, 1.0, 1e7)
+        m, _ = opt.distributed_ris_select(ch, 0, [0, 1], 1.0, 1.0, 1e7)
         assert m == 1
 
     def test_empty_idle_set_rejected(self):
@@ -258,7 +259,7 @@ class TestDistributedSelect:
         for _ in range(100):
             k = int(rng.integers(0, 6))
             idle = sorted(rng.choice(4, size=int(rng.integers(1, 5)), replace=False))
-            m, _, rate = opt.distributed_ris_select(
+            m, _ = opt.distributed_ris_select(
                 ch, k, idle, 0.01, s.radio.noise_w, s.radio.subchannel_bw_hz
             )
             gains = {
@@ -304,14 +305,22 @@ class TestJointOptimize:
         )
         assert bad == []
 
-    def test_realigning_phases_is_idempotent(self):
-        s = small_scenario(total_users=6, seed=13)
-        ch = chan.draw_channels(s, 13)
+    def test_audit_reports_out_of_range_ris(self):
+        s = small_scenario(total_users=10, seed=12)
+        ch = chan.draw_channels(s, 12)
         res = opt.joint_optimize(s, ch)
-        for k in res.static_ids:
-            m = res.allocation.ris_of_user[k]
-            want = chan.align_phases(ch.r[k], ch.h[k, m], ch.g[k, m]).theta
-            assert np.allclose(res.allocation.psi[k, m], want)
+        m = s.ris.num_ris
+        k_static, k_mobile = res.static_ids[0], res.mobile_ids[0]
+        res.allocation.ris_of_user[k_static] = m
+        res.allocation.ris_of_user[k_mobile] = m
+        bad = opt.check_allocation(
+            res.allocation, res.static_ids, res.mobile_ids,
+            m, res.frame.num_slots, s.radio.p_max_w,
+        )
+        assert bad == [
+            "static user %d holds RIS %d, not one of 0..%d" % (k_static, m, m - 1),
+            "mobile user %d holds RIS %d, not -1 or one of 0..%d" % (k_mobile, m, m - 1),
+        ]
 
     def test_power_feasibility(self):
         s = small_scenario(total_users=10, seed=14)
