@@ -342,7 +342,7 @@ def _optimal_beta_alpha(scenario: Scenario) -> float:
     from .scenario import classify_users
 
     static_ids, mobile_ids = classify_users(scenario.population)
-    c = scenario.radio.num_subchannels
+    c = len(scenario.ris.subchannels)
     cascade = dcfmod.contention_cascade(len(mobile_ids), c, scenario.dcf)
     j = -(-len(static_ids) // c)
     if j == 0:

@@ -3,8 +3,13 @@
 The throughput maximization decomposes into: closed-form frame timing
 (slot count, period durations, scheduled/contended split), a water-filling
 power allocation over the static users, and an exact 0-1 assignment of
-static users to RIS slots.  The assignment and power steps alternate; each
-step can only improve the sum rate, so the outer objective is monotone.
+static users to (subchannel, slot) pairs.  Slots are a subchannel resource:
+every subchannel that carries a surface has the same J slots, and a user on
+a subchannel reflects through the best surface bonded to it.  The
+assignment and power steps alternate.  The assignment step ignores the rate
+floors, so the floored power step can lower the sum rate; the alternation
+stops there and keeps the previous iterate, which keeps the recorded
+objective non-decreasing.
 
 Phases are not part of the plan: every element is co-phased with the
 direct path, which is closed-form in the user's channels, so an allocation
@@ -103,7 +108,7 @@ def check_allocation(
     alloc: AllocationState,
     static_ids,
     mobile_ids,
-    num_ris: int,
+    subchannel_of_ris,
     num_slots: int,
     p_max_w: float,
 ) -> list:
@@ -111,10 +116,13 @@ def check_allocation(
 
     Each user holds one int surface index, so "at most one RIS" holds by
     construction; what can go wrong is an index outside 0..M-1 (static
-    users must hold a surface, mobile users may hold none, -1).
+    users must hold a surface, mobile users may hold none, -1), a slot
+    outside 0..J-1, or two static users on one (subchannel, slot) pair,
+    which also bounds every subchannel's load by J.
     """
     bad = []
     ris_of = alloc.ris_of_user
+    num_ris = len(subchannel_of_ris)
     for k in static_ids:
         if not 0 <= ris_of[k] < num_ris:
             bad.append(
@@ -127,16 +135,16 @@ def check_allocation(
             bad.append(
                 "mobile user %d holds RIS %d, not -1 or one of 0..%d" % (k, ris_of[k], num_ris - 1)
             )
-    static_ris = ris_of[np.asarray(static_ids, dtype=int)]
-    in_range = static_ris[(static_ris >= 0) & (static_ris < num_ris)]
-    per_ris = np.bincount(in_range, minlength=num_ris)
-    if np.any(per_ris > num_slots):
-        bad.append("a RIS exceeds its slot capacity J=%d" % num_slots)
-    # distinct slots within one RIS
-    for m in range(num_ris):
-        slots = [alloc.slot_of_user[k] for k in static_ids if alloc.ris_of_user[k] == m]
-        if len(slots) != len(set(slots)):
-            bad.append("duplicate slot on RIS %d" % m)
+    holder = {}
+    for k in static_ids:
+        if 0 <= ris_of[k] < num_ris:
+            pair = (subchannel_of_ris[ris_of[k]], int(alloc.slot_of_user[k]))
+            if pair in holder:
+                bad.append(
+                    "subchannel %d slot %d held by users %d and %d" % (pair + (holder[pair], k))
+                )
+            else:
+                holder[pair] = k
     if static_ids:
         total = float(alloc.rho_sq_w[np.asarray(static_ids, dtype=int)].sum())
         if total > p_max_w + 1e-12:
@@ -155,8 +163,10 @@ def optimal_frame_timing(
 ) -> FrameConfig:
     """Closed-form frame timing.
 
-    J = ceil(X/C) (the slot capacity bound J*C >= X forces rounding up for
-    non-divisible X), t0 = K * t_p, t2 = J*t + N_r * t_r, and the split
+    num_channels is C_s, the subchannels that carry a surface (scenario
+    RisInventory.subchannels): only those carry slots and contention.
+    J = ceil(X/C_s) (the slot capacity bound J*C_s >= X forces rounding up
+    for non-divisible X), t0 = K * t_p, t2 = J*t + N_r * t_r, and the split
     alpha = J*t / t2, beta = N_r*t_r / t2 sits exactly on the fairness
     feasibility boundary.  X = 0 degenerates to the pure contended mode,
     Y = 0 to the pure scheduled mode.
@@ -271,11 +281,12 @@ def power_kkt_residual(
 
 
 def assign_ris_static(rate_matrix: np.ndarray, num_slots: int) -> tuple:
-    """Exact 0-1 assignment of static users to (RIS, slot) pairs.
+    """Exact 0-1 assignment of static users to (subchannel, slot) pairs.
 
-    Expands each RIS into J slot-capacity nodes and solves min-cost
+    Column c of rate_matrix is the c-th subchannel that carries a surface.
+    Expands each subchannel into J slot-capacity nodes and solves min-cost
     matching, which is optimal for the linear objective and deterministic.
-    Returns (ris_of_user, slot_of_user, objective).
+    Returns (column_of_user, slot_of_user, objective).
     """
     rates = np.asarray(rate_matrix, dtype=float)
     x, m = rates.shape
@@ -311,16 +322,26 @@ def centralized_ris_config(
     noise_w: float,
     bw_hz: float,
     num_slots: int,
+    subchannel_of_ris,
 ) -> tuple:
-    """RIS and slot assignment for the static users at aligned phases.
+    """Surface and slot assignment for the scheduled users at aligned phases.
 
     Phase alignment is closed-form per (user, RIS) pair and independent of
     the assignment, so one assignment over the aligned rates is the fixed
-    point of the phase/assignment alternation.  Returns (ris_of, slot_of,
-    objective).
+    point of the phase/assignment alternation.  Slots belong to subchannels:
+    on each subchannel that carries a surface a user takes its best bonded
+    surface (lowest id on ties), and the users are matched to (subchannel,
+    slot) pairs over those rates.  Returns (ris_of, slot_of, objective).
     """
     rates = chan.aligned_rate_matrix(channels, static_ids, rho_sq_w, noise_w, bw_hz)
-    return assign_ris_static(rates, num_slots)
+    sub_of = np.asarray(subchannel_of_ris)
+    surfaces = [np.flatnonzero(sub_of == ch) for ch in np.unique(sub_of)]
+    # (X, C_s): each user's best surface on each subchannel that carries one
+    best = np.stack([ms[rates[:, ms].argmax(axis=1)] for ms in surfaces], axis=1)
+    col_of, slot_of, objective = assign_ris_static(
+        np.take_along_axis(rates, best, axis=1), num_slots
+    )
+    return best[np.arange(len(col_of)), col_of], slot_of, objective
 
 
 def distributed_ris_select(
@@ -542,7 +563,7 @@ def joint_optimize(
     radio, dcf, comp = scenario.radio, scenario.dcf, scenario.compute
     static_ids, mobile_ids = classify_users(scenario.population)
     x, y = len(static_ids), len(mobile_ids)
-    c = radio.num_subchannels
+    c = len(scenario.ris.subchannels)
     cascade = dcfmod.contention_cascade(y, c, dcf)
     ops = complexity_ops(x, scenario.ris.num_ris, scenario.ris.elements_per_ris,
                          scenario.population.num_existing, comp.l1)
@@ -576,7 +597,7 @@ def joint_optimize(
             sweeps = sweep
             ris_of, slot_of, _ = centralized_ris_config(
                 channels, static_ids, rho_static, radio.noise_w,
-                radio.subchannel_bw_hz, frame.num_slots,
+                radio.subchannel_bw_hz, frame.num_slots, scenario.ris.subchannel_of_ris,
             )
             gains = np.array(
                 [
@@ -593,15 +614,15 @@ def joint_optimize(
                 radio.subchannel_bw_hz, user_ids=static_ids,
             )
             obj = float(np.sum(np.log2(1.0 + gains * rho_static)))
-            trace.append(obj)
             if obj < prev_obj - 1e-9:
-                raise RuntimeError("outer objective decreased")
+                break  # the floored power step lost ground: keep the previous iterate
+            trace.append(obj)
+            alloc.ris_of_user[sidx] = ris_of
+            alloc.slot_of_user[sidx] = slot_of
+            alloc.rho_sq_w[sidx] = rho_static
             if obj - prev_obj < ALTERNATION_TOL:
                 break
             prev_obj = obj
-        alloc.ris_of_user[sidx] = ris_of
-        alloc.slot_of_user[sidx] = slot_of
-        alloc.rho_sq_w[sidx] = rho_static
 
     for k in mobile_ids:
         alloc.ris_of_user[k], _ = distributed_ris_select(
@@ -610,7 +631,7 @@ def joint_optimize(
         )
 
     bad = check_allocation(
-        alloc, static_ids, mobile_ids, scenario.ris.num_ris,
+        alloc, static_ids, mobile_ids, scenario.ris.subchannel_of_ris,
         frame.num_slots, radio.p_max_w,
     )
     if bad:

@@ -127,6 +127,12 @@ class RisInventory:
     positions: tuple = ((25.0, 50.0, 50.0), (50.0, 25.0, 50.0))
     subchannel_of_ris: tuple = (0, 1)
 
+    @property
+    def subchannels(self) -> tuple:
+        """Sorted subchannels bonded to at least one surface: the ones that
+        carry scheduled slots and contention (C_s of them)."""
+        return tuple(sorted(set(self.subchannel_of_ris)))
+
 
 @dataclass(frozen=True)
 class ComputeModel:

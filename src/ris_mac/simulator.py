@@ -219,21 +219,22 @@ def _run_contention(
 ):
     """Round-paced DCF with BS-gated grants; returns (rounds, collisions)."""
     radio, dcf = scenario.radio, scenario.dcf
-    c = radio.num_subchannels
     t_r = dcfmod.handshake_time(dcf)
     rts_s = dcf.rts_bytes * 8 / dcf.control_rate_bps
     cts_s = dcf.cts_bytes * 8 / dcf.control_rate_bps
+    live_channels = scenario.ris.subchannels
     ris_on_channel = {
-        ch: [m for m in range(scenario.ris.num_ris) if scenario.ris.subchannel_of_ris[m] == ch]
-        for ch in range(c)
+        ch: [m for m, c in enumerate(scenario.ris.subchannel_of_ris) if c == ch]
+        for ch in live_channels
     }
-    live_channels = sorted(ch for ch, ms in ris_on_channel.items() if ms)
 
     remaining = sorted(contenders)
     backoff = {
         k: BackoffState(dcf.w_min, dcf.w_max, dcf.max_backoff_stage) for k in remaining
     }
-    schedule = dcfmod.ServiceSchedule(len(remaining), c, dcf.w_min, dcf.max_backoff_stage)
+    schedule = dcfmod.ServiceSchedule(
+        len(remaining), len(live_channels), dcf.w_min, dcf.max_backoff_stage
+    )
     rounds_budget = int(math.floor(budget_s / t_r + 1e-9))
 
     best_channel_cache: dict = {}
@@ -369,44 +370,6 @@ def measure_fairness(traces) -> dict:
     }
 
 
-def scheduled_assignment(scenario, channels, user_ids, rho_sq_w, num_slots):
-    """Assignment wrapper that tolerates several RISs per subchannel.
-
-    With a one-to-one RIS/subchannel binding this is exactly the per-RIS
-    0-1 assignment.  When surfaces share a subchannel, users are assigned
-    to per-channel slots instead and each takes the best surface bonded to
-    its channel (slots are a channel resource, so per-RIS capacities would
-    oversubscribe the airtime).
-    """
-    radio = scenario.radio
-    ids = list(user_ids)
-    sub_of = scenario.ris.subchannel_of_ris
-    per_channel = {}
-    for m, ch in enumerate(sub_of):
-        per_channel.setdefault(ch, []).append(m)
-    if all(len(ms) == 1 for ms in per_channel.values()):
-        rates = chan.aligned_rate_matrix(
-            channels, ids, rho_sq_w, radio.noise_w, radio.subchannel_bw_hz
-        )
-        return opt.assign_ris_static(rates, num_slots)
-    channels_sorted = sorted(per_channel)
-    rates_full = chan.aligned_rate_matrix(
-        channels, ids, rho_sq_w, radio.noise_w, radio.subchannel_bw_hz
-    )
-    rate_ch = np.stack(
-        [rates_full[:, per_channel[ch]].max(axis=1) for ch in channels_sorted], axis=1
-    )
-    ris_pick = {
-        ch: np.asarray(per_channel[ch])[rates_full[:, per_channel[ch]].argmax(axis=1)]
-        for ch in channels_sorted
-    }
-    ch_of, slot_of, objective = opt.assign_ris_static(rate_ch, num_slots)
-    ris_of = np.array(
-        [ris_pick[channels_sorted[ch_of[i]]][i] for i in range(len(ids))], dtype=int
-    )
-    return ris_of, slot_of, objective
-
-
 def plan_scheme1(scenario, channels, t2_common: float) -> tuple:
     """Centralized benchmark: every existing user is scheduled; new users
     wait for the next frame.  Static users share the power budget, mobile
@@ -418,8 +381,7 @@ def plan_scheme1(scenario, channels, t2_common: float) -> tuple:
     static_ids, _ = classify_users(pop)
     static_set = set(static_ids)
     existing = list(range(k_exist))
-    c = radio.num_subchannels
-    j1 = -(-k_exist // c) if k_exist else 0
+    j1 = -(-k_exist // len(scenario.ris.subchannels)) if k_exist else 0
 
     alloc = opt.empty_allocation(pop.num_total)
     if k_exist:
@@ -430,7 +392,10 @@ def plan_scheme1(scenario, channels, t2_common: float) -> tuple:
                 for k in existing
             ]
         )
-        ris_of, slot_of, _ = scheduled_assignment(scenario, channels, existing, rho, j1)
+        ris_of, slot_of, _ = opt.centralized_ris_config(
+            channels, existing, rho, radio.noise_w, radio.subchannel_bw_hz, j1,
+            scenario.ris.subchannel_of_ris,
+        )
         eidx = np.asarray(existing, dtype=int)
         alloc.ris_of_user[eidx] = ris_of
         alloc.slot_of_user[eidx] = slot_of

@@ -20,6 +20,7 @@ RUNS = {
         "experiment", "--sweep", "users=50:200:50",
         "--modes", "proposed,scheme1,scheme2", "--seeds", "1,2",
     ],
+    "fig7.csv": ["report", "--figure", "fig7", "--seeds", "1"],
     "fig9.csv": ["report", "--figure", "fig9", "--seeds", "1"],
 }
 
@@ -32,3 +33,12 @@ def test_csv_matches_golden(name, tmp_path, monkeypatch, capsys):
     with open(os.path.join(GOLDEN_DIR, name), "rb") as f:
         want = f.read()
     assert out.read_bytes() == want
+
+
+@pytest.mark.parametrize("figure", ["fig5", "fig6", "fig8", "fig10"])
+def test_report_preset_runs(figure, tmp_path, monkeypatch, capsys):
+    """The presets not in RUNS run on the reference network."""
+    monkeypatch.setenv("RIS_MAC_THREADS", "1")
+    out = tmp_path / (figure + ".csv")
+    argv = ["report", "--figure", figure, "--seeds", "1", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK

@@ -1,17 +1,22 @@
 """Optimizer tests: water-filling against a simplex grid search, assignment
 against exhaustive search, frame-timing identities, alternation
-monotonicity, and the complexity/rate-increment identities."""
+monotonicity, the (subchannel, slot) invariant over random networks, and
+the complexity/rate-increment identities."""
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ris_mac import channel as chan
 from ris_mac import dcf as dcfmod
 from ris_mac import optimizer as opt
-from ris_mac.scenario import DcfParams, classify_users
+from ris_mac import simulator as sim
+from ris_mac.scenario import DcfParams, build_ris_inventory, classify_users, validate_scenario
 
 from conftest import random_link, small_scenario
 
@@ -191,6 +196,7 @@ class TestCentralizedConfig:
         ris_of, slot_of, obj = opt.centralized_ris_config(
             ch, [0], np.array([0.01]), s.radio.noise_w,
             s.radio.subchannel_bw_hz, num_slots=1,
+            subchannel_of_ris=s.ris.subchannel_of_ris,
         )
         assert ris_of[0] == 0 and slot_of[0] == 0
         rates = chan.aligned_rate_matrix(
@@ -205,6 +211,7 @@ class TestCentralizedConfig:
         rho = np.full(len(static_ids), 0.01)
         _, _, obj = opt.centralized_ris_config(
             ch, static_ids, rho, s.radio.noise_w, s.radio.subchannel_bw_hz, num_slots=2,
+            subchannel_of_ris=s.ris.subchannel_of_ris,
         )
         rates = chan.aligned_rate_matrix(
             ch, static_ids, rho, s.radio.noise_w, s.radio.subchannel_bw_hz
@@ -301,7 +308,7 @@ class TestJointOptimize:
         res = opt.joint_optimize(s, ch)
         bad = opt.check_allocation(
             res.allocation, res.static_ids, res.mobile_ids,
-            s.ris.num_ris, res.frame.num_slots, s.radio.p_max_w,
+            s.ris.subchannel_of_ris, res.frame.num_slots, s.radio.p_max_w,
         )
         assert bad == []
 
@@ -315,12 +322,36 @@ class TestJointOptimize:
         res.allocation.ris_of_user[k_mobile] = m
         bad = opt.check_allocation(
             res.allocation, res.static_ids, res.mobile_ids,
-            m, res.frame.num_slots, s.radio.p_max_w,
+            s.ris.subchannel_of_ris, res.frame.num_slots, s.radio.p_max_w,
         )
         assert bad == [
             "static user %d holds RIS %d, not one of 0..%d" % (k_static, m, m - 1),
             "mobile user %d holds RIS %d, not -1 or one of 0..%d" % (k_mobile, m, m - 1),
         ]
+
+    def test_audit_flags_shared_subchannel_slot(self):
+        # surfaces 0 and 2 are both bonded to subchannel 0, so slot 0 on
+        # each is one slot held twice
+        alloc = opt.empty_allocation(2)
+        alloc.ris_of_user[:] = [0, 2]
+        alloc.slot_of_user[:] = [0, 0]
+        bad = opt.check_allocation(alloc, [0, 1], [], (0, 1, 0), num_slots=1, p_max_w=1.0)
+        assert bad == ["subchannel 0 slot 0 held by users 0 and 1"]
+
+    def test_power_step_decrease_keeps_previous_iterate(self):
+        # the assignment step ignores the rate floors; on this draw the
+        # floored power step of the second sweep lowers the objective
+        s = small_scenario(total_users=10, ratio=(5, 4, 1), num_ris=2, elements=4, seed=20)
+        ch = chan.draw_channels(s, 20)
+        res = opt.joint_optimize(s, ch)
+        trace = res.objective_trace
+        assert res.sweeps == len(trace) + 1
+        assert all(b >= a - 1e-12 for a, b in zip(trace, trace[1:]))
+        bad = opt.check_allocation(
+            res.allocation, res.static_ids, res.mobile_ids,
+            s.ris.subchannel_of_ris, res.frame.num_slots, s.radio.p_max_w,
+        )
+        assert bad == []
 
     def test_power_feasibility(self):
         s = small_scenario(total_users=10, seed=14)
@@ -336,6 +367,58 @@ class TestJointOptimize:
                 res.allocation.rho_sq_w[k], s.radio.noise_w,
             )
             assert chan.rate_bps(snr, bw) >= s.radio.rate_min_bps - 1e-6
+
+
+def held_pairs(alloc, user_ids, subchannel_of_ris):
+    return [
+        (subchannel_of_ris[alloc.ris_of_user[k]], int(alloc.slot_of_user[k]))
+        for k in user_ids
+    ]
+
+
+class TestSlotInvariant:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        num_ris=st.integers(1, 5),
+        num_channels=st.integers(1, 4),
+        total_users=st.integers(1, 16),
+        ratio=st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 2)).filter(
+            lambda r: sum(r) > 0
+        ),
+        seed=st.integers(0, 10_000),
+    )
+    def test_no_subchannel_slot_held_twice(
+        self, num_ris, num_channels, total_users, ratio, seed
+    ):
+        s = small_scenario(total_users=total_users, ratio=ratio, num_ris=num_ris,
+                           elements=2, seed=seed)
+        s = dataclasses.replace(
+            s,
+            radio=dataclasses.replace(s.radio, num_subchannels=num_channels),
+            ris=build_ris_inventory(num_ris, 2, num_channels),
+        )
+        assert validate_scenario(s).ok
+        ch = chan.draw_channels(s, seed)
+        sub_of = s.ris.subchannel_of_ris
+        try:
+            res = opt.joint_optimize(s, ch)
+            frame1, alloc1 = sim.plan_scheme1(s, ch, res.frame.t2_s)
+        except opt.DegenerateFrameError:
+            return
+        except opt.InfeasibleError as e:
+            if "rate floor" not in str(e):  # slot capacity must never run out
+                raise
+            return
+        pairs = held_pairs(res.allocation, res.static_ids, sub_of)
+        assert len(set(pairs)) == len(pairs)
+        pairs = held_pairs(alloc1, range(s.population.num_existing), sub_of)
+        assert len(set(pairs)) == len(pairs)
+        for frame, alloc in ((res.frame, res.allocation), (frame1, alloc1)):
+            bad = opt.check_allocation(
+                alloc, res.static_ids, res.mobile_ids, sub_of,
+                frame.num_slots, s.radio.p_max_w,
+            )
+            assert bad == []
 
 
 class TestComplexity:
