@@ -69,6 +69,7 @@ def build_parser() -> _Parser:
         help="contenders pick their best-rate subchannel instead of a uniform idle one",
     )
     sp.add_argument("--out", help="write per-frame rows as CSV")
+    sp.add_argument("--events", help="write every frame's event trace as CSV")
 
     sp = sub.add_parser("experiment", help="seeded sweep over a scenario knob")
     add_scenario_args(sp)
@@ -193,13 +194,16 @@ def cmd_simulate(args) -> int:
     from .scenario import advance_frame
 
     rows = []
+    event_rows = []
     scen = s
     if args.csi_best_channel and not scen.csi_best_channel:
         scen = dataclasses.replace(scen, csi_best_channel=True)
     for i in range(args.frames):
         seed = s.seed + i
-        rows.append(exp.run_cell(scen, args.mode, seed))
+        events = []
+        rows.append(exp.run_cell(scen, args.mode, seed, events=events))
         rows[-1]["frame"] = i
+        event_rows.extend(dict(dataclasses.asdict(e), frame=i) for e in events)
         if i + 1 < args.frames:
             # this frame's arrivals join the existing set for the next frame
             pop = advance_frame(scen.population, scen.area_side_m, seed + 7919)
@@ -207,11 +211,15 @@ def cmd_simulate(args) -> int:
     cols = ("frame", "mode", "seed", "s_s_bps", "s_c_bps", "s_o_bps",
             "served_static", "served_mobile", "served_new", "collisions",
             "n_r_measured", "n_r_analytic", "beta_alpha")
+    if args.events:
+        event_cols = ["frame"] + [f.name for f in dataclasses.fields(sim.TraceEvent)]
+        rio.write_table(event_rows, event_cols, args.events, fmt="csv")
     if args.out:
         rio.write_table(rows, cols, args.out, fmt="csv")
         rio.write_manifest(
             args.out + ".manifest.json", args.scenario,
-            [s.seed + i for i in range(args.frames)], None, [args.out],
+            [s.seed + i for i in range(args.frames)], None,
+            [args.out] + ([args.events] if args.events else []),
         )
         print("wrote %s (%d frames)" % (args.out, len(rows)))
     else:

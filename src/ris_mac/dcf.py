@@ -20,6 +20,7 @@ that case rather than silently correcting the exponent.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -184,6 +185,17 @@ class ContentionSummary:
     starvation_guard_fired: bool = False
 
 
+@functools.lru_cache(maxsize=1 << 14)
+def round_params(contenders: int, num_channels: int, w_min: int, max_stage: int) -> tuple:
+    """(tau, p, P_ch) of one round with the given remaining contenders.
+
+    A pure function of its arguments, cached for the process: the closed
+    form and every simulated frame step through the same round counts.
+    """
+    tau, p = solve_tau(contenders, w_min, max_stage)
+    return tau, p, channel_success_prob(contenders, tau, num_channels)
+
+
 class ServiceSchedule:
     """Round-by-round service bookkeeping shared by the closed form and the
     frame engine's contention pacing.
@@ -206,26 +218,17 @@ class ServiceSchedule:
         self.rounds: list = []
         self.zero_streak = 0
         self.guard_fired = False
-        self._cache: dict = {}
 
     @property
     def remaining(self) -> int:
         return self.total - self.served
-
-    def _round_params(self, n: int) -> tuple:
-        got = self._cache.get(n)
-        if got is None:
-            tau, p = solve_tau(n, self.w_min, self.max_stage)
-            got = (tau, p, channel_success_prob(n, tau, self.channels))
-            self._cache[n] = got
-        return got
 
     def advance(self) -> int:
         """Run one round; returns the number of users served in it."""
         n = self.remaining
         if n <= 0:
             raise CascadeError("advance called with no remaining contenders")
-        tau, p, p_ch = self._round_params(n)
+        tau, p, p_ch = round_params(n, self.channels, self.w_min, self.max_stage)
         self.credit += self.channels * p_ch
         target = math.floor(self.credit + FLOOR_EPS)
         delta = min(max(target - self.served, 0), n)

@@ -146,8 +146,11 @@ def scenario_for_value(template: Scenario, axis: str, value) -> tuple:
     raise SweepSpecError("unknown axis %r" % axis)
 
 
-def run_cell(scenario: Scenario, mode: str, seed: int, beta_alpha=None) -> dict:
-    """One (scenario, mode, seed) frame; returns the per-cell measurements."""
+def run_cell(scenario: Scenario, mode: str, seed: int, beta_alpha=None, events=None) -> dict:
+    """One (scenario, mode, seed) frame; returns the per-cell measurements.
+
+    A list passed as ``events`` is extended with the frame's TraceEvents.
+    """
     channels = chan.draw_channels(scenario, seed)
     plan = joint_optimize(scenario, channels, beta_alpha_override=beta_alpha)
     if mode == "proposed":
@@ -159,6 +162,8 @@ def run_cell(scenario: Scenario, mode: str, seed: int, beta_alpha=None) -> dict:
     else:
         raise sim.ModeMismatchError("unknown mode %r" % mode)
     trace = sim.run_frame(scenario, channels, frame, alloc, mode, seed)
+    if events is not None:
+        events.extend(trace.events)
     fairness = sim.measure_fairness([trace])
     ratio = frame.beta / frame.alpha if frame.alpha > 0 else float("inf")
     return {

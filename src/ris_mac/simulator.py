@@ -5,14 +5,19 @@ The scheduled period is deterministic given the allocation: each scheduled
 user transmits through its assigned surface with that surface's phases
 co-phased to the direct path, derived from the channels at transmit time
 (allocations carry only surface, slot and power).  The contended
-period advances in rounds of one handshake time t_r each: contenders pick a
-subchannel, draw backoff counters, and the BS paces its CTS grants to the
-closed-form service recursion (the BS sizes the contention budget from that
-recursion and admits accordingly), so the rounds-to-all-served tracks the
-analytic round count while the seed decides which user wins which round,
-on which channel, and at what rate.  Backoff airtime is not part of the
-t_r budget, matching the handshake-time accounting; counters are logged as
-event metadata.
+period advances in rounds of one handshake time t_r each.  A round draws
+every remaining contender's subchannel pick in one array call and its
+backoff counter, from the window min(w_min * 2^stage, w_max), in another;
+numpy consumes the bit stream for an array draw as for the same scalar
+draws, so the stream equals per-user draws in sorted-id order.  On each
+occupied subchannel the unique minimum counter wins, and a tie is a
+collision that raises the tied users' stages.  The BS paces its CTS grants
+to the closed-form service recursion (it sizes the contention budget from
+that recursion and admits accordingly), so the rounds-to-all-served tracks
+the analytic round count while the seed decides which user wins which
+round, on which channel, and at what rate.  Backoff airtime is not part of
+the t_r budget, matching the handshake-time accounting; counters are logged
+as event metadata.
 
 Benchmarks: scheme 1 schedules every existing user centrally (new arrivals
 wait a frame); scheme 2 lets everyone contend.  Both run against the same
@@ -43,23 +48,6 @@ class ModeMismatchError(ValueError):
     pass
 
 
-@dataclass
-class BackoffState:
-    """Binary exponential backoff: cw = min(w_min * 2^stage, w_max)."""
-
-    w_min: int
-    w_max: int
-    max_stage: int
-    stage: int = 0
-
-    @property
-    def cw(self) -> int:
-        return min(self.w_min * 2**self.stage, self.w_max)
-
-    def double(self) -> None:
-        self.stage = min(self.stage + 1, self.max_stage)
-
-
 @dataclass(frozen=True)
 class TraceEvent:
     time_s: float
@@ -80,6 +68,11 @@ class FrameTrace:
     class_of_user: np.ndarray
     n_r_measured: int
     collisions: int
+    # model deviations, kept out of the result tables: CTS grants the
+    # service recursion asked for beyond the occupied channels, and
+    # contenders still waiting when the round budget ran out
+    grant_shortfall: int = 0
+    contenders_left: int = 0
     throughput_scheduled_bps: float = 0.0
     throughput_contended_bps: float = 0.0
     throughput_overall_bps: float = 0.0
@@ -93,18 +86,27 @@ def user_classes(scenario: Scenario) -> np.ndarray:
     return cls
 
 
-def resolve_backoff(counters: dict) -> tuple:
-    """First-expiry resolution on one channel.
+def contention_windows(stage: np.ndarray, dcf) -> np.ndarray:
+    """Binary exponential backoff: cw = min(w_min * 2^stage, w_max) per contender."""
+    return np.minimum(dcf.w_min * 2**stage, dcf.w_max)
 
-    Returns (winner, tied): the unique holder of the minimum counter wins;
-    a tie means those users' RTS frames collide and there is no winner.
+
+def next_stage(stage: np.ndarray, dcf) -> np.ndarray:
+    """Backoff stages after a collision: one up, capped at max_backoff_stage."""
+    return np.minimum(stage + 1, dcf.max_backoff_stage)
+
+
+def resolve_backoff(counters: np.ndarray) -> tuple:
+    """First-expiry resolution on one channel's (non-empty) counters.
+
+    Returns (winner, tied) as indices into ``counters``: the unique holder
+    of the minimum counter wins and nothing is tied; a tie means those
+    users' RTS frames collide, there is no winner (None), and ``tied``
+    holds their indices in ascending order.
     """
-    if not counters:
-        return None, []
-    lo = min(counters.values())
-    tied = sorted(k for k, v in counters.items() if v == lo)
-    if len(tied) == 1:
-        return tied[0], []
+    tied = np.flatnonzero(counters == counters.min())
+    if tied.size == 1:
+        return int(tied[0]), tied[:0]
     return None, tied
 
 
@@ -183,10 +185,10 @@ def run_frame(
 
     cont_start = sched_start + (frame.scheduled_s if mode != "scheme2" else 0.0)
     cont_budget = frame.contended_s if mode != "scheme2" else frame.t2_s
-    n_r_measured = 0
-    collisions = 0
+    n_r_measured = collisions = grant_shortfall = 0
+    contenders_left = len(contenders)
     if contenders and cont_budget > 0:
-        n_r_measured, collisions = _run_contention(
+        n_r_measured, collisions, grant_shortfall, contenders_left = _run_contention(
             scenario, channels, alloc, contenders, cont_start, cont_budget,
             rng, events, served, bits,
         )
@@ -206,6 +208,8 @@ def run_frame(
         class_of_user=cls,
         n_r_measured=n_r_measured,
         collisions=collisions,
+        grant_shortfall=grant_shortfall,
+        contenders_left=contenders_left,
     )
     s_s, s_c, s_o = measure_throughput(trace, frame)
     trace.throughput_scheduled_bps = s_s
@@ -217,114 +221,108 @@ def run_frame(
 def _run_contention(
     scenario, channels, alloc, contenders, start_s, budget_s, rng, events, served, bits
 ):
-    """Round-paced DCF with BS-gated grants; returns (rounds, collisions)."""
+    """Round-paced DCF with BS-gated grants.
+
+    Returns (rounds, collisions, grant_shortfall, contenders_left).
+    """
     radio, dcf = scenario.radio, scenario.dcf
     t_r = dcfmod.handshake_time(dcf)
     rts_s = dcf.rts_bytes * 8 / dcf.control_rate_bps
     cts_s = dcf.cts_bytes * 8 / dcf.control_rate_bps
+    # channels are handled by their index into the sorted live subchannels
     live_channels = scenario.ris.subchannels
-    ris_on_channel = {
-        ch: [m for m, c in enumerate(scenario.ris.subchannel_of_ris) if c == ch]
+    ris_on_channel = [
+        [m for m, c in enumerate(scenario.ris.subchannel_of_ris) if c == ch]
         for ch in live_channels
-    }
+    ]
 
-    remaining = sorted(contenders)
-    backoff = {
-        k: BackoffState(dcf.w_min, dcf.w_max, dcf.max_backoff_stage) for k in remaining
-    }
+    def select(k, c):
+        return opt.distributed_ris_select(
+            channels, k, ris_on_channel[c], float(alloc.rho_sq_w[k]),
+            radio.noise_w, radio.subchannel_bw_hz,
+        )
+
+    remaining = np.array(sorted(contenders), dtype=int)
+    stage = np.zeros(remaining.size, dtype=int)
     schedule = dcfmod.ServiceSchedule(
-        len(remaining), len(live_channels), dcf.w_min, dcf.max_backoff_stage
+        remaining.size, len(live_channels), dcf.w_min, dcf.max_backoff_stage
     )
     rounds_budget = int(math.floor(budget_s / t_r + 1e-9))
+    best_channel = None  # csi_best_channel picks, fixed when the first round starts
 
-    best_channel_cache: dict = {}
-
-    def pick_channel(k):
-        if not scenario.csi_best_channel:
-            return live_channels[int(rng.integers(0, len(live_channels)))]
-        got = best_channel_cache.get(k)
-        if got is None:
-            best = (-1.0, live_channels[0])
-            for ch in live_channels:
-                _, rate = opt.distributed_ris_select(
-                    channels, k, ris_on_channel[ch], float(alloc.rho_sq_w[k]),
-                    radio.noise_w, radio.subchannel_bw_hz,
-                )
-                if rate > best[0]:
-                    best = (rate, ch)
-            got = best[1]
-            best_channel_cache[k] = got
-        return got
-
-    rounds = 0
-    collisions = 0
-    while remaining and rounds < rounds_budget:
-        t_round = start_s + rounds * t_r
+    rounds = collisions = grant_shortfall = 0
+    while remaining.size and rounds < rounds_budget:
+        t_rts = start_s + rounds * t_r + dcf.difs_s
         quota = schedule.advance()
-        chosen = {k: pick_channel(k) for k in remaining}
-        by_channel: dict = {}
-        for k in remaining:
-            by_channel.setdefault(chosen[k], []).append(k)
-        counters = {k: int(rng.integers(0, backoff[k].cw)) for k in remaining}
+        if scenario.csi_best_channel:
+            if best_channel is None:
+                best_channel = np.array(
+                    [np.argmax([select(int(k), c)[1] for c in range(len(live_channels))])
+                     for k in remaining]
+                )
+            pick = best_channel
+        else:
+            pick = rng.integers(0, len(live_channels), size=remaining.size)
+        counters = rng.integers(0, contention_windows(stage, dcf))
 
-        winners_hint = {}
-        for ch in sorted(by_channel):
-            winner, tied = resolve_backoff({k: counters[k] for k in by_channel[ch]})
-            if tied:
+        occupied = np.flatnonzero(np.bincount(pick, minlength=len(live_channels)))
+        resolved = {}  # channel -> (its contenders, index of the winner or None)
+        for c in occupied:
+            here = np.flatnonzero(pick == c)
+            win, tied = resolve_backoff(counters[here])
+            if win is None:
                 collisions += 1
                 events.append(
-                    TraceEvent(
-                        time_s=t_round + dcf.difs_s, kind="collision",
-                        channel=ch, value=float(counters[tied[0]]),
-                    )
+                    TraceEvent(time_s=t_rts, kind="collision", channel=live_channels[c],
+                               value=float(counters[here[tied[0]]]))
                 )
-                for k in tied:
-                    backoff[k].double()
-            winners_hint[ch] = winner
+                stage[here[tied]] = next_stage(stage[here[tied]], dcf)
+            resolved[c] = here, win
 
-        occupied = sorted(by_channel)
-        grant_order = [occupied[i] for i in rng.permutation(len(occupied))]
+        grant_order = occupied[rng.permutation(len(occupied))]
         grants = min(quota, len(occupied))
         if grants < quota:
             # model demanded more serves than there are contended channels;
             # hand the shortfall back so the credit re-demands it next round
             schedule.served -= quota - grants
-        for ch in grant_order[:grants]:
-            users_here = by_channel[ch]
-            winner = winners_hint[ch]
-            if winner is None:
+            grant_shortfall += quota - grants
+        keep = np.ones(remaining.size, dtype=bool)
+        for c in grant_order[:grants]:
+            here, win = resolved[c]
+            if win is None:
                 # post-collision re-draw inside the round settles on one user
-                winner = users_here[int(rng.integers(0, len(users_here)))]
-            m_star, rate = opt.distributed_ris_select(
-                channels, winner, ris_on_channel[ch], float(alloc.rho_sq_w[winner]),
-                radio.noise_w, radio.subchannel_bw_hz,
-            )
-            t_rts = t_round + dcf.difs_s
+                win = int(rng.integers(0, len(here)))
+            i = here[win]
+            k, ch = int(remaining[i]), live_channels[c]
+            m_star, rate = select(k, c)
             t_cts = t_rts + rts_s + dcf.sifs_s
             t_data = t_cts + cts_s + dcf.sifs_s
             delivered = dcf.payload_time_s * rate
             events.append(
-                TraceEvent(time_s=t_rts, kind="rts", user=winner, channel=ch,
-                           ris=m_star, value=float(counters[winner]))
+                TraceEvent(time_s=t_rts, kind="rts", user=k, channel=ch,
+                           ris=m_star, value=float(counters[i]))
             )
-            events.append(TraceEvent(time_s=t_cts, kind="cts", user=winner, channel=ch, ris=m_star))
+            events.append(TraceEvent(time_s=t_cts, kind="cts", user=k, channel=ch, ris=m_star))
             events.append(
-                TraceEvent(time_s=t_data, kind="data", user=winner, channel=ch,
+                TraceEvent(time_s=t_data, kind="data", user=k, channel=ch,
                            ris=m_star, value=delivered)
             )
-            served[winner] = True
-            bits[winner] += delivered
-            remaining.remove(winner)
+            served[k] = True
+            bits[k] += delivered
+            keep[i] = False
         # candidates that expired without a grant sent an RTS the BS ignored
-        for ch in grant_order[grants:]:
-            winner = winners_hint[ch]
-            if winner is not None:
+        for c in grant_order[grants:]:
+            here, win = resolved[c]
+            if win is not None:
                 events.append(
-                    TraceEvent(time_s=t_round + dcf.difs_s, kind="rts", user=winner,
-                               channel=ch, value=float(counters[winner]))
+                    TraceEvent(time_s=t_rts, kind="rts", user=int(remaining[here[win]]),
+                               channel=live_channels[c], value=float(counters[here[win]]))
                 )
+        remaining, stage = remaining[keep], stage[keep]
+        if best_channel is not None:
+            best_channel = best_channel[keep]
         rounds += 1
-    return rounds, collisions
+    return rounds, collisions, grant_shortfall, int(remaining.size)
 
 
 def measure_throughput(trace: FrameTrace, frame: opt.FrameConfig) -> tuple:

@@ -1,7 +1,9 @@
 """Byte-identity of the result tables against stored golden CSVs.
 
 The files in tests/golden/ were written by the same commands as below, with
-RIS_MAC_THREADS=1 and RIS_MAC_TIMESTAMP pinned.  A refactor must leave them
+RIS_MAC_THREADS=1 and RIS_MAC_TIMESTAMP pinned; each command ends with the
+flag that names the compared file.  The events_*.csv files pin every
+TraceEvent of the contention engine, including the csi_best_channel path.  A refactor must leave them
 byte-identical; a change that moves the numbers on purpose regenerates them
 with those commands and records it in CHANGES.md.  Manifests are not
 compared: they hold output paths.
@@ -18,10 +20,14 @@ GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 RUNS = {
     "users_sweep.csv": [
         "experiment", "--sweep", "users=50:200:50",
-        "--modes", "proposed,scheme1,scheme2", "--seeds", "1,2",
+        "--modes", "proposed,scheme1,scheme2", "--seeds", "1,2", "--out",
     ],
-    "fig7.csv": ["report", "--figure", "fig7", "--seeds", "1"],
-    "fig9.csv": ["report", "--figure", "fig9", "--seeds", "1"],
+    "fig7.csv": ["report", "--figure", "fig7", "--seeds", "1", "--out"],
+    "fig9.csv": ["report", "--figure", "fig9", "--seeds", "1", "--out"],
+    "events_scheme2_csi.csv": [
+        "simulate", "--mode", "scheme2", "--csi-best-channel", "--events",
+    ],
+    "events_proposed.csv": ["simulate", "--mode", "proposed", "--frames", "2", "--events"],
 }
 
 
@@ -29,7 +35,7 @@ RUNS = {
 def test_csv_matches_golden(name, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("RIS_MAC_THREADS", "1")
     out = tmp_path / name
-    assert cli.main(RUNS[name] + ["--out", str(out)]) == cli.EXIT_OK
+    assert cli.main(RUNS[name] + [str(out)]) == cli.EXIT_OK
     with open(os.path.join(GOLDEN_DIR, name), "rb") as f:
         want = f.read()
     assert out.read_bytes() == want

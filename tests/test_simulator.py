@@ -1,6 +1,7 @@
 """Frame-engine tests: trace legality, served-once fairness, conservation,
 analytic consistency of the scheduled path, and the contention pacing."""
 
+import numpy as np
 import pytest
 
 from ris_mac import channel as chan
@@ -8,6 +9,7 @@ from ris_mac import dcf as dcfmod
 from ris_mac import simulator as sim
 from ris_mac.experiments import run_cell
 from ris_mac.optimizer import joint_optimize
+from ris_mac.scenario import DcfParams, classify_users
 
 from conftest import small_scenario
 
@@ -27,20 +29,44 @@ def planned_frame(scenario, seed, mode="proposed", beta_alpha=None):
 
 class TestBackoff:
     def test_window_doubles_and_caps(self):
-        b = sim.BackoffState(w_min=15, w_max=960, max_stage=6)
+        dcf = DcfParams(w_min=15, w_max=960, max_backoff_stage=6)
+        stage = np.zeros(1, dtype=int)
         sizes = []
         for _ in range(8):
-            sizes.append(b.cw)
-            b.double()
+            sizes.append(int(sim.contention_windows(stage, dcf)[0]))
+            stage = sim.next_stage(stage, dcf)
         assert sizes == [15, 30, 60, 120, 240, 480, 960, 960]
 
     def test_resolve_backoff_unique_min_wins(self):
-        winner, tied = sim.resolve_backoff({3: 5, 7: 2, 9: 4})
-        assert winner == 7 and tied == []
+        users, counters = np.array([3, 7, 9]), np.array([5, 2, 4])
+        winner, tied = sim.resolve_backoff(counters)
+        assert users[winner] == 7 and users[tied].tolist() == []
 
     def test_resolve_backoff_tie_collides(self):
-        winner, tied = sim.resolve_backoff({3: 2, 7: 2, 9: 4})
-        assert winner is None and tied == [3, 7]
+        users, counters = np.array([3, 7, 9]), np.array([2, 2, 4])
+        winner, tied = sim.resolve_backoff(counters)
+        assert winner is None and users[tied].tolist() == [3, 7]
+
+    def test_array_draws_equal_scalar_draws(self):
+        # the engine draws a round's channel picks and backoff counters in
+        # one call each; its stream equals per-user draws in sorted-id order
+        # only while numpy consumes the bit stream the same way for both
+        meta = np.random.default_rng(2024)
+        for _ in range(300):
+            n = int(meta.integers(1, 40))
+            highs = meta.integers(1, 961, size=n)
+            highs[meta.random(n) < 0.25] = 1
+            num_channels = int(meta.integers(1, 5))
+            seed = int(meta.integers(2**32))
+            vec, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            picks = vec.integers(0, num_channels, size=n)
+            counters = vec.integers(0, highs)
+            want_picks = [int(ref.integers(0, num_channels)) for _ in range(n)]
+            want_counters = [int(ref.integers(0, int(h))) for h in highs]
+            cause = "numpy %s: array and scalar Generator.integers draws differ" % np.__version__
+            assert picks.tolist() == want_picks, cause
+            assert counters.tolist() == want_counters, cause
+            assert vec.bit_generator.state == ref.bit_generator.state, cause
 
     def test_collision_appears_with_tied_draws(self):
         # two mobile users on a single subchannel: scan seeds until their
@@ -167,6 +193,20 @@ class TestContendedPeriod:
         at = joint_optimize(s, ch, beta_alpha_override=r_star)
         trace_at = sim.run_frame(s, ch, at.frame, at.allocation, "proposed", 13)
         assert trace_at.served.all()
+
+    def test_contenders_left_counts_the_unserved(self):
+        s = small_scenario(total_users=20, ratio=(1, 1, 0), seed=13, elements=16)
+        ch = chan.draw_channels(s, 13)
+        plan = joint_optimize(s, ch)
+        r_star = plan.frame.beta / plan.frame.alpha
+        _, contenders = classify_users(s.population)
+        below = joint_optimize(s, ch, beta_alpha_override=0.6 * r_star)
+        trace = sim.run_frame(s, ch, below.frame, below.allocation, "proposed", 13)
+        assert trace.contenders_left > 0
+        assert int(trace.served[contenders].sum()) + trace.contenders_left == len(contenders)
+        at = joint_optimize(s, ch, beta_alpha_override=r_star)
+        trace_at = sim.run_frame(s, ch, at.frame, at.allocation, "proposed", 13)
+        assert trace_at.contenders_left == 0
 
 
 class TestModes:
