@@ -8,6 +8,7 @@ evaluations on the same realization are bit-identical.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -47,6 +48,17 @@ class ChannelRealization:
     @property
     def num_elements(self) -> int:
         return self.g.shape[2]
+
+    @functools.cached_property
+    def aligned_amplitude(self) -> np.ndarray:
+        """(U, M) phase-aligned amplitudes |r_k| + sum_n |h_kmn||g_kmn|.
+
+        Power-independent, so it is computed once per realization; entry
+        [k, m] equals aligned_gain_magnitude(r[k], h[k, m], g[k, m]).
+        """
+        reflect = np.abs(self.h)
+        reflect *= np.abs(self.g)
+        return np.abs(self.r)[:, None] + reflect.sum(axis=2)
 
 
 @dataclass(frozen=True)
@@ -202,11 +214,16 @@ def rate_bps(snr_linear: float, subchannel_bw_hz: float) -> float:
     return subchannel_bw_hz * np.log2(1.0 + snr_linear)
 
 
-def aligned_snr(r, h, g, tx_power_w, noise_w) -> float:
-    """SNR with the optimal phases applied, without materializing them."""
+def amplitude_snr(amplitude: float, tx_power_w, noise_w) -> float:
+    """Linear SNR amplitude^2 * P / sigma^2 of a composite amplitude."""
     if tx_power_w <= 0 or noise_w <= 0:
         raise ValueError("power and noise must be > 0")
-    return aligned_gain_magnitude(r, h, g) ** 2 * tx_power_w / noise_w
+    return float(amplitude) ** 2 * tx_power_w / noise_w
+
+
+def aligned_snr(r, h, g, tx_power_w, noise_w) -> float:
+    """SNR with the optimal phases applied, without materializing them."""
+    return amplitude_snr(aligned_gain_magnitude(r, h, g), tx_power_w, noise_w)
 
 
 def aligned_rate_matrix(
@@ -224,9 +241,7 @@ def aligned_rate_matrix(
     if ids.size == 0:
         return np.zeros((0, channels.num_ris))
     p = np.broadcast_to(np.asarray(tx_power_w, dtype=float), ids.shape)
-    amp = np.abs(channels.r[ids])[:, None] + np.sum(
-        np.abs(channels.h[ids]) * np.abs(channels.g[ids]), axis=2
-    )
+    amp = channels.aligned_amplitude[ids]
     snr_km = amp**2 * p[:, None] / noise_w
     return subchannel_bw_hz * np.log2(1.0 + snr_km)
 

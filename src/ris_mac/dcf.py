@@ -257,13 +257,15 @@ class ServiceSchedule:
         return delta
 
 
+@functools.lru_cache(maxsize=128)
 def contention_cascade(num_mobile: int, num_channels: int, dcf: DcfParams) -> ContentionSummary:
     """Run the service recursion until all mobile users are served once.
 
     N_r counts rounds with remaining contenders > 0; a literal reading of
     the stopping indicator (remaining >= 0) never terminates, so the
     recursion stops when the remaining count reaches zero, which is exactly
-    the once-per-user fairness target.
+    the once-per-user fairness target.  A pure function of its arguments
+    with a frozen result, cached for the process like round_params.
     """
     y = int(num_mobile)
     if y < 0:

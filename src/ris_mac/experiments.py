@@ -1,10 +1,12 @@
 """Seeded experiment sweeps over the scenario knobs, one frame per cell.
 
-A sweep cell is (axis value, mode, seed).  Every cell draws its own channel
-realization, plans the proposed frame, reuses the proposed transmission
-period for the benchmark modes (equal channel time), runs the frame, and
-reports throughput, fairness, and contention counters.  Cells are
-independent, so parallel execution cannot change the results.
+A sweep job is (axis value, seed): it draws one channel realization and
+plans the proposed frame once, as the BS does in its computing period.
+Every mode then runs one cell (axis value, mode, seed) against that shared
+realization and plan; the benchmark modes reuse the proposed transmission
+period (equal channel time).  A cell reports throughput, fairness, and
+contention counters.  Jobs are independent, so parallel execution cannot
+change the results.
 """
 
 from __future__ import annotations
@@ -146,13 +148,22 @@ def scenario_for_value(template: Scenario, axis: str, value) -> tuple:
     raise SweepSpecError("unknown axis %r" % axis)
 
 
-def run_cell(scenario: Scenario, mode: str, seed: int, beta_alpha=None, events=None) -> dict:
+def plan_cell(scenario: Scenario, seed: int, beta_alpha=None) -> tuple:
+    """The (channels, plan) every mode of a (scenario, seed) shares."""
+    channels = chan.draw_channels(scenario, seed)
+    return channels, joint_optimize(scenario, channels, beta_alpha_override=beta_alpha)
+
+
+def run_cell(
+    scenario: Scenario, mode: str, seed: int, beta_alpha=None, events=None, planned=None
+) -> dict:
     """One (scenario, mode, seed) frame; returns the per-cell measurements.
 
-    A list passed as ``events`` is extended with the frame's TraceEvents.
+    ``planned`` is plan_cell(scenario, seed, beta_alpha), computed here when
+    not given.  A list passed as ``events`` is extended with the frame's
+    TraceEvents.
     """
-    channels = chan.draw_channels(scenario, seed)
-    plan = joint_optimize(scenario, channels, beta_alpha_override=beta_alpha)
+    channels, plan = planned or plan_cell(scenario, seed, beta_alpha)
     if mode == "proposed":
         frame, alloc = plan.frame, plan.allocation
     elif mode == "scheme1":
@@ -183,13 +194,17 @@ def run_cell(scenario: Scenario, mode: str, seed: int, beta_alpha=None, events=N
     }
 
 
-def _cell_job(args):
-    template_dict, axis, value, mode, seed = args
+def _value_job(args):
+    """One (value, seed): plan once, then one cell per mode, in mode order."""
+    template_dict, axis, value, modes, seed = args
     from .scenario import scenario_from_dict
 
     template = scenario_from_dict(template_dict)
     scenario, override = scenario_for_value(template, axis, value)
-    return (axis, value, mode, seed, run_cell(scenario, mode, seed, beta_alpha=override))
+    planned = plan_cell(scenario, seed, override)
+    return [
+        run_cell(scenario, mode, seed, beta_alpha=override, planned=planned) for mode in modes
+    ]
 
 
 def _mean(xs):
@@ -214,26 +229,31 @@ def max_workers() -> int:
 
 
 def run_experiment(template: Scenario, sweep: SweepSpec, seeds, modes=("proposed",)) -> list:
-    """Sweep x mode x seed grid; returns aggregated rows (stable order)."""
+    """Sweep x mode x seed grid; returns aggregated rows (stable order).
+
+    A job is one (value, seed); its modes share one realization and plan.
+    """
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
-    jobs = [
-        (template.to_dict(), sweep.axis, value, mode, seed)
-        for value in sweep.values
-        for mode in modes
-        for seed in seeds
-    ]
+    modes = tuple(modes)
+    template_dict = template.to_dict()
+    keys = [(value, seed) for value in sweep.values for seed in seeds]
+    jobs = [(template_dict, sweep.axis, value, modes, seed) for value, seed in keys]
     workers = max_workers()
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_cell_job, jobs))
+            outcomes = list(pool.map(_value_job, jobs))
     else:
-        outcomes = [_cell_job(j) for j in jobs]
+        outcomes = [_value_job(j) for j in jobs]
 
+    cells_of = dict(zip(keys, outcomes))
+    # gather in (value, mode, seed) order, so each row averages its cells in seed order
     grouped: dict = {}
-    for axis, value, mode, seed, cell in outcomes:
-        grouped.setdefault((value, mode), []).append(cell)
+    for value in sweep.values:
+        for i, mode in enumerate(modes):
+            for seed in seeds:
+                grouped.setdefault((value, mode), []).append(cells_of[value, seed][i])
 
     rows = []
     for value in sweep.values:

@@ -360,14 +360,11 @@ def distributed_ris_select(
     idle = sorted(int(m) for m in idle_ris)
     if not idle:
         raise InfeasibleError("no RIS available for user %d" % user_id)
+    amp = channels.aligned_amplitude[user_id]
     best_m = -1
     best_rate = -1.0
     for m in idle:
-        s = chan.aligned_snr(
-            channels.r[user_id], channels.h[user_id, m], channels.g[user_id, m],
-            tx_power_w, noise_w,
-        )
-        rate = chan.rate_bps(s, bw_hz)
+        rate = chan.rate_bps(chan.amplitude_snr(amp[m], tx_power_w, noise_w), bw_hz)
         if rate > best_rate + 1e-15:
             best_rate = rate
             best_m = m
@@ -498,16 +495,13 @@ def analytic_throughput(
     """
     bw = radio.subchannel_bw_hz
     noise = radio.noise_w
+    amp = channels.aligned_amplitude
 
     def user_rate(k):
         m = alloc.ris_of_user[k]
         if m < 0:
             return 0.0
-        s = chan.aligned_snr(
-            channels.r[k], channels.h[k, m], channels.g[k, m],
-            alloc.rho_sq_w[k], noise,
-        )
-        return chan.rate_bps(s, bw)
+        return chan.rate_bps(chan.amplitude_snr(amp[k, m], alloc.rho_sq_w[k], noise), bw)
 
     sched_bits = sum(dcf.data_slot_s * user_rate(k) for k in static_ids)
     cont_bits = sum(dcf.payload_time_s * user_rate(k) for k in mobile_ids)
@@ -528,16 +522,13 @@ def onefactor_throughput(
     slot durations into one factor, so it generally differs from the exact
     composition and is reported alongside it."""
     noise = radio.noise_w
+    amp = channels.aligned_amplitude
     total = 0.0
     for k in list(static_ids) + list(mobile_ids):
         m = alloc.ris_of_user[k]
         if m < 0:
             continue
-        s = chan.aligned_snr(
-            channels.r[k], channels.h[k, m], channels.g[k, m],
-            alloc.rho_sq_w[k], noise,
-        )
-        total += math.log2(1.0 + s)
+        total += math.log2(1.0 + chan.amplitude_snr(amp[k, m], alloc.rho_sq_w[k], noise))
     pref = (
         radio.bandwidth_total_hz
         * (dcf.data_slot_s + dcf.payload_time_s)
@@ -600,14 +591,7 @@ def joint_optimize(
                 radio.subchannel_bw_hz, frame.num_slots, scenario.ris.subchannel_of_ris,
             )
             gains = np.array(
-                [
-                    chan.aligned_gain_magnitude(
-                        channels.r[k], channels.h[k, ris_of[i]], channels.g[k, ris_of[i]]
-                    )
-                    ** 2
-                    / radio.noise_w
-                    for i, k in enumerate(static_ids)
-                ]
+                [a**2 / radio.noise_w for a in channels.aligned_amplitude[sidx, ris_of].tolist()]
             )
             rho_static = allocate_power(
                 gains, radio.p_max_w, radio.rate_min_bps,

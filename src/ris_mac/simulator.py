@@ -398,18 +398,10 @@ def plan_scheme1(scenario, channels, t2_common: float) -> tuple:
         alloc.ris_of_user[eidx] = ris_of
         alloc.slot_of_user[eidx] = slot_of
         if static_ids:
-            gains = np.array(
-                [
-                    chan.aligned_gain_magnitude(
-                        channels.r[k], channels.h[k, alloc.ris_of_user[k]],
-                        channels.g[k, alloc.ris_of_user[k]],
-                    )
-                    ** 2
-                    / radio.noise_w
-                    for k in static_ids
-                ]
-            )
-            alloc.rho_sq_w[np.asarray(static_ids, dtype=int)] = opt.allocate_power(
+            sidx = np.asarray(static_ids, dtype=int)
+            amp = channels.aligned_amplitude[sidx, alloc.ris_of_user[sidx]]
+            gains = np.array([a**2 / radio.noise_w for a in amp.tolist()])
+            alloc.rho_sq_w[sidx] = opt.allocate_power(
                 gains, radio.p_max_w, radio.rate_min_bps,
                 radio.subchannel_bw_hz, user_ids=static_ids,
             )

@@ -208,3 +208,42 @@ class TestDrawChannels:
         one = chan.snr(ch.r[0], ch.h[0, 0], ch.g[0, 0], phases, 0.01, 1e-12)
         two = chan.snr(ch.r[0], ch.h[0, 0], ch.g[0, 0], phases, 0.01, 1e-12)
         assert one == two
+
+
+def _old_aligned_rate_matrix(channels, user_ids, tx_power_w, noise_w, bw_hz):
+    """The copy-based form aligned_rate_matrix had before the cached amplitude."""
+    ids = np.asarray(list(user_ids), dtype=int)
+    p = np.broadcast_to(np.asarray(tx_power_w, dtype=float), ids.shape)
+    amp = np.abs(channels.r[ids])[:, None] + np.sum(
+        np.abs(channels.h[ids]) * np.abs(channels.g[ids]), axis=2
+    )
+    return bw_hz * np.log2(1.0 + amp**2 * p[:, None] / noise_w)
+
+
+class TestAlignedAmplitude:
+    @pytest.fixture(params=[128, 512], ids=["reference", "512-elements"], scope="class")
+    def realization(self, request):
+        s = default_scenario(elements_per_ris=request.param)
+        return s, chan.draw_channels(s, 1)
+
+    def test_equals_scalar_gain_magnitude_exactly(self, realization):
+        _, ch = realization
+        amp = ch.aligned_amplitude
+        assert amp.shape == (ch.num_users, ch.num_ris)
+        for k in range(ch.num_users):
+            for m in range(ch.num_ris):
+                assert amp[k, m] == chan.aligned_gain_magnitude(ch.r[k], ch.h[k, m], ch.g[k, m])
+
+    def test_computed_once_per_realization(self, realization):
+        _, ch = realization
+        assert ch.aligned_amplitude is ch.aligned_amplitude
+
+    def test_rate_matrix_equals_copy_based_formula_exactly(self, realization):
+        s, ch = realization
+        radio = s.radio
+        rng = np.random.default_rng(3)
+        ids = rng.permutation(ch.num_users)[: ch.num_users // 2]
+        for power in (radio.tx_power_mobile_w, rng.uniform(1e-4, 1e-1, size=ids.size)):
+            got = chan.aligned_rate_matrix(ch, ids, power, radio.noise_w, radio.subchannel_bw_hz)
+            want = _old_aligned_rate_matrix(ch, ids, power, radio.noise_w, radio.subchannel_bw_hz)
+            assert np.array_equal(got, want)

@@ -212,6 +212,17 @@ class TestCascade:
         rounds = [dcf.contention_cascade(30, c, DcfParams()).n_r for c in range(1, 7)]
         assert all(a >= b for a, b in zip(rounds, rounds[1:]))
 
+    def test_cascade_is_memoised(self):
+        first = dcf.contention_cascade(23, 3, DcfParams())
+        assert dcf.contention_cascade(23, 3, DcfParams()) is first
+
+    def test_cascade_error_raises_on_every_call(self, monkeypatch):
+        monkeypatch.setattr(dcf, "CASCADE_ROUND_CAP", 3)
+        params = DcfParams(w_min=31)  # an input no other test caches
+        for _ in range(2):
+            with pytest.raises(dcf.CascadeError):
+                dcf.contention_cascade(57, 2, params)
+
     def test_conservation_property(self):
         for y in (1, 2, 3, 9, 28, 55):
             summary = dcf.contention_cascade(y, 2, DcfParams())

@@ -1,0 +1,32 @@
+"""Sweep bookkeeping: a (value, seed) is drawn and planned once for all modes."""
+
+from ris_mac import channel as chan
+from ris_mac import experiments as exp
+from ris_mac.simulator import MODES
+
+from conftest import small_scenario
+
+
+def test_modes_share_one_draw_and_plan(monkeypatch):
+    calls = {"draw": 0, "plan": 0, "cell": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setenv("RIS_MAC_THREADS", "1")
+    monkeypatch.setattr(chan, "draw_channels", counted("draw", chan.draw_channels))
+    monkeypatch.setattr(exp, "joint_optimize", counted("plan", exp.joint_optimize))
+    monkeypatch.setattr(exp, "run_cell", counted("cell", exp.run_cell))
+    values, seeds = (8, 12), (1, 2, 3)
+    rows = exp.run_experiment(
+        small_scenario(total_users=12), exp.SweepSpec("users", values), seeds, modes=MODES
+    )
+    k, s = len(values), len(seeds)
+    assert calls == {"draw": k * s, "plan": k * s, "cell": k * s * len(MODES)}
+    assert [(r["value"], r["mode"], r["seeds"]) for r in rows] == [
+        (v, m, s) for v in values for m in MODES
+    ]

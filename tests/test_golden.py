@@ -41,6 +41,17 @@ def test_csv_matches_golden(name, tmp_path, monkeypatch, capsys):
     assert out.read_bytes() == want
 
 
+def test_pool_path_matches_golden(tmp_path, monkeypatch, capsys):
+    """Two worker processes write the serial path's bytes."""
+    monkeypatch.setenv("RIS_MAC_THREADS", "2")
+    name = "users_sweep.csv"
+    out = tmp_path / name
+    assert cli.main(RUNS[name] + [str(out)]) == cli.EXIT_OK
+    with open(os.path.join(GOLDEN_DIR, name), "rb") as f:
+        want = f.read()
+    assert out.read_bytes() == want
+
+
 @pytest.mark.parametrize("figure", ["fig5", "fig6", "fig8", "fig10"])
 def test_report_preset_runs(figure, tmp_path, monkeypatch, capsys):
     """The presets not in RUNS run on the reference network."""

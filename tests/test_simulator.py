@@ -209,6 +209,27 @@ class TestContendedPeriod:
         assert trace_at.contenders_left == 0
 
 
+    def test_grant_shortfall_is_handed_back(self, monkeypatch):
+        # every user senses subchannel 0 as best (the surface on subchannel 1
+        # reflects nothing), while the recursion asks for C * P_ch = 2 serves
+        # a round: one channel is occupied, so each round grants one user
+        import dataclasses
+
+        s = small_scenario(total_users=8, seed=22, elements=4)
+        s = dataclasses.replace(s, csi_best_channel=True)
+        ch = chan.draw_channels(s, 22)
+        h = ch.h.copy()
+        h[:, list(s.ris.subchannel_of_ris).index(1), :] = 0.0
+        ch = chan.ChannelRealization(g=ch.g, h=h, r=ch.r)
+        frame, alloc = sim.plan_scheme2(s, 50 * dcfmod.handshake_time(s.dcf))
+        monkeypatch.setattr(dcfmod, "round_params", lambda n, c, w, l: (0.1, 0.0, 1.0))
+        trace = sim.run_frame(s, ch, frame, alloc, "scheme2", 22)
+        assert trace.grant_shortfall > 0
+        assert int(trace.served.sum()) + trace.contenders_left == s.population.num_total
+        assert trace.served.all()
+        assert {e.channel for e in trace.events if e.kind == "data"} == {0}
+
+
 class TestModes:
     def test_scheme1_excludes_new_users(self):
         s = small_scenario(total_users=10, ratio=(5, 3, 2), seed=14)
