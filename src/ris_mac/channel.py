@@ -130,12 +130,17 @@ def draw_channels(scenario: Scenario, rng_seed: int) -> ChannelRealization:
     lam = radio.wavelength_m
 
     def rician(dist, exponent, size):
+        # built in one buffer: the same draws, in the same order, through the
+        # same ufuncs as amp * (los + s * (re + 1j * im)), so the bytes match
         amp = np.sqrt(_pathloss_power(dist, exponent, radio.pathloss_ref_db))
         los = np.sqrt(kf / (kf + 1.0)) * np.exp(-1j * TWO_PI * dist / lam)
-        scatter = np.sqrt(1.0 / (2.0 * (kf + 1.0))) * (
-            rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        )
-        return amp[..., None] * (los[..., None] + scatter)
+        out = np.empty(size, dtype=complex)
+        out.real = rng.standard_normal(size)
+        out.imag = rng.standard_normal(size)
+        out *= np.sqrt(1.0 / (2.0 * (kf + 1.0)))
+        out += los[..., None]
+        out *= amp[..., None]
+        return out
 
     g = rician(d_user_ris, radio.pathloss_exp_los, (n_users, n_ris, n_el))
     h = rician(

@@ -12,9 +12,9 @@ stops there and keeps the previous iterate, which keeps the recorded
 objective non-decreasing.
 
 Phases are not part of the plan: every element is co-phased with the
-direct path, which is closed-form in the user's channels, so an allocation
-holds only each user's surface, slot and power, and the phases are derived
-from the channels where they are used.
+direct path, so a user's gain on a surface is the realization's aligned
+amplitude |r| + sum |h||g|, and an allocation holds only each user's
+surface, slot and power.
 """
 
 from __future__ import annotations
@@ -66,13 +66,10 @@ class FrameConfig:
         return self.beta * self.t2_s
 
     def validate(self, num_static: int, num_channels: int, cascade=None) -> None:
+        """Check the split identities.  Slot capacity needs no check:
+        J = ceil(num_static / num_channels) by construction."""
         if abs(self.alpha + self.beta - 1.0) > 1e-12:
             raise ValueError("alpha + beta must equal 1")
-        if self.num_slots * num_channels < num_static:
-            raise ValueError(
-                "slot capacity J*C=%d below static count %d"
-                % (self.num_slots * num_channels, num_static)
-            )
         if self.alpha > 0:
             if abs(self.scheduled_s - self.num_slots * self.data_slot_s) > 1e-9:
                 raise ValueError("alpha*t2 must equal J*t")
@@ -87,8 +84,9 @@ class AllocationState:
     """Surface, slot, and power of every user.
 
     ris_of_user[k] is -1 for unassigned; slot_of_user likewise (mobile users
-    never hold scheduled slots).  Phases on the assigned surface follow from
-    the channels (channel.align_phases), so they are not stored.
+    never hold scheduled slots).  Phases are not stored: every element is
+    co-phased with the direct path, so a scheduled rate reads the
+    realization's cached aligned amplitude on the assigned surface.
     """
 
     ris_of_user: np.ndarray  # (U,) int
@@ -428,28 +426,6 @@ def complexity_report(
         improvement_ratio=ratio,
         frame_time_s=frame_time_s,
     )
-
-
-def rate_increment_direct(
-    r: complex, h: np.ndarray, g: np.ndarray, rho_sq_w: float, noise_w: float, bw_hz: float
-) -> float:
-    """Per-user rate gain of the aligned reflect path over direct-only,
-    B*(log2(1+SNR_aligned) - log2(1+|r|^2 rho^2/sigma^2))."""
-    snr_ris = chan.aligned_snr(r, h, g, rho_sq_w, noise_w)
-    snr_direct = abs(r) ** 2 * rho_sq_w / noise_w
-    return bw_hz * (math.log2(1.0 + snr_ris) - math.log2(1.0 + snr_direct))
-
-
-def rate_increment_kappa(
-    r: complex, h: np.ndarray, g: np.ndarray, rho_sq_w: float, noise_w: float, bw_hz: float
-) -> float:
-    """Same gain via the kappa form B*log2((kappa+dkappa)/kappa) with
-    kappa = sigma^2 + |r|^2 rho^2 and
-    dkappa = (|hTg|^2 + 2|r||hTg|) rho^2 at aligned phases."""
-    reflect = float(np.sum(np.abs(h) * np.abs(g)))
-    kappa = noise_w + abs(r) ** 2 * rho_sq_w
-    dkappa = (reflect**2 + 2.0 * abs(r) * reflect) * rho_sq_w
-    return bw_hz * math.log2((kappa + dkappa) / kappa)
 
 
 @dataclass

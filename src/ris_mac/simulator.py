@@ -2,12 +2,13 @@
 RTS/CTS contention rounds, event by event.
 
 The scheduled period is deterministic given the allocation: each scheduled
-user transmits through its assigned surface with that surface's phases
-co-phased to the direct path, derived from the channels at transmit time
-(allocations carry only surface, slot and power).  The contended
-period advances in rounds of one handshake time t_r each.  A round draws
-every remaining contender's subchannel pick in one array call and its
-backoff counter, from the window min(w_min * 2^stage, w_max), in another;
+user transmits through its assigned surface at the realization's cached
+aligned amplitude |r| + sum |h||g| (every element co-phased with the direct
+path; allocations carry only surface, slot and power), the same gain the
+optimizer and the contended grants read.  The contended period advances in
+rounds of one handshake time t_r each.  A round draws every remaining
+contender's subchannel pick in one array call and its backoff counter,
+from the window min(w_min * 2^stage, w_max), in another;
 numpy consumes the bit stream for an array draw as for the same scalar
 draws, so the stream equals per-user draws in sorted-id order.  On each
 occupied subchannel the unique minimum counter wins, and a tie is a
@@ -68,9 +69,11 @@ class FrameTrace:
     class_of_user: np.ndarray
     n_r_measured: int
     collisions: int
-    # model deviations, kept out of the result tables: CTS grants the
-    # service recursion asked for beyond the occupied channels, and
-    # contenders still waiting when the round budget ran out
+    # model deviations, kept out of the result tables: scheduled grants
+    # past the slots the transmission period holds, CTS grants the service
+    # recursion asked for beyond the occupied channels, and contenders
+    # still waiting when the round budget ran out
+    grants_dropped: int = 0
     grant_shortfall: int = 0
     contenders_left: int = 0
     throughput_scheduled_bps: float = 0.0
@@ -111,13 +114,7 @@ def resolve_backoff(counters: np.ndarray) -> tuple:
 
 
 def _user_rate_via(channels, alloc, k, m, noise_w, bw_hz):
-    # explicit phases through chan.snr, not chan.aligned_snr: the two differ
-    # in the last bit for some inputs, and the tables stay byte-stable
-    theta = chan.align_phases(channels.r[k], channels.h[k, m], channels.g[k, m])
-    s = chan.snr(
-        channels.r[k], channels.h[k, m], channels.g[k, m],
-        theta, float(alloc.rho_sq_w[k]), noise_w,
-    )
+    s = chan.amplitude_snr(channels.aligned_amplitude[k, m], float(alloc.rho_sq_w[k]), noise_w)
     return chan.rate_bps(s, bw_hz)
 
 
@@ -167,10 +164,12 @@ def run_frame(
     sched_start = frame.t0_s + frame.t1_s
     sched_len = frame.scheduled_s if mode == "proposed" else frame.t2_s
     slots_available = int(math.floor(sched_len / dcf.data_slot_s + 1e-9))
+    grants_dropped = 0
     for k in sorted(scheduled):
         j = int(alloc.slot_of_user[k])
         if j >= slots_available:
-            continue  # common transmission budget too short for this grant
+            grants_dropped += 1  # common transmission budget too short for this grant
+            continue
         m = int(alloc.ris_of_user[k])
         ch = scenario.ris.subchannel_of_ris[m]
         t_slot = sched_start + j * dcf.data_slot_s
@@ -208,6 +207,7 @@ def run_frame(
         class_of_user=cls,
         n_r_measured=n_r_measured,
         collisions=collisions,
+        grants_dropped=grants_dropped,
         grant_shortfall=grant_shortfall,
         contenders_left=contenders_left,
     )

@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ris_mac import channel as chan
-from ris_mac.scenario import build_population, build_ris_inventory, default_scenario
+from ris_mac.scenario import (
+    build_population,
+    build_ris_inventory,
+    db_to_linear,
+    default_scenario,
+)
 
 from conftest import random_link, small_scenario
 
@@ -247,3 +252,47 @@ class TestAlignedAmplitude:
             got = chan.aligned_rate_matrix(ch, ids, power, radio.noise_w, radio.subchannel_bw_hz)
             want = _old_aligned_rate_matrix(ch, ids, power, radio.noise_w, radio.subchannel_bw_hz)
             assert np.array_equal(got, want)
+
+
+def _expression_form_draw(scenario, rng_seed):
+    """(g, h, r) from draw_channels' geometry with rician written as the
+    single expression amp * (los + s * (re + 1j * im)), with no buffer reuse."""
+    radio, ris = scenario.radio, scenario.ris
+    users = np.asarray(scenario.population.positions, dtype=float).reshape(-1, 3)
+    bs = np.asarray(scenario.bs_position, dtype=float)
+    surfaces = np.asarray(ris.positions, dtype=float).reshape(ris.num_ris, 3)
+    size = (users.shape[0], ris.num_ris, ris.elements_per_ris)
+    rng = np.random.default_rng(rng_seed)
+    kf = db_to_linear(radio.rician_k_factor_db)
+
+    def rician(dist, exponent):
+        amp = np.sqrt(chan._pathloss_power(dist, exponent, radio.pathloss_ref_db))
+        los = np.sqrt(kf / (kf + 1.0)) * np.exp(-1j * chan.TWO_PI * dist / radio.wavelength_m)
+        scatter = np.sqrt(1.0 / (2.0 * (kf + 1.0))) * (
+            rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        )
+        return amp[..., None] * (los[..., None] + scatter)
+
+    g = rician(np.linalg.norm(users[:, None, :] - surfaces[None, :, :], axis=-1),
+               radio.pathloss_exp_los)
+    h = rician(np.broadcast_to(np.linalg.norm(surfaces - bs, axis=-1), size[:2]),
+               radio.pathloss_exp_los)
+    amp_direct = np.sqrt(chan._pathloss_power(
+        np.linalg.norm(users - bs, axis=-1), radio.pathloss_exp_nlos, radio.pathloss_ref_db
+    ))
+    r = amp_direct * np.sqrt(0.5) * (
+        rng.standard_normal(size[0]) + 1j * rng.standard_normal(size[0])
+    )
+    return g, h, r
+
+
+class TestDrawBytes:
+    @pytest.mark.parametrize("elements", [128, 512])
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_in_place_build_equals_expression_form(self, elements, seed):
+        s = default_scenario(elements_per_ris=elements)
+        ch = chan.draw_channels(s, seed)
+        g, h, r = _expression_form_draw(s, seed)
+        assert ch.g.tobytes() == g.tobytes()
+        assert ch.h.tobytes() == h.tobytes()
+        assert ch.r.tobytes() == r.tobytes()

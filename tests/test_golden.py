@@ -3,10 +3,12 @@
 The files in tests/golden/ were written by the same commands as below, with
 RIS_MAC_THREADS=1 and RIS_MAC_TIMESTAMP pinned; each command ends with the
 flag that names the compared file.  The events_*.csv files pin every
-TraceEvent of the contention engine, including the csi_best_channel path.  A refactor must leave them
-byte-identical; a change that moves the numbers on purpose regenerates them
-with those commands and records it in CHANGES.md.  Manifests are not
-compared: they hold output paths.
+TraceEvent of the contention engine, including the csi_best_channel path;
+elements_sweep.csv varies the surface size, so it pins the (U, M, N)
+channel draws.  A refactor must leave them byte-identical; a change that
+moves the numbers on purpose regenerates them with those commands and
+records it in CHANGES.md.  Manifests are not compared: they hold output
+paths.
 """
 
 import os
@@ -20,6 +22,10 @@ GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 RUNS = {
     "users_sweep.csv": [
         "experiment", "--sweep", "users=50:200:50",
+        "--modes", "proposed,scheme1,scheme2", "--seeds", "1,2", "--out",
+    ],
+    "elements_sweep.csv": [
+        "experiment", "--sweep", "elements=64:512:224",
         "--modes", "proposed,scheme1,scheme2", "--seeds", "1,2", "--out",
     ],
     "fig7.csv": ["report", "--figure", "fig7", "--seeds", "1", "--out"],

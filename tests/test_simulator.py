@@ -9,7 +9,7 @@ from ris_mac import dcf as dcfmod
 from ris_mac import simulator as sim
 from ris_mac.experiments import run_cell
 from ris_mac.optimizer import joint_optimize
-from ris_mac.scenario import DcfParams, classify_users
+from ris_mac.scenario import DcfParams, classify_users, default_scenario
 
 from conftest import small_scenario
 
@@ -95,6 +95,26 @@ class TestScheduledPeriod:
         assert trace.throughput_scheduled_bps == pytest.approx(
             plan.throughput_scheduled_bps, rel=1e-9
         )
+
+    @pytest.mark.parametrize("mode", ["proposed", "scheme1"])
+    def test_delivered_bits_use_the_aligned_amplitude(self, mode):
+        # the frames read the cached amplitude; the explicit optimal phases
+        # that acceptance criterion 1 checks give the same rate
+        s = default_scenario()
+        channels, _, _, alloc, trace = planned_frame(s, 1, mode=mode)
+        radio, slot_s = s.radio, s.dcf.data_slot_s
+        granted = {e.user for e in trace.events if e.kind == "slot-grant"}
+        data = [e for e in trace.events if e.kind == "data" and e.user in granted]
+        assert len(data) == len(granted) > 0
+        for e in data:
+            k, m, rho = e.user, e.ris, float(alloc.rho_sq_w[e.user])
+            snr = chan.amplitude_snr(channels.aligned_amplitude[k, m], rho, radio.noise_w)
+            assert e.value == slot_s * chan.rate_bps(snr, radio.subchannel_bw_hz)
+            r, h, g = channels.r[k], channels.h[k, m], channels.g[k, m]
+            phased = chan.snr(r, h, g, chan.align_phases(r, h, g), rho, radio.noise_w)
+            assert e.value == pytest.approx(
+                slot_s * chan.rate_bps(phased, radio.subchannel_bw_hz), rel=1e-12
+            )
 
     def test_no_scheduled_collisions(self):
         s = small_scenario(total_users=10, seed=6)
@@ -257,6 +277,10 @@ class TestModes:
         trace = sim.run_frame(s, ch, frame, alloc, "scheme1", 20)
         assert trace.served.sum() == 4  # 2 slots on each of 2 subchannels
         assert max(e.time_s for e in trace.events) == pytest.approx(frame.total_s)
+        # the grants past the period are counted, not silently skipped
+        assert trace.grants_dropped == s.population.num_existing - int(trace.served.sum())
+        full, alloc = sim.plan_scheme1(s, ch, t2_common=frame.num_slots * s.dcf.data_slot_s)
+        assert sim.run_frame(s, ch, full, alloc, "scheme1", 20).grants_dropped == 0
 
     def test_mode_allocation_mismatch_rejected(self):
         s = small_scenario(total_users=6, seed=16)
