@@ -205,7 +205,9 @@ class ServiceSchedule:
     floor-recursion increment).  A starvation guard force-serves one user
     per subchannel after 50 consecutive zero-increment rounds, since the
     floor can stall when Y*tau/C is tiny; firings are flagged as a model
-    deviation.
+    deviation, and ``forced`` tells whether the last round was one.  The
+    schedule keeps counts only; contention_cascade builds the per-round
+    rows it reports.
     """
 
     def __init__(self, total_users: int, num_channels: int, w_min: int, max_stage: int):
@@ -215,9 +217,10 @@ class ServiceSchedule:
         self.max_stage = max_stage
         self.served = 0
         self.credit = 0.0
-        self.rounds: list = []
+        self.rounds = 0
         self.zero_streak = 0
         self.guard_fired = False
+        self.forced = False
 
     @property
     def remaining(self) -> int:
@@ -228,32 +231,22 @@ class ServiceSchedule:
         n = self.remaining
         if n <= 0:
             raise CascadeError("advance called with no remaining contenders")
-        tau, p, p_ch = round_params(n, self.channels, self.w_min, self.max_stage)
+        _, _, p_ch = round_params(n, self.channels, self.w_min, self.max_stage)
         self.credit += self.channels * p_ch
         target = math.floor(self.credit + FLOOR_EPS)
         delta = min(max(target - self.served, 0), n)
-        forced = False
+        self.forced = False
         if delta == 0:
             self.zero_streak += 1
             if self.zero_streak >= STARVATION_GUARD_ROUNDS:
                 delta = min(self.channels, n)
-                forced = True
+                self.forced = True
                 self.guard_fired = True
                 self.zero_streak = 0
         else:
             self.zero_streak = 0
         self.served += delta
-        self.rounds.append(
-            ContentionRound(
-                round_index=len(self.rounds) + 1,
-                contenders=n,
-                tau=tau,
-                collision_prob=p,
-                success_prob_channel=p_ch,
-                cumulative_served=self.served,
-                forced=forced,
-            )
-        )
+        self.rounds += 1
         return delta
 
 
@@ -274,19 +267,32 @@ def contention_cascade(num_mobile: int, num_channels: int, dcf: DcfParams) -> Co
     if y == 0:
         return ContentionSummary(rounds=(), n_r=0, t_r_s=t_r, required_beta_t2_s=0.0)
     sched = ServiceSchedule(y, num_channels, dcf.w_min, dcf.max_backoff_stage)
+    rows = []
     while sched.remaining > 0:
-        if len(sched.rounds) >= CASCADE_ROUND_CAP:
+        if sched.rounds >= CASCADE_ROUND_CAP:
             raise CascadeError(
                 "non-terminating cascade: %d rounds, %d of %d served"
-                % (len(sched.rounds), sched.served, y)
+                % (sched.rounds, sched.served, y)
             )
+        n = sched.remaining
         sched.advance()
-    n_r = len(sched.rounds)
+        tau, p, p_ch = round_params(n, sched.channels, sched.w_min, sched.max_stage)
+        rows.append(
+            ContentionRound(
+                round_index=sched.rounds,
+                contenders=n,
+                tau=tau,
+                collision_prob=p,
+                success_prob_channel=p_ch,
+                cumulative_served=sched.served,
+                forced=sched.forced,
+            )
+        )
     return ContentionSummary(
-        rounds=tuple(sched.rounds),
-        n_r=n_r,
+        rounds=tuple(rows),
+        n_r=sched.rounds,
         t_r_s=t_r,
-        required_beta_t2_s=n_r * t_r,
+        required_beta_t2_s=sched.rounds * t_r,
         starvation_guard_fired=sched.guard_fired,
     )
 

@@ -65,9 +65,10 @@ class FrameConfig:
     def contended_s(self) -> float:
         return self.beta * self.t2_s
 
-    def validate(self, num_static: int, num_channels: int, cascade=None) -> None:
+    def validate(self, cascade=None) -> None:
         """Check the split identities.  Slot capacity needs no check:
-        J = ceil(num_static / num_channels) by construction."""
+        J = ceil(X / C_s) by construction, with C_s the subchannels that
+        carry a surface."""
         if abs(self.alpha + self.beta - 1.0) > 1e-12:
             raise ValueError("alpha + beta must equal 1")
         if self.alpha > 0:
@@ -547,7 +548,7 @@ def joint_optimize(
             frame, t2_s=t2, alpha=sched / t2, beta=1.0 - sched / t2
         )
     else:
-        frame.validate(x, c, cascade=cascade if x else None)
+        frame.validate(cascade=cascade if x else None)
 
     n_users = scenario.population.num_total
     alloc = empty_allocation(n_users)

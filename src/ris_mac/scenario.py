@@ -396,9 +396,6 @@ def validate_scenario(s: Scenario) -> ValidationReport:
         rep.add("subchannel_of_ris length != num_ris")
     elif any(not (0 <= c < r.num_subchannels) for c in ris.subchannel_of_ris):
         rep.add("subchannel_of_ris entries must index a subchannel")
-    elif ris.num_ris == r.num_subchannels:
-        if sorted(ris.subchannel_of_ris) != list(range(r.num_subchannels)):
-            rep.add("RIS-to-subchannel mapping must be a bijection when M = C")
 
     c = s.compute
     if not (c.kappa_s_per_op >= 0):

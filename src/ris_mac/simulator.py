@@ -8,17 +8,22 @@ path; allocations carry only surface, slot and power), the same gain the
 optimizer and the contended grants read.  The contended period advances in
 rounds of one handshake time t_r each.  A round draws every remaining
 contender's subchannel pick in one array call and its backoff counter,
-from the window min(w_min * 2^stage, w_max), in another;
-numpy consumes the bit stream for an array draw as for the same scalar
-draws, so the stream equals per-user draws in sorted-id order.  On each
-occupied subchannel the unique minimum counter wins, and a tie is a
-collision that raises the tied users' stages.  The BS paces its CTS grants
-to the closed-form service recursion (it sizes the contention budget from
-that recursion and admits accordingly), so the rounds-to-all-served tracks
-the analytic round count while the seed decides which user wins which
-round, on which channel, and at what rate.  Backoff airtime is not part of
-the t_r budget, matching the handshake-time accounting; counters are logged
-as event metadata.
+from its window min(w_min * 2^stage, w_max), in another; numpy consumes
+the bit stream for an array draw as for the same scalar draws, so the
+stream equals per-user draws in sorted-id order.  One stable sort of the
+channel-major key pick * (w_max + 1) + counter resolves every occupied
+subchannel at once: each channel's group is led by its minimum counter,
+whose unique holder wins, while a tie is a collision that raises the tied
+users' stages.  The windows are kept across rounds and recomputed only for
+those tied users, and a round that serves anyone shrinks the contender
+arrays with one keep-mask.  The BS paces its CTS grants to the closed-form
+service recursion (it sizes the contention budget from that recursion and
+admits accordingly), so the rounds-to-all-served tracks the analytic round
+count while the seed decides which user wins which round, on which channel,
+and at what rate; a granted collided channel re-draws its winner among its
+contenders in ascending index order.  Backoff airtime is not part of the
+t_r budget, matching the handshake-time accounting; counters are logged as
+event metadata.
 
 Benchmarks: scheme 1 schedules every existing user centrally (new arrivals
 wait a frame); scheme 2 lets everyone contend.  Both run against the same
@@ -28,6 +33,7 @@ equal channel time.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -99,18 +105,41 @@ def next_stage(stage: np.ndarray, dcf) -> np.ndarray:
     return np.minimum(stage + 1, dcf.max_backoff_stage)
 
 
-def resolve_backoff(counters: np.ndarray) -> tuple:
-    """First-expiry resolution on one channel's (non-empty) counters.
+def resolve_backoff(pick: np.ndarray, counters: np.ndarray, w_max: int) -> tuple:
+    """First-expiry resolution of one round on every occupied subchannel.
 
-    Returns (winner, tied) as indices into ``counters``: the unique holder
-    of the minimum counter wins and nothing is tied; a tie means those
-    users' RTS frames collide, there is no winner (None), and ``tied``
-    holds their indices in ascending order.
+    One stable sort of the channel-major key ``pick * (w_max + 1) + counter``
+    groups the contenders by channel, each group led by its minimum counter
+    with ties in ascending index order (counters are below w_max, so keys
+    never cross a channel); each group's bounds and its run of minimum keys
+    are then found by bisection.  Returns lists (occupied, lead, collided,
+    tied):
+
+    - ``occupied``: the channels with contenders, ascending;
+    - ``lead``: per occupied channel, the index of its minimum counter's
+      holder (on a tie, the lowest tied index);
+    - ``collided``: per occupied channel, whether the minimum is tied, so
+      those users' RTS frames collide and the channel has no winner;
+    - ``tied``: the indices of every tied user, ascending within a channel.
     """
-    tied = np.flatnonzero(counters == counters.min())
-    if tied.size == 1:
-        return int(tied[0]), tied[:0]
-    return None, tied
+    span = w_max + 1
+    key = pick * span + counters
+    order = key.argsort(kind="stable")
+    key, order = key[order].tolist(), order.tolist()
+    occupied, lead, collided, tied = [], [], [], []
+    start = 0
+    while start < len(key):
+        c = key[start] // span
+        end = bisect.bisect_left(key, (c + 1) * span, start)
+        run = bisect.bisect_right(key, key[start], start, end)
+        tie = run - start > 1
+        occupied.append(c)
+        lead.append(order[start])
+        collided.append(tie)
+        if tie:
+            tied.extend(order[start:run])
+        start = end
+    return occupied, lead, collided, tied
 
 
 def _user_rate_via(channels, alloc, k, m, noise_w, bw_hz):
@@ -244,6 +273,7 @@ def _run_contention(
 
     remaining = np.array(sorted(contenders), dtype=int)
     stage = np.zeros(remaining.size, dtype=int)
+    cw = contention_windows(stage, dcf)  # kept across rounds, moved only by ties
     schedule = dcfmod.ServiceSchedule(
         remaining.size, len(live_channels), dcf.w_min, dcf.max_backoff_stage
     )
@@ -263,36 +293,36 @@ def _run_contention(
             pick = best_channel
         else:
             pick = rng.integers(0, len(live_channels), size=remaining.size)
-        counters = rng.integers(0, contention_windows(stage, dcf))
+        counters = rng.integers(0, cw)
 
-        occupied = np.flatnonzero(np.bincount(pick, minlength=len(live_channels)))
-        resolved = {}  # channel -> (its contenders, index of the winner or None)
-        for c in occupied:
-            here = np.flatnonzero(pick == c)
-            win, tied = resolve_backoff(counters[here])
-            if win is None:
+        occupied, lead, collided, tied = resolve_backoff(pick, counters, dcf.w_max)
+        if tied:
+            tied = np.array(tied)
+            stage[tied] = raised = next_stage(stage[tied], dcf)
+            cw[tied] = contention_windows(raised, dcf)
+        for c, i, tie in zip(occupied, lead, collided):
+            if tie:
                 collisions += 1
                 events.append(
                     TraceEvent(time_s=t_rts, kind="collision", channel=live_channels[c],
-                               value=float(counters[here[tied[0]]]))
+                               value=float(counters[i]))
                 )
-                stage[here[tied]] = next_stage(stage[here[tied]], dcf)
-            resolved[c] = here, win
 
-        grant_order = occupied[rng.permutation(len(occupied))]
+        grant_order = rng.permutation(len(occupied)).tolist()
         grants = min(quota, len(occupied))
         if grants < quota:
             # model demanded more serves than there are contended channels;
             # hand the shortfall back so the credit re-demands it next round
             schedule.served -= quota - grants
             grant_shortfall += quota - grants
-        keep = np.ones(remaining.size, dtype=bool)
-        for c in grant_order[:grants]:
-            here, win = resolved[c]
-            if win is None:
-                # post-collision re-draw inside the round settles on one user
-                win = int(rng.integers(0, len(here)))
-            i = here[win]
+        granted = []
+        for g in grant_order[:grants]:
+            c, i = occupied[g], lead[g]
+            if collided[g]:
+                # post-collision re-draw inside the round settles on one
+                # of the channel's contenders, in ascending index order
+                here = np.flatnonzero(pick == c)
+                i = int(here[rng.integers(0, here.size)])
             k, ch = int(remaining[i]), live_channels[c]
             m_star, rate = select(k, c)
             t_cts = t_rts + rts_s + dcf.sifs_s
@@ -309,18 +339,21 @@ def _run_contention(
             )
             served[k] = True
             bits[k] += delivered
-            keep[i] = False
+            granted.append(i)
         # candidates that expired without a grant sent an RTS the BS ignored
-        for c in grant_order[grants:]:
-            here, win = resolved[c]
-            if win is not None:
+        for g in grant_order[grants:]:
+            if not collided[g]:
+                i = lead[g]
                 events.append(
-                    TraceEvent(time_s=t_rts, kind="rts", user=int(remaining[here[win]]),
-                               channel=live_channels[c], value=float(counters[here[win]]))
+                    TraceEvent(time_s=t_rts, kind="rts", user=int(remaining[i]),
+                               channel=live_channels[occupied[g]], value=float(counters[i]))
                 )
-        remaining, stage = remaining[keep], stage[keep]
-        if best_channel is not None:
-            best_channel = best_channel[keep]
+        if granted:
+            keep = np.ones(remaining.size, dtype=bool)
+            keep[granted] = False
+            remaining, stage, cw = remaining[keep], stage[keep], cw[keep]
+            if best_channel is not None:
+                best_channel = best_channel[keep]
         rounds += 1
     return rounds, collisions, grant_shortfall, int(remaining.size)
 

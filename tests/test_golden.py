@@ -4,7 +4,9 @@ The files in tests/golden/ were written by the same commands as below, with
 RIS_MAC_THREADS=1 and RIS_MAC_TIMESTAMP pinned; each command ends with the
 flag that names the compared file.  The events_*.csv files pin every
 TraceEvent of the contention engine, including the csi_best_channel path;
-elements_sweep.csv varies the surface size, so it pins the (U, M, N)
+events_scheme2_c4.csv runs scenario_c4.json (4 subchannels, 4 surfaces, 120
+users, written by scenario.save_scenario), so four channels resolve in one
+round.  elements_sweep.csv varies the surface size, so it pins the (U, M, N)
 channel draws.  A refactor must leave them byte-identical; a change that
 moves the numbers on purpose regenerates them with those commands and
 records it in CHANGES.md.  Manifests are not compared: they hold output
@@ -34,6 +36,10 @@ RUNS = {
         "simulate", "--mode", "scheme2", "--csi-best-channel", "--events",
     ],
     "events_proposed.csv": ["simulate", "--mode", "proposed", "--frames", "2", "--events"],
+    "events_scheme2_c4.csv": [
+        "simulate", "--scenario", os.path.join(GOLDEN_DIR, "scenario_c4.json"),
+        "--mode", "scheme2", "--frames", "2", "--events",
+    ],
 }
 
 

@@ -58,7 +58,7 @@ class TestFrameTiming:
         assert f.t2_s == pytest.approx(
             f.num_slots * dcf.data_slot_s + cascade.required_beta_t2_s
         )
-        f.validate(100, 2, cascade=cascade)
+        f.validate(cascade=cascade)
 
 
 class TestAllocatePower:

@@ -97,6 +97,33 @@ class TestValidation:
         report = validate_scenario(s)
         assert any("outside" in v for v in report.violations)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_shared_subchannel_at_m_equals_c_runs(self, seed):
+        # both surfaces on subchannel 0 of two: slots and contention live on
+        # the one subchannel that carries a surface, as at M != C
+        from ris_mac import optimizer as opt
+        from ris_mac import simulator as sim
+        from ris_mac.experiments import plan_cell
+
+        s = default_scenario(seed=seed)
+        s = dataclasses.replace(s, ris=dataclasses.replace(s.ris, subchannel_of_ris=(0, 0)))
+        assert validate_scenario(s).ok
+        channels, plan = plan_cell(s, seed)
+        planned = {
+            "proposed": (plan.frame, plan.allocation),
+            "scheme1": sim.plan_scheme1(s, channels, plan.frame.t2_s),
+            "scheme2": sim.plan_scheme2(s, plan.frame.t2_s),
+        }
+        for mode, (frame, alloc) in planned.items():
+            if mode != "scheme2":
+                assert opt.check_allocation(
+                    alloc, plan.static_ids, plan.mobile_ids, s.ris.subchannel_of_ris,
+                    frame.num_slots, s.radio.p_max_w,
+                ) == []
+            trace = sim.run_frame(s, channels, frame, alloc, mode, seed)
+            assert {e.channel for e in trace.events if e.kind == "data"} == {0}
+            assert trace.served.any()
+
     def test_report_stringifies(self):
         assert str(validate_scenario(default_scenario())) == "scenario valid"
 

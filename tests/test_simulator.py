@@ -39,13 +39,26 @@ class TestBackoff:
 
     def test_resolve_backoff_unique_min_wins(self):
         users, counters = np.array([3, 7, 9]), np.array([5, 2, 4])
-        winner, tied = sim.resolve_backoff(counters)
-        assert users[winner] == 7 and users[tied].tolist() == []
+        occupied, lead, collided, tied = sim.resolve_backoff(np.zeros(3, dtype=int), counters, 960)
+        assert occupied == [0] and not collided[0]
+        assert users[lead[0]] == 7 and users[tied].tolist() == []
 
     def test_resolve_backoff_tie_collides(self):
         users, counters = np.array([3, 7, 9]), np.array([2, 2, 4])
-        winner, tied = sim.resolve_backoff(counters)
-        assert winner is None and users[tied].tolist() == [3, 7]
+        occupied, lead, collided, tied = sim.resolve_backoff(np.zeros(3, dtype=int), counters, 960)
+        assert occupied == [0] and collided[0]
+        assert users[tied].tolist() == [3, 7]
+
+    def test_resolve_backoff_every_channel_at_once(self):
+        # channel 2 has a unique minimum, channel 0 a three-way tie, channel 1
+        # is empty; a counter at the window cap never spills into channel 3
+        pick = np.array([2, 0, 0, 2, 0, 3, 0])
+        counters = np.array([4, 1, 1, 9, 3, 959, 1])
+        occupied, lead, collided, tied = sim.resolve_backoff(pick, counters, 960)
+        assert occupied == [0, 2, 3]
+        assert lead == [1, 0, 5]
+        assert collided == [True, False, False]
+        assert tied == [1, 2, 6]
 
     def test_array_draws_equal_scalar_draws(self):
         # the engine draws a round's channel picks and backoff counters in
