@@ -5,11 +5,13 @@ The throughput maximization decomposes into: closed-form frame timing
 power allocation over the static users, and an exact 0-1 assignment of
 static users to (subchannel, slot) pairs.  Slots are a subchannel resource:
 every subchannel that carries a surface has the same J slots, and a user on
-a subchannel reflects through the best surface bonded to it.  The
-assignment and power steps alternate.  The assignment step ignores the rate
-floors, so the floored power step can lower the sum rate; the alternation
-stops there and keeps the previous iterate, which keeps the recorded
-objective non-decreasing.
+a subchannel reflects through the best surface bonded to it.  The slots of
+one subchannel are interchangeable, so the assignment is a transportation
+problem with C_s sinks of capacity J, solved exactly by successive shortest
+paths over the C_s subchannel nodes.  The assignment and power steps
+alternate.  The assignment step ignores the rate floors, so the floored
+power step can lower the sum rate; the alternation stops there and keeps
+the previous iterate, which keeps the recorded objective non-decreasing.
 
 Phases are not part of the plan: every element is co-phased with the
 direct path, so a user's gain on a surface is the realization's aligned
@@ -19,11 +21,11 @@ surface, slot and power.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import channel as chan
 from . import dcf as dcfmod
@@ -282,10 +284,18 @@ def power_kkt_residual(
 def assign_ris_static(rate_matrix: np.ndarray, num_slots: int) -> tuple:
     """Exact 0-1 assignment of static users to (subchannel, slot) pairs.
 
-    Column c of rate_matrix is the c-th subchannel that carries a surface.
-    Expands each subchannel into J slot-capacity nodes and solves min-cost
-    matching, which is optimal for the linear objective and deterministic.
-    Returns (column_of_user, slot_of_user, objective).
+    Column c of rate_matrix is the c-th subchannel that carries a surface,
+    and each column holds at most J users: a transportation problem with
+    C_s sinks.  Every user starts on its best column (lowest index on
+    ties).  No user gains by moving, so this is an optimal pseudo-flow, and
+    successive shortest paths repair it: while a column holds more than J
+    users, one user per hop moves along the cheapest path from an over-full
+    column to one with room.  Hop a -> b costs the least loss
+    R[u, a] - R[u, b] among the users now on a; moved users make costs
+    negative, so paths come from Bellman-Ford over the C_s column nodes.
+    Each step keeps the pseudo-flow optimal, so the result is an exact
+    optimum.  Slots are numbered per column in user-id order.  Returns
+    (column_of_user, slot_of_user, objective).
     """
     rates = np.asarray(rate_matrix, dtype=float)
     x, m = rates.shape
@@ -293,25 +303,70 @@ def assign_ris_static(rate_matrix: np.ndarray, num_slots: int) -> tuple:
         return np.zeros(0, dtype=int), np.zeros(0, dtype=int), 0.0
     if x > m * num_slots:
         raise InfeasibleError(
-            "assignment infeasible: %d static users exceed J*C = %d slots"
+            "assignment infeasible: %d static users exceed J*C_s = %d slots"
             % (x, m * num_slots)
         )
-    cost = np.repeat(-rates, num_slots, axis=1)  # column m*J + j
-    rows, cols = linear_sum_assignment(cost)
-    ris_of = np.full(x, -1, dtype=int)
-    slot_raw = np.full(x, -1, dtype=int)
-    for k, col in zip(rows, cols):
-        ris_of[k] = col // num_slots
-        slot_raw[k] = col % num_slots
-    # compact slot indices per RIS in user-id order; the slot label does not
-    # affect the objective, this just keeps 0..count-1 occupied
-    slot_of = np.full(x, -1, dtype=int)
-    for mm in range(m):
-        members = [k for k in range(x) if ris_of[k] == mm]
-        for j, k in enumerate(sorted(members)):
-            slot_of[k] = j
-    objective = float(rates[np.arange(x), ris_of].sum())
-    return ris_of, slot_of, objective
+    col_of = rates.argmax(axis=1)
+    load = np.bincount(col_of, minlength=m)
+    if load.max() > num_slots:
+        _repair_overfull(rates, col_of, load.tolist(), num_slots)
+        load = np.bincount(col_of, minlength=m)
+    # slot labels: rank of each user within its column, in user-id order
+    order = np.argsort(col_of, kind="stable")
+    first = np.concatenate(([0], np.cumsum(load)[:-1]))
+    slot_of = np.empty(x, dtype=int)
+    slot_of[order] = np.arange(x) - first[col_of[order]]
+    objective = float(rates[np.arange(x), col_of].sum())
+    return col_of, slot_of, objective
+
+
+def _repair_overfull(rates: np.ndarray, col_of: np.ndarray, load: list, cap: int) -> None:
+    """Move users until no column of col_of holds more than cap (in place).
+
+    heaps[a][b] holds (R[u, a] - R[u, b], u) for users u that were on
+    column a when pushed; entries of users that have since left a are
+    dropped lazily when they reach the top.
+    """
+    m = len(load)
+    heaps = [[None] * m for _ in range(m)]
+    for a in range(m):
+        on_a = np.flatnonzero(col_of == a)
+        for b in range(m):
+            if b != a:
+                loss = rates[on_a, a] - rates[on_a, b]
+                heaps[a][b] = sorted(zip(loss.tolist(), on_a.tolist()))
+
+    def cheapest(a, b):
+        heap = heaps[a][b]
+        while heap and col_of[heap[0][1]] != a:
+            heapq.heappop(heap)
+        return heap[0] if heap else None
+
+    excess = sum(n - cap for n in load if n > cap)
+    for _ in range(excess):
+        top = [[cheapest(a, b) if b != a else None for b in range(m)] for a in range(m)]
+        # Bellman-Ford from every over-full column at once; paths kept simple
+        dist = [0.0 if n > cap else math.inf for n in load]
+        path = [[a] for a in range(m)]
+        for _ in range(m - 1):
+            for a in range(m):
+                if dist[a] == math.inf:
+                    continue
+                for b in range(m):
+                    hop = top[a][b]
+                    if hop is not None and dist[a] + hop[0] < dist[b] and b not in path[a]:
+                        dist[b] = dist[a] + hop[0]
+                        path[b] = path[a] + [b]
+        sink = min((b for b in range(m) if load[b] < cap), key=lambda b: dist[b])
+        hops = list(zip(path[sink], path[sink][1:]))
+        movers = [top[a][b][1] for a, b in hops]
+        for (_, b), u in zip(hops, movers):
+            col_of[u] = b
+            for c in range(m):
+                if c != b:
+                    heapq.heappush(heaps[b][c], (rates[u, b] - rates[u, c], u))
+        load[path[sink][0]] -= 1
+        load[sink] += 1
 
 
 def centralized_ris_config(
@@ -378,7 +433,9 @@ def complexity_ops(
     l1: int,
 ) -> float:
     """Operation count of the frame's centralized computation,
-    K + X^3 L1 + M^2 N^2 L1 + X^2 M^2 L1 with X the scheduled-user count."""
+    K + X^3 L1 + M^2 N^2 L1 + X^2 M^2 L1 with X the scheduled-user count.
+    The X^3 term is the paper's model of the computing period t1, not the
+    cost of this package's assignment solver."""
     x, m, n = num_users_scheduled, num_ris, num_elements
     return float(num_existing + (x**3 + m**2 * n**2 + x**2 * m**2) * l1)
 
@@ -529,6 +586,7 @@ def joint_optimize(
     sweeps); the default sits on the fairness-optimal split.
     """
     radio, dcf, comp = scenario.radio, scenario.dcf, scenario.compute
+    noise, bw = radio.noise_w, radio.subchannel_bw_hz
     static_ids, mobile_ids = classify_users(scenario.population)
     x, y = len(static_ids), len(mobile_ids)
     c = len(scenario.ris.subchannels)
@@ -564,15 +622,14 @@ def joint_optimize(
         for sweep in range(1, cap + 1):
             sweeps = sweep
             ris_of, slot_of, _ = centralized_ris_config(
-                channels, static_ids, rho_static, radio.noise_w,
-                radio.subchannel_bw_hz, frame.num_slots, scenario.ris.subchannel_of_ris,
+                channels, static_ids, rho_static, noise, bw,
+                frame.num_slots, scenario.ris.subchannel_of_ris,
             )
             gains = np.array(
-                [a**2 / radio.noise_w for a in channels.aligned_amplitude[sidx, ris_of].tolist()]
+                [a**2 / noise for a in channels.aligned_amplitude[sidx, ris_of].tolist()]
             )
             rho_static = allocate_power(
-                gains, radio.p_max_w, radio.rate_min_bps,
-                radio.subchannel_bw_hz, user_ids=static_ids,
+                gains, radio.p_max_w, radio.rate_min_bps, bw, user_ids=static_ids,
             )
             obj = float(np.sum(np.log2(1.0 + gains * rho_static)))
             if obj < prev_obj - 1e-9:
@@ -585,10 +642,10 @@ def joint_optimize(
                 break
             prev_obj = obj
 
+    p_mobile = radio.tx_power_mobile_w
     for k in mobile_ids:
         alloc.ris_of_user[k], _ = distributed_ris_select(
-            channels, k, range(scenario.ris.num_ris),
-            radio.tx_power_mobile_w, radio.noise_w, radio.subchannel_bw_hz,
+            channels, k, range(scenario.ris.num_ris), p_mobile, noise, bw
         )
 
     bad = check_allocation(

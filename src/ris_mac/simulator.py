@@ -194,6 +194,7 @@ def run_frame(
     sched_len = frame.scheduled_s if mode == "proposed" else frame.t2_s
     slots_available = int(math.floor(sched_len / dcf.data_slot_s + 1e-9))
     grants_dropped = 0
+    noise, bw = radio.noise_w, radio.subchannel_bw_hz
     for k in sorted(scheduled):
         j = int(alloc.slot_of_user[k])
         if j >= slots_available:
@@ -202,7 +203,7 @@ def run_frame(
         m = int(alloc.ris_of_user[k])
         ch = scenario.ris.subchannel_of_ris[m]
         t_slot = sched_start + j * dcf.data_slot_s
-        rate = _user_rate_via(channels, alloc, k, m, radio.noise_w, radio.subchannel_bw_hz)
+        rate = _user_rate_via(channels, alloc, k, m, noise, bw)
         delivered = dcf.data_slot_s * rate
         events.append(TraceEvent(time_s=t_slot, kind="slot-grant", user=k, channel=ch, ris=m))
         events.append(
@@ -265,10 +266,11 @@ def _run_contention(
         for ch in live_channels
     ]
 
+    noise, bw = radio.noise_w, radio.subchannel_bw_hz
+
     def select(k, c):
         return opt.distributed_ris_select(
-            channels, k, ris_on_channel[c], float(alloc.rho_sq_w[k]),
-            radio.noise_w, radio.subchannel_bw_hz,
+            channels, k, ris_on_channel[c], float(alloc.rho_sq_w[k]), noise, bw
         )
 
     remaining = np.array(sorted(contenders), dtype=int)
@@ -433,7 +435,8 @@ def plan_scheme1(scenario, channels, t2_common: float) -> tuple:
         if static_ids:
             sidx = np.asarray(static_ids, dtype=int)
             amp = channels.aligned_amplitude[sidx, alloc.ris_of_user[sidx]]
-            gains = np.array([a**2 / radio.noise_w for a in amp.tolist()])
+            noise = radio.noise_w
+            gains = np.array([a**2 / noise for a in amp.tolist()])
             alloc.rho_sq_w[sidx] = opt.allocate_power(
                 gains, radio.p_max_w, radio.rate_min_bps,
                 radio.subchannel_bw_hz, user_ids=static_ids,

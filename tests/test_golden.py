@@ -6,8 +6,10 @@ flag that names the compared file.  The events_*.csv files pin every
 TraceEvent of the contention engine, including the csi_best_channel path;
 events_scheme2_c4.csv runs scenario_c4.json (4 subchannels, 4 surfaces, 120
 users, written by scenario.save_scenario), so four channels resolve in one
-round.  elements_sweep.csv varies the surface size, so it pins the (U, M, N)
-channel draws.  A refactor must leave them byte-identical; a change that
+round.  events_proposed_c4.csv runs the same scenario in the proposed mode:
+its 60 static users fill 4 x 15 slots, so the assignment must move users
+off over-full subchannels.  elements_sweep.csv varies the surface size, so
+it pins the (U, M, N) channel draws.  A refactor must leave them byte-identical; a change that
 moves the numbers on purpose regenerates them with those commands and
 records it in CHANGES.md.  Manifests are not compared: they hold output
 paths.
@@ -39,6 +41,10 @@ RUNS = {
     "events_scheme2_c4.csv": [
         "simulate", "--scenario", os.path.join(GOLDEN_DIR, "scenario_c4.json"),
         "--mode", "scheme2", "--frames", "2", "--events",
+    ],
+    "events_proposed_c4.csv": [
+        "simulate", "--scenario", os.path.join(GOLDEN_DIR, "scenario_c4.json"),
+        "--mode", "proposed", "--frames", "2", "--events",
     ],
 }
 
