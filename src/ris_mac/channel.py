@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,10 @@ from .scenario import Scenario, db_to_linear
 
 MIN_LINK_DISTANCE_M = 0.1
 TWO_PI = 2.0 * np.pi
+# Scratch buffers for work on the (U, M, N) arrays hold at most this many
+# float64 values (1 MiB), so building a realization and its aligned
+# amplitudes needs g and h plus a fixed slack, not whole-array temporaries.
+BLOCK_VALUES = 1 << 17
 
 
 class DegenerateGeometryError(ValueError):
@@ -54,11 +59,18 @@ class ChannelRealization:
         """(U, M) phase-aligned amplitudes |r_k| + sum_n |h_kmn||g_kmn|.
 
         Power-independent, so it is computed once per realization; entry
-        [k, m] equals aligned_gain_magnitude(r[k], h[k, m], g[k, m]).
+        [k, m] equals aligned_gain_magnitude(r[k], h[k, m], g[k, m]).  The
+        users are taken in blocks of at most BLOCK_VALUES reflect terms;
+        each row sums on its own, so the blocks change no bit.
         """
-        reflect = np.abs(self.h)
-        reflect *= np.abs(self.g)
-        return np.abs(self.r)[:, None] + reflect.sum(axis=2)
+        n_users, n_ris, n_el = self.h.shape
+        reflect_sum = np.empty((n_users, n_ris))
+        step = max(1, BLOCK_VALUES // max(1, n_ris * n_el))
+        for lo in range(0, n_users, step):
+            reflect = np.abs(self.h[lo : lo + step])
+            reflect *= np.abs(self.g[lo : lo + step])
+            reflect.sum(axis=2, out=reflect_sum[lo : lo + step])
+        return np.abs(self.r)[:, None] + reflect_sum
 
 
 @dataclass(frozen=True)
@@ -77,6 +89,23 @@ class PhaseConfig:
 
     def coefficients(self) -> np.ndarray:
         return np.exp(1j * self.theta)
+
+
+def _mapped_zeros(shape) -> np.ndarray:
+    """A complex array in its own anonymous private mapping, zero-filled.
+
+    g and h are the only large arrays of a sweep.  From malloc they land in
+    the heap or in a mapping depending on its adaptive threshold, and a
+    freed heap block stays resident while smaller live blocks sit above it,
+    so a sweep's peak memory would depend on the allocation history.  A
+    mapping of its own goes back to the OS as soon as the realization is
+    dropped, so the peak is the largest realization plus what the rest of
+    the program holds.
+    """
+    count = int(np.prod(shape))
+    itemsize = np.dtype(complex).itemsize
+    buf = mmap.mmap(-1, max(1, count) * itemsize, flags=mmap.MAP_PRIVATE)
+    return np.frombuffer(buf, dtype=complex, count=count).reshape(shape)
 
 
 def _pathloss_power(dist_m, exponent: float, ref_db: float):
@@ -131,12 +160,20 @@ def draw_channels(scenario: Scenario, rng_seed: int) -> ChannelRealization:
 
     def rician(dist, exponent, size):
         # built in one buffer: the same draws, in the same order, through the
-        # same ufuncs as amp * (los + s * (re + 1j * im)), so the bytes match
+        # same ufuncs as amp * (los + s * (re + 1j * im)), so the bytes match.
+        # The normals are drawn BLOCK_VALUES at a time into one scratch
+        # buffer; numpy fills an ``out`` draw element by element, so the
+        # blocks consume the stream as one whole-array draw does.
         amp = np.sqrt(_pathloss_power(dist, exponent, radio.pathloss_ref_db))
         los = np.sqrt(kf / (kf + 1.0)) * np.exp(-1j * TWO_PI * dist / lam)
-        out = np.empty(size, dtype=complex)
-        out.real = rng.standard_normal(size)
-        out.imag = rng.standard_normal(size)
+        out = _mapped_zeros(size)
+        flat = out.reshape(-1)
+        scratch = np.empty(min(flat.size, BLOCK_VALUES))
+        for part in (flat.real, flat.imag):
+            for lo in range(0, flat.size, BLOCK_VALUES):
+                block = scratch[: min(BLOCK_VALUES, flat.size - lo)]
+                rng.standard_normal(out=block)
+                part[lo : lo + block.size] = block
         out *= np.sqrt(1.0 / (2.0 * (kf + 1.0)))
         out += los[..., None]
         out *= amp[..., None]

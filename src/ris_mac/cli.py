@@ -203,7 +203,7 @@ def cmd_simulate(args) -> int:
         events = []
         rows.append(exp.run_cell(scen, args.mode, seed, events=events))
         rows[-1]["frame"] = i
-        event_rows.extend(dict(dataclasses.asdict(e), frame=i) for e in events)
+        event_rows.extend(dict(e._asdict(), frame=i) for e in events)
         if i + 1 < args.frames:
             # this frame's arrivals join the existing set for the next frame
             pop = advance_frame(scen.population, scen.area_side_m, seed + 7919)
@@ -212,7 +212,7 @@ def cmd_simulate(args) -> int:
             "served_static", "served_mobile", "served_new", "collisions",
             "n_r_measured", "n_r_analytic", "beta_alpha")
     if args.events:
-        event_cols = ["frame"] + [f.name for f in dataclasses.fields(sim.TraceEvent)]
+        event_cols = ["frame", *sim.TraceEvent._fields]
         rio.write_table(event_rows, event_cols, args.events, fmt="csv")
     if args.out:
         rio.write_table(rows, cols, args.out, fmt="csv")

@@ -6,12 +6,18 @@ Per contention round i with N_i remaining mobile users:
   p_i    = 1 - (1-tau_i)^(N_i - 1)
   P_iC   = sum_V (1-tau)^(V-1) C(N_i,V) V tau (1-tau)^(V-1)
                * (1/C)^V (1-1/C)^(N_i-V)                  per-channel success
+         = N_i tau / C * (1 - tau(2-tau)/C)^(N_i-1)        (closed form)
   served = floor(C * sum_{l<=i} P_lC)                     cumulative service
 
 The round recursion runs until every one of the Y mobile users has been
 served exactly once; the round count N_r sizes the contended period as
 N_r * t_r, with t_r the airtime of one successful RTS/CTS handshake plus
 payload.
+
+The closed form is the sum read as a derivative: with x = (1-tau)^2 and
+q = 1/C the terms are tau * C(N,V) V x^(V-1) q^V (1-q)^(N-V), which is tau
+times d/dx of the binomial generating function (q x + 1 - q)^N, i.e.
+tau N q (1 - q (1 - x))^(N-1), and 1 - x = tau (2 - tau).
 
 Note the idle-probability weight uses the printed exponent V-1, which makes
 P_c go negative for a single contender; slot_probabilities clamps and flags
@@ -23,9 +29,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
-from scipy.special import gammaln
 
 from .scenario import DcfParams
 
@@ -140,9 +143,12 @@ def channel_success_prob(contenders: int, tau: float, num_channels: int) -> floa
     """Probability of a successful transmission on a given channel in one
     round, with the idle-probability sensing weight applied per term.
 
-    Sums over V, the (binomial) number of the N_i contenders that picked
-    this channel: (1-tau)^(V-1) * C(N_i,V) * V tau (1-tau)^(V-1)
-    * (1/C)^V (1-1/C)^(N_i-V).
+    The paper sums over V, the (binomial) number of the N_i contenders that
+    picked this channel: (1-tau)^(V-1) * C(N_i,V) * V tau (1-tau)^(V-1)
+    * (1/C)^V (1-1/C)^(N_i-V).  That sum is tau times the derivative of the
+    binomial generating function (q x + 1 - q)^N_i at x = (1-tau)^2, q = 1/C,
+    so it equals N_i tau / C * (1 - tau(2-tau)/C)^(N_i-1), which this
+    returns.  C = 1 gives N_i tau (1-tau)^(2(N_i-1)), the V = N_i term alone.
     """
     n = int(contenders)
     c = int(num_channels)
@@ -150,19 +156,7 @@ def channel_success_prob(contenders: int, tau: float, num_channels: int) -> floa
         raise ValueError("contenders must be >= 1")
     if c < 1:
         raise ValueError("num_channels must be >= 1")
-    if c == 1:
-        # (1 - 1/C)^(N-V) collapses every term but V = N
-        return float(n * tau * (1.0 - tau) ** (2.0 * (n - 1.0)))
-    v = np.arange(1, n + 1, dtype=float)
-    log_binom = gammaln(n + 1) - gammaln(v + 1) - gammaln(n - v + 1)
-    log_pick = v * math.log(1.0 / c) + (n - v) * math.log(1.0 - 1.0 / c)
-    terms = (
-        np.exp(log_binom + log_pick)
-        * v
-        * tau
-        * (1.0 - tau) ** (2.0 * (v - 1.0))
-    )
-    return float(np.sum(terms))
+    return float(n * tau / c * (1.0 - tau * (2.0 - tau) / c) ** (n - 1))
 
 
 @dataclass(frozen=True)

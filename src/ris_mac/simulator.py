@@ -7,9 +7,10 @@ aligned amplitude |r| + sum |h||g| (every element co-phased with the direct
 path; allocations carry only surface, slot and power), the same gain the
 optimizer and the contended grants read.  The contended period advances in
 rounds of one handshake time t_r each.  A round draws every remaining
-contender's subchannel pick in one array call and its backoff counter,
-from its window min(w_min * 2^stage, w_max), in another; numpy consumes
-the bit stream for an array draw as for the same scalar draws, so the
+contender's subchannel pick and then its backoff counter, from its window
+min(w_min * 2^stage, w_max), in one array call whose bounds are C_s per
+pick followed by the windows; numpy consumes the bit stream for an
+array-bound draw element by element as for the same scalar draws, so the
 stream equals per-user draws in sorted-id order.  One stable sort of the
 channel-major key pick * (w_max + 1) + counter resolves every occupied
 subchannel at once: each channel's group is led by its minimum counter,
@@ -36,6 +37,8 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,8 +58,7 @@ class ModeMismatchError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     time_s: float
     kind: str  # pilot | compute | slot-grant | rts | cts | data | collision | idle
     user: int = -1
@@ -186,9 +188,9 @@ def run_frame(
 
     if frame.t0_s > 0:
         for i in range(pop.num_existing):
-            events.append(TraceEvent(time_s=i * dcf.pilot_time_s, kind="pilot", user=i))
+            events.append(TraceEvent(i * dcf.pilot_time_s, "pilot", i))
     if frame.t1_s > 0:
-        events.append(TraceEvent(time_s=frame.t0_s, kind="compute"))
+        events.append(TraceEvent(frame.t0_s, "compute"))
 
     sched_start = frame.t0_s + frame.t1_s
     sched_len = frame.scheduled_s if mode == "proposed" else frame.t2_s
@@ -205,10 +207,8 @@ def run_frame(
         t_slot = sched_start + j * dcf.data_slot_s
         rate = _user_rate_via(channels, alloc, k, m, noise, bw)
         delivered = dcf.data_slot_s * rate
-        events.append(TraceEvent(time_s=t_slot, kind="slot-grant", user=k, channel=ch, ris=m))
-        events.append(
-            TraceEvent(time_s=t_slot, kind="data", user=k, channel=ch, ris=m, value=delivered)
-        )
+        events.append(TraceEvent(t_slot, "slot-grant", k, ch, m))
+        events.append(TraceEvent(t_slot, "data", k, ch, m, delivered))
         served[k] = True
         bits[k] += delivered
 
@@ -225,8 +225,8 @@ def run_frame(
     total = frame.total_s
     last = max((e.time_s for e in events), default=0.0)
     if total > last:
-        events.append(TraceEvent(time_s=total, kind="idle"))
-    events.sort(key=lambda e: e.time_s)
+        events.append(TraceEvent(total, "idle"))
+    events.sort(key=itemgetter(0))  # stable: ties keep their append order
 
     trace = FrameTrace(
         mode=mode,
@@ -293,9 +293,11 @@ def _run_contention(
                      for k in remaining]
                 )
             pick = best_channel
+            counters = rng.integers(0, cw)
         else:
-            pick = rng.integers(0, len(live_channels), size=remaining.size)
-        counters = rng.integers(0, cw)
+            n = remaining.size
+            draws = rng.integers(0, np.concatenate((np.full(n, len(live_channels)), cw)))
+            pick, counters = draws[:n], draws[n:]
 
         occupied, lead, collided, tied = resolve_backoff(pick, counters, dcf.w_max)
         if tied:
@@ -306,8 +308,7 @@ def _run_contention(
             if tie:
                 collisions += 1
                 events.append(
-                    TraceEvent(time_s=t_rts, kind="collision", channel=live_channels[c],
-                               value=float(counters[i]))
+                    TraceEvent(t_rts, "collision", -1, live_channels[c], -1, float(counters[i]))
                 )
 
         grant_order = rng.permutation(len(occupied)).tolist()
@@ -330,15 +331,9 @@ def _run_contention(
             t_cts = t_rts + rts_s + dcf.sifs_s
             t_data = t_cts + cts_s + dcf.sifs_s
             delivered = dcf.payload_time_s * rate
-            events.append(
-                TraceEvent(time_s=t_rts, kind="rts", user=k, channel=ch,
-                           ris=m_star, value=float(counters[i]))
-            )
-            events.append(TraceEvent(time_s=t_cts, kind="cts", user=k, channel=ch, ris=m_star))
-            events.append(
-                TraceEvent(time_s=t_data, kind="data", user=k, channel=ch,
-                           ris=m_star, value=delivered)
-            )
+            events.append(TraceEvent(t_rts, "rts", k, ch, m_star, float(counters[i])))
+            events.append(TraceEvent(t_cts, "cts", k, ch, m_star))
+            events.append(TraceEvent(t_data, "data", k, ch, m_star, delivered))
             served[k] = True
             bits[k] += delivered
             granted.append(i)
@@ -347,8 +342,8 @@ def _run_contention(
             if not collided[g]:
                 i = lead[g]
                 events.append(
-                    TraceEvent(time_s=t_rts, kind="rts", user=int(remaining[i]),
-                               channel=live_channels[occupied[g]], value=float(counters[i]))
+                    TraceEvent(t_rts, "rts", int(remaining[i]), live_channels[occupied[g]], -1,
+                               float(counters[i]))
                 )
         if granted:
             keep = np.ones(remaining.size, dtype=bool)

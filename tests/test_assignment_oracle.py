@@ -6,15 +6,10 @@ optimum is unique for continuous rates, so the column maps must agree
 exactly; with ties only the objective is unique.
 """
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-import ris_mac
 from ris_mac import experiments as exp
 from ris_mac import optimizer as opt
 from ris_mac import simulator as sim
@@ -116,15 +111,3 @@ def test_tie_heavy_instances_reach_the_optimum():
         _, ref_obj = matching_reference(rates, j)
         assert obj == pytest.approx(ref_obj, abs=1e-9)
         assert_slots_compact(col_of, slot_of, c, j)
-
-
-def test_package_import_leaves_scipy_optimize_unloaded():
-    """Importing ris_mac must not pull in scipy.optimize: it costs about a
-    quarter second of start-up and tens of MB of resident memory."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(ris_mac.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, ris_mac; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "False"

@@ -296,3 +296,32 @@ class TestDrawBytes:
         assert ch.g.tobytes() == g.tobytes()
         assert ch.h.tobytes() == h.tobytes()
         assert ch.r.tobytes() == r.tobytes()
+
+    @pytest.mark.parametrize("block", [1, 777, 4096])
+    def test_blocked_draws_equal_whole_array_draws(self, monkeypatch, block):
+        s = default_scenario(elements_per_ris=128)
+        g, h, r = _expression_form_draw(s, 5)
+        monkeypatch.setattr(chan, "BLOCK_VALUES", block)
+        ch = chan.draw_channels(s, 5)
+        assert ch.g.tobytes() == g.tobytes()
+        assert ch.h.tobytes() == h.tobytes()
+        assert ch.r.tobytes() == r.tobytes()
+
+    @pytest.mark.parametrize("block", [1, 300, 1 << 17])
+    def test_blocked_aligned_amplitude_equals_whole_array_form(self, monkeypatch, block):
+        ch = chan.draw_channels(default_scenario(elements_per_ris=128), 2)
+        want = np.abs(ch.r)[:, None] + (np.abs(ch.h) * np.abs(ch.g)).sum(axis=2)
+        monkeypatch.setattr(chan, "BLOCK_VALUES", block)
+        assert ch.aligned_amplitude.tobytes() == want.tobytes()
+
+    def test_reflect_arrays_are_writable_contiguous_complex(self):
+        ch = chan.draw_channels(default_scenario(), 1)
+        for a in (ch.g, ch.h):
+            assert a.dtype == np.complex128
+            assert a.flags.c_contiguous and a.flags.writeable
+
+    def test_zero_size_mapping_gives_an_empty_array(self):
+        s = default_scenario()
+        ch = chan._mapped_zeros((0, s.ris.num_ris, s.ris.elements_per_ris))
+        assert ch.shape == (0, s.ris.num_ris, s.ris.elements_per_ris)
+        assert ch.size == 0

@@ -1,14 +1,17 @@
 """Contention analytics against independent oracles: a brentq root finder
-for the fixed point, exhaustive event enumeration for the per-channel
-success probability, and a from-scratch recursion for the cascade."""
+for the fixed point, exhaustive event enumeration and the printed binomial
+sum for the per-channel success probability, and a from-scratch recursion
+for the cascade."""
 
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
+from scipy.special import gammaln
 
 from ris_mac import dcf
 from ris_mac.scenario import DcfParams
@@ -153,6 +156,76 @@ class TestChannelSuccess:
         got = dcf.channel_success_prob(n, tau, c)
         want = enumerated_channel_success(n, tau, c)
         assert got == pytest.approx(want, abs=1e-12)
+
+
+def printed_binomial_sum(n, tau, c):
+    """The paper's P_iC term by term: sum over V of (1-tau)^(V-1) C(n,V)
+    V tau (1-tau)^(V-1) (1/C)^V (1-1/C)^(n-V)."""
+    q = 1.0 / c
+    return math.fsum(
+        math.comb(n, v) * q**v * (1.0 - q) ** (n - v) * v * tau * (1.0 - tau) ** (2 * (v - 1))
+        for v in range(1, n + 1)
+    )
+
+
+def gammaln_channel_success(contenders, tau, num_channels):
+    """channel_success_prob as the package computed it before the closed
+    form: the printed sum in log space through gammaln, with the C = 1 case
+    (only the V = N term survives) apart."""
+    n, c = int(contenders), int(num_channels)
+    if c == 1:
+        return float(n * tau * (1.0 - tau) ** (2.0 * (n - 1.0)))
+    v = np.arange(1, n + 1, dtype=float)
+    log_binom = gammaln(n + 1) - gammaln(v + 1) - gammaln(n - v + 1)
+    log_pick = v * math.log(1.0 / c) + (n - v) * math.log(1.0 - 1.0 / c)
+    terms = np.exp(log_binom + log_pick) * v * tau * (1.0 - tau) ** (2.0 * (v - 1.0))
+    return float(np.sum(terms))
+
+
+def cascade_outcome(y, c, params):
+    try:
+        summary = dcf.contention_cascade(y, c, params)
+    except dcf.CascadeError:
+        return "CascadeError"
+    return (
+        summary.n_r,
+        [rd.cumulative_served for rd in summary.rounds],
+        summary.required_beta_t2_s,
+        summary.starvation_guard_fired,
+    )
+
+
+class TestClosedForm:
+    """P_iC = N tau / C * (1 - tau(2-tau)/C)^(N-1) in place of the sum."""
+
+    @pytest.mark.parametrize("c", range(1, 9))
+    def test_equals_printed_binomial_sum(self, c):
+        for n in range(1, 401, 3):
+            tau, _ = dcf.solve_tau(n, W_PAPER, L_PAPER)
+            for t in (tau, 0.05, 0.6):
+                want = printed_binomial_sum(n, t, c)
+                assert dcf.channel_success_prob(n, t, c) == pytest.approx(want, rel=1e-12), (n, t)
+
+    def test_cascade_equals_the_gammaln_sum(self, monkeypatch):
+        # the closed form and the old log-space sum differ in the last bits
+        # only; the floor recursion must not see it
+        params = DcfParams()
+        grid = [(y, c) for c in range(1, 5) for y in [*range(41), *range(47, 301, 11), 300]]
+
+        def outcomes():
+            dcf.round_params.cache_clear()
+            dcf.contention_cascade.cache_clear()
+            try:
+                return [cascade_outcome(y, c, params) for y, c in grid]
+            finally:
+                dcf.round_params.cache_clear()
+                dcf.contention_cascade.cache_clear()
+
+        closed = outcomes()
+        monkeypatch.setattr(dcf, "channel_success_prob", gammaln_channel_success)
+        summed = outcomes()
+        for (y, c), got, want in zip(grid, closed, summed):
+            assert got == want, (y, c)
 
 
 def reference_cascade_rounds(y, c, w, l):

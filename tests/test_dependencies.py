@@ -1,0 +1,45 @@
+"""The package runs on numpy alone.
+
+scipy is a test dependency: the oracles use its brentq root finder, its
+linear_sum_assignment and its gammaln.  Importing it costs about a quarter
+second of start-up and tens of MB of resident memory, so the package must
+neither load it on import nor need it at runtime.  Both checks run in a
+fresh interpreter, since this test process has scipy loaded already.
+"""
+
+import os
+import subprocess
+import sys
+
+import ris_mac
+
+
+def run_python(code):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ris_mac.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, RIS_MAC_THREADS="1")
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout.strip()
+
+
+def test_package_import_loads_no_scipy():
+    code = (
+        "import sys, ris_mac\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    assert run_python(code) == "[]"
+
+
+def test_point_sweep_runs_with_scipy_blocked():
+    # a None entry in sys.modules makes every `import scipy...` raise
+    code = """
+import sys
+sys.modules["scipy"] = None
+from ris_mac import experiments as exp
+from ris_mac.scenario import default_scenario
+from ris_mac.simulator import MODES
+rows = exp.run_experiment(default_scenario(), exp.parse_sweep("point"), [1], modes=MODES)
+print(",".join("%s:%d" % (r["mode"], r["s_o_bps"] > 0) for r in rows))
+"""
+    assert run_python(code) == "proposed:1,scheme1:1,scheme2:1"

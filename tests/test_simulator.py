@@ -61,9 +61,9 @@ class TestBackoff:
         assert tied == [1, 2, 6]
 
     def test_array_draws_equal_scalar_draws(self):
-        # the engine draws a round's channel picks and backoff counters in
-        # one call each; its stream equals per-user draws in sorted-id order
-        # only while numpy consumes the bit stream the same way for both
+        # the engine draws a round's channel picks and backoff counters as
+        # arrays; its stream equals per-user draws in sorted-id order only
+        # while numpy consumes the bit stream the same way for both
         meta = np.random.default_rng(2024)
         for _ in range(300):
             n = int(meta.integers(1, 40))
@@ -80,6 +80,29 @@ class TestBackoff:
             assert picks.tolist() == want_picks, cause
             assert counters.tolist() == want_counters, cause
             assert vec.bit_generator.state == ref.bit_generator.state, cause
+
+    def test_merged_draw_equals_two_calls(self):
+        # a round draws its picks and counters in one call whose bounds are
+        # C_s per contender followed by the windows; that must equal a picks
+        # call then a counters call, value for value and state for state
+        meta = np.random.default_rng(2025)
+        cases = [(1, 1, np.ones(1, dtype=int)), (200, 4, np.full(200, 960)),
+                 (200, 1, np.ones(200, dtype=int))]
+        for _ in range(400):
+            n = int(meta.integers(1, 201))
+            windows = meta.integers(1, 961, size=n)
+            windows[meta.random(n) < 0.25] = 1
+            cases.append((n, int(meta.integers(1, 5)), windows))
+        for n, num_channels, windows in cases:
+            seed = int(meta.integers(2**32))
+            merged, split = np.random.default_rng(seed), np.random.default_rng(seed)
+            draws = merged.integers(0, np.concatenate((np.full(n, num_channels), windows)))
+            picks = split.integers(0, num_channels, size=n)
+            counters = split.integers(0, windows)
+            cause = "numpy %s: merged and split Generator.integers draws differ" % np.__version__
+            assert draws[:n].tolist() == picks.tolist(), cause
+            assert draws[n:].tolist() == counters.tolist(), cause
+            assert merged.bit_generator.state == split.bit_generator.state, cause
 
     def test_collision_appears_with_tied_draws(self):
         # two mobile users on a single subchannel: scan seeds until their
