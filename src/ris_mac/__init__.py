@@ -17,12 +17,9 @@ from .scenario import (  # noqa: F401
 )
 from .channel import (  # noqa: F401
     ChannelRealization,
-    PhaseConfig,
     align_phases,
     draw_channels,
-    effective_gain,
     rate_bps,
-    snr,
 )
 from .dcf import (  # noqa: F401
     ContentionRound,

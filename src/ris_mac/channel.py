@@ -50,18 +50,14 @@ class ChannelRealization:
     def num_ris(self) -> int:
         return self.g.shape[1]
 
-    @property
-    def num_elements(self) -> int:
-        return self.g.shape[2]
-
     @functools.cached_property
     def aligned_amplitude(self) -> np.ndarray:
         """(U, M) phase-aligned amplitudes |r_k| + sum_n |h_kmn||g_kmn|.
 
         Power-independent, so it is computed once per realization; entry
-        [k, m] equals aligned_gain_magnitude(r[k], h[k, m], g[k, m]).  The
-        users are taken in blocks of at most BLOCK_VALUES reflect terms;
-        each row sums on its own, so the blocks change no bit.
+        [k, m] is the composite amplitude at align_phases(r[k], h[k, m],
+        g[k, m]).  The users are taken in blocks of at most BLOCK_VALUES
+        reflect terms; each row sums on its own, so the blocks change no bit.
         """
         n_users, n_ris, n_el = self.h.shape
         reflect_sum = np.empty((n_users, n_ris))
@@ -71,24 +67,6 @@ class ChannelRealization:
             reflect *= np.abs(self.g[lo : lo + step])
             reflect.sum(axis=2, out=reflect_sum[lo : lo + step])
         return np.abs(self.r)[:, None] + reflect_sum
-
-
-@dataclass(frozen=True)
-class PhaseConfig:
-    """Unit-amplitude reflection phases for one user-RIS pair, radians in
-    [0, 2*pi)."""
-
-    theta: np.ndarray
-
-    def __post_init__(self):
-        th = np.asarray(self.theta, dtype=float)
-        if th.ndim != 1:
-            raise ValueError("theta must be a 1-D vector")
-        if np.any(th < 0.0) or np.any(th >= TWO_PI):
-            raise ValueError("phases must lie in [0, 2*pi)")
-
-    def coefficients(self) -> np.ndarray:
-        return np.exp(1j * self.theta)
 
 
 def _mapped_zeros(shape) -> np.ndarray:
@@ -195,26 +173,15 @@ def draw_channels(scenario: Scenario, rng_seed: int) -> ChannelRealization:
     return ChannelRealization(g=g, h=h, r=r)
 
 
-def effective_gain(r: complex, h: np.ndarray, g: np.ndarray, phases: PhaseConfig) -> complex:
-    """Composite channel r + sum_n h_n * e^{j theta_n} * g_n."""
-    h = np.asarray(h)
-    g = np.asarray(g)
-    if h.shape != g.shape or h.shape != phases.theta.shape:
-        raise ValueError(
-            "length mismatch: h %s, g %s, theta %s"
-            % (h.shape, g.shape, phases.theta.shape)
-        )
-    return complex(r + np.sum(h * phases.coefficients() * g))
-
-
-def align_phases(r: complex, h: np.ndarray, g: np.ndarray) -> PhaseConfig:
+def align_phases(r: complex, h: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Co-phase every reflect element with the direct path.
 
     theta_n = (arg r - arg h_n - arg g_n) mod 2*pi makes each element's
-    contribution add in amplitude, which attains the triangle-inequality
-    maximum |r| + sum |h_n||g_n| of the composite gain.  Elements with a
-    zero-magnitude coefficient contribute nothing, so their (undefined)
-    phase is pinned to 0.
+    contribution to the composite gain r + sum_n h_n e^{j theta_n} g_n add
+    in amplitude, which attains the triangle-inequality maximum
+    |r| + sum |h_n||g_n|, the realization's aligned amplitude.  Elements
+    with a zero-magnitude coefficient contribute nothing, so their
+    (undefined) phase is pinned to 0.  Returns theta, radians in [0, 2*pi).
     """
     h = np.asarray(h)
     g = np.asarray(g)
@@ -223,30 +190,7 @@ def align_phases(r: complex, h: np.ndarray, g: np.ndarray) -> PhaseConfig:
     theta = np.mod(np.angle(r) - np.angle(h) - np.angle(g), TWO_PI)
     theta = np.where((h == 0) | (g == 0), 0.0, theta)
     # mod can return 2*pi for angles within rounding of a full turn
-    theta = np.where(theta >= TWO_PI, 0.0, theta)
-    return PhaseConfig(theta=theta)
-
-
-def aligned_gain_magnitude(r: complex, h: np.ndarray, g: np.ndarray) -> float:
-    """|r| + sum |h_n||g_n|, the phase-aligned composite amplitude."""
-    return float(np.abs(r) + np.sum(np.abs(h) * np.abs(g)))
-
-
-def snr(
-    r: complex,
-    h: np.ndarray,
-    g: np.ndarray,
-    phases: PhaseConfig,
-    tx_power_w: float,
-    noise_w: float,
-) -> float:
-    """Linear receive SNR |r + h diag(e^{j theta}) g|^2 * P / sigma^2."""
-    if tx_power_w <= 0:
-        raise ValueError("tx_power_w must be > 0")
-    if noise_w <= 0:
-        raise ValueError("noise_w must be > 0")
-    gain = effective_gain(r, h, g, phases)
-    return abs(gain) ** 2 * tx_power_w / noise_w
+    return np.where(theta >= TWO_PI, 0.0, theta)
 
 
 def rate_bps(snr_linear: float, subchannel_bw_hz: float) -> float:
@@ -261,11 +205,6 @@ def amplitude_snr(amplitude: float, tx_power_w, noise_w) -> float:
     if tx_power_w <= 0 or noise_w <= 0:
         raise ValueError("power and noise must be > 0")
     return float(amplitude) ** 2 * tx_power_w / noise_w
-
-
-def aligned_snr(r, h, g, tx_power_w, noise_w) -> float:
-    """SNR with the optimal phases applied, without materializing them."""
-    return amplitude_snr(aligned_gain_magnitude(r, h, g), tx_power_w, noise_w)
 
 
 def aligned_rate_matrix(

@@ -1,12 +1,14 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 usage error, 2 scenario validation failure,
-3 infeasible optimization, 4 runtime error.
+3 infeasible optimization or a contention cascade past its round cap,
+4 runtime error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -124,15 +126,7 @@ def cmd_optimize(args) -> int:
         chan.dump_channels(channels, args.dump_channels)
     result = joint_optimize(s, channels)
     payload = {
-        "frame": {
-            "t0_s": result.frame.t0_s,
-            "t1_s": result.frame.t1_s,
-            "t2_s": result.frame.t2_s,
-            "alpha": result.frame.alpha,
-            "beta": result.frame.beta,
-            "num_slots": result.frame.num_slots,
-            "data_slot_s": result.frame.data_slot_s,
-        },
+        "frame": dataclasses.asdict(result.frame),
         "throughput_bps": {
             "scheduled": result.throughput_scheduled_bps,
             "contended": result.throughput_contended_bps,
@@ -174,12 +168,12 @@ def cmd_dcf_table(args) -> int:
         w_max=args.w_min * 2**args.max_stage,
         max_backoff_stage=args.max_stage,
     )
-    rows = dcfmod.cascade_table(args.contenders, args.channels, dcf)
-    cols = ("round", "contenders", "tau", "collision_prob",
-            "channel_success_prob", "cumulative_served")
-    print(",".join(cols))
-    for row in rows:
-        print(",".join(rio.format_value(row[c]) for c in cols))
+    cascade = dcfmod.contention_cascade(args.contenders, args.channels, dcf)
+    print("round,contenders,tau,collision_prob,channel_success_prob,cumulative_served")
+    for rd in cascade.rounds:
+        values = (rd.round_index, rd.contenders, rd.tau, rd.collision_prob,
+                  rd.success_prob_channel, rd.cumulative_served)
+        print(",".join(rio.format_value(v) for v in values))
     return EXIT_OK
 
 
@@ -189,8 +183,6 @@ def cmd_simulate(args) -> int:
     if not report.ok:
         print(report, file=sys.stderr)
         return EXIT_VALIDATION
-    import dataclasses
-
     from .scenario import advance_frame
 
     rows = []
@@ -281,7 +273,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return COMMANDS[args.command](args)
-    except InfeasibleError as e:
+    except (InfeasibleError, dcfmod.CascadeError) as e:
         print("infeasible: %s" % e, file=sys.stderr)
         return EXIT_INFEASIBLE
     except (exp.SweepSpecError, ValueError) as e:

@@ -305,19 +305,3 @@ def handshake_time(dcf: DcfParams) -> float:
         + dcf.difs_s
         + 2.0 * dcf.prop_delay_s
     )
-
-
-def cascade_table(num_mobile: int, num_channels: int, dcf: DcfParams) -> list:
-    """Cascade rows as dicts, ready for CSV emission."""
-    summary = contention_cascade(num_mobile, num_channels, dcf)
-    return [
-        {
-            "round": rd.round_index,
-            "contenders": rd.contenders,
-            "tau": rd.tau,
-            "collision_prob": rd.collision_prob,
-            "channel_success_prob": rd.success_prob_channel,
-            "cumulative_served": rd.cumulative_served,
-        }
-        for rd in summary.rounds
-    ]

@@ -264,23 +264,6 @@ def allocate_power(
     return np.maximum(p, floors)
 
 
-def power_kkt_residual(
-    p: np.ndarray, gain_sq_over_noise: np.ndarray, p_max_w: float, floors: np.ndarray
-) -> float:
-    """Max stationarity/complementarity violation of a candidate allocation."""
-    c = np.asarray(gain_sq_over_noise, dtype=float)
-    grad = c / (1.0 + c * p) / math.log(2.0)
-    free = p > floors + 1e-9
-    resid = abs(p.sum() - p_max_w)
-    if np.any(free):
-        lam = grad[free].mean()
-        resid = max(resid, float(np.max(np.abs(grad[free] - lam))))
-        # floored users must not want more power than the free water level
-        if np.any(~free):
-            resid = max(resid, float(max(0.0, np.max(grad[~free]) - lam)))
-    return resid
-
-
 def assign_ris_static(rate_matrix: np.ndarray, num_slots: int) -> tuple:
     """Exact 0-1 assignment of static users to (subchannel, slot) pairs.
 
@@ -575,7 +558,6 @@ def joint_optimize(
     scenario: Scenario,
     channels: chan.ChannelRealization,
     beta_alpha_override: float = None,
-    max_sweeps: int = None,
 ) -> OptimizationResult:
     """Full decomposition: frame timing, then alternating power and
     centralized assignment for the static users, then distributed
@@ -618,8 +600,7 @@ def joint_optimize(
         sidx = np.asarray(static_ids, dtype=int)
         rho_static = np.full(x, radio.p_max_w / x)
         prev_obj = -math.inf
-        cap = comp.l1 if max_sweeps is None else max_sweeps
-        for sweep in range(1, cap + 1):
+        for sweep in range(1, comp.l1 + 1):
             sweeps = sweep
             ris_of, slot_of, _ = centralized_ris_config(
                 channels, static_ids, rho_static, noise, bw,

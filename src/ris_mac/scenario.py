@@ -91,10 +91,6 @@ class DcfParams:
     control_rate_bps: float = 1e6
     slot_time_s: float = 20e-6
 
-    @property
-    def payload_bits(self) -> int:
-        return self.payload_bytes * 8
-
 
 @dataclass(frozen=True)
 class UserPopulation:
@@ -143,9 +139,12 @@ class ComputeModel:
     0.5% of the transmission period at the default 200-user scenario; larger
     values penalize centralized scheduling more heavily.
 
-    ``l1`` caps the power/assignment sweeps of the joint optimization and
-    enters the operation count.  ``l2`` and ``l3`` only feed the complexity
-    counters (``centralized_ops`` and ``distributed_ops``); they cap no loop.
+    ``l1`` is the one cap on the power/assignment sweeps of the joint
+    optimization, and it enters the operation count.  ``l2`` and ``l3`` cap
+    no loop: they are the paper's iteration constants of the centralized and
+    distributed complexity counters (``centralized_ops`` and
+    ``distributed_ops``) that ``optimize`` reports, and saved scenario files
+    carry them, so they stay fields.
     """
 
     kappa_s_per_op: float = 1.6e-9

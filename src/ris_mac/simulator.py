@@ -144,11 +144,6 @@ def resolve_backoff(pick: np.ndarray, counters: np.ndarray, w_max: int) -> tuple
     return occupied, lead, collided, tied
 
 
-def _user_rate_via(channels, alloc, k, m, noise_w, bw_hz):
-    s = chan.amplitude_snr(channels.aligned_amplitude[k, m], float(alloc.rho_sq_w[k]), noise_w)
-    return chan.rate_bps(s, bw_hz)
-
-
 def run_frame(
     scenario: Scenario,
     channels: chan.ChannelRealization,
@@ -205,7 +200,8 @@ def run_frame(
         m = int(alloc.ris_of_user[k])
         ch = scenario.ris.subchannel_of_ris[m]
         t_slot = sched_start + j * dcf.data_slot_s
-        rate = _user_rate_via(channels, alloc, k, m, noise, bw)
+        snr = chan.amplitude_snr(channels.aligned_amplitude[k, m], float(alloc.rho_sq_w[k]), noise)
+        rate = chan.rate_bps(snr, bw)
         delivered = dcf.data_slot_s * rate
         events.append(TraceEvent(t_slot, "slot-grant", k, ch, m))
         events.append(TraceEvent(t_slot, "data", k, ch, m, delivered))

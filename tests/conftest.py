@@ -1,3 +1,5 @@
+import numpy as np
+
 from ris_mac.scenario import default_scenario
 
 
@@ -35,3 +37,13 @@ def random_link(rng, n):
     h = rng.normal(size=n) + 1j * rng.normal(size=n)
     g = rng.normal(size=n) + 1j * rng.normal(size=n)
     return r, h, g
+
+
+def aligned_gain_magnitude(r: complex, h: np.ndarray, g: np.ndarray) -> float:
+    """|r| + sum |h_n||g_n|, the phase-aligned composite amplitude."""
+    return float(np.abs(r) + np.sum(np.abs(h) * np.abs(g)))
+
+
+def composite_gain(r, h, g, theta) -> complex:
+    """Composite channel r + sum_n h_n * e^{j theta_n} * g_n at explicit phases."""
+    return complex(r + np.sum(np.asarray(h) * np.exp(1j * np.asarray(theta)) * np.asarray(g)))

@@ -9,6 +9,7 @@ figure-level criteria check orderings and curve shapes, not magnitudes.
 import itertools
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from ris_mac.experiments import SweepSpec, parse_sweep, run_cell, run_experiment
 from ris_mac.optimizer import joint_optimize
 from ris_mac.scenario import DcfParams, classify_users, default_scenario
 
-from conftest import random_link
+from conftest import aligned_gain_magnitude, composite_gain, random_link
 
 W_PAPER, L_PAPER = 15, 6
 SEEDS_20 = list(range(1, 21))
@@ -76,8 +77,8 @@ def test_criterion_1_phase_alignment_optimality():
                 scale = 10.0 ** rng.uniform(-6, 0)
                 r, h, g = random_link(rng, n)
                 r, h, g = scale * r, scale * h, g
-                aligned = abs(chan.effective_gain(r, h, g, chan.align_phases(r, h, g)))
-                bound = chan.aligned_gain_magnitude(r, h, g)
+                aligned = abs(composite_gain(r, h, g, chan.align_phases(r, h, g)))
+                bound = aligned_gain_magnitude(r, h, g)
                 assert abs(aligned - bound) <= 1e-9 * bound
 
 
@@ -282,7 +283,7 @@ def test_criterion_11_determinism(tmp_path, monkeypatch):
             rio.write_table(rows, RESULT_COLUMNS, out)
             rio.write_manifest(out + ".manifest.json", None, [1, 2, 3], "users=20:40:20", [out])
             blobs.append(
-                (open(out, "rb").read(), open(out + ".manifest.json", "rb").read())
+                (Path(out).read_bytes(), Path(out + ".manifest.json").read_bytes())
             )
         assert blobs[0][0] == blobs[1][0]
         assert blobs[0][1] == blobs[1][1]

@@ -15,33 +15,30 @@ from ris_mac.scenario import (
     default_scenario,
 )
 
-from conftest import random_link, small_scenario
+from conftest import aligned_gain_magnitude, composite_gain, random_link, small_scenario
 
 
 class TestEffectiveGain:
     def test_aligned_unit_case(self):
-        phases = chan.PhaseConfig(theta=np.zeros(1))
-        got = chan.effective_gain(1.0, np.ones(1), np.ones(1), phases)
-        assert got == pytest.approx(2.0)
-
-    def test_length_mismatch_rejected(self):
-        phases = chan.PhaseConfig(theta=np.zeros(2))
-        with pytest.raises(ValueError):
-            chan.effective_gain(1.0, np.ones(3), np.ones(3), phases)
+        ones = np.ones((1, 1, 1), dtype=complex)
+        ch = chan.ChannelRealization(g=ones, h=ones, r=np.ones(1, dtype=complex))
+        assert ch.aligned_amplitude[0, 0] == 2.0
+        theta = chan.align_phases(1.0, np.ones(1), np.ones(1))
+        assert composite_gain(1.0, np.ones(1), np.ones(1), theta) == pytest.approx(2.0)
 
     def test_random_phases_never_beat_triangle_bound(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
             r, h, g = random_link(rng, 6)
-            bound = chan.aligned_gain_magnitude(r, h, g)
-            theta = chan.PhaseConfig(theta=rng.uniform(0, 2 * np.pi, 6))
-            assert abs(chan.effective_gain(r, h, g, theta)) <= bound + 1e-12
+            bound = aligned_gain_magnitude(r, h, g)
+            theta = rng.uniform(0, 2 * np.pi, 6)
+            assert abs(composite_gain(r, h, g, theta)) <= bound + 1e-12
 
 
 class TestAlignPhases:
     def test_already_aligned_all_ones(self):
         got = chan.align_phases(1.0, np.ones(3), np.ones(3))
-        assert np.allclose(got.theta, 0.0)
+        assert np.allclose(got, 0.0)
 
     def test_documented_two_element_case(self):
         # arg r = pi/2, arg h = (0, pi), arg g = (pi/4, 0)
@@ -49,26 +46,39 @@ class TestAlignPhases:
         h = np.array([1.0, -1.0])
         g = np.array([np.exp(1j * np.pi / 4), 1.0])
         got = chan.align_phases(r, h, g)
-        assert got.theta == pytest.approx([np.pi / 4, 3 * np.pi / 2])
+        assert got == pytest.approx([np.pi / 4, 3 * np.pi / 2])
 
     def test_zero_magnitude_element_pins_phase_to_zero(self):
         got = chan.align_phases(1j, np.array([0.0, 1.0]), np.array([1.0, 1j]))
-        assert got.theta[0] == 0.0
+        assert got[0] == 0.0
+
+    def test_returns_1d_float_array_in_range(self):
+        # arg r - arg h - arg g = -1e-17 rounds to 2*pi under mod: a full turn
+        assert np.mod(-1e-17, 2 * np.pi) == 2 * np.pi
+        h = np.array([1.0, np.exp(1e-17j), 1j, -1.0])
+        g = np.array([1.0, 1.0, 1.0, 1j])
+        got = chan.align_phases(1.0 + 0j, h, g)
+        assert isinstance(got, np.ndarray)
+        assert got.ndim == 1 and got.shape == (4,)
+        assert got.dtype == np.float64
+        assert np.all(got >= 0.0) and np.all(got < 2 * np.pi)
+        assert got[1] == 0.0
+        assert got.tolist() == pytest.approx([0.0, 0.0, 3 * np.pi / 2, np.pi / 2])
 
     def test_achieves_triangle_equality(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
             r, h, g = random_link(rng, 8)
             theta = chan.align_phases(r, h, g)
-            gain = abs(chan.effective_gain(r, h, g, theta))
-            assert gain == pytest.approx(chan.aligned_gain_magnitude(r, h, g), rel=1e-12)
+            gain = abs(composite_gain(r, h, g, theta))
+            assert gain == pytest.approx(aligned_gain_magnitude(r, h, g), rel=1e-12)
 
     def test_beats_random_search_oracle(self):
         # 100 draws, 1000 random phase vectors each
         rng = np.random.default_rng(2)
         for _ in range(100):
             r, h, g = random_link(rng, 5)
-            aligned = abs(chan.effective_gain(r, h, g, chan.align_phases(r, h, g)))
+            aligned = abs(composite_gain(r, h, g, chan.align_phases(r, h, g)))
             thetas = rng.uniform(0, 2 * np.pi, size=(1000, 5))
             gains = np.abs(r + (h * g) @ np.exp(1j * thetas.T))
             assert aligned >= gains.max() - 1e-12
@@ -77,31 +87,28 @@ class TestAlignPhases:
         rng = np.random.default_rng(3)
         for _ in range(50):
             r, h, g = random_link(rng, 7)
-            full = chan.aligned_gain_magnitude(r, h, g)
-            fewer = chan.aligned_gain_magnitude(r, h[:-1], g[:-1])
+            full = aligned_gain_magnitude(r, h, g)
+            fewer = aligned_gain_magnitude(r, h[:-1], g[:-1])
             assert full >= fewer
 
 
 class TestSnrAndRate:
     def test_unit_case(self):
-        phases = chan.PhaseConfig(theta=np.zeros(1))
-        got = chan.snr(1.0, np.zeros(1), np.zeros(1), phases, 1.0, 1.0)
-        assert got == pytest.approx(1.0)
+        assert chan.amplitude_snr(1.0, 1.0, 1.0) == pytest.approx(1.0)
 
     def test_linear_in_power(self):
         rng = np.random.default_rng(4)
         r, h, g = random_link(rng, 4)
-        phases = chan.align_phases(r, h, g)
-        one = chan.snr(r, h, g, phases, 1.0, 1e-3)
-        two = chan.snr(r, h, g, phases, 2.0, 1e-3)
+        amp = abs(composite_gain(r, h, g, chan.align_phases(r, h, g)))
+        one = chan.amplitude_snr(amp, 1.0, 1e-3)
+        two = chan.amplitude_snr(amp, 2.0, 1e-3)
         assert two == pytest.approx(2.0 * one, rel=1e-12)
 
     def test_rejects_nonpositive_power_or_noise(self):
-        phases = chan.PhaseConfig(theta=np.zeros(1))
         with pytest.raises(ValueError):
-            chan.snr(1.0, np.ones(1), np.ones(1), phases, 0.0, 1.0)
+            chan.amplitude_snr(2.0, 0.0, 1.0)
         with pytest.raises(ValueError):
-            chan.snr(1.0, np.ones(1), np.ones(1), phases, 1.0, -1.0)
+            chan.amplitude_snr(2.0, 1.0, -1.0)
 
     def test_four_element_desk_instance(self):
         # hand computation: r = 0.3 - 0.4j, h_n g_n products summed at the
@@ -118,7 +125,7 @@ class TestSnrAndRate:
             + (0.1 - 0.2j) * np.exp(1j * 3 * np.pi / 2) * (-0.3 + 0.5j)
         )
         want = abs(gain) ** 2 * 2.0 / 0.5
-        got = chan.snr(r, h, g, chan.PhaseConfig(theta=theta), 2.0, 0.5)
+        got = chan.amplitude_snr(abs(composite_gain(r, h, g, theta)), 2.0, 0.5)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_rate_anchor_points(self):
@@ -131,8 +138,8 @@ class TestSnrAndRate:
     def test_snr_scale_covariance(self, c):
         rng = np.random.default_rng(5)
         r, h, g = random_link(rng, 4)
-        base = chan.aligned_snr(r, h, g, 1.0, 1.0)
-        scaled = chan.aligned_snr(c * r, c * h, g, 1.0, 1.0)
+        base = chan.amplitude_snr(aligned_gain_magnitude(r, h, g), 1.0, 1.0)
+        scaled = chan.amplitude_snr(aligned_gain_magnitude(c * r, c * h, g), 1.0, 1.0)
         assert scaled == pytest.approx(c**2 * base, rel=1e-9)
 
 
@@ -209,9 +216,9 @@ class TestDrawChannels:
     def test_quasi_static_repeat_snr(self):
         s = small_scenario()
         ch = chan.draw_channels(s, 6)
-        phases = chan.align_phases(ch.r[0], ch.h[0, 0], ch.g[0, 0])
-        one = chan.snr(ch.r[0], ch.h[0, 0], ch.g[0, 0], phases, 0.01, 1e-12)
-        two = chan.snr(ch.r[0], ch.h[0, 0], ch.g[0, 0], phases, 0.01, 1e-12)
+        r, h, g = ch.r[0], ch.h[0, 0], ch.g[0, 0]
+        gains = [composite_gain(r, h, g, chan.align_phases(r, h, g)) for _ in range(2)]
+        one, two = (chan.amplitude_snr(abs(x), 0.01, 1e-12) for x in gains)
         assert one == two
 
 
@@ -237,7 +244,7 @@ class TestAlignedAmplitude:
         assert amp.shape == (ch.num_users, ch.num_ris)
         for k in range(ch.num_users):
             for m in range(ch.num_ris):
-                assert amp[k, m] == chan.aligned_gain_magnitude(ch.r[k], ch.h[k, m], ch.g[k, m])
+                assert amp[k, m] == aligned_gain_magnitude(ch.r[k], ch.h[k, m], ch.g[k, m])
 
     def test_computed_once_per_realization(self, realization):
         _, ch = realization

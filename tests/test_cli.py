@@ -3,6 +3,7 @@ serialization, and byte-identical reruns."""
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -71,7 +72,7 @@ class TestCommands:
         out = str(tmp_path / "result.json")
         code = cli.main(["optimize", "--scenario", path, "--out", out])
         assert code == cli.EXIT_OK
-        payload = json.loads(open(out).read())
+        payload = json.loads(Path(out).read_text())
         assert payload["frame"]["alpha"] + payload["frame"]["beta"] == pytest.approx(1.0)
         assert payload["throughput_bps"]["overall"] > 0
 
@@ -82,8 +83,8 @@ class TestCommands:
         out2 = str(tmp_path / "r2.json")
         assert cli.main(["optimize", "--scenario", path, "--dump-channels", dump, "--out", out1]) == 0
         assert cli.main(["optimize", "--scenario", path, "--replay-channels", dump, "--out", out2]) == 0
-        a = json.loads(open(out1).read())
-        b = json.loads(open(out2).read())
+        a = json.loads(Path(out1).read_text())
+        b = json.loads(Path(out2).read_text())
         assert a["throughput_bps"]["overall"] == pytest.approx(
             b["throughput_bps"]["overall"], rel=1e-12
         )
@@ -101,7 +102,7 @@ class TestCommands:
         _, path = save_small(tmp_path, total_users=8)
         out = str(tmp_path / "frames.csv")
         assert cli.main(["simulate", "--scenario", path, "--frames", "1", "--out", out]) == 0
-        manifest = json.loads(open(out + ".manifest.json").read())
+        manifest = json.loads(Path(out + ".manifest.json").read_text())
         assert manifest["outputs"][out] == rio.file_sha256(out)
 
     def test_infeasible_rate_floor_exit_code(self, tmp_path, capsys):
@@ -109,6 +110,12 @@ class TestCommands:
         path = str(tmp_path / "tight.json")
         save_scenario(s, path)
         assert cli.main(["optimize", "--scenario", path]) == cli.EXIT_INFEASIBLE
+
+    def test_cascade_past_round_cap_is_infeasible(self, capsys):
+        code = cli.main(["dcf-table", "--contenders", "600", "--channels", "1"])
+        assert code == cli.EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible: non-terminating cascade: 10000 rounds")
 
     def test_simulate_runs(self, tmp_path, capsys):
         _, path = save_small(tmp_path, total_users=8)
@@ -133,7 +140,7 @@ class TestCommands:
         assert code == cli.EXIT_OK
         rows = rio.read_csv(out)
         assert {r["mode"] for r in rows} == {"proposed", "scheme2"}
-        manifest = json.loads(open(out + ".manifest.json").read())
+        manifest = json.loads(Path(out + ".manifest.json").read_text())
         assert manifest["outputs"][out] == rio.file_sha256(out)
         assert manifest["timestamp"] == "pinned"
 
@@ -142,7 +149,7 @@ class TestWriteResults:
     def test_empty_table_header_only(self, tmp_path):
         path = str(tmp_path / "empty.csv")
         rio.write_table([], ("a", "b"), path)
-        assert open(path).read() == "a,b\n"
+        assert Path(path).read_text() == "a,b\n"
 
     def test_round_trip_values(self, tmp_path):
         path = str(tmp_path / "t.csv")
@@ -163,10 +170,10 @@ class TestWriteResults:
                 "--modes", "proposed", "--seeds", "1,2", "--out", out,
             ])
             assert code == cli.EXIT_OK
-            outs.append(open(out, "rb").read())
+            outs.append(Path(out).read_bytes())
         assert outs[0] == outs[1]
 
     def test_json_format(self, tmp_path):
         path = str(tmp_path / "t.json")
         rio.write_table([{"a": 1.0}], ("a",), path, fmt="json")
-        assert json.loads(open(path).read()) == [{"a": "1"}]
+        assert json.loads(Path(path).read_text()) == [{"a": "1"}]

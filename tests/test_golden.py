@@ -8,8 +8,10 @@ events_scheme2_c4.csv runs scenario_c4.json (4 subchannels, 4 surfaces, 120
 users, written by scenario.save_scenario), so four channels resolve in one
 round.  events_proposed_c4.csv runs the same scenario in the proposed mode:
 its 60 static users fill 4 x 15 slots, so the assignment must move users
-off over-full subchannels.  elements_sweep.csv varies the surface size, so
-it pins the (U, M, N) channel draws.  A refactor must leave them byte-identical; a change that
+off over-full subchannels.  optimize_c4.json is the ``optimize`` JSON of the
+same scenario, and dcf_table_100_2.csv the stdout of ``dcf-table
+--contenders 100 --channels 2``.  elements_sweep.csv varies the surface
+size, so it pins the (U, M, N) channel draws.  A refactor must leave them byte-identical; a change that
 moves the numbers on purpose regenerates them with those commands and
 records it in CHANGES.md.  Manifests are not compared: they hold output
 paths.
@@ -46,6 +48,9 @@ RUNS = {
         "simulate", "--scenario", os.path.join(GOLDEN_DIR, "scenario_c4.json"),
         "--mode", "proposed", "--frames", "2", "--events",
     ],
+    "optimize_c4.json": [
+        "optimize", "--scenario", os.path.join(GOLDEN_DIR, "scenario_c4.json"), "--out",
+    ],
 }
 
 
@@ -57,6 +62,14 @@ def test_csv_matches_golden(name, tmp_path, monkeypatch, capsys):
     with open(os.path.join(GOLDEN_DIR, name), "rb") as f:
         want = f.read()
     assert out.read_bytes() == want
+
+
+def test_dcf_table_matches_golden(capsys):
+    argv = ["dcf-table", "--contenders", "100", "--channels", "2"]
+    assert cli.main(argv) == cli.EXIT_OK
+    with open(os.path.join(GOLDEN_DIR, "dcf_table_100_2.csv"), "rb") as f:
+        want = f.read()
+    assert capsys.readouterr().out.encode() == want
 
 
 def test_pool_path_matches_golden(tmp_path, monkeypatch, capsys):

@@ -11,7 +11,7 @@ from ris_mac.experiments import run_cell
 from ris_mac.optimizer import joint_optimize
 from ris_mac.scenario import DcfParams, classify_users, default_scenario
 
-from conftest import small_scenario
+from conftest import composite_gain, small_scenario
 
 
 def planned_frame(scenario, seed, mode="proposed", beta_alpha=None):
@@ -147,7 +147,9 @@ class TestScheduledPeriod:
             snr = chan.amplitude_snr(channels.aligned_amplitude[k, m], rho, radio.noise_w)
             assert e.value == slot_s * chan.rate_bps(snr, radio.subchannel_bw_hz)
             r, h, g = channels.r[k], channels.h[k, m], channels.g[k, m]
-            phased = chan.snr(r, h, g, chan.align_phases(r, h, g), rho, radio.noise_w)
+            phased = chan.amplitude_snr(
+                abs(composite_gain(r, h, g, chan.align_phases(r, h, g))), rho, radio.noise_w
+            )
             assert e.value == pytest.approx(
                 slot_s * chan.rate_bps(phased, radio.subchannel_bw_hz), rel=1e-12
             )
