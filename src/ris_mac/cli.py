@@ -163,6 +163,11 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_dcf_table(args) -> int:
+    for flag, value, low in (("--contenders", args.contenders, 0), ("--channels", args.channels, 1),
+                             ("--w-min", args.w_min, 1), ("--max-stage", args.max_stage, 0)):
+        if value < low:
+            print("error: %s must be >= %d (got %d)" % (flag, low, value), file=sys.stderr)
+            return EXIT_USAGE
     dcf = DcfParams(
         w_min=args.w_min,
         w_max=args.w_min * 2**args.max_stage,

@@ -12,7 +12,6 @@ change the results.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from . import channel as chan
@@ -242,6 +241,8 @@ def run_experiment(template: Scenario, sweep: SweepSpec, seeds, modes=("proposed
     jobs = [(template_dict, sweep.axis, value, modes, seed) for value, seed in keys]
     workers = max_workers()
     if workers > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # its import costs ~24 ms
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_value_job, jobs))
     else:

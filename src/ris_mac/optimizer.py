@@ -372,7 +372,7 @@ def centralized_ris_config(
     """
     rates = chan.aligned_rate_matrix(channels, static_ids, rho_sq_w, noise_w, bw_hz)
     sub_of = np.asarray(subchannel_of_ris)
-    surfaces = [np.flatnonzero(sub_of == ch) for ch in np.unique(sub_of)]
+    surfaces = [np.flatnonzero(sub_of == ch) for ch in sorted(set(sub_of.tolist()))]
     # (X, C_s): each user's best surface on each subchannel that carries one
     best = np.stack([ms[rates[:, ms].argmax(axis=1)] for ms in surfaces], axis=1)
     col_of, slot_of, objective = assign_ris_static(

@@ -348,8 +348,13 @@ def validate_scenario(s: Scenario) -> ValidationReport:
             rep.add("%s must be finite" % name)
 
     d = s.dcf
+    if d.w_min < 1:
+        rep.add("w_min >= 1 violated (w_min=%d)" % d.w_min)
     if d.w_min > d.w_max:
         rep.add("w_min <= w_max violated (%d > %d)" % (d.w_min, d.w_max))
+    if d.w_max >= 2**31:
+        # the contention round sorts int64 keys of (channel, counter, index)
+        rep.add("w_max < 2^31 violated (w_max=%d)" % d.w_max)
     if d.w_max != d.w_min * 2**d.max_backoff_stage:
         rep.add(
             "w_max = w_min * 2^stage violated (%d != %d * 2^%d)"

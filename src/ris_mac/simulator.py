@@ -7,24 +7,31 @@ aligned amplitude |r| + sum |h||g| (every element co-phased with the direct
 path; allocations carry only surface, slot and power), the same gain the
 optimizer and the contended grants read.  The contended period advances in
 rounds of one handshake time t_r each.  A round draws every remaining
-contender's subchannel pick and then its backoff counter, from its window
-min(w_min * 2^stage, w_max), in one array call whose bounds are C_s per
-pick followed by the windows; numpy consumes the bit stream for an
-array-bound draw element by element as for the same scalar draws, so the
-stream equals per-user draws in sorted-id order.  One stable sort of the
-channel-major key pick * (w_max + 1) + counter resolves every occupied
+contender's subchannel pick and then its backoff counter in one array call
+on a per-frame bounds array: C_s per pick (filled once per frame) followed by
+each contender's window, read from the per-stage table min(w_min * 2^s,
+w_max); numpy consumes the bit stream for an array-bound draw element by
+element as for the same scalar draws, so the stream equals per-user draws in
+sorted-id order.  One sort of the unique channel-major key
+(pick * (w_max + 1) + counter) * n + index resolves every occupied
 subchannel at once: each channel's group is led by its minimum counter,
 whose unique holder wins, while a tie is a collision that raises the tied
-users' stages.  The windows are kept across rounds and recomputed only for
-those tied users, and a round that serves anyone shrinks the contender
-arrays with one keep-mask.  The BS paces its CTS grants to the closed-form
-service recursion (it sizes the contention budget from that recursion and
-admits accordingly), so the rounds-to-all-served tracks the analytic round
-count while the seed decides which user wins which round, on which channel,
-and at what rate; a granted collided channel re-draws its winner among its
-contenders in ascending index order.  Backoff airtime is not part of the
-t_r budget, matching the handshake-time accounting; counters are logged as
-event metadata.
+users' stages, and only their entries of the bounds are rewritten.  A round
+that serves anyone shrinks the per-frame state with one keep-mask.  The
+grant order is a permutation of the occupied channels, drawn only when two
+or more are occupied: permutation(0) and permutation(1) consume no bits.
+The BS paces its CTS grants to the closed-form service recursion (it sizes
+the contention budget from that recursion and admits accordingly), so the
+rounds-to-all-served tracks the analytic round count while the seed decides
+which user wins which round, on which channel, and at what rate; a granted
+collided channel re-draws its winner among its contenders in ascending index
+order.  Backoff airtime is not part of the t_r budget, matching the
+handshake-time accounting; counters are logged as event metadata.
+
+A grant's rate stays a scalar chain per grant (optimizer.distributed_ris_select
+over Python floats): numpy's ``a**2`` and Python's ``float(a)**2`` differ in
+the last bit for some values, so rates computed as arrays would move table
+bytes.
 
 Benchmarks: scheme 1 schedules every existing user centrally (new arrivals
 wait a frame); scheme 2 lets everyone contend.  Both run against the same
@@ -97,23 +104,22 @@ def user_classes(scenario: Scenario) -> np.ndarray:
     return cls
 
 
-def contention_windows(stage: np.ndarray, dcf) -> np.ndarray:
-    """Binary exponential backoff: cw = min(w_min * 2^stage, w_max) per contender."""
-    return np.minimum(dcf.w_min * 2**stage, dcf.w_max)
-
-
-def next_stage(stage: np.ndarray, dcf) -> np.ndarray:
-    """Backoff stages after a collision: one up, capped at max_backoff_stage."""
-    return np.minimum(stage + 1, dcf.max_backoff_stage)
+def window_table(dcf) -> list:
+    """Binary exponential backoff: the window min(w_min * 2^s, w_max) at each
+    stage s = 0..max_backoff_stage; a collision moves a contender one stage
+    up, capped at the last."""
+    return [min(dcf.w_min * 2**s, dcf.w_max) for s in range(dcf.max_backoff_stage + 1)]
 
 
 def resolve_backoff(pick: np.ndarray, counters: np.ndarray, w_max: int) -> tuple:
     """First-expiry resolution of one round on every occupied subchannel.
 
-    One stable sort of the channel-major key ``pick * (w_max + 1) + counter``
-    groups the contenders by channel, each group led by its minimum counter
+    One sort of the unique key ``(pick * (w_max + 1) + counter) * n + index``
+    groups the n contenders by channel, each group led by its minimum counter
     with ties in ascending index order (counters are below w_max, so keys
-    never cross a channel); each group's bounds and its run of minimum keys
+    never cross a channel; they fit int64 while C_s * (w_max + 1) * n stays
+    below 2^63, which ``validate_scenario``'s w_max < 2^31 keeps for any
+    C_s * n below 2^32); each group's bounds and its run of minimum keys
     are then found by bisection.  Returns lists (occupied, lead, collided,
     tied):
 
@@ -124,22 +130,24 @@ def resolve_backoff(pick: np.ndarray, counters: np.ndarray, w_max: int) -> tuple
       those users' RTS frames collide and the channel has no winner;
     - ``tied``: the indices of every tied user, ascending within a channel.
     """
-    span = w_max + 1
-    key = pick * span + counters
-    order = key.argsort(kind="stable")
-    key, order = key[order].tolist(), order.tolist()
+    n = len(counters)
+    per_channel = (w_max + 1) * n
+    keys = (pick * (w_max + 1) + counters) * n + np.arange(n)
+    keys.sort()  # in place: np.sort would copy the fresh array
+    keys = keys.tolist()
     occupied, lead, collided, tied = [], [], [], []
     start = 0
-    while start < len(key):
-        c = key[start] // span
-        end = bisect.bisect_left(key, (c + 1) * span, start)
-        run = bisect.bisect_right(key, key[start], start, end)
+    while start < n:
+        first = keys[start]
+        c = first // per_channel
+        end = bisect.bisect_left(keys, (c + 1) * per_channel, start)
+        run = bisect.bisect_left(keys, (first // n + 1) * n, start, end)
         tie = run - start > 1
         occupied.append(c)
-        lead.append(order[start])
+        lead.append(first % n)
         collided.append(tie)
         if tie:
-            tied.extend(order[start:run])
+            tied.extend(key % n for key in keys[start:run])
         start = end
     return occupied, lead, collided, tied
 
@@ -269,37 +277,38 @@ def _run_contention(
             channels, k, ris_on_channel[c], float(alloc.rho_sq_w[k]), noise, bw
         )
 
-    remaining = np.array(sorted(contenders), dtype=int)
-    stage = np.zeros(remaining.size, dtype=int)
-    cw = contention_windows(stage, dcf)  # kept across rounds, moved only by ties
-    schedule = dcfmod.ServiceSchedule(
-        remaining.size, len(live_channels), dcf.w_min, dcf.max_backoff_stage
-    )
+    # per-frame state, indexed like the sorted contender ids: each one's
+    # backoff stage, and the draw bounds, C_s per pick (unless the picks are
+    # CSI-fixed) followed by each one's window, so a round is one RNG call
+    remaining = sorted(int(k) for k in contenders)
+    n = len(remaining)
+    stage = [0] * n
+    windows = window_table(dcf)
+    top = dcf.max_backoff_stage
+    draw_picks = not scenario.csi_best_channel
+    lo = n if draw_picks else 0  # where the windows start in the bounds
+    bounds = np.full(lo + n, len(live_channels), dtype=np.int64)
+    bounds[lo:] = windows[0]
+    schedule = dcfmod.ServiceSchedule(n, len(live_channels), dcf.w_min, top)
     rounds_budget = int(math.floor(budget_s / t_r + 1e-9))
-    best_channel = None  # csi_best_channel picks, fixed when the first round starts
+    best_channel = None  # csi_best_channel picks, fixed before the first round
+    if not draw_picks and rounds_budget > 0:
+        best_channel = np.array(
+            [np.argmax([select(k, c)[1] for c in range(len(live_channels))]) for k in remaining]
+        )
 
     rounds = collisions = grant_shortfall = 0
-    while remaining.size and rounds < rounds_budget:
+    while n and rounds < rounds_budget:
         t_rts = start_s + rounds * t_r + dcf.difs_s
         quota = schedule.advance()
-        if scenario.csi_best_channel:
-            if best_channel is None:
-                best_channel = np.array(
-                    [np.argmax([select(int(k), c)[1] for c in range(len(live_channels))])
-                     for k in remaining]
-                )
-            pick = best_channel
-            counters = rng.integers(0, cw)
-        else:
-            n = remaining.size
-            draws = rng.integers(0, np.concatenate((np.full(n, len(live_channels)), cw)))
-            pick, counters = draws[:n], draws[n:]
+        draws = rng.integers(0, bounds)
+        pick = draws[:n] if draw_picks else best_channel
+        counters = draws[lo:]
 
         occupied, lead, collided, tied = resolve_backoff(pick, counters, dcf.w_max)
-        if tied:
-            tied = np.array(tied)
-            stage[tied] = raised = next_stage(stage[tied], dcf)
-            cw[tied] = contention_windows(raised, dcf)
+        for i in tied:
+            s = stage[i] = min(stage[i] + 1, top)
+            bounds[lo + i] = windows[s]
         for c, i, tie in zip(occupied, lead, collided):
             if tie:
                 collisions += 1
@@ -307,7 +316,11 @@ def _run_contention(
                     TraceEvent(t_rts, "collision", -1, live_channels[c], -1, float(counters[i]))
                 )
 
-        grant_order = rng.permutation(len(occupied)).tolist()
+        # permutation(0) and permutation(1) draw no bits, so one channel needs no call
+        if len(occupied) > 1:
+            grant_order = rng.permutation(len(occupied)).tolist()
+        else:
+            grant_order = [0]
         grants = min(quota, len(occupied))
         if grants < quota:
             # model demanded more serves than there are contended channels;
@@ -322,7 +335,7 @@ def _run_contention(
                 # of the channel's contenders, in ascending index order
                 here = np.flatnonzero(pick == c)
                 i = int(here[rng.integers(0, here.size)])
-            k, ch = int(remaining[i]), live_channels[c]
+            k, ch = remaining[i], live_channels[c]
             m_star, rate = select(k, c)
             t_cts = t_rts + rts_s + dcf.sifs_s
             t_data = t_cts + cts_s + dcf.sifs_s
@@ -338,17 +351,23 @@ def _run_contention(
             if not collided[g]:
                 i = lead[g]
                 events.append(
-                    TraceEvent(t_rts, "rts", int(remaining[i]), live_channels[occupied[g]], -1,
+                    TraceEvent(t_rts, "rts", remaining[i], live_channels[occupied[g]], -1,
                                float(counters[i]))
                 )
         if granted:
-            keep = np.ones(remaining.size, dtype=bool)
+            keep = np.ones(n, dtype=bool)
             keep[granted] = False
-            remaining, stage, cw = remaining[keep], stage[keep], cw[keep]
+            kept_windows = bounds[lo:][keep]
+            for i in sorted(granted, reverse=True):
+                del remaining[i], stage[i]
+            n = len(remaining)
+            lo = n if draw_picks else 0
+            bounds = bounds[: lo + n]
+            bounds[lo:] = kept_windows
             if best_channel is not None:
                 best_channel = best_channel[keep]
         rounds += 1
-    return rounds, collisions, grant_shortfall, int(remaining.size)
+    return rounds, collisions, grant_shortfall, n
 
 
 def measure_throughput(trace: FrameTrace, frame: opt.FrameConfig) -> tuple:

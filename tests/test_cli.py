@@ -61,11 +61,29 @@ class TestCommands:
         save_scenario(s, path)
         assert cli.main(["validate", "--scenario", path]) == cli.EXIT_VALIDATION
 
+    def test_validate_rejects_zero_window(self, tmp_path, capsys):
+        s = small_scenario()
+        s = dataclasses.replace(s, dcf=dataclasses.replace(s.dcf, w_min=0, w_max=0))
+        path = str(tmp_path / "zero_window.json")
+        save_scenario(s, path)
+        assert cli.main(["validate", "--scenario", path]) == cli.EXIT_VALIDATION
+        assert cli.main(["simulate", "--scenario", path, "--frames", "1"]) == cli.EXIT_VALIDATION
+
     def test_dcf_table_prints_rows(self, capsys):
         assert cli.main(["dcf-table", "--contenders", "3", "--channels", "2"]) == cli.EXIT_OK
         out = capsys.readouterr().out.strip().splitlines()
         assert out[0].startswith("round,contenders,tau")
         assert len(out) > 1
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--channels", "0"), ("--contenders", "-3"), ("--w-min", "0"), ("--max-stage", "-1"),
+    ])
+    def test_dcf_table_bad_argument_is_usage_error(self, capsys, flag, value):
+        argv = {"--contenders": "5", "--channels": "2", flag: value}
+        code = cli.main(["dcf-table", *(x for kv in argv.items() for x in kv)])
+        assert code == cli.EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: %s must be >= " % flag)
 
     def test_optimize_writes_result(self, tmp_path, capsys):
         _, path = save_small(tmp_path, total_users=8)

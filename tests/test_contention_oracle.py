@@ -4,6 +4,9 @@ contention_oracle.py holds that loop verbatim.  Each case plans one frame
 and replays it through both engines from the same seed; every event, the
 served and bits arrays and the four returned counts must be equal, so the
 RNG stream, the tie order and the kept windows all match the reference.
+Besides the reference DCF, two edge DCFs run: w_min = 1, whose stage-0
+window of 1 is a draw that consumes no bits, and max_backoff_stage = 0,
+whose window never moves.
 """
 
 import dataclasses
@@ -16,6 +19,7 @@ from ris_mac import dcf as dcfmod
 from ris_mac import simulator as sim
 from ris_mac.optimizer import joint_optimize
 from ris_mac.scenario import (
+    DcfParams,
     RadioParams,
     build_population,
     default_scenario,
@@ -25,7 +29,13 @@ from ris_mac.scenario import (
 import contention_oracle
 
 
-def network(num_channels, num_ris, total_users=40, seed=1):
+EDGE_DCFS = {
+    "w_min_1": DcfParams(w_min=1, w_max=64, max_backoff_stage=6),
+    "one_stage": DcfParams(w_min=15, w_max=15, max_backoff_stage=0),
+}
+
+
+def network(num_channels, num_ris, total_users=40, seed=1, dcf=DcfParams()):
     """A desk-scale network with ``num_channels`` subchannels; surface m sits
     on subchannel m % num_channels, so C_s = min(num_channels, num_ris)."""
     pop = build_population(total_users, (5, 4, 1), seed=seed)
@@ -33,13 +43,14 @@ def network(num_channels, num_ris, total_users=40, seed=1):
         RadioParams(num_subchannels=num_channels, rate_min_bps=1e4), pop.num_static
     )
     return default_scenario(
-        total_users=total_users, num_ris=num_ris, elements_per_ris=8, seed=seed, radio=radio
+        total_users=total_users, num_ris=num_ris, elements_per_ris=8, seed=seed, radio=radio,
+        dcf=dcf,
     )
 
 
 @functools.lru_cache(maxsize=None)
-def planned(num_channels, num_ris, seed):
-    s = network(num_channels, num_ris)
+def planned(num_channels, num_ris, seed, dcf=DcfParams()):
+    s = network(num_channels, num_ris, dcf=dcf)
     channels = chan.draw_channels(s, seed)
     return s, channels, joint_optimize(s, channels)
 
@@ -81,6 +92,21 @@ def test_engine_matches_reference_loop(monkeypatch, num_channels, num_ris, csi, 
     assert_same(engine, reference)
     if mode != "scheme1":
         assert reference.n_r_measured > 0
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("mode", sim.MODES)
+@pytest.mark.parametrize("csi", [False, True], ids=["uniform", "csi"])
+@pytest.mark.parametrize("num_channels", [1, 2])
+@pytest.mark.parametrize("dcf_name", sorted(EDGE_DCFS))
+def test_edge_dcf_matches_reference_loop(monkeypatch, dcf_name, num_channels, csi, mode, seed):
+    s, channels, plan = planned(num_channels, 2, seed, EDGE_DCFS[dcf_name])
+    s = dataclasses.replace(s, csi_best_channel=csi)
+    frame, alloc = frame_for(s, channels, plan, mode)
+    engine, reference = both_engines(monkeypatch, s, channels, frame, alloc, mode, seed)
+    assert_same(engine, reference)
+    if mode != "scheme1":
+        assert reference.n_r_measured > 0 and reference.collisions > 0
 
 
 def test_grant_shortfall_matches_reference_loop(monkeypatch):

@@ -1,10 +1,13 @@
-"""The package runs on numpy alone.
+"""The package runs on numpy alone, and loads no module it does not use.
 
 scipy is a test dependency: the oracles use its brentq root finder, its
 linear_sum_assignment and its gammaln.  Importing it costs about a quarter
 second of start-up and tens of MB of resident memory, so the package must
-neither load it on import nor need it at runtime.  Both checks run in a
-fresh interpreter, since this test process has scipy loaded already.
+neither load it on import nor need it at runtime.  Two lighter imports are
+kept out as well: ``numpy.ma`` (about 20 ms and 1.3 MB, pulled in by
+``np.unique``) and the process-pool machinery (about 24 ms), which only a
+multi-worker sweep needs.  Every check runs in a fresh interpreter, since
+this test process has these modules loaded already.
 """
 
 import os
@@ -29,6 +32,27 @@ def test_package_import_loads_no_scipy():
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
     assert run_python(code) == "[]"
+
+
+def test_package_import_loads_no_process_pool():
+    code = (
+        "import sys, ris_mac\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    assert run_python(code) == "[]"
+
+
+def test_point_sweep_loads_no_numpy_ma():
+    code = """
+import sys
+from ris_mac import experiments as exp
+from ris_mac.scenario import default_scenario
+from ris_mac.simulator import MODES
+rows = exp.run_experiment(default_scenario(), exp.parse_sweep("point"), [1], modes=MODES)
+print(len(rows), sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")))
+"""
+    assert run_python(code) == "3 []"
 
 
 def test_point_sweep_runs_with_scipy_blocked():

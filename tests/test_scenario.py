@@ -91,6 +91,23 @@ class TestValidation:
         report = validate_scenario(s)
         assert any("w_min" in v for v in report.violations)
 
+    @pytest.mark.parametrize("w_min, w_max", [(0, 0), (0, 64), (-1, -64)])
+    def test_window_below_one_flagged(self, w_min, w_max):
+        # a window of 0 leaves no backoff counter to draw, and the analysis
+        # gives tau = 2 from it; w = w_max = 0 passes every other check
+        s = default_scenario()
+        s = dataclasses.replace(s, dcf=dataclasses.replace(s.dcf, w_min=w_min, w_max=w_max))
+        report = validate_scenario(s)
+        assert "w_min >= 1 violated (w_min=%d)" % w_min in report.violations
+
+    def test_window_too_wide_for_round_keys_flagged(self):
+        s = default_scenario()
+        wide = dataclasses.replace(s.dcf, w_min=2**26, w_max=2**31, max_backoff_stage=5)
+        report = validate_scenario(dataclasses.replace(s, dcf=wide))
+        assert report.violations == ["w_max < 2^31 violated (w_max=%d)" % 2**31]
+        ok = dataclasses.replace(wide, w_min=2**25, w_max=2**30)
+        assert validate_scenario(dataclasses.replace(s, dcf=ok)).ok
+
     def test_position_outside_area_flagged(self):
         pop = build_population(2, (1, 1, 0), positions=[(10.0, 10.0, 0.0), (99.0, 0.0, 0.0)])
         s = dataclasses.replace(default_scenario(total_users=2), population=pop)

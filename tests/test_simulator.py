@@ -29,13 +29,12 @@ def planned_frame(scenario, seed, mode="proposed", beta_alpha=None):
 
 class TestBackoff:
     def test_window_doubles_and_caps(self):
+        # eight collisions in a row walk the table and then stay on its last stage
         dcf = DcfParams(w_min=15, w_max=960, max_backoff_stage=6)
-        stage = np.zeros(1, dtype=int)
-        sizes = []
-        for _ in range(8):
-            sizes.append(int(sim.contention_windows(stage, dcf)[0]))
-            stage = sim.next_stage(stage, dcf)
+        table = sim.window_table(dcf)
+        sizes = [table[min(collided, dcf.max_backoff_stage)] for collided in range(8)]
         assert sizes == [15, 30, 60, 120, 240, 480, 960, 960]
+        assert len(table) == dcf.max_backoff_stage + 1
 
     def test_resolve_backoff_unique_min_wins(self):
         users, counters = np.array([3, 7, 9]), np.array([5, 2, 4])
@@ -103,6 +102,20 @@ class TestBackoff:
             assert draws[:n].tolist() == picks.tolist(), cause
             assert draws[n:].tolist() == counters.tolist(), cause
             assert merged.bit_generator.state == split.bit_generator.state, cause
+
+    def test_permutation_of_zero_or_one_draws_no_bits(self):
+        # a round with one occupied channel skips its grant-order shuffle;
+        # that keeps the stream only while these calls consume nothing
+        cause = "numpy %s: Generator.permutation(%d) consumed bits"
+        for size in (0, 1):
+            rng = np.random.default_rng(2026)
+            before = rng.bit_generator.state
+            assert rng.permutation(size).tolist() == list(range(size))
+            assert rng.bit_generator.state == before, cause % (np.__version__, size)
+        rng = np.random.default_rng(2026)
+        before = rng.bit_generator.state
+        rng.permutation(2)
+        assert rng.bit_generator.state != before
 
     def test_collision_appears_with_tied_draws(self):
         # two mobile users on a single subchannel: scan seeds until their
