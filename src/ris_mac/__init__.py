@@ -27,7 +27,6 @@ from .dcf import (  # noqa: F401
     channel_success_prob,
     contention_cascade,
     handshake_time,
-    slot_probabilities,
     solve_tau,
 )
 from .optimizer import (  # noqa: F401

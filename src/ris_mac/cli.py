@@ -197,10 +197,11 @@ def cmd_simulate(args) -> int:
         scen = dataclasses.replace(scen, csi_best_channel=True)
     for i in range(args.frames):
         seed = s.seed + i
-        events = []
+        events = [] if args.events else None  # frames record events only for --events
         rows.append(exp.run_cell(scen, args.mode, seed, events=events))
         rows[-1]["frame"] = i
-        event_rows.extend(dict(e._asdict(), frame=i) for e in events)
+        if events is not None:
+            event_rows.extend(dict(e._asdict(), frame=i) for e in events)
         if i + 1 < args.frames:
             # this frame's arrivals join the existing set for the next frame
             pop = advance_frame(scen.population, scen.area_side_m, seed + 7919)

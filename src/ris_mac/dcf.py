@@ -19,9 +19,11 @@ q = 1/C the terms are tau * C(N,V) V x^(V-1) q^V (1-q)^(N-V), which is tau
 times d/dx of the binomial generating function (q x + 1 - q)^N, i.e.
 tau N q (1 - q (1 - x))^(N-1), and 1 - x = tau (2 - tau).
 
-Note the idle-probability weight uses the printed exponent V-1, which makes
-P_c go negative for a single contender; slot_probabilities clamps and flags
-that case rather than silently correcting the exponent.
+Note the idle-probability weight uses the printed exponent V-1.  Read as a
+per-slot idle probability P_e = (1-tau)^(V-1), it makes the collision term
+1 - P_e - P_s negative for a single contender (P_e = 1); the success
+probability above keeps the printed exponent rather than silently
+correcting it.
 """
 
 from __future__ import annotations
@@ -102,41 +104,6 @@ def solve_tau(contenders: int, w_min: int, max_stage: int) -> tuple:
             % (max(res_p, res_tau), FIXED_POINT_MAX_ITER)
         )
     return tau, p
-
-
-@dataclass(frozen=True)
-class SlotProbabilities:
-    """Per-slot outcome probabilities on one channel with V contenders.
-
-    The printed idle exponent V-1 can drive the collision term negative
-    (V = 1 gives P_e = 1, P_c = -P_s); the raw value is kept alongside the
-    clamped one and flagged.
-    """
-
-    p_success: float
-    p_idle: float
-    p_collision: float
-    p_collision_raw: float
-    valid: bool
-
-
-def slot_probabilities(contenders_on_channel: int, tau: float) -> SlotProbabilities:
-    v = int(contenders_on_channel)
-    if v < 1:
-        raise ValueError("contenders_on_channel must be >= 1")
-    if not (0.0 < tau < 1.0):
-        raise ValueError("tau must be in (0, 1)")
-    p_s = v * tau * (1.0 - tau) ** (v - 1)
-    p_e = (1.0 - tau) ** (v - 1)
-    p_c_raw = 1.0 - p_e - p_s
-    valid = p_c_raw >= 0.0
-    return SlotProbabilities(
-        p_success=p_s,
-        p_idle=p_e,
-        p_collision=max(p_c_raw, 0.0),
-        p_collision_raw=p_c_raw,
-        valid=valid,
-    )
 
 
 def channel_success_prob(contenders: int, tau: float, num_channels: int) -> float:

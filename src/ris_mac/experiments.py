@@ -159,8 +159,9 @@ def run_cell(
     """One (scenario, mode, seed) frame; returns the per-cell measurements.
 
     ``planned`` is plan_cell(scenario, seed, beta_alpha), computed here when
-    not given.  A list passed as ``events`` is extended with the frame's
-    TraceEvents.
+    not given.  The frame records its TraceEvents only when a list is
+    passed as ``events``, which is then extended with them; sweeps pass
+    none, so their frames build no events.
     """
     channels, plan = planned or plan_cell(scenario, seed, beta_alpha)
     if mode == "proposed":
@@ -171,7 +172,7 @@ def run_cell(
         frame, alloc = sim.plan_scheme2(scenario, plan.frame.t2_s)
     else:
         raise sim.ModeMismatchError("unknown mode %r" % mode)
-    trace = sim.run_frame(scenario, channels, frame, alloc, mode, seed)
+    trace = sim.run_frame(scenario, channels, frame, alloc, mode, seed, record=events is not None)
     if events is not None:
         events.extend(trace.events)
     fairness = sim.measure_fairness([trace])

@@ -391,16 +391,16 @@ def distributed_ris_select(
 ) -> tuple:
     """Best idle surface for one mobile user.
 
-    Evaluates the aligned-phase rate on every idle RIS and returns
-    (ris_id, rate); ties break to the lowest RIS id.
+    ``idle_ris`` lists the surface ids in ascending order.  Evaluates the
+    aligned-phase rate on each of them and returns (ris_id, rate); a tie
+    keeps the first, so it breaks to the lowest RIS id.
     """
-    idle = sorted(int(m) for m in idle_ris)
-    if not idle:
+    if len(idle_ris) == 0:
         raise InfeasibleError("no RIS available for user %d" % user_id)
     amp = channels.aligned_amplitude[user_id]
     best_m = -1
     best_rate = -1.0
-    for m in idle:
+    for m in idle_ris:
         rate = chan.rate_bps(chan.amplitude_snr(amp[m], tx_power_w, noise_w), bw_hz)
         if rate > best_rate + 1e-15:
             best_rate = rate

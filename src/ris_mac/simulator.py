@@ -28,6 +28,15 @@ collided channel re-draws its winner among its contenders in ascending index
 order.  Backoff airtime is not part of the t_r budget, matching the
 handshake-time accounting; counters are logged as event metadata.
 
+A frame sums the bits of each period as it grants them, in the order a
+stable time sort of its trace holds the data events (float addition is not
+associative): scheduled grants by (slot, ascending user), contended grants
+round by round in grant order; optimizer.throughput_from_bits turns the two
+sums into S_s, S_c and S_o.  TraceEvents are built only when a caller asks
+(run_frame's ``record``, set by ``run_cell(events=[...])`` and so by
+``simulate --events``); sweep frames carry an empty event list.
+measure_throughput recomputes the three figures from a recorded trace.
+
 A grant's rate stays a scalar chain per grant (optimizer.distributed_ris_select
 over Python floats): numpy's ``a**2`` and Python's ``float(a)**2`` differ in
 the last bit for some values, so rates computed as arrays would move table
@@ -78,7 +87,7 @@ class TraceEvent(NamedTuple):
 class FrameTrace:
     mode: str
     frame: opt.FrameConfig
-    events: list
+    events: list  # time-sorted TraceEvents if the frame recorded them, else empty
     served: np.ndarray  # bool per user
     bits: np.ndarray  # delivered bits per user
     class_of_user: np.ndarray
@@ -159,8 +168,16 @@ def run_frame(
     alloc: opt.AllocationState,
     mode: str,
     seed: int,
+    record: bool = False,
 ) -> FrameTrace:
-    """Replay one frame and return its event trace and tallies."""
+    """Replay one frame and return its tallies; with ``record`` its
+    time-sorted event trace too (otherwise ``events`` is empty).
+
+    The bits of each period are summed as the grants are made, in the order
+    a stable time sort of the trace holds them: scheduled grants by (slot,
+    ascending user), contended grants round by round in grant order, so
+    measure_throughput over a recorded trace gives the same three figures.
+    """
     if mode not in MODES:
         raise ModeMismatchError("unknown mode %r" % mode)
     radio, dcf = scenario.radio, scenario.dcf
@@ -178,8 +195,9 @@ def run_frame(
     else:
         scheduled = []
         contenders = list(range(n_users))
+    slot_of, ris_of = alloc.slot_of_user.tolist(), alloc.ris_of_user.tolist()
     for k in scheduled:
-        if alloc.slot_of_user[k] < 0 or alloc.ris_of_user[k] < 0:
+        if slot_of[k] < 0 or ris_of[k] < 0:
             raise ModeMismatchError(
                 "mode %s schedules user %d but the allocation holds no grant" % (mode, k)
             )
@@ -189,50 +207,64 @@ def run_frame(
     served = np.zeros(n_users, dtype=bool)
     bits = np.zeros(n_users)
 
-    if frame.t0_s > 0:
-        for i in range(pop.num_existing):
-            events.append(TraceEvent(i * dcf.pilot_time_s, "pilot", i))
-    if frame.t1_s > 0:
-        events.append(TraceEvent(frame.t0_s, "compute"))
+    if record:
+        if frame.t0_s > 0:
+            for i in range(pop.num_existing):
+                events.append(TraceEvent(i * dcf.pilot_time_s, "pilot", i))
+        if frame.t1_s > 0:
+            events.append(TraceEvent(frame.t0_s, "compute"))
 
     sched_start = frame.t0_s + frame.t1_s
     sched_len = frame.scheduled_s if mode == "proposed" else frame.t2_s
     slots_available = int(math.floor(sched_len / dcf.data_slot_s + 1e-9))
     grants_dropped = 0
-    noise, bw = radio.noise_w, radio.subchannel_bw_hz
-    for k in sorted(scheduled):
-        j = int(alloc.slot_of_user[k])
-        if j >= slots_available:
-            grants_dropped += 1  # common transmission budget too short for this grant
-            continue
-        m = int(alloc.ris_of_user[k])
-        ch = scenario.ris.subchannel_of_ris[m]
-        t_slot = sched_start + j * dcf.data_slot_s
-        snr = chan.amplitude_snr(channels.aligned_amplitude[k, m], float(alloc.rho_sq_w[k]), noise)
-        rate = chan.rate_bps(snr, bw)
-        delivered = dcf.data_slot_s * rate
-        events.append(TraceEvent(t_slot, "slot-grant", k, ch, m))
-        events.append(TraceEvent(t_slot, "data", k, ch, m, delivered))
-        served[k] = True
-        bits[k] += delivered
+    sched_bits = 0.0
+    granted, gained = [], []
+    if scheduled:
+        noise, bw, slot_s = radio.noise_w, radio.subchannel_bw_hz, dcf.data_slot_s
+        rho = alloc.rho_sq_w.tolist()
+        amp = channels.aligned_amplitude.tolist()
+        # users are listed ascending, so the stable sort gives (slot, user) order
+        scheduled.sort(key=slot_of.__getitem__)
+        for k in scheduled:
+            j = slot_of[k]
+            if j >= slots_available:
+                grants_dropped += 1  # common transmission budget too short for this grant
+                continue
+            m = ris_of[k]
+            delivered = slot_s * chan.rate_bps(chan.amplitude_snr(amp[k][m], rho[k], noise), bw)
+            sched_bits += delivered
+            granted.append(k)
+            gained.append(delivered)
+            if record:
+                ch = scenario.ris.subchannel_of_ris[m]
+                t_slot = sched_start + j * slot_s
+                events.append(TraceEvent(t_slot, "slot-grant", k, ch, m))
+                events.append(TraceEvent(t_slot, "data", k, ch, m, delivered))
+        # each user holds at most one slot and contends in no mode that schedules it
+        served[granted] = True
+        bits[granted] = gained
 
     cont_start = sched_start + (frame.scheduled_s if mode != "scheme2" else 0.0)
     cont_budget = frame.contended_s if mode != "scheme2" else frame.t2_s
     n_r_measured = collisions = grant_shortfall = 0
+    cont_bits = 0.0
     contenders_left = len(contenders)
     if contenders and cont_budget > 0:
-        n_r_measured, collisions, grant_shortfall, contenders_left = _run_contention(
+        n_r_measured, collisions, grant_shortfall, contenders_left, cont_bits = _run_contention(
             scenario, channels, alloc, contenders, cont_start, cont_budget,
-            rng, events, served, bits,
+            rng, events if record else None, served, bits,
         )
 
-    total = frame.total_s
-    last = max((e.time_s for e in events), default=0.0)
-    if total > last:
-        events.append(TraceEvent(total, "idle"))
-    events.sort(key=itemgetter(0))  # stable: ties keep their append order
+    if record:
+        total = frame.total_s
+        last = max((e.time_s for e in events), default=0.0)
+        if total > last:
+            events.append(TraceEvent(total, "idle"))
+        events.sort(key=itemgetter(0))  # stable: ties keep their append order
 
-    trace = FrameTrace(
+    s_s, s_c, s_o = opt.throughput_from_bits(frame, sched_bits, cont_bits)
+    return FrameTrace(
         mode=mode,
         frame=frame,
         events=events,
@@ -244,12 +276,10 @@ def run_frame(
         grants_dropped=grants_dropped,
         grant_shortfall=grant_shortfall,
         contenders_left=contenders_left,
+        throughput_scheduled_bps=s_s,
+        throughput_contended_bps=s_c,
+        throughput_overall_bps=s_o,
     )
-    s_s, s_c, s_o = measure_throughput(trace, frame)
-    trace.throughput_scheduled_bps = s_s
-    trace.throughput_contended_bps = s_c
-    trace.throughput_overall_bps = s_o
-    return trace
 
 
 def _run_contention(
@@ -257,7 +287,9 @@ def _run_contention(
 ):
     """Round-paced DCF with BS-gated grants.
 
-    Returns (rounds, collisions, grant_shortfall, contenders_left).
+    Appends the rounds' TraceEvents to ``events`` unless it is None.
+    Returns (rounds, collisions, grant_shortfall, contenders_left, bits),
+    ``bits`` summed over the grants round by round in grant order.
     """
     radio, dcf = scenario.radio, scenario.dcf
     t_r = dcfmod.handshake_time(dcf)
@@ -271,11 +303,10 @@ def _run_contention(
     ]
 
     noise, bw = radio.noise_w, radio.subchannel_bw_hz
+    rho = alloc.rho_sq_w.tolist()
 
     def select(k, c):
-        return opt.distributed_ris_select(
-            channels, k, ris_on_channel[c], float(alloc.rho_sq_w[k]), noise, bw
-        )
+        return opt.distributed_ris_select(channels, k, ris_on_channel[c], rho[k], noise, bw)
 
     # per-frame state, indexed like the sorted contender ids: each one's
     # backoff stage, and the draw bounds, C_s per pick (unless the picks are
@@ -298,6 +329,7 @@ def _run_contention(
         )
 
     rounds = collisions = grant_shortfall = 0
+    bits_sum = 0.0
     while n and rounds < rounds_budget:
         t_rts = start_s + rounds * t_r + dcf.difs_s
         quota = schedule.advance()
@@ -309,12 +341,13 @@ def _run_contention(
         for i in tied:
             s = stage[i] = min(stage[i] + 1, top)
             bounds[lo + i] = windows[s]
-        for c, i, tie in zip(occupied, lead, collided):
-            if tie:
-                collisions += 1
-                events.append(
-                    TraceEvent(t_rts, "collision", -1, live_channels[c], -1, float(counters[i]))
-                )
+        collisions += sum(collided)
+        if events is not None:
+            for c, i, tie in zip(occupied, lead, collided):
+                if tie:
+                    events.append(TraceEvent(
+                        t_rts, "collision", -1, live_channels[c], -1, float(counters[i])
+                    ))
 
         # permutation(0) and permutation(1) draw no bits, so one channel needs no call
         if len(occupied) > 1:
@@ -335,25 +368,29 @@ def _run_contention(
                 # of the channel's contenders, in ascending index order
                 here = np.flatnonzero(pick == c)
                 i = int(here[rng.integers(0, here.size)])
-            k, ch = remaining[i], live_channels[c]
+            k = remaining[i]
             m_star, rate = select(k, c)
-            t_cts = t_rts + rts_s + dcf.sifs_s
-            t_data = t_cts + cts_s + dcf.sifs_s
             delivered = dcf.payload_time_s * rate
-            events.append(TraceEvent(t_rts, "rts", k, ch, m_star, float(counters[i])))
-            events.append(TraceEvent(t_cts, "cts", k, ch, m_star))
-            events.append(TraceEvent(t_data, "data", k, ch, m_star, delivered))
             served[k] = True
             bits[k] += delivered
+            bits_sum += delivered
             granted.append(i)
-        # candidates that expired without a grant sent an RTS the BS ignored
-        for g in grant_order[grants:]:
-            if not collided[g]:
-                i = lead[g]
-                events.append(
-                    TraceEvent(t_rts, "rts", remaining[i], live_channels[occupied[g]], -1,
-                               float(counters[i]))
-                )
+            if events is not None:
+                ch = live_channels[c]
+                t_cts = t_rts + rts_s + dcf.sifs_s
+                t_data = t_cts + cts_s + dcf.sifs_s
+                events.append(TraceEvent(t_rts, "rts", k, ch, m_star, float(counters[i])))
+                events.append(TraceEvent(t_cts, "cts", k, ch, m_star))
+                events.append(TraceEvent(t_data, "data", k, ch, m_star, delivered))
+        if events is not None:
+            # candidates that expired without a grant sent an RTS the BS ignored
+            for g in grant_order[grants:]:
+                if not collided[g]:
+                    i = lead[g]
+                    events.append(
+                        TraceEvent(t_rts, "rts", remaining[i], live_channels[occupied[g]], -1,
+                                   float(counters[i]))
+                    )
         if granted:
             keep = np.ones(n, dtype=bool)
             keep[granted] = False
@@ -367,11 +404,12 @@ def _run_contention(
             if best_channel is not None:
                 best_channel = best_channel[keep]
         rounds += 1
-    return rounds, collisions, grant_shortfall, n
+    return rounds, collisions, grant_shortfall, n, bits_sum
 
 
 def measure_throughput(trace: FrameTrace, frame: opt.FrameConfig) -> tuple:
-    """(S_s, S_c, S_o) recomputed from the trace's data events.
+    """(S_s, S_c, S_o) recomputed from a recorded trace's data events, a
+    check on the figures run_frame sums as it grants.
 
     Scheduled bits are the data events inside [t0+t1, t0+t1+alpha*t2);
     contended bits the ones after; optimizer.throughput_from_bits composes

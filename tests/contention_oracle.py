@@ -1,6 +1,7 @@
 """The round loop of the contention engine as it stood before the one-sort
 resolution, kept verbatim as the reference that test_contention_oracle
-compares the engine against.
+compares the engine against.  Its one addition since is the fifth return
+value, the contended bits summed in grant order, which run_frame reads.
 
 Each occupied subchannel is resolved on its own: ``flatnonzero`` finds its
 contenders, ``resolve_backoff`` its unique minimum or its ties, and the
@@ -46,7 +47,8 @@ def _run_contention(
 ):
     """Round-paced DCF with BS-gated grants.
 
-    Returns (rounds, collisions, grant_shortfall, contenders_left).
+    Returns (rounds, collisions, grant_shortfall, contenders_left, bits),
+    ``bits`` summed over the grants in grant order, round by round.
     """
     radio, dcf = scenario.radio, scenario.dcf
     t_r = dcfmod.handshake_time(dcf)
@@ -74,6 +76,7 @@ def _run_contention(
     best_channel = None  # csi_best_channel picks, fixed when the first round starts
 
     rounds = collisions = grant_shortfall = 0
+    bits_sum = 0.0
     while remaining.size and rounds < rounds_budget:
         t_rts = start_s + rounds * t_r + dcf.difs_s
         quota = schedule.advance()
@@ -132,6 +135,7 @@ def _run_contention(
             )
             served[k] = True
             bits[k] += delivered
+            bits_sum += delivered
             keep[i] = False
         # candidates that expired without a grant sent an RTS the BS ignored
         for c in grant_order[grants:]:
@@ -145,4 +149,4 @@ def _run_contention(
         if best_channel is not None:
             best_channel = best_channel[keep]
         rounds += 1
-    return rounds, collisions, grant_shortfall, int(remaining.size)
+    return rounds, collisions, grant_shortfall, int(remaining.size), bits_sum

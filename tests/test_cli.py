@@ -147,6 +147,25 @@ class TestCommands:
         assert len(rows) == 2
         assert rows[0]["mode"] == "proposed"
 
+    def test_simulate_records_events_only_for_events_flag(self, tmp_path, capsys, monkeypatch):
+        passed = []
+        run_cell = cli.exp.run_cell
+
+        def spy(*args, **kwargs):
+            passed.append(kwargs.get("events"))
+            return run_cell(*args, **kwargs)
+
+        monkeypatch.setattr(cli.exp, "run_cell", spy)
+        _, path = save_small(tmp_path, total_users=8)
+        assert cli.main(["simulate", "--scenario", path, "--frames", "2"]) == cli.EXIT_OK
+        assert passed == [None, None]
+        passed.clear()
+        events = str(tmp_path / "events.csv")
+        argv = ["simulate", "--scenario", path, "--frames", "2", "--events", events]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert len(passed) == 2 and all(isinstance(e, list) and e for e in passed)
+        assert len(rio.read_csv(events)) == sum(len(e) for e in passed)
+
     def test_experiment_end_to_end(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("RIS_MAC_TIMESTAMP", "pinned")
         _, path = save_small(tmp_path, total_users=8)

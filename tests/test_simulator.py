@@ -23,7 +23,7 @@ def planned_frame(scenario, seed, mode="proposed", beta_alpha=None):
         frame, alloc = sim.plan_scheme1(scenario, channels, plan.frame.t2_s)
     else:
         frame, alloc = sim.plan_scheme2(scenario, plan.frame.t2_s)
-    trace = sim.run_frame(scenario, channels, frame, alloc, mode, seed)
+    trace = sim.run_frame(scenario, channels, frame, alloc, mode, seed, record=True)
     return channels, plan, frame, alloc, trace
 
 
@@ -294,7 +294,7 @@ class TestContendedPeriod:
         ch = chan.ChannelRealization(g=ch.g, h=h, r=ch.r)
         frame, alloc = sim.plan_scheme2(s, 50 * dcfmod.handshake_time(s.dcf))
         monkeypatch.setattr(dcfmod, "round_params", lambda n, c, w, l: (0.1, 0.0, 1.0))
-        trace = sim.run_frame(s, ch, frame, alloc, "scheme2", 22)
+        trace = sim.run_frame(s, ch, frame, alloc, "scheme2", 22, record=True)
         assert trace.grant_shortfall > 0
         assert int(trace.served.sum()) + trace.contenders_left == s.population.num_total
         assert trace.served.all()
@@ -325,7 +325,7 @@ class TestModes:
         s = small_scenario(total_users=12, ratio=(1, 1, 0), seed=20)
         ch = chan.draw_channels(s, 20)
         frame, alloc = sim.plan_scheme1(s, ch, t2_common=2 * s.dcf.data_slot_s)
-        trace = sim.run_frame(s, ch, frame, alloc, "scheme1", 20)
+        trace = sim.run_frame(s, ch, frame, alloc, "scheme1", 20, record=True)
         assert trace.served.sum() == 4  # 2 slots on each of 2 subchannels
         assert max(e.time_s for e in trace.events) == pytest.approx(frame.total_s)
         # the grants past the period are counted, not silently skipped
