@@ -65,7 +65,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("simulate", help="run Monte-Carlo frames for one mode")
     add_scenario_args(sp)
     sp.add_argument("--mode", choices=sim.MODES, default="proposed")
-    sp.add_argument("--frames", type=int, default=1)
+    sp.add_argument("--frames", type=frame_count, default=1)
     sp.add_argument(
         "--csi-best-channel", action="store_true",
         help="contenders pick their best-rate subchannel instead of a uniform idle one",
@@ -77,47 +77,66 @@ def build_parser() -> _Parser:
     add_scenario_args(sp)
     sp.add_argument("--sweep", required=True, help="e.g. users=50:200:25")
     sp.add_argument("--modes", default="proposed", help="comma list of modes")
-    sp.add_argument("--seeds", default="1", help="comma list or count:base")
+    sp.add_argument("--seeds", type=parse_seeds, default="1", help="comma list or count:base")
     sp.add_argument("--out", default="results.csv")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
     sp = sub.add_parser("report", help="emit the tidy table behind one reference figure")
     add_scenario_args(sp)
     sp.add_argument("--figure", required=True, choices=sorted(exp.FIGURE_PRESETS))
-    sp.add_argument("--seeds", default="1,2,3")
+    sp.add_argument("--seeds", type=parse_seeds, default="1,2,3")
     sp.add_argument("--out", default=None)
     return p
 
 
 def parse_seeds(spec: str) -> list:
-    spec = spec.strip()
+    """``--seeds``: a comma list, or count:base for count seeds from base.
+    argparse reports its ValueError, on no seed too, as a usage error."""
     if ":" in spec:
         count, base = spec.split(":")
-        return [int(base) + i for i in range(int(count))]
-    return [int(x) for x in spec.split(",") if x.strip()]
+        seeds = [int(base) + i for i in range(int(count))]
+    else:
+        seeds = [int(x) for x in spec.split(",") if x.strip()]
+    if not seeds:
+        raise ValueError("no seed in %r" % spec)
+    return seeds
+
+
+def frame_count(text: str) -> int:
+    """``--frames``: at least one frame, or a usage error."""
+    frames = int(text)
+    if frames < 1:
+        raise ValueError("need at least one frame, got %d" % frames)
+    return frames
+
+
+class ScenarioInvalid(Exception):
+    """Raised by _load with the failed ValidationReport; main exits 2."""
+
+
+def _read(args):
+    if args.scenario:
+        return load_scenario(args.scenario, seed_override=args.seed)
+    return default_scenario(seed=args.seed if args.seed is not None else 1)
 
 
 def _load(args):
-    if args.scenario:
-        s = load_scenario(args.scenario, seed_override=args.seed)
-    else:
-        s = default_scenario(seed=args.seed if args.seed is not None else 1)
+    """The scenario of a model-running command, validated before any channel draw."""
+    s = _read(args)
+    report = validate_scenario(s)
+    if not report.ok:
+        raise ScenarioInvalid(report)
     return s
 
 
 def cmd_validate(args) -> int:
-    s = _load(args)
-    report = validate_scenario(s)
+    report = validate_scenario(_read(args))
     print(report)
     return EXIT_OK if report.ok else EXIT_VALIDATION
 
 
 def cmd_optimize(args) -> int:
     s = _load(args)
-    report = validate_scenario(s)
-    if not report.ok:
-        print(report, file=sys.stderr)
-        return EXIT_VALIDATION
     if args.replay_channels:
         channels = chan.replay_channels(args.replay_channels)
     else:
@@ -184,10 +203,6 @@ def cmd_dcf_table(args) -> int:
 
 def cmd_simulate(args) -> int:
     s = _load(args)
-    report = validate_scenario(s)
-    if not report.ok:
-        print(report, file=sys.stderr)
-        return EXIT_VALIDATION
     from .scenario import advance_frame
 
     rows = []
@@ -229,30 +244,24 @@ def cmd_simulate(args) -> int:
 
 def cmd_experiment(args) -> int:
     s = _load(args)
-    report = validate_scenario(s)
-    if not report.ok:
-        print(report, file=sys.stderr)
-        return EXIT_VALIDATION
     sweep = exp.parse_sweep(args.sweep)
-    seeds = parse_seeds(args.seeds)
     modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
-    rows = exp.run_experiment(s, sweep, seeds, modes=modes)
+    rows = exp.run_experiment(s, sweep, args.seeds, modes=modes)
     rio.write_table(rows, exp.RESULT_COLUMNS, args.out, fmt=args.format)
     manifest_path = args.out + ".manifest.json"
-    rio.write_manifest(manifest_path, args.scenario, seeds, sweep, [args.out])
+    rio.write_manifest(manifest_path, args.scenario, args.seeds, sweep, [args.out])
     print("wrote %s and %s" % (args.out, manifest_path))
     return EXIT_OK
 
 
 def cmd_report(args) -> int:
     s = _load(args)
-    seeds = parse_seeds(args.seeds)
-    rows = exp.run_figure(args.figure, s, seeds)
+    rows = exp.run_figure(args.figure, s, args.seeds)
     out = args.out or ("%s.csv" % args.figure)
     cols = list(exp.RESULT_COLUMNS) + (["ratio"] if any("ratio" in r for r in rows) else [])
     rio.write_table(rows, cols, out, fmt="csv")
     manifest_path = out + ".manifest.json"
-    rio.write_manifest(manifest_path, args.scenario, seeds, args.figure, [out])
+    rio.write_manifest(manifest_path, args.scenario, args.seeds, args.figure, [out])
     print("wrote %s and %s" % (out, manifest_path))
     return EXIT_OK
 
@@ -279,6 +288,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return COMMANDS[args.command](args)
+    except ScenarioInvalid as e:
+        print(e.args[0], file=sys.stderr)
+        return EXIT_VALIDATION
     except (InfeasibleError, dcfmod.CascadeError) as e:
         print("infeasible: %s" % e, file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -15,12 +15,14 @@ import os
 from dataclasses import dataclass, replace
 
 from . import channel as chan
+from . import dcf as dcfmod
 from . import simulator as sim
 from .optimizer import joint_optimize
 from .scenario import (
     Scenario,
     build_population,
     build_ris_inventory,
+    classify_users,
     with_per_user_static_budget,
 )
 
@@ -164,14 +166,7 @@ def run_cell(
     none, so their frames build no events.
     """
     channels, plan = planned or plan_cell(scenario, seed, beta_alpha)
-    if mode == "proposed":
-        frame, alloc = plan.frame, plan.allocation
-    elif mode == "scheme1":
-        frame, alloc = sim.plan_scheme1(scenario, channels, plan.frame.t2_s)
-    elif mode == "scheme2":
-        frame, alloc = sim.plan_scheme2(scenario, plan.frame.t2_s)
-    else:
-        raise sim.ModeMismatchError("unknown mode %r" % mode)
+    frame, alloc = sim.plan_mode(scenario, channels, plan, mode)
     trace = sim.run_frame(scenario, channels, frame, alloc, mode, seed, record=events is not None)
     if events is not None:
         events.extend(trace.events)
@@ -196,10 +191,7 @@ def run_cell(
 
 def _value_job(args):
     """One (value, seed): plan once, then one cell per mode, in mode order."""
-    template_dict, axis, value, modes, seed = args
-    from .scenario import scenario_from_dict
-
-    template = scenario_from_dict(template_dict)
+    template, axis, value, modes, seed = args
     scenario, override = scenario_for_value(template, axis, value)
     planned = plan_cell(scenario, seed, override)
     return [
@@ -231,15 +223,15 @@ def max_workers() -> int:
 def run_experiment(template: Scenario, sweep: SweepSpec, seeds, modes=("proposed",)) -> list:
     """Sweep x mode x seed grid; returns aggregated rows (stable order).
 
-    A job is one (value, seed); its modes share one realization and plan.
+    A job is one (value, seed) and carries the frozen template Scenario
+    itself; its modes share one realization and plan.
     """
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
     modes = tuple(modes)
-    template_dict = template.to_dict()
     keys = [(value, seed) for value in sweep.values for seed in seeds]
-    jobs = [(template_dict, sweep.axis, value, modes, seed) for value, seed in keys]
+    jobs = [(template, sweep.axis, value, modes, seed) for value, seed in keys]
     workers = max_workers()
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor  # its import costs ~24 ms
@@ -250,44 +242,22 @@ def run_experiment(template: Scenario, sweep: SweepSpec, seeds, modes=("proposed
         outcomes = [_value_job(j) for j in jobs]
 
     cells_of = dict(zip(keys, outcomes))
-    # gather in (value, mode, seed) order, so each row averages its cells in seed order
-    grouped: dict = {}
-    for value in sweep.values:
-        for i, mode in enumerate(modes):
-            for seed in seeds:
-                grouped.setdefault((value, mode), []).append(cells_of[value, seed][i])
-
     rows = []
     for value in sweep.values:
-        for mode in modes:
-            cells = grouped.get((value, mode), [])
-            if not cells:
-                continue
-            value_repr = (
-                ":".join(str(int(v)) if float(v).is_integer() else str(v) for v in value)
-                if isinstance(value, tuple)
-                else value
-            )
-            rows.append(
-                {
-                    "axis": sweep.axis,
-                    "value": value_repr,
-                    "mode": mode,
-                    "seeds": len(cells),
-                    "s_s_bps": _mean(c["s_s_bps"] for c in cells),
-                    "s_c_bps": _mean(c["s_c_bps"] for c in cells),
-                    "s_o_bps": _mean(c["s_o_bps"] for c in cells),
-                    "s_o_std_bps": _std(c["s_o_bps"] for c in cells),
-                    "s_o_analytic_bps": _mean(c["s_o_analytic_bps"] for c in cells),
-                    "served_static": _mean(c["served_static"] for c in cells),
-                    "served_mobile": _mean(c["served_mobile"] for c in cells),
-                    "served_new": _mean(c["served_new"] for c in cells),
-                    "collisions": _mean(c["collisions"] for c in cells),
-                    "n_r_measured": _mean(c["n_r_measured"] for c in cells),
-                    "n_r_analytic": _mean(c["n_r_analytic"] for c in cells),
-                    "beta_alpha": _mean(c["beta_alpha"] for c in cells),
-                }
-            )
+        value_repr = (
+            ":".join(str(int(v)) if float(v).is_integer() else str(v) for v in value)
+            if isinstance(value, tuple)
+            else value
+        )
+        for i, mode in enumerate(modes):
+            cells = [cells_of[value, seed][i] for seed in seeds]  # averaged in seed order
+            row = {"axis": sweep.axis, "value": value_repr, "mode": mode, "seeds": len(cells)}
+            for col in RESULT_COLUMNS[4:]:  # the cells' measurements, over seeds
+                if col == "s_o_std_bps":
+                    row[col] = _std(c["s_o_bps"] for c in cells)
+                else:
+                    row[col] = _mean(c[col] for c in cells)
+            rows.append(row)
     return rows
 
 
@@ -365,9 +335,6 @@ def run_figure(name: str, template: Scenario, seeds) -> list:
 
 
 def _optimal_beta_alpha(scenario: Scenario) -> float:
-    from . import dcf as dcfmod
-    from .scenario import classify_users
-
     static_ids, mobile_ids = classify_users(scenario.population)
     c = len(scenario.ris.subchannels)
     cascade = dcfmod.contention_cascade(len(mobile_ids), c, scenario.dcf)

@@ -45,7 +45,10 @@ bytes.
 Benchmarks: scheme 1 schedules every existing user centrally (new arrivals
 wait a frame); scheme 2 lets everyone contend.  Both run against the same
 transmission-period duration as the proposed frame so the comparison is at
-equal channel time.
+equal channel time.  Each planner encodes its split in the FrameConfig it
+returns (scheme 1 alpha = 1, beta = 0; scheme 2 alpha = 0, beta = 1), and
+run_frame reads every period length only from that FrameConfig.  plan_mode
+is the one place a mode name picks a planner.
 """
 
 from __future__ import annotations
@@ -108,8 +111,8 @@ class FrameTrace:
 def user_classes(scenario: Scenario) -> np.ndarray:
     pop = scenario.population
     cls = np.full(pop.num_total, CLASS_NEW, dtype=int)
-    for k, u in enumerate(pop.mobility_flags):
-        cls[k] = CLASS_STATIC if u == 1 else CLASS_MOBILE
+    static = np.array(pop.mobility_flags) == 1
+    cls[: static.size] = np.where(static, CLASS_STATIC, CLASS_MOBILE)
     return cls
 
 
@@ -173,6 +176,10 @@ def run_frame(
     """Replay one frame and return its tallies; with ``record`` its
     time-sorted event trace too (otherwise ``events`` is empty).
 
+    Every period length comes from ``frame``; ``mode`` only chooses who is
+    scheduled and who contends, checks that ``alloc`` holds the scheduled
+    users' grants, and labels the trace.
+
     The bits of each period are summed as the grants are made, in the order
     a stable time sort of the trace holds them: scheduled grants by (slot,
     ascending user), contended grants round by round in grant order, so
@@ -215,8 +222,7 @@ def run_frame(
             events.append(TraceEvent(frame.t0_s, "compute"))
 
     sched_start = frame.t0_s + frame.t1_s
-    sched_len = frame.scheduled_s if mode == "proposed" else frame.t2_s
-    slots_available = int(math.floor(sched_len / dcf.data_slot_s + 1e-9))
+    slots_available = int(math.floor(frame.scheduled_s / dcf.data_slot_s + 1e-9))
     grants_dropped = 0
     sched_bits = 0.0
     granted, gained = [], []
@@ -245,8 +251,8 @@ def run_frame(
         served[granted] = True
         bits[granted] = gained
 
-    cont_start = sched_start + (frame.scheduled_s if mode != "scheme2" else 0.0)
-    cont_budget = frame.contended_s if mode != "scheme2" else frame.t2_s
+    cont_start = sched_start + frame.scheduled_s
+    cont_budget = frame.contended_s
     n_r_measured = collisions = grant_shortfall = 0
     cont_bits = 0.0
     contenders_left = len(contenders)
@@ -449,6 +455,19 @@ def measure_fairness(traces) -> dict:
         name: (sums[name] / counts[name] if counts[name] else float("nan"))
         for name in names.values()
     }
+
+
+def plan_mode(scenario, channels, plan, mode: str) -> tuple:
+    """(frame, allocation) that ``mode`` runs against the proposed ``plan``:
+    the plan's own for "proposed"; for a benchmark, its planner at the
+    plan's transmission period t2 (equal channel time)."""
+    if mode == "proposed":
+        return plan.frame, plan.allocation
+    if mode == "scheme1":
+        return plan_scheme1(scenario, channels, plan.frame.t2_s)
+    if mode == "scheme2":
+        return plan_scheme2(scenario, plan.frame.t2_s)
+    raise ModeMismatchError("unknown mode %r" % mode)
 
 
 def plan_scheme1(scenario, channels, t2_common: float) -> tuple:

@@ -2,11 +2,13 @@
 serialization, and byte-identical reruns."""
 
 import dataclasses
+import importlib
 import json
 from pathlib import Path
 
 import pytest
 
+from ris_mac import channel as chan
 from ris_mac import cli
 from ris_mac import io as rio
 from ris_mac.experiments import SweepSpecError, parse_sweep
@@ -47,6 +49,15 @@ class TestParsing:
     def test_seed_specs(self):
         assert cli.parse_seeds("1,2,9") == [1, 2, 9]
         assert cli.parse_seeds("3:100") == [100, 101, 102]
+
+    def test_console_script_resolves_to_main(self):
+        # the installed ris-mac command is whatever [project.scripts] names;
+        # resolve it by hand, so the check needs no install
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+        module, _, attr = scripts["ris-mac"].partition(":")
+        assert getattr(importlib.import_module(module), attr) is cli.main
 
 
 class TestCommands:
@@ -107,13 +118,46 @@ class TestCommands:
             b["throughput_bps"]["overall"], rel=1e-12
         )
 
-    def test_empty_seed_list_is_runtime_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "--sweep", "point", "--seeds", "x"],
+        ["experiment", "--sweep", "point", "--seeds", ""],
+        ["experiment", "--sweep", "point", "--seeds", "3:"],
+        ["report", "--figure", "fig9", "--seeds", "1,x"],
+        ["simulate", "--frames", "0"],
+        ["simulate", "--frames", "-1"],
+        ["simulate", "--frames", "two"],
+    ], ids=["seeds-x", "seeds-empty", "seeds-open-range", "report-seeds-x", "frames-0",
+            "frames-negative", "frames-word"])
+    def test_bad_run_length_is_usage_error(self, tmp_path, capsys, monkeypatch, argv):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a channel draw ran before the usage error")
+
+        monkeypatch.setattr(chan, "draw_channels", no_draw)
         _, path = save_small(tmp_path)
-        code = cli.main([
-            "experiment", "--scenario", path, "--sweep", "point",
-            "--seeds", "", "--out", str(tmp_path / "r.csv"),
-        ])
-        assert code == cli.EXIT_RUNTIME
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as e:
+            cli.main(argv + ["--scenario", path, "--out", str(out)])
+        assert e.value.code == cli.EXIT_USAGE
+        assert "error: argument --" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["optimize"],
+        ["simulate", "--frames", "1"],
+        ["experiment", "--sweep", "point", "--seeds", "1"],
+        ["report", "--figure", "fig9", "--seeds", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_model_commands_reject_invalid_scenario(self, tmp_path, capsys, argv):
+        # a zero backoff window fails validation; every command that runs the
+        # model exits 2 with the report before drawing channels or writing output
+        s = small_scenario()
+        s = dataclasses.replace(s, dcf=dataclasses.replace(s.dcf, w_min=0, w_max=0))
+        path = str(tmp_path / "zero_window.json")
+        save_scenario(s, path)
+        out = tmp_path / "out.csv"
+        assert cli.main(argv + ["--scenario", path, "--out", str(out)]) == cli.EXIT_VALIDATION
+        assert "w_min" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [Path(path)]
 
     def test_simulate_writes_manifest(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("RIS_MAC_TIMESTAMP", "pinned")

@@ -56,14 +56,6 @@ def planned(num_channels, num_ris, seed, dcf=DcfParams()):
     return s, channels, joint_optimize(s, channels)
 
 
-def frame_for(scenario, channels, plan, mode):
-    if mode == "proposed":
-        return plan.frame, plan.allocation
-    if mode == "scheme1":
-        return sim.plan_scheme1(scenario, channels, plan.frame.t2_s)
-    return sim.plan_scheme2(scenario, plan.frame.t2_s)
-
-
 def both_engines(monkeypatch, scenario, channels, frame, alloc, mode, seed):
     engine = sim.run_frame(scenario, channels, frame, alloc, mode, seed, record=True)
     with monkeypatch.context() as m:
@@ -89,7 +81,7 @@ def assert_same(engine, reference):
 def test_engine_matches_reference_loop(monkeypatch, num_channels, num_ris, csi, mode, seed):
     s, channels, plan = planned(num_channels, num_ris, seed)
     s = dataclasses.replace(s, csi_best_channel=csi)
-    frame, alloc = frame_for(s, channels, plan, mode)
+    frame, alloc = sim.plan_mode(s, channels, plan, mode)
     engine, reference = both_engines(monkeypatch, s, channels, frame, alloc, mode, seed)
     assert_same(engine, reference)
     if mode != "scheme1":
@@ -104,7 +96,7 @@ def test_engine_matches_reference_loop(monkeypatch, num_channels, num_ris, csi, 
 def test_edge_dcf_matches_reference_loop(monkeypatch, dcf_name, num_channels, csi, mode, seed):
     s, channels, plan = planned(num_channels, 2, seed, EDGE_DCFS[dcf_name])
     s = dataclasses.replace(s, csi_best_channel=csi)
-    frame, alloc = frame_for(s, channels, plan, mode)
+    frame, alloc = sim.plan_mode(s, channels, plan, mode)
     engine, reference = both_engines(monkeypatch, s, channels, frame, alloc, mode, seed)
     assert_same(engine, reference)
     if mode != "scheme1":

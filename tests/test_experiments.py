@@ -30,3 +30,13 @@ def test_modes_share_one_draw_and_plan(monkeypatch):
     assert [(r["value"], r["mode"], r["seeds"]) for r in rows] == [
         (v, m, s) for v in values for m in MODES
     ]
+
+
+def test_repeated_value_averages_each_seed_once(monkeypatch):
+    # a value listed twice gives two rows, each the same as the value's own row
+    monkeypatch.setenv("RIS_MAC_THREADS", "1")
+    template, seeds = small_scenario(total_users=12), (1, 2, 3)
+    once = exp.run_experiment(template, exp.SweepSpec("users", (8,)), seeds, modes=MODES)
+    twice = exp.run_experiment(template, exp.SweepSpec("users", (8, 8)), seeds, modes=MODES)
+    assert [str(r) for r in twice] == [str(r) for r in once + once]  # NaN-safe equality
+    assert {r["seeds"] for r in twice} == {len(seeds)}

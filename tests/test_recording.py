@@ -46,14 +46,6 @@ def planned(network, seed):
     return (s,) + plan_cell(s, seed)
 
 
-def frame_for(scenario, channels, plan, mode):
-    if mode == "proposed":
-        return plan.frame, plan.allocation
-    if mode == "scheme1":
-        return sim.plan_scheme1(scenario, channels, plan.frame.t2_s)
-    return sim.plan_scheme2(scenario, plan.frame.t2_s)
-
-
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("mode", sim.MODES)
 @pytest.mark.parametrize("csi", [False, True], ids=["uniform", "csi"])
@@ -61,7 +53,7 @@ def frame_for(scenario, channels, plan, mode):
 def test_recording_changes_no_figure(network, csi, mode, seed):
     s, channels, plan = planned(network, seed)
     s = dataclasses.replace(s, csi_best_channel=csi)
-    frame, alloc = frame_for(s, channels, plan, mode)
+    frame, alloc = sim.plan_mode(s, channels, plan, mode)
     quiet = sim.run_frame(s, channels, frame, alloc, mode, seed)
     traced = sim.run_frame(s, channels, frame, alloc, mode, seed, record=True)
     assert quiet.events == [] and len(traced.events) > 0
@@ -111,7 +103,7 @@ def test_surface_lists_reach_selection_ascending(monkeypatch, network, csi):
         with monkeypatch.context() as m:
             m.setattr(opt, "distributed_ris_select", spy)
             for mode in ("proposed", "scheme2"):
-                frame, alloc = frame_for(s, channels, plan, mode)
+                frame, alloc = sim.plan_mode(s, channels, plan, mode)
                 sim.run_frame(s, channels, frame, alloc, mode, seed)
     assert lists and all(ids == sorted(ids) for ids in lists)
     if network == "c4_m_gt_c":

@@ -126,12 +126,8 @@ class TestValidation:
         s = dataclasses.replace(s, ris=dataclasses.replace(s.ris, subchannel_of_ris=(0, 0)))
         assert validate_scenario(s).ok
         channels, plan = plan_cell(s, seed)
-        planned = {
-            "proposed": (plan.frame, plan.allocation),
-            "scheme1": sim.plan_scheme1(s, channels, plan.frame.t2_s),
-            "scheme2": sim.plan_scheme2(s, plan.frame.t2_s),
-        }
-        for mode, (frame, alloc) in planned.items():
+        for mode in sim.MODES:
+            frame, alloc = sim.plan_mode(s, channels, plan, mode)
             if mode != "scheme2":
                 assert opt.check_allocation(
                     alloc, plan.static_ids, plan.mobile_ids, s.ris.subchannel_of_ris,

@@ -1,15 +1,24 @@
 """Frame-engine tests: trace legality, served-once fairness, conservation,
 analytic consistency of the scheduled path, and the contention pacing."""
 
+import dataclasses
+import os
+
 import numpy as np
 import pytest
 
 from ris_mac import channel as chan
 from ris_mac import dcf as dcfmod
 from ris_mac import simulator as sim
-from ris_mac.experiments import run_cell
+from ris_mac.experiments import plan_cell, run_cell
 from ris_mac.optimizer import joint_optimize
-from ris_mac.scenario import DcfParams, classify_users, default_scenario
+from ris_mac.scenario import (
+    DcfParams,
+    UserPopulation,
+    classify_users,
+    default_scenario,
+    load_scenario,
+)
 
 from conftest import composite_gain, small_scenario
 
@@ -17,12 +26,7 @@ from conftest import composite_gain, small_scenario
 def planned_frame(scenario, seed, mode="proposed", beta_alpha=None):
     channels = chan.draw_channels(scenario, seed)
     plan = joint_optimize(scenario, channels, beta_alpha_override=beta_alpha)
-    if mode == "proposed":
-        frame, alloc = plan.frame, plan.allocation
-    elif mode == "scheme1":
-        frame, alloc = sim.plan_scheme1(scenario, channels, plan.frame.t2_s)
-    else:
-        frame, alloc = sim.plan_scheme2(scenario, plan.frame.t2_s)
+    frame, alloc = sim.plan_mode(scenario, channels, plan, mode)
     trace = sim.run_frame(scenario, channels, frame, alloc, mode, seed, record=True)
     return channels, plan, frame, alloc, trace
 
@@ -284,8 +288,6 @@ class TestContendedPeriod:
         # every user senses subchannel 0 as best (the surface on subchannel 1
         # reflects nothing), while the recursion asks for C * P_ch = 2 serves
         # a round: one channel is occupied, so each round grants one user
-        import dataclasses
-
         s = small_scenario(total_users=8, seed=22, elements=4)
         s = dataclasses.replace(s, csi_best_channel=True)
         ch = chan.draw_channels(s, 22)
@@ -301,7 +303,47 @@ class TestContendedPeriod:
         assert {e.channel for e in trace.events if e.kind == "data"} == {0}
 
 
+def old_period_lengths(frame, mode):
+    """(scheduled length, contention offset, contention budget) as run_frame
+    derived them from the mode name before it read them all from the frame."""
+    sched_len = frame.scheduled_s if mode == "proposed" else frame.t2_s
+    offset = frame.scheduled_s if mode != "scheme2" else 0.0
+    budget = frame.contended_s if mode != "scheme2" else frame.t2_s
+    return sched_len, offset, budget
+
+
+GOLDEN_C4 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "scenario_c4.json")
+
+
 class TestModes:
+    def test_plan_mode_rejects_unknown_mode(self):
+        s = small_scenario(total_users=6, seed=17)
+        channels, plan = plan_cell(s, 17)
+        with pytest.raises(sim.ModeMismatchError):
+            sim.plan_mode(s, channels, plan, "scheme3")
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("mode", sim.MODES)
+    @pytest.mark.parametrize("network", ["reference", "c4"])
+    def test_frame_carries_the_mode_split(self, network, mode, seed):
+        # run_frame takes every period length from the frame; exact equality
+        # with the old per-mode expressions is what lets it ignore the mode
+        s = default_scenario(seed=seed) if network == "reference" else load_scenario(GOLDEN_C4)
+        channels, plan = plan_cell(s, seed)
+        frame, alloc = sim.plan_mode(s, channels, plan, mode)
+        t2 = plan.frame.t2_s
+        assert frame.t2_s == t2
+        if mode == "proposed":
+            assert frame is plan.frame and alloc is plan.allocation
+        elif mode == "scheme1":
+            assert frame.scheduled_s == t2 and frame.contended_s == 0.0
+        else:
+            assert frame.scheduled_s == 0.0 and frame.contended_s == t2
+        sched_len, offset, budget = old_period_lengths(frame, mode)
+        if mode != "scheme2":  # scheme 2 schedules no one, so its length went unread
+            assert frame.scheduled_s == sched_len
+        assert frame.scheduled_s == offset and frame.contended_s == budget
+
     def test_scheme1_excludes_new_users(self):
         s = small_scenario(total_users=10, ratio=(5, 3, 2), seed=14)
         _, _, _, _, trace = planned_frame(s, 14, mode="scheme1")
@@ -320,8 +362,6 @@ class TestModes:
     def test_scheme1_truncates_when_transmission_period_short(self):
         # a common transmission period shorter than scheme 1's slot demand
         # leaves the overflow users unserved instead of overrunning
-        import dataclasses
-
         s = small_scenario(total_users=12, ratio=(1, 1, 0), seed=20)
         ch = chan.draw_channels(s, 20)
         frame, alloc = sim.plan_scheme1(s, ch, t2_common=2 * s.dcf.data_slot_s)
@@ -349,10 +389,25 @@ class TestModes:
             sim.run_frame(s, ch, plan.frame, plan.allocation, "scheme3", 17)
 
 
+class TestUserClasses:
+    @pytest.mark.parametrize("flags, num_new", [
+        ((0, 1, 0, 1), 3), ((1, 0, 0, 1, 1), 0), ((), 2), ((1, 1), 1),
+    ])
+    def test_class_vector_matches_per_user_reference(self, flags, num_new):
+        pop = UserPopulation(
+            num_existing=len(flags), num_new_mobile=num_new, mobility_flags=flags,
+            positions=((1.0, 1.0, 0.0),) * (len(flags) + num_new),
+        )
+        s = dataclasses.replace(default_scenario(), population=pop)
+        want = [sim.CLASS_STATIC if u == 1 else sim.CLASS_MOBILE for u in flags]
+        want += [sim.CLASS_NEW] * num_new
+        got = sim.user_classes(s)
+        assert got.tolist() == want
+        assert got.dtype == np.array([0]).dtype
+
+
 class TestChannelSensing:
     def test_csi_best_selection_still_serves_everyone(self):
-        import dataclasses
-
         s = small_scenario(total_users=12, seed=21, elements=16)
         ch = chan.draw_channels(s, 21)
         plan = joint_optimize(s, ch)
