@@ -41,7 +41,7 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> _Parser:
     p = _Parser(prog="ris-mac", description=__doc__)
-    sub = p.add_subparsers(dest="command")
+    sub = p.add_subparsers(dest="command", required=True)
 
     def add_scenario_args(sp):
         sp.add_argument("--scenario", help="scenario file (JSON); defaults to the reference network")
@@ -57,15 +57,15 @@ def build_parser() -> _Parser:
     sp.add_argument("--out", help="write the result as JSON")
 
     sp = sub.add_parser("dcf-table", help="print the contention cascade as CSV")
-    sp.add_argument("--contenders", type=int, required=True)
-    sp.add_argument("--channels", type=int, required=True)
-    sp.add_argument("--w-min", type=int, default=15)
-    sp.add_argument("--max-stage", type=int, default=6)
+    sp.add_argument("--contenders", type=at_least(0), required=True)
+    sp.add_argument("--channels", type=at_least(1), required=True)
+    sp.add_argument("--w-min", type=at_least(1), default=15)
+    sp.add_argument("--max-stage", type=at_least(0), default=6)
 
     sp = sub.add_parser("simulate", help="run Monte-Carlo frames for one mode")
     add_scenario_args(sp)
     sp.add_argument("--mode", choices=sim.MODES, default="proposed")
-    sp.add_argument("--frames", type=frame_count, default=1)
+    sp.add_argument("--frames", type=at_least(1), default=1)
     sp.add_argument(
         "--csi-best-channel", action="store_true",
         help="contenders pick their best-rate subchannel instead of a uniform idle one",
@@ -76,7 +76,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("experiment", help="seeded sweep over a scenario knob")
     add_scenario_args(sp)
     sp.add_argument("--sweep", required=True, help="e.g. users=50:200:25")
-    sp.add_argument("--modes", default="proposed", help="comma list of modes")
+    sp.add_argument("--modes", type=parse_modes, default="proposed", help="comma list of modes")
     sp.add_argument("--seeds", type=parse_seeds, default="1", help="comma list or count:base")
     sp.add_argument("--out", default="results.csv")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -102,12 +102,29 @@ def parse_seeds(spec: str) -> list:
     return seeds
 
 
-def frame_count(text: str) -> int:
-    """``--frames``: at least one frame, or a usage error."""
-    frames = int(text)
-    if frames < 1:
-        raise ValueError("need at least one frame, got %d" % frames)
-    return frames
+def parse_modes(spec: str) -> tuple:
+    """``--modes``: a comma list of MAC modes; argparse reports an unknown
+    mode or no mode as a usage error, before any channel draw."""
+    modes = tuple(m.strip() for m in spec.split(",") if m.strip())
+    unknown = [m for m in modes if m not in sim.MODES]
+    if unknown or not modes:
+        raise argparse.ArgumentTypeError(
+            "need modes from %s, got %r" % (", ".join(sim.MODES), spec)
+        )
+    return modes
+
+
+def at_least(low: int):
+    """An argparse type for an integer flag that must be >= ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError("must be >= %d (got %d)" % (low, value))
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 class ScenarioInvalid(Exception):
@@ -182,11 +199,6 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_dcf_table(args) -> int:
-    for flag, value, low in (("--contenders", args.contenders, 0), ("--channels", args.channels, 1),
-                             ("--w-min", args.w_min, 1), ("--max-stage", args.max_stage, 0)):
-        if value < low:
-            print("error: %s must be >= %d (got %d)" % (flag, low, value), file=sys.stderr)
-            return EXIT_USAGE
     dcf = DcfParams(
         w_min=args.w_min,
         w_max=args.w_min * 2**args.max_stage,
@@ -245,8 +257,7 @@ def cmd_simulate(args) -> int:
 def cmd_experiment(args) -> int:
     s = _load(args)
     sweep = exp.parse_sweep(args.sweep)
-    modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
-    rows = exp.run_experiment(s, sweep, args.seeds, modes=modes)
+    rows = exp.run_experiment(s, sweep, args.seeds, modes=args.modes)
     rio.write_table(rows, exp.RESULT_COLUMNS, args.out, fmt=args.format)
     manifest_path = args.out + ".manifest.json"
     rio.write_manifest(manifest_path, args.scenario, args.seeds, sweep, [args.out])
@@ -277,15 +288,10 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    if not argv:
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # a usage error (1), or 0 after --help
+        return e.code
     try:
         return COMMANDS[args.command](args)
     except ScenarioInvalid as e:

@@ -12,7 +12,11 @@ Per contention round i with N_i remaining mobile users:
 The round recursion runs until every one of the Y mobile users has been
 served exactly once; the round count N_r sizes the contended period as
 N_r * t_r, with t_r the airtime of one successful RTS/CTS handshake plus
-payload.
+payload.  service_rounds is the one implementation of the recursion and its
+starvation guard: contention_cascade collects its rounds, at most
+CASCADE_ROUND_CAP of them, and the frame engine draws them lazily, one per
+contention round its budget holds, so a frame runs even where the closed
+form would pass the cap.
 
 The closed form is the sum read as a derivative: with x = (1-tau)^2 and
 q = 1/C the terms are tau * C(N,V) V x^(V-1) q^V (1-q)^(N-V), which is tau
@@ -29,6 +33,7 @@ correcting it.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -157,58 +162,36 @@ def round_params(contenders: int, num_channels: int, w_min: int, max_stage: int)
     return tau, p, channel_success_prob(contenders, tau, num_channels)
 
 
-class ServiceSchedule:
-    """Round-by-round service bookkeeping shared by the closed form and the
-    frame engine's contention pacing.
+def service_rounds(total_users: int, num_channels: int, w_min: int, max_stage: int):
+    """The floor recursion, one round at a time: yields (cumulative_served,
+    forced) per round until all ``total_users`` are served, with no round cap.
 
-    Each advance() consumes one round for the current remaining-contender
-    count and returns how many users the model serves in that round (the
-    floor-recursion increment).  A starvation guard force-serves one user
-    per subchannel after 50 consecutive zero-increment rounds, since the
-    floor can stall when Y*tau/C is tiny; firings are flagged as a model
-    deviation, and ``forced`` tells whether the last round was one.  The
-    schedule keeps counts only; contention_cascade builds the per-round
-    rows it reports.
+    A round with N remaining contenders adds C * P_ch(N) to the credit and
+    serves floor(credit) less those already served.  A starvation guard
+    force-serves one user per subchannel after 50 consecutive zero-increment
+    rounds, since the floor can stall when Y*tau/C is tiny; ``forced`` flags
+    those rounds as a model deviation.  contention_cascade collects the
+    rounds into its rows; the frame engine draws them lazily, one per
+    contention round its budget holds.
     """
-
-    def __init__(self, total_users: int, num_channels: int, w_min: int, max_stage: int):
-        self.total = int(total_users)
-        self.channels = int(num_channels)
-        self.w_min = w_min
-        self.max_stage = max_stage
-        self.served = 0
-        self.credit = 0.0
-        self.rounds = 0
-        self.zero_streak = 0
-        self.guard_fired = False
-        self.forced = False
-
-    @property
-    def remaining(self) -> int:
-        return self.total - self.served
-
-    def advance(self) -> int:
-        """Run one round; returns the number of users served in it."""
-        n = self.remaining
-        if n <= 0:
-            raise CascadeError("advance called with no remaining contenders")
-        _, _, p_ch = round_params(n, self.channels, self.w_min, self.max_stage)
-        self.credit += self.channels * p_ch
-        target = math.floor(self.credit + FLOOR_EPS)
-        delta = min(max(target - self.served, 0), n)
-        self.forced = False
-        if delta == 0:
-            self.zero_streak += 1
-            if self.zero_streak >= STARVATION_GUARD_ROUNDS:
-                delta = min(self.channels, n)
-                self.forced = True
-                self.guard_fired = True
-                self.zero_streak = 0
+    served = 0
+    credit = 0.0
+    zero_streak = 0
+    while served < total_users:
+        n = total_users - served
+        credit += num_channels * round_params(n, num_channels, w_min, max_stage)[2]
+        delta = min(max(math.floor(credit + FLOOR_EPS) - served, 0), n)
+        forced = False
+        if delta:
+            zero_streak = 0
         else:
-            self.zero_streak = 0
-        self.served += delta
-        self.rounds += 1
-        return delta
+            zero_streak += 1
+            if zero_streak >= STARVATION_GUARD_ROUNDS:
+                delta = min(num_channels, n)
+                forced = True
+                zero_streak = 0
+        served += delta
+        yield served, forced
 
 
 @functools.lru_cache(maxsize=128)
@@ -224,37 +207,25 @@ def contention_cascade(num_mobile: int, num_channels: int, dcf: DcfParams) -> Co
     y = int(num_mobile)
     if y < 0:
         raise ValueError("num_mobile must be >= 0")
+    c = int(num_channels)
     t_r = handshake_time(dcf)
-    if y == 0:
-        return ContentionSummary(rounds=(), n_r=0, t_r_s=t_r, required_beta_t2_s=0.0)
-    sched = ServiceSchedule(y, num_channels, dcf.w_min, dcf.max_backoff_stage)
+    w, l = dcf.w_min, dcf.max_backoff_stage
     rows = []
-    while sched.remaining > 0:
-        if sched.rounds >= CASCADE_ROUND_CAP:
-            raise CascadeError(
-                "non-terminating cascade: %d rounds, %d of %d served"
-                % (sched.rounds, sched.served, y)
-            )
-        n = sched.remaining
-        sched.advance()
-        tau, p, p_ch = round_params(n, sched.channels, sched.w_min, sched.max_stage)
-        rows.append(
-            ContentionRound(
-                round_index=sched.rounds,
-                contenders=n,
-                tau=tau,
-                collision_prob=p,
-                success_prob_channel=p_ch,
-                cumulative_served=sched.served,
-                forced=sched.forced,
-            )
+    served = 0
+    for served_after, forced in itertools.islice(service_rounds(y, c, w, l), CASCADE_ROUND_CAP):
+        tau, p, p_ch = round_params(y - served, c, w, l)
+        rows.append(ContentionRound(len(rows) + 1, y - served, tau, p, p_ch, served_after, forced))
+        served = served_after
+    if served < y:
+        raise CascadeError(
+            "non-terminating cascade: %d rounds, %d of %d served" % (len(rows), served, y)
         )
     return ContentionSummary(
         rounds=tuple(rows),
-        n_r=sched.rounds,
+        n_r=len(rows),
         t_r_s=t_r,
-        required_beta_t2_s=sched.rounds * t_r,
-        starvation_guard_fired=sched.guard_fired,
+        required_beta_t2_s=len(rows) * t_r,
+        starvation_guard_fired=any(rd.forced for rd in rows),
     )
 
 

@@ -20,13 +20,16 @@ users' stages, and only their entries of the bounds are rewritten.  A round
 that serves anyone shrinks the per-frame state with one keep-mask.  The
 grant order is a permutation of the occupied channels, drawn only when two
 or more are occupied: permutation(0) and permutation(1) consume no bits.
-The BS paces its CTS grants to the closed-form service recursion (it sizes
-the contention budget from that recursion and admits accordingly), so the
-rounds-to-all-served tracks the analytic round count while the seed decides
-which user wins which round, on which channel, and at what rate; a granted
-collided channel re-draws its winner among its contenders in ascending index
-order.  Backoff airtime is not part of the t_r budget, matching the
-handshake-time accounting; counters are logged as event metadata.
+The BS paces its CTS grants to the closed-form service recursion, drawn
+lazily from dcf.service_rounds, the generator contention_cascade sizes the
+contended period from: each round adds the recursion's increment to the
+serves owed, grants min(owed, occupied channels), and carries the rest to
+the next round.  So the rounds-to-all-served tracks the analytic round count
+while the seed decides which user wins which round, on which channel, and at
+what rate; a granted collided channel re-draws its winner among its
+contenders in ascending index order.  Backoff airtime is not part of the t_r
+budget, matching the handshake-time accounting; counters are logged as event
+metadata.
 
 A frame sums the bits of each period as it grants them, in the order a
 stable time sort of its trace holds the data events (float addition is not
@@ -54,6 +57,7 @@ is the one place a mode name picks a planner.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from operator import itemgetter
@@ -97,9 +101,10 @@ class FrameTrace:
     n_r_measured: int
     collisions: int
     # model deviations, kept out of the result tables: scheduled grants
-    # past the slots the transmission period holds, CTS grants the service
-    # recursion asked for beyond the occupied channels, and contenders
-    # still waiting when the round budget ran out
+    # past the slots the transmission period holds, serves the service
+    # recursion asked for beyond the occupied channels (each carries over
+    # to the next round and counts once per round it stays owed), and
+    # contenders still waiting when the round budget ran out
     grants_dropped: int = 0
     grant_shortfall: int = 0
     contenders_left: int = 0
@@ -326,7 +331,10 @@ def _run_contention(
     lo = n if draw_picks else 0  # where the windows start in the bounds
     bounds = np.full(lo + n, len(live_channels), dtype=np.int64)
     bounds[lo:] = windows[0]
-    schedule = dcfmod.ServiceSchedule(n, len(live_channels), dcf.w_min, top)
+    # the recursion's cumulative service, held at n once it has served everyone
+    paced = itertools.chain(
+        dcfmod.service_rounds(n, len(live_channels), dcf.w_min, top), itertools.repeat((n, False))
+    )
     rounds_budget = int(math.floor(budget_s / t_r + 1e-9))
     best_channel = None  # csi_best_channel picks, fixed before the first round
     if not draw_picks and rounds_budget > 0:
@@ -334,11 +342,13 @@ def _run_contention(
             [np.argmax([select(k, c)[1] for c in range(len(live_channels))]) for k in remaining]
         )
 
-    rounds = collisions = grant_shortfall = 0
+    rounds = collisions = grant_shortfall = owed = paced_served = 0
     bits_sum = 0.0
     while n and rounds < rounds_budget:
         t_rts = start_s + rounds * t_r + dcf.difs_s
-        quota = schedule.advance()
+        served_after, _ = next(paced)
+        owed += served_after - paced_served
+        paced_served = served_after
         draws = rng.integers(0, bounds)
         pick = draws[:n] if draw_picks else best_channel
         counters = draws[lo:]
@@ -360,12 +370,11 @@ def _run_contention(
             grant_order = rng.permutation(len(occupied)).tolist()
         else:
             grant_order = [0]
-        grants = min(quota, len(occupied))
-        if grants < quota:
-            # model demanded more serves than there are contended channels;
-            # hand the shortfall back so the credit re-demands it next round
-            schedule.served -= quota - grants
-            grant_shortfall += quota - grants
+        # serves the recursion asked for beyond the occupied channels carry
+        # over to the next round
+        grants = min(owed, len(occupied))
+        owed -= grants
+        grant_shortfall += owed
         granted = []
         for g in grant_order[:grants]:
             c, i = occupied[g], lead[g]

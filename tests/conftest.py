@@ -1,6 +1,11 @@
+import dataclasses
+
 import numpy as np
 
-from ris_mac.scenario import default_scenario
+from ris_mac import channel as chan
+from ris_mac import dcf as dcfmod
+from ris_mac import simulator as sim
+from ris_mac.scenario import DcfParams, default_scenario
 
 
 def small_scenario(
@@ -17,8 +22,6 @@ def small_scenario(
     The rate floor is loosened: with only a few reflect elements a bad
     Rayleigh draw can make the default floor genuinely infeasible.
     """
-    import dataclasses
-
     s = default_scenario(
         total_users=total_users,
         ratio=ratio,
@@ -29,6 +32,28 @@ def small_scenario(
     )
     radio = dataclasses.replace(s.radio, rate_min_bps=rate_min_bps)
     return dataclasses.replace(s, radio=radio)
+
+
+def guard_shortfall_cell(total_users, seed=22):
+    """A scheme2 frame whose recursion asks for more serves than there are
+    occupied channels only in starvation-guard rounds.
+
+    w_min = 255 stalls the floor, so the guard force-serves C = 2 users a
+    round, while every contender picks subchannel 0 by CSI (the surface on
+    subchannel 1 reflects nothing): each round occupies one channel.  The
+    budget holds three times the cascade's N_r rounds.  Returns (scenario,
+    channels, frame, allocation, N_r).
+    """
+    dcf = DcfParams(w_min=255, w_max=255 * 2**6)
+    s = small_scenario(total_users=total_users, seed=seed, elements=4, dcf=dcf)
+    s = dataclasses.replace(s, csi_best_channel=True)
+    ch = chan.draw_channels(s, seed)
+    h = ch.h.copy()
+    h[:, list(s.ris.subchannel_of_ris).index(1), :] = 0.0
+    ch = chan.ChannelRealization(g=ch.g, h=h, r=ch.r)
+    n_r = dcfmod.contention_cascade(total_users, len(s.ris.subchannels), dcf).n_r
+    frame, alloc = sim.plan_scheme2(s, 3 * n_r * dcfmod.handshake_time(dcf))
+    return s, ch, frame, alloc, n_r
 
 
 def random_link(rng, n):

@@ -1,7 +1,11 @@
 """The round loop of the contention engine as it stood before the one-sort
-resolution, kept verbatim as the reference that test_contention_oracle
-compares the engine against.  Its one addition since is the fifth return
-value, the contended bits summed in grant order, which run_frame reads.
+resolution, kept as the reference that test_contention_oracle compares
+the engine against.  Its one addition since is the fifth return value, the
+contended bits summed in grant order, which run_frame reads.  Its one
+deliberate edit is the pacing: a round's quota is the cumulative service
+of dcf.service_rounds less the users granted so far, so serves the
+recursion asked for beyond the occupied channels carry over to the next
+round (they used to be handed back into a schedule object).
 
 Each occupied subchannel is resolved on its own: ``flatnonzero`` finds its
 contenders, ``resolve_backoff`` its unique minimum or its ties, and the
@@ -9,6 +13,7 @@ windows are recomputed from the stages every round.  Do not edit the bodies
 below to follow the engine; they are the specification it must reproduce.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -69,8 +74,10 @@ def _run_contention(
 
     remaining = np.array(sorted(contenders), dtype=int)
     stage = np.zeros(remaining.size, dtype=int)
-    schedule = dcfmod.ServiceSchedule(
-        remaining.size, len(live_channels), dcf.w_min, dcf.max_backoff_stage
+    total = remaining.size
+    paced = itertools.chain(
+        dcfmod.service_rounds(total, len(live_channels), dcf.w_min, dcf.max_backoff_stage),
+        itertools.repeat((total, False)),
     )
     rounds_budget = int(math.floor(budget_s / t_r + 1e-9))
     best_channel = None  # csi_best_channel picks, fixed when the first round starts
@@ -79,7 +86,7 @@ def _run_contention(
     bits_sum = 0.0
     while remaining.size and rounds < rounds_budget:
         t_rts = start_s + rounds * t_r + dcf.difs_s
-        quota = schedule.advance()
+        quota = next(paced)[0] - (total - remaining.size)
         if scenario.csi_best_channel:
             if best_channel is None:
                 best_channel = np.array(
@@ -107,11 +114,7 @@ def _run_contention(
 
         grant_order = occupied[rng.permutation(len(occupied))]
         grants = min(quota, len(occupied))
-        if grants < quota:
-            # model demanded more serves than there are contended channels;
-            # hand the shortfall back so the credit re-demands it next round
-            schedule.served -= quota - grants
-            grant_shortfall += quota - grants
+        grant_shortfall += quota - grants
         keep = np.ones(remaining.size, dtype=bool)
         for c in grant_order[:grants]:
             here, win = resolved[c]

@@ -28,6 +28,12 @@ class TestParsing:
     def test_empty_argv_is_usage_error(self, capsys):
         assert cli.main([]) == cli.EXIT_USAGE
 
+    def test_help_exits_zero(self, capsys):
+        # argparse's exit code comes back as main's return value, 0 for --help
+        assert cli.main(["--help"]) == cli.EXIT_OK
+        assert cli.main(["dcf-table", "--help"]) == cli.EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: ris-mac")
+
     def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit) as e:
             cli.build_parser().parse_args(["validate", "--bogus"])
@@ -94,7 +100,7 @@ class TestCommands:
         code = cli.main(["dcf-table", *(x for kv in argv.items() for x in kv)])
         assert code == cli.EXIT_USAGE
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: %s must be >= " % flag)
+        assert out == "" and "error: argument %s: must be >= " % flag in err
 
     def test_optimize_writes_result(self, tmp_path, capsys):
         _, path = save_small(tmp_path, total_users=8)
@@ -135,10 +141,25 @@ class TestCommands:
         monkeypatch.setattr(chan, "draw_channels", no_draw)
         _, path = save_small(tmp_path)
         out = tmp_path / "out.csv"
-        with pytest.raises(SystemExit) as e:
-            cli.main(argv + ["--scenario", path, "--out", str(out)])
-        assert e.value.code == cli.EXIT_USAGE
+        assert cli.main(argv + ["--scenario", path, "--out", str(out)]) == cli.EXIT_USAGE
         assert "error: argument --" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("modes", ["proposed,scheme3", ",", ""])
+    def test_bad_modes_is_usage_error_before_any_draw(self, tmp_path, capsys, monkeypatch, modes):
+        draws = []
+
+        def counted_draw(*args, **kwargs):
+            draws.append(args)
+            raise AssertionError("a channel draw ran before the usage error")
+
+        monkeypatch.setattr(chan, "draw_channels", counted_draw)
+        _, path = save_small(tmp_path)
+        out = tmp_path / "out.csv"
+        argv = ["experiment", "--sweep", "users=50:100:25", "--modes", modes, "--seeds", "1,2"]
+        assert cli.main(argv + ["--scenario", path, "--out", str(out)]) == cli.EXIT_USAGE
+        assert "error: argument --modes: " in capsys.readouterr().err
+        assert draws == []
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [

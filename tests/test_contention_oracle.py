@@ -119,3 +119,16 @@ def test_grant_shortfall_matches_reference_loop(monkeypatch):
     engine, reference = both_engines(monkeypatch, s, ch, frame, alloc, "scheme2", 22)
     assert reference.grant_shortfall > 0
     assert_same(engine, reference)
+
+
+@pytest.mark.parametrize("total_users", [3, 4, 6])
+def test_guard_shortfall_matches_reference_loop(monkeypatch, total_users):
+    # the starvation guard asks for two serves a round while one channel is
+    # occupied; unlike the patched round_params above, P_ch here depends on
+    # the remaining contenders, so the carried shortfall moves the pacing
+    from conftest import guard_shortfall_cell
+
+    s, ch, frame, alloc, _ = guard_shortfall_cell(total_users)
+    engine, reference = both_engines(monkeypatch, s, ch, frame, alloc, "scheme2", 22)
+    assert reference.grant_shortfall > 0 and reference.served.all()
+    assert_same(engine, reference)

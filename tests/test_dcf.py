@@ -306,17 +306,15 @@ class TestCascade:
 
     @pytest.mark.parametrize("y,c,w_min", [(37, 2, 15), (3, 1, 255)])
     def test_schedule_steps_match_cascade_rows(self, y, c, w_min):
-        # the frame engine steps a bare ServiceSchedule; its counts must be
+        # the frame engine draws service_rounds lazily; its rounds must be
         # the cascade's rows, also when the starvation guard fires (w_min = 255)
         params = DcfParams(w_min=w_min)
         summary = dcf.contention_cascade(y, c, params)
-        sched = dcf.ServiceSchedule(y, c, params.w_min, params.max_backoff_stage)
-        steps = []
-        while sched.remaining:
-            sched.advance()
-            steps.append((sched.rounds, sched.served, sched.forced))
-        assert steps == [(rd.round_index, rd.cumulative_served, rd.forced) for rd in summary.rounds]
-        assert sched.guard_fired == summary.starvation_guard_fired == (w_min == 255)
+        steps = list(dcf.service_rounds(y, c, params.w_min, params.max_backoff_stage))
+        assert steps == [(rd.cumulative_served, rd.forced) for rd in summary.rounds]
+        assert [rd.round_index for rd in summary.rounds] == list(range(1, len(steps) + 1))
+        guard_fired = any(forced for _, forced in steps)
+        assert guard_fired == summary.starvation_guard_fired == (w_min == 255)
 
     def test_rounds_nonincreasing_in_channels(self):
         rounds = [dcf.contention_cascade(30, c, DcfParams()).n_r for c in range(1, 7)]

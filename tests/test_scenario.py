@@ -72,6 +72,48 @@ class TestClassify:
         assert len(mobile) == k - sum(flags) + z
 
 
+def rule_case(part, field, changes, message):
+    """One validate_scenario rule broken on its own: ``changes`` maps the
+    scenario's ``part`` to the fields to replace; ``field`` names the case."""
+    return pytest.param(part, changes, message, id=field)
+
+
+NAN, INF = float("nan"), float("inf")
+RULE_CASES = [
+    rule_case("radio", "bandwidth", lambda r: {"bandwidth_total_hz": 0.0},
+              "bandwidth_total_hz > 0 violated"),
+    *[rule_case("radio", f, lambda r, f=f, v=v: {f: v}, "%s must be finite" % f)
+      for f, v in [("noise_power_dbm", NAN), ("tx_power_mobile_dbm", INF),
+                   ("tx_power_budget_static_dbm", -INF), ("rate_min_bps", NAN)]],
+    *[rule_case("dcf", f, lambda d, f=f: {f: 0.0}, "%s > 0 violated" % f)
+      for f in ("sifs_s", "difs_s", "payload_time_s", "pilot_time_s", "data_slot_s",
+                "slot_time_s")],
+    rule_case("dcf", "prop_delay_s", lambda d: {"prop_delay_s": -1e-6},
+              "prop_delay_s >= 0 violated"),
+    rule_case("population", "flags_length", lambda p: {"mobility_flags": p.mobility_flags[:-1]},
+              "mobility_flags length != num_existing"),
+    rule_case("population", "flags_values",
+              lambda p: {"mobility_flags": (2,) + p.mobility_flags[1:]},
+              "mobility_flags must be 0/1"),
+    rule_case("population", "positions_length", lambda p: {"positions": p.positions[:-1]},
+              "positions length 9 != total users 10"),
+    rule_case("ris", "num_ris",
+              lambda r: {"num_ris": 0, "positions": (), "subchannel_of_ris": ()},
+              "num_ris >= 1 violated"),
+    rule_case("ris", "elements_per_ris", lambda r: {"elements_per_ris": 0},
+              "elements_per_ris >= 1 violated (N=0)"),
+    rule_case("ris", "ris_positions_length", lambda r: {"positions": r.positions[:-1]},
+              "ris positions length != num_ris"),
+    rule_case("ris", "subchannel_of_ris_length",
+              lambda r: {"subchannel_of_ris": r.subchannel_of_ris[:-1]},
+              "subchannel_of_ris length != num_ris"),
+    rule_case("compute", "kappa_s_per_op", lambda c: {"kappa_s_per_op": -1e-9},
+              "kappa_s_per_op >= 0 violated"),
+    *[rule_case("compute", f, lambda c, f=f: {f: 0}, "iteration caps l1/l2/l3 >= 1 violated")
+      for f in ("l1", "l2", "l3")],
+]
+
+
 class TestValidation:
     def test_reference_scenario_is_clean(self):
         assert validate_scenario(default_scenario()).ok
@@ -139,6 +181,14 @@ class TestValidation:
 
     def test_report_stringifies(self):
         assert str(validate_scenario(default_scenario())) == "scenario valid"
+
+    @pytest.mark.parametrize("part, changes, message", RULE_CASES)
+    def test_each_rule_reports_its_message(self, part, changes, message):
+        # one broken rule per case: the report holds exactly its message
+        s = default_scenario(total_users=10)
+        broken = dataclasses.replace(getattr(s, part), **changes(getattr(s, part)))
+        report = validate_scenario(dataclasses.replace(s, **{part: broken}))
+        assert report.violations == [message]
 
 
 class TestPersistence:

@@ -20,7 +20,7 @@ from ris_mac.scenario import (
     load_scenario,
 )
 
-from conftest import composite_gain, small_scenario
+from conftest import composite_gain, guard_shortfall_cell, small_scenario
 
 
 def planned_frame(scenario, seed, mode="proposed", beta_alpha=None):
@@ -301,6 +301,28 @@ class TestContendedPeriod:
         assert int(trace.served.sum()) + trace.contenders_left == s.population.num_total
         assert trace.served.all()
         assert {e.channel for e in trace.events if e.kind == "data"} == {0}
+
+    @pytest.mark.parametrize("total_users", [3, 4, 6])
+    def test_guard_shortfall_carries_to_the_next_round(self, total_users):
+        # a forced guard round asks for two serves and one channel is
+        # occupied: the serve left over is granted the next round, not
+        # handed back to wait for the next guard firing 50 rounds later
+        s, ch, frame, alloc, n_r = guard_shortfall_cell(total_users)
+        trace = sim.run_frame(s, ch, frame, alloc, "scheme2", 22)
+        assert trace.grant_shortfall > 0
+        assert trace.served.all() and trace.contenders_left == 0
+        assert trace.n_r_measured <= n_r + 1
+
+    def test_scheme2_runs_past_the_cascade_round_cap(self):
+        # every one of 700 users contends on one surface: the closed form
+        # needs more than CASCADE_ROUND_CAP rounds, but the frame draws only
+        # the rounds its budget holds
+        s = small_scenario(total_users=700, num_ris=1, elements=4, seed=5)
+        with pytest.raises(dcfmod.CascadeError):
+            dcfmod.contention_cascade(700, 1, s.dcf)
+        row = run_cell(s, "scheme2", 5)
+        assert 0 < row["n_r_measured"] < dcfmod.CASCADE_ROUND_CAP
+        assert 0 < row["served_mobile"] < 1
 
 
 def old_period_lengths(frame, mode):
