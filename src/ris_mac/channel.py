@@ -4,14 +4,17 @@ Each user sees a direct user-BS link plus, per surface, a cascaded
 user-RIS-BS reflect path.  A realization is frozen for the duration of a
 frame (quasi-static fading); every function here is pure, so repeated
 evaluations on the same realization are bit-identical.
+
+Under co-phasing the model reads one channel quantity, the aligned
+amplitude |r_k| + sum_n |h_kmn||g_kmn|, so a drawn realization holds that
+and r.  The complex reflect links g and h, two (U, M, N) arrays, are
+streamed through row blocks and built whole only when read, which keeps
+them out of a sweep's peak memory and saves their page faults.
 """
 
 from __future__ import annotations
 
-import functools
 import json
-import mmap
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,9 +22,10 @@ from .scenario import Scenario, db_to_linear
 
 MIN_LINK_DISTANCE_M = 0.1
 TWO_PI = 2.0 * np.pi
-# Scratch buffers for work on the (U, M, N) arrays hold at most this many
-# float64 values (1 MiB), so building a realization and its aligned
-# amplitudes needs g and h plus a fixed slack, not whole-array temporaries.
+# Reflect links are built as complex in row blocks of at most this many
+# values (2 MiB), or of one row where a row is longer, so a draw needs two
+# (U * M, N) float buffers plus a fixed slack, not whole-array complex
+# temporaries.
 BLOCK_VALUES = 1 << 17
 
 
@@ -29,18 +33,53 @@ class DegenerateGeometryError(ValueError):
     """A link distance fell below the path-loss model's validity floor."""
 
 
-@dataclass(frozen=True)
 class ChannelRealization:
-    """Complex gains for one frame.
+    """One frame's channels.
 
-    g[k, m, :]  user k -> RIS m, one entry per element
-    h[k, m, :]  RIS m -> BS as seen by user k's transmission
-    r[k]        direct user k -> BS
+    r[k]                     direct user k -> BS
+    aligned_amplitude[k, m]  |r_k| + sum_n |h_kmn||g_kmn|, user k's gain
+                             through surface m at aligned phases
+    g[k, m, :]               user k -> RIS m, one entry per element
+    h[k, m, :]               RIS m -> BS as seen by user k's transmission
+
+    Built from explicit links (replay_channels, the tests), a realization
+    keeps g, h and r and computes the amplitude over the whole arrays.  A
+    realization from draw_channels holds r, the amplitude and its
+    (scenario, seed) only, since every rate reads the amplitude alone:
+    leaving out the complex g and h cuts a sweep's peak memory and the cost
+    of faulting them in.  The first read of g or h repeats the draw and
+    keeps both; the draw is deterministic, so they are the links the
+    amplitude was computed from.
     """
 
-    g: np.ndarray
-    h: np.ndarray
-    r: np.ndarray
+    def __init__(self, g: np.ndarray, h: np.ndarray, r: np.ndarray):
+        self.r = r
+        self.aligned_amplitude = np.abs(r)[:, None] + (np.abs(h) * np.abs(g)).sum(axis=2)
+        self._links = (g, h)
+        self._source = None
+
+    @classmethod
+    def _drawn(cls, scenario: Scenario, rng_seed: int, r, amplitude) -> "ChannelRealization":
+        """The realization of draw_channels(scenario, rng_seed), links unbuilt."""
+        self = cls.__new__(cls)
+        self.r = r
+        self.aligned_amplitude = amplitude
+        self._links = None
+        self._source = (scenario, rng_seed)
+        return self
+
+    @property
+    def g(self) -> np.ndarray:
+        return self._link_pair()[0]
+
+    @property
+    def h(self) -> np.ndarray:
+        return self._link_pair()[1]
+
+    def _link_pair(self) -> tuple:
+        if self._links is None:
+            self._links = _draw(*self._source, links=True)[2]
+        return self._links
 
     @property
     def num_users(self) -> int:
@@ -48,42 +87,7 @@ class ChannelRealization:
 
     @property
     def num_ris(self) -> int:
-        return self.g.shape[1]
-
-    @functools.cached_property
-    def aligned_amplitude(self) -> np.ndarray:
-        """(U, M) phase-aligned amplitudes |r_k| + sum_n |h_kmn||g_kmn|.
-
-        Power-independent, so it is computed once per realization; entry
-        [k, m] is the composite amplitude at align_phases(r[k], h[k, m],
-        g[k, m]).  The users are taken in blocks of at most BLOCK_VALUES
-        reflect terms; each row sums on its own, so the blocks change no bit.
-        """
-        n_users, n_ris, n_el = self.h.shape
-        reflect_sum = np.empty((n_users, n_ris))
-        step = max(1, BLOCK_VALUES // max(1, n_ris * n_el))
-        for lo in range(0, n_users, step):
-            reflect = np.abs(self.h[lo : lo + step])
-            reflect *= np.abs(self.g[lo : lo + step])
-            reflect.sum(axis=2, out=reflect_sum[lo : lo + step])
-        return np.abs(self.r)[:, None] + reflect_sum
-
-
-def _mapped_zeros(shape) -> np.ndarray:
-    """A complex array in its own anonymous private mapping, zero-filled.
-
-    g and h are the only large arrays of a sweep.  From malloc they land in
-    the heap or in a mapping depending on its adaptive threshold, and a
-    freed heap block stays resident while smaller live blocks sit above it,
-    so a sweep's peak memory would depend on the allocation history.  A
-    mapping of its own goes back to the OS as soon as the realization is
-    dropped, so the peak is the largest realization plus what the rest of
-    the program holds.
-    """
-    count = int(np.prod(shape))
-    itemsize = np.dtype(complex).itemsize
-    buf = mmap.mmap(-1, max(1, count) * itemsize, flags=mmap.MAP_PRIVATE)
-    return np.frombuffer(buf, dtype=complex, count=count).reshape(shape)
+        return self.aligned_amplitude.shape[1]
 
 
 def _pathloss_power(dist_m, exponent: float, ref_db: float):
@@ -102,8 +106,16 @@ def draw_channels(scenario: Scenario, rng_seed: int) -> ChannelRealization:
     unit-modulus LoS term with phase set by the link distance in
     wavelengths, plus a circular complex Gaussian scatter term weighted by
     the K-factor.  The direct user-BS link is Rayleigh (K = 0) with the
-    NLoS exponent.
+    NLoS exponent.  The result holds the aligned amplitudes and r; see
+    ChannelRealization for g and h.
     """
+    amplitude, r, _ = _draw(scenario, rng_seed)
+    return ChannelRealization._drawn(scenario, rng_seed, r, amplitude)
+
+
+def _draw(scenario: Scenario, rng_seed: int, links: bool = False) -> tuple:
+    """(aligned amplitude, r, (g, h)) of one draw; g and h are the complex
+    links when ``links`` is set, else None and never built."""
     radio = scenario.radio
     pop = scenario.population
     ris = scenario.ris
@@ -135,34 +147,46 @@ def draw_channels(scenario: Scenario, rng_seed: int) -> ChannelRealization:
     rng = np.random.default_rng(rng_seed)
     kf = db_to_linear(radio.rician_k_factor_db)
     lam = radio.wavelength_m
+    scatter = np.sqrt(1.0 / (2.0 * (kf + 1.0)))
+    size = (n_users, n_ris, n_el)
+    rows = n_users * n_ris
+    step = max(1, BLOCK_VALUES // max(1, n_el))
+    im = np.empty((min(step, rows), n_el))
+    block = np.empty(im.shape, dtype=complex)
 
-    def rician(dist, exponent, size):
-        # built in one buffer: the same draws, in the same order, through the
-        # same ufuncs as amp * (los + s * (re + 1j * im)), so the bytes match.
-        # The normals are drawn BLOCK_VALUES at a time into one scratch
-        # buffer; numpy fills an ``out`` draw element by element, so the
-        # blocks consume the stream as one whole-array draw does.
-        amp = np.sqrt(_pathloss_power(dist, exponent, radio.pathloss_ref_db))
+    def rician(dist, mags, out):
+        # One row per (user, surface) pair.  The real parts of every link
+        # are drawn first, straight into mags, then the imaginary parts one
+        # row block at a time; numpy fills an ``out`` draw element by
+        # element, so the stream is consumed as by one whole-array draw.
+        # Each block is built as complex, in ``out`` when the links are
+        # kept, through the same ufuncs as amp * (los + s * (re + 1j * im)),
+        # so the bytes match; its magnitudes then overwrite its rows of mags.
+        amp = np.sqrt(_pathloss_power(dist, radio.pathloss_exp_los, radio.pathloss_ref_db))
         los = np.sqrt(kf / (kf + 1.0)) * np.exp(-1j * TWO_PI * dist / lam)
-        out = _mapped_zeros(size)
-        flat = out.reshape(-1)
-        scratch = np.empty(min(flat.size, BLOCK_VALUES))
-        for part in (flat.real, flat.imag):
-            for lo in range(0, flat.size, BLOCK_VALUES):
-                block = scratch[: min(BLOCK_VALUES, flat.size - lo)]
-                rng.standard_normal(out=block)
-                part[lo : lo + block.size] = block
-        out *= np.sqrt(1.0 / (2.0 * (kf + 1.0)))
-        out += los[..., None]
-        out *= amp[..., None]
-        return out
+        amp, los = amp.reshape(rows, 1), los.reshape(rows, 1)
+        if out is not None:
+            out = out.reshape(rows, n_el)
+        rng.standard_normal(out=mags)
+        for lo in range(0, rows, step):
+            hi = min(lo + step, rows)
+            c = block[: hi - lo] if out is None else out[lo:hi]
+            rng.standard_normal(out=im[: hi - lo])
+            c.real = mags[lo:hi]
+            c.imag = im[: hi - lo]
+            c *= scatter
+            c += los[lo:hi]
+            c *= amp[lo:hi]
+            np.abs(c, out=mags[lo:hi])
 
-    g = rician(d_user_ris, radio.pathloss_exp_los, (n_users, n_ris, n_el))
-    h = rician(
-        np.broadcast_to(d_ris_bs, (n_users, n_ris)),
-        radio.pathloss_exp_los,
-        (n_users, n_ris, n_el),
-    )
+    g = h = None
+    if links:
+        g, h = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
+    g_mag = np.empty((rows, n_el))
+    h_mag = np.empty_like(g_mag)
+    rician(d_user_ris, g_mag, g)
+    rician(np.broadcast_to(d_ris_bs, (n_users, n_ris)), h_mag, h)
+    h_mag *= g_mag
 
     amp_direct = np.sqrt(
         _pathloss_power(d_direct, radio.pathloss_exp_nlos, radio.pathloss_ref_db)
@@ -170,7 +194,8 @@ def draw_channels(scenario: Scenario, rng_seed: int) -> ChannelRealization:
     r = amp_direct * np.sqrt(0.5) * (
         rng.standard_normal(n_users) + 1j * rng.standard_normal(n_users)
     )
-    return ChannelRealization(g=g, h=h, r=r)
+    amplitude = np.abs(r)[:, None] + h_mag.reshape(size).sum(axis=2)
+    return amplitude, r, (g, h)
 
 
 def align_phases(r: complex, h: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -156,6 +156,14 @@ def cmd_optimize(args) -> int:
     s = _load(args)
     if args.replay_channels:
         channels = chan.replay_channels(args.replay_channels)
+        want = (s.population.num_total, s.ris.num_ris, s.ris.elements_per_ris)
+        if channels.g.shape != want or channels.h.shape != want or channels.r.shape != want[:1]:
+            print(
+                "error: %s holds (users, surfaces, elements) = %s, the scenario has %s"
+                % (args.replay_channels, channels.g.shape, want),
+                file=sys.stderr,
+            )
+            return EXIT_USAGE
     else:
         channels = chan.draw_channels(s, s.seed)
     if args.dump_channels:

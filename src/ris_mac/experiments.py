@@ -184,6 +184,8 @@ def run_cell(
         "served_new": fairness["new"],
         "collisions": trace.collisions,
         "n_r_measured": trace.n_r_measured,
+        # the proposed plan's cascade in every mode's row: scheme1 and
+        # scheme2 have no analytic round count (see the README model notes)
         "n_r_analytic": plan.cascade.n_r,
         "beta_alpha": ratio,
     }

@@ -212,6 +212,11 @@ class TestDrawChannels:
         assert np.allclose(back.g, ch.g)
         assert np.allclose(back.h, ch.h)
         assert np.allclose(back.r, ch.r)
+        for a, b in ((back.g, ch.g), (back.h, ch.h), (back.r, ch.r)):
+            assert np.array_equal(a, b)
+        # the whole-array amplitude of the replayed links is the drawn,
+        # streamed one
+        assert back.aligned_amplitude.tobytes() == ch.aligned_amplitude.tobytes()
 
     def test_quasi_static_repeat_snr(self):
         s = small_scenario()
@@ -316,10 +321,22 @@ class TestDrawBytes:
 
     @pytest.mark.parametrize("block", [1, 300, 1 << 17])
     def test_blocked_aligned_amplitude_equals_whole_array_form(self, monkeypatch, block):
+        monkeypatch.setattr(chan, "BLOCK_VALUES", block)
         ch = chan.draw_channels(default_scenario(elements_per_ris=128), 2)
         want = np.abs(ch.r)[:, None] + (np.abs(ch.h) * np.abs(ch.g)).sum(axis=2)
-        monkeypatch.setattr(chan, "BLOCK_VALUES", block)
         assert ch.aligned_amplitude.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("elements", [1, 3, 128, 300])
+    @pytest.mark.parametrize("num_ris", [1, 2, 3, 4])
+    def test_streamed_amplitude_equals_whole_array_form(self, monkeypatch, num_ris, elements):
+        for block in (1, 777, chan.BLOCK_VALUES):
+            monkeypatch.setattr(chan, "BLOCK_VALUES", block)
+            for users in (0, 1, 7, 50):
+                s = default_scenario(total_users=users, num_ris=num_ris, elements_per_ris=elements)
+                ch = chan.draw_channels(s, users + 1)
+                whole = chan.ChannelRealization(g=ch.g, h=ch.h, r=ch.r).aligned_amplitude
+                assert ch.aligned_amplitude.shape == (users, num_ris)
+                assert ch.aligned_amplitude.tobytes() == whole.tobytes()
 
     def test_reflect_arrays_are_writable_contiguous_complex(self):
         ch = chan.draw_channels(default_scenario(), 1)
@@ -327,8 +344,26 @@ class TestDrawBytes:
             assert a.dtype == np.complex128
             assert a.flags.c_contiguous and a.flags.writeable
 
-    def test_zero_size_mapping_gives_an_empty_array(self):
-        s = default_scenario()
-        ch = chan._mapped_zeros((0, s.ris.num_ris, s.ris.elements_per_ris))
-        assert ch.shape == (0, s.ris.num_ris, s.ris.elements_per_ris)
-        assert ch.size == 0
+    def test_no_users_gives_empty_amplitudes_and_links(self):
+        s = default_scenario(total_users=0)
+        ch = chan.draw_channels(s, 1)
+        assert ch.aligned_amplitude.shape == (0, s.ris.num_ris)
+        for a in (ch.g, ch.h):
+            assert a.shape == (0, s.ris.num_ris, s.ris.elements_per_ris)
+            assert a.size == 0
+        assert ch.r.shape == (0,)
+
+    def test_links_are_built_once_and_only_when_read(self, monkeypatch):
+        builds = []
+        draw = chan._draw
+
+        def counted(scenario, rng_seed, links=False):
+            builds.append(links)
+            return draw(scenario, rng_seed, links)
+
+        monkeypatch.setattr(chan, "_draw", counted)
+        ch = chan.draw_channels(small_scenario(), 4)
+        assert ch.aligned_amplitude.shape == (ch.num_users, ch.num_ris) == (10, 2)
+        assert builds == [False]
+        assert ch.g is ch.g and ch.h is ch.h
+        assert builds == [False, True]

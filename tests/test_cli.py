@@ -123,6 +123,24 @@ class TestCommands:
         assert a["throughput_bps"]["overall"] == pytest.approx(
             b["throughput_bps"]["overall"], rel=1e-12
         )
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
+
+    @pytest.mark.parametrize("dumped, replayed", [(20, 8), (8, 20)])
+    def test_replay_on_another_network_is_usage_error(self, tmp_path, capsys, dumped, replayed):
+        s, path = save_small(tmp_path, total_users=dumped)
+        dump = str(tmp_path / "channels.json")
+        assert cli.main(["optimize", "--scenario", path, "--dump-channels", dump]) == 0
+        capsys.readouterr()
+        other = str(tmp_path / "other.json")
+        save_scenario(small_scenario(total_users=replayed), other)
+        out = str(tmp_path / "result.json")
+        argv = ["optimize", "--scenario", other, "--replay-channels", dump, "--out", out]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        n_el = s.ris.elements_per_ris
+        assert "(%d, 2, %d)" % (dumped, n_el) in err
+        assert "(%d, 2, %d)" % (replayed, n_el) in err
+        assert not Path(out).exists()
 
     @pytest.mark.parametrize("argv", [
         ["experiment", "--sweep", "point", "--seeds", "x"],

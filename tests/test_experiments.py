@@ -1,6 +1,7 @@
 """Sweep bookkeeping: a (value, seed) is drawn and planned once for all modes."""
 
 from ris_mac import channel as chan
+from ris_mac import cli
 from ris_mac import experiments as exp
 from ris_mac.simulator import MODES
 
@@ -40,3 +41,23 @@ def test_repeated_value_averages_each_seed_once(monkeypatch):
     twice = exp.run_experiment(template, exp.SweepSpec("users", (8, 8)), seeds, modes=MODES)
     assert [str(r) for r in twice] == [str(r) for r in once + once]  # NaN-safe equality
     assert {r["seeds"] for r in twice} == {len(seeds)}
+
+
+def test_sweeps_and_reports_never_build_the_links(monkeypatch, tmp_path, capsys):
+    # every rate reads the aligned amplitude, so a sweep or a figure that
+    # needed the complex g and h would fail here
+    draw = chan._draw
+
+    def no_links(scenario, rng_seed, links=False):
+        if links:
+            raise AssertionError("complex links built")
+        return draw(scenario, rng_seed)
+
+    monkeypatch.setenv("RIS_MAC_THREADS", "1")
+    monkeypatch.setattr(chan, "_draw", no_links)
+    rows = exp.run_experiment(
+        small_scenario(total_users=12), exp.SweepSpec("elements", (4, 8)), (1, 2), modes=MODES
+    )
+    assert len(rows) == 2 * len(MODES)
+    out = str(tmp_path / "fig7.csv")
+    assert cli.main(["report", "--figure", "fig7", "--seeds", "1", "--out", out]) == cli.EXIT_OK
