@@ -3,7 +3,10 @@
 Floats serialize with 12 significant digits and columns keep a fixed order,
 so a rerun with the same scenario, seeds, and artifact version emits
 byte-identical files.  The manifest timestamp honors RIS_MAC_TIMESTAMP so
-determinism harnesses can pin it.
+determinism harnesses can pin it.  The manifest also names the numpy and
+Python versions: the contention draws follow numpy's PCG64 word order and
+its bounded-draw rules (simulator.WordTape), and the channel draws its
+Generator streams, so a byte-for-byte rerun needs the same numpy.
 """
 
 from __future__ import annotations
@@ -11,7 +14,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import platform
 import time
+
+import numpy as np
 
 from . import __version__
 
@@ -79,6 +85,8 @@ def write_manifest(
     """Record everything needed to reproduce the outputs byte for byte."""
     manifest = {
         "artifact_version": __version__,
+        "numpy_version": np.__version__,
+        "python_version": platform.python_version(),
         "scenario_path": scenario_path,
         "scenario_sha256": file_sha256(scenario_path) if scenario_path else None,
         "seeds": list(seeds),

@@ -7,19 +7,33 @@ aligned amplitude |r| + sum |h||g| (every element co-phased with the direct
 path; allocations carry only surface, slot and power), the same gain the
 optimizer and the contended grants read.  The contended period advances in
 rounds of one handshake time t_r each.  A round draws every remaining
-contender's subchannel pick and then its backoff counter in one array call
-on a per-frame bounds array: C_s per pick (filled once per frame) followed by
-each contender's window, read from the per-stage table min(w_min * 2^s,
-w_max); numpy consumes the bit stream for an array-bound draw element by
-element as for the same scalar draws, so the stream equals per-user draws in
-sorted-id order.  One sort of the unique channel-major key
+contender's subchannel pick and then its backoff counter on a per-frame
+bounds array: C_s per pick (filled once per frame) followed by each
+contender's window, read from the per-stage table min(w_min * 2^s, w_max).
+
+The contention draws make no Generator call.  A WordTape reads the frame's
+fresh PCG64 in chunks with ``bit_generator.random_raw`` and splits each
+64-bit output into its low and then its high 32 bits, the order
+``next_uint32`` hands them out, and computes each draw from these words by
+the rule numpy applies: ``integers(0, b)`` is Lemire's multiply-shift (a word
+u gives (u * b) >> 32 and is redrawn while (u * b) mod 2^32 < (2^32 - b) mod
+b; a bound of 1 takes no word), ``permutation(k)`` is masked rejection.  So
+every draw has the value, and consumes the words, of the Generator call it
+stands for, and since numpy draws an array of bounds element by element as
+it draws the scalars, the stream equals per-user draws in sorted-id order.
+A round takes its words as one slice and multiplies and shifts them as
+arrays against the bounds; when some product's low word falls below the
+frame's largest rejection threshold (256 of 2^32 at a window of 960), the
+round redoes its draws one element at a time, exactly.
+
+One sort of the unique channel-major key
 (pick * (w_max + 1) + counter) * n + index resolves every occupied
 subchannel at once: each channel's group is led by its minimum counter,
 whose unique holder wins, while a tie is a collision that raises the tied
 users' stages, and only their entries of the bounds are rewritten.  A round
 that serves anyone shrinks the per-frame state with one keep-mask.  The
-grant order is a permutation of the occupied channels, drawn only when two
-or more are occupied: permutation(0) and permutation(1) consume no bits.
+grant order is a permutation of the occupied channels (permutation(0) and
+permutation(1) take no word).
 The BS paces its CTS grants to the closed-form service recursion, drawn
 lazily from dcf.service_rounds, the generator contention_cascade sizes the
 contended period from: each round adds the recursion's increment to the
@@ -76,6 +90,8 @@ CLASS_STATIC = 0
 CLASS_MOBILE = 1
 CLASS_NEW = 2
 
+WORD_MASK = 0xFFFFFFFF
+
 
 class ModeMismatchError(ValueError):
     pass
@@ -126,6 +142,105 @@ def window_table(dcf) -> list:
     stage s = 0..max_backoff_stage; a collision moves a contender one stage
     up, capped at the last."""
     return [min(dcf.w_min * 2**s, dcf.w_max) for s in range(dcf.max_backoff_stage + 1)]
+
+
+class WordTape:
+    """One frame's contention draws, computed from the 32-bit words of its
+    fresh PCG64 by numpy's rules (see the module docstring).
+
+    ``integers``, ``below`` and ``permutation`` give the values of
+    ``Generator.integers(0, bounds)``, ``integers(0, b)`` and
+    ``permutation(k)`` on the same generator, and consume the same words.
+    Outputs are read with ``random_raw``, READ_AHEAD draws' worth of the
+    size that ran short at a time, and split by mask and shift, so the word
+    order does not depend on the host's byte order.  ``values`` lists every
+    bound ``integers`` is handed (a superset will do), so a round spends no
+    numpy call on finding whether some bound is 1 (a draw that takes no
+    word) or the largest rejection threshold, below which a product's low
+    word sends the round's draws one element at a time.
+    """
+
+    READ_AHEAD = 16
+
+    def __init__(self, rng: np.random.Generator, values):
+        bg = rng.bit_generator
+        if not isinstance(bg, np.random.PCG64) or bg.state["has_uint32"]:
+            raise ValueError("a word tape needs a PCG64 with no buffered half-word")
+        self._raw = bg.random_raw
+        self._words = np.empty(0, dtype=np.uint64)
+        self._pos = 0
+        values = [int(b) for b in values]
+        self._narrow = 1 in values  # some bound takes no word
+        self._reject_below = max((2**32 - b) % b for b in values)
+
+    def _fill(self, count: int) -> None:
+        rest = self._words[self._pos:]
+        outputs = (self.READ_AHEAD * count - len(rest) + 1) // 2
+        raw = self._raw(outputs)
+        words = np.empty(len(rest) + 2 * outputs, dtype=np.uint64)
+        words[: len(rest)] = rest
+        words[len(rest)::2] = raw & WORD_MASK
+        words[len(rest) + 1::2] = raw >> 32
+        self._words, self._pos = words, 0
+
+    def _take(self, count: int) -> np.ndarray:
+        """The next ``count`` words, a uint64 view."""
+        end = self._pos + count
+        if end > len(self._words):
+            self._fill(count)
+            end = count
+        words = self._words[self._pos:end]
+        self._pos = end
+        return words
+
+    def _word(self) -> int:
+        if self._pos == len(self._words):
+            self._fill(1)
+        w = self._words.item(self._pos)
+        self._pos += 1
+        return w
+
+    def below(self, b: int) -> int:
+        """``integers(0, b)`` for 1 <= b <= 2^32."""
+        if b == 1:
+            return 0
+        threshold = (2**32 - b) % b
+        while True:
+            m = self._word() * b
+            if m & WORD_MASK >= threshold:
+                return m >> 32
+
+    def integers(self, bounds: np.ndarray) -> np.ndarray:
+        """``integers(0, bounds)`` for a uint64 array of bounds among
+        ``values``, as int64."""
+        if self._narrow:
+            wide = np.flatnonzero(bounds > 1)
+            draws = np.zeros(len(bounds), dtype=np.int64)
+            draws[wide] = self._integers_wide(bounds[wide])
+            return draws
+        return self._integers_wide(bounds)
+
+    def _integers_wide(self, bounds: np.ndarray) -> np.ndarray:
+        n = len(bounds)
+        prod = self._take(n) * bounds
+        if n and (prod & WORD_MASK).min() < self._reject_below:
+            # some word may be rejected: redo the draws from the same words,
+            # which _take left just behind _pos
+            self._pos -= n
+            return np.array([self.below(b) for b in bounds.tolist()], dtype=np.int64)
+        prod >>= 32
+        return prod.view(np.int64)
+
+    def permutation(self, k: int) -> list:
+        """``permutation(k)`` as a list; k <= 1 takes no word."""
+        order = list(range(k))
+        for i in range(k - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            j = self._word() & mask
+            while j > i:
+                j = self._word() & mask
+            order[i], order[j] = order[j], order[i]
+        return order
 
 
 def resolve_backoff(pick: np.ndarray, counters: np.ndarray, w_max: int) -> tuple:
@@ -298,7 +413,8 @@ def _run_contention(
 ):
     """Round-paced DCF with BS-gated grants.
 
-    Appends the rounds' TraceEvents to ``events`` unless it is None.
+    ``rng`` must be a fresh PCG64 Generator: a WordTape reads its words, so
+    the rounds make no Generator call.  Appends the rounds' TraceEvents to ``events`` unless it is None.
     Returns (rounds, collisions, grant_shortfall, contenders_left, bits),
     ``bits`` summed over the grants round by round in grant order.
     """
@@ -321,7 +437,7 @@ def _run_contention(
 
     # per-frame state, indexed like the sorted contender ids: each one's
     # backoff stage, and the draw bounds, C_s per pick (unless the picks are
-    # CSI-fixed) followed by each one's window, so a round is one RNG call
+    # CSI-fixed) followed by each one's window, so a round is one tape draw
     remaining = sorted(int(k) for k in contenders)
     n = len(remaining)
     stage = [0] * n
@@ -329,8 +445,9 @@ def _run_contention(
     top = dcf.max_backoff_stage
     draw_picks = not scenario.csi_best_channel
     lo = n if draw_picks else 0  # where the windows start in the bounds
-    bounds = np.full(lo + n, len(live_channels), dtype=np.int64)
+    bounds = np.full(lo + n, len(live_channels), dtype=np.uint64)
     bounds[lo:] = windows[0]
+    tape = WordTape(rng, windows + [len(live_channels)])
     # the recursion's cumulative service, held at n once it has served everyone
     paced = itertools.chain(
         dcfmod.service_rounds(n, len(live_channels), dcf.w_min, top), itertools.repeat((n, False))
@@ -349,7 +466,7 @@ def _run_contention(
         served_after, _ = next(paced)
         owed += served_after - paced_served
         paced_served = served_after
-        draws = rng.integers(0, bounds)
+        draws = tape.integers(bounds)
         pick = draws[:n] if draw_picks else best_channel
         counters = draws[lo:]
 
@@ -365,11 +482,7 @@ def _run_contention(
                         t_rts, "collision", -1, live_channels[c], -1, float(counters[i])
                     ))
 
-        # permutation(0) and permutation(1) draw no bits, so one channel needs no call
-        if len(occupied) > 1:
-            grant_order = rng.permutation(len(occupied)).tolist()
-        else:
-            grant_order = [0]
+        grant_order = tape.permutation(len(occupied))
         # serves the recursion asked for beyond the occupied channels carry
         # over to the next round
         grants = min(owed, len(occupied))
@@ -382,7 +495,7 @@ def _run_contention(
                 # post-collision re-draw inside the round settles on one
                 # of the channel's contenders, in ascending index order
                 here = np.flatnonzero(pick == c)
-                i = int(here[rng.integers(0, here.size)])
+                i = int(here[tape.below(here.size)])
             k = remaining[i]
             m_star, rate = select(k, c)
             delivered = dcf.payload_time_s * rate

@@ -4,8 +4,10 @@ serialization, and byte-identical reruns."""
 import dataclasses
 import importlib
 import json
+import platform
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ris_mac import channel as chan
@@ -266,6 +268,14 @@ class TestCommands:
 
 
 class TestWriteResults:
+    def test_manifest_records_numeric_stack(self, tmp_path):
+        out = str(tmp_path / "rows.csv")
+        rio.write_table([], ["a"], out)
+        rio.write_manifest(out + ".manifest.json", None, [1], None, [out])
+        manifest = json.loads(Path(out + ".manifest.json").read_text())
+        assert manifest["numpy_version"] == np.__version__
+        assert manifest["python_version"] == platform.python_version()
+
     def test_empty_table_header_only(self, tmp_path):
         path = str(tmp_path / "empty.csv")
         rio.write_table([], ("a", "b"), path)

@@ -64,9 +64,10 @@ class TestBackoff:
         assert tied == [1, 2, 6]
 
     def test_array_draws_equal_scalar_draws(self):
-        # the engine draws a round's channel picks and backoff counters as
-        # arrays; its stream equals per-user draws in sorted-id order only
-        # while numpy consumes the bit stream the same way for both
+        # a round's picks and counters are one array draw, whose stream is
+        # that of per-user draws in sorted-id order only while numpy consumes
+        # the bit stream the same way for both; WordTape.integers and the
+        # reference loop in contention_oracle.py both rest on this
         meta = np.random.default_rng(2024)
         for _ in range(300):
             n = int(meta.integers(1, 40))
@@ -85,9 +86,11 @@ class TestBackoff:
             assert vec.bit_generator.state == ref.bit_generator.state, cause
 
     def test_merged_draw_equals_two_calls(self):
-        # a round draws its picks and counters in one call whose bounds are
-        # C_s per contender followed by the windows; that must equal a picks
-        # call then a counters call, value for value and state for state
+        # a round draws its picks and counters from one bounds array, C_s
+        # per contender followed by the windows, while the reference loop
+        # makes a picks call then a counters call; the two agree only while
+        # numpy's merged and split draws agree, value for value and state
+        # for state
         meta = np.random.default_rng(2025)
         cases = [(1, 1, np.ones(1, dtype=int)), (200, 4, np.full(200, 960)),
                  (200, 1, np.ones(200, dtype=int))]
@@ -108,8 +111,9 @@ class TestBackoff:
             assert merged.bit_generator.state == split.bit_generator.state, cause
 
     def test_permutation_of_zero_or_one_draws_no_bits(self):
-        # a round with one occupied channel skips its grant-order shuffle;
-        # that keeps the stream only while these calls consume nothing
+        # WordTape.permutation(0) and (1) take no word, and the reference
+        # loop calls Generator.permutation on every round; the two streams
+        # agree only while these calls consume nothing
         cause = "numpy %s: Generator.permutation(%d) consumed bits"
         for size in (0, 1):
             rng = np.random.default_rng(2026)
@@ -133,6 +137,69 @@ class TestBackoff:
                 found = True
                 break
         assert found, "no tie in 60 seeds despite W=15 windows"
+
+
+# bounds where Lemire's rule behaves differently: every power of two (no
+# rejection), 3 * 2^29 (a quarter of all words rejected) and 2^31 - 1
+SPECIAL_BOUNDS = [2**e for e in range(32)] + [3 * 2**29, 2**31 - 1]
+
+
+def random_bound(meta) -> int:
+    if meta.random() < 0.3:
+        return int(meta.choice(SPECIAL_BOUNDS))
+    return int(meta.integers(1, 961))
+
+
+class TestWordTape:
+    def random_calls(self, meta, ones: bool) -> list:
+        """An interleaving of the tape's three draws with random arguments;
+        with ``ones``, a quarter of the array bounds are 1."""
+        calls = []
+        for _ in range(int(meta.integers(1, 12))):
+            kind = ("integers", "below", "permutation")[int(meta.integers(3))]
+            if kind == "integers":
+                n = int(meta.integers(1, 40))
+                bounds = np.array([random_bound(meta) for _ in range(n)], dtype=np.uint64)
+                if ones:
+                    bounds[meta.random(n) < 0.25] = 1
+                calls.append((kind, bounds))
+            elif kind == "below":
+                calls.append((kind, random_bound(meta)))
+            else:
+                calls.append((kind, int(meta.integers(5))))
+        return calls
+
+    def test_draws_equal_generator_draws(self):
+        meta = np.random.default_rng(2027)
+        cause = "numpy %s: word tape and Generator draws differ" % np.__version__
+        for case in range(400):
+            calls = self.random_calls(meta, ones=case % 2 == 1)
+            values = set().union(*(arg.tolist() for kind, arg in calls if kind == "integers"))
+            seed = int(meta.integers(2**32))
+            tape = sim.WordTape(np.random.default_rng(seed), values or {2})
+            ref = np.random.default_rng(seed)
+            for kind, arg in calls:
+                if kind == "integers":
+                    got = tape.integers(arg)
+                    assert got.dtype == np.int64, cause
+                    assert got.tolist() == ref.integers(0, arg.astype(np.int64)).tolist(), cause
+                elif kind == "below":
+                    assert tape.below(arg) == int(ref.integers(0, arg)), cause
+                else:
+                    assert tape.permutation(arg) == ref.permutation(arg).tolist(), cause
+            # the draws after the sequence agree too, so both consumed the
+            # same words
+            after = [2**31 - 1, 960, 3 * 2**29, 7]
+            want = [int(ref.integers(0, b)) for b in after]
+            assert [tape.below(b) for b in after] == want, cause
+
+    def test_needs_a_pcg64_with_no_buffered_half_word(self):
+        rng = np.random.default_rng(1)
+        rng.integers(0, 10)  # one 32-bit word: the other half stays buffered
+        with pytest.raises(ValueError, match="half-word"):
+            sim.WordTape(rng, [10])
+        with pytest.raises(ValueError, match="PCG64"):
+            sim.WordTape(np.random.Generator(np.random.MT19937(1)), [10])
 
 
 class TestScheduledPeriod:
