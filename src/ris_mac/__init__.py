@@ -39,6 +39,7 @@ from .optimizer import (  # noqa: F401
     distributed_ris_select,
     joint_optimize,
     optimal_frame_timing,
+    retime,
 )
 from .simulator import (  # noqa: F401
     FrameTrace,

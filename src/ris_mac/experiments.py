@@ -1,12 +1,14 @@
 """Seeded experiment sweeps over the scenario knobs, one frame per cell.
 
-A sweep job is (axis value, seed): it draws one channel realization and
-plans the proposed frame once, as the BS does in its computing period.
-Every mode then runs one cell (axis value, mode, seed) against that shared
-realization and plan; the benchmark modes reuse the proposed transmission
-period (equal channel time).  A cell reports throughput, fairness, and
-contention counters.  Jobs are independent, so parallel execution cannot
-change the results.
+A sweep job is one seed: it draws one channel realization and plans the
+proposed frame once, as the BS does in its computing period.  A job covers
+one axis value, except on the split axis (beta-alpha): the split is a frame
+timing on top of the plan, so one job covers every split value and re-times
+its plan for each.  Every mode then runs one cell (axis value, mode, seed)
+against the shared realization and plan; the benchmark modes reuse the
+proposed transmission period (equal channel time).  A cell reports
+throughput, fairness, and contention counters.  Jobs are independent, so
+parallel execution cannot change the results.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, replace
 from . import channel as chan
 from . import dcf as dcfmod
 from . import simulator as sim
-from .optimizer import joint_optimize
+from .optimizer import DegenerateFrameError, joint_optimize, retime
 from .scenario import (
     Scenario,
     build_population,
@@ -109,18 +111,22 @@ def parse_sweep(spec: str) -> SweepSpec:
     return SweepSpec(axis=axis, values=nums)
 
 
-def scenario_for_value(template: Scenario, axis: str, value) -> tuple:
-    """Materialize the sweep point; returns (scenario, beta_alpha_override)."""
+def scenario_for_value(template: Scenario, axis: str, value) -> Scenario:
+    """Materialize the sweep point.  A split value keeps the template, whose
+    plan the job re-times; a split needs a scheduled period, so a template
+    with no static user fails here, before any channel draw."""
     if axis == "point":
-        return template, None
+        return template
     if axis == "beta-alpha":
-        return template, float(value)
+        if not classify_users(template.population)[0]:
+            raise DegenerateFrameError("beta/alpha override needs a scheduled period")
+        return template
     if axis == "users":
         pop = build_population(
             int(value), area_side_m=template.area_side_m, seed=template.seed
         )
         radio = with_per_user_static_budget(template.radio, pop.num_static)
-        return replace(template, population=pop, radio=radio), None
+        return replace(template, population=pop, radio=radio)
     if axis == "ratio":
         pop = build_population(
             template.population.num_total,
@@ -129,7 +135,7 @@ def scenario_for_value(template: Scenario, axis: str, value) -> tuple:
             seed=template.seed,
         )
         radio = with_per_user_static_budget(template.radio, pop.num_static)
-        return replace(template, population=pop, radio=radio), None
+        return replace(template, population=pop, radio=radio)
     if axis == "ris":
         inv = build_ris_inventory(
             int(value),
@@ -137,7 +143,7 @@ def scenario_for_value(template: Scenario, axis: str, value) -> tuple:
             template.radio.num_subchannels,
             template.area_side_m,
         )
-        return replace(template, ris=inv), None
+        return replace(template, ris=inv)
     if axis == "elements":
         inv = build_ris_inventory(
             template.ris.num_ris,
@@ -145,27 +151,25 @@ def scenario_for_value(template: Scenario, axis: str, value) -> tuple:
             template.radio.num_subchannels,
             template.area_side_m,
         )
-        return replace(template, ris=inv), None
+        return replace(template, ris=inv)
     raise SweepSpecError("unknown axis %r" % axis)
 
 
-def plan_cell(scenario: Scenario, seed: int, beta_alpha=None) -> tuple:
+def plan_cell(scenario: Scenario, seed: int) -> tuple:
     """The (channels, plan) every mode of a (scenario, seed) shares."""
     channels = chan.draw_channels(scenario, seed)
-    return channels, joint_optimize(scenario, channels, beta_alpha_override=beta_alpha)
+    return channels, joint_optimize(scenario, channels)
 
 
-def run_cell(
-    scenario: Scenario, mode: str, seed: int, beta_alpha=None, events=None, planned=None
-) -> dict:
+def run_cell(scenario: Scenario, mode: str, seed: int, events=None, planned=None) -> dict:
     """One (scenario, mode, seed) frame; returns the per-cell measurements.
 
-    ``planned`` is plan_cell(scenario, seed, beta_alpha), computed here when
-    not given.  The frame records its TraceEvents only when a list is
-    passed as ``events``, which is then extended with them; sweeps pass
-    none, so their frames build no events.
+    ``planned`` is plan_cell(scenario, seed), or the same with its plan
+    re-timed, computed here when not given.  The frame records its
+    TraceEvents only when a list is passed as ``events``, which is then
+    extended with them; sweeps pass none, so their frames build no events.
     """
-    channels, plan = planned or plan_cell(scenario, seed, beta_alpha)
+    channels, plan = planned or plan_cell(scenario, seed)
     frame, alloc = sim.plan_mode(scenario, channels, plan, mode)
     trace = sim.run_frame(scenario, channels, frame, alloc, mode, seed, record=events is not None)
     if events is not None:
@@ -191,14 +195,17 @@ def run_cell(
     }
 
 
-def _value_job(args):
-    """One (value, seed): plan once, then one cell per mode, in mode order."""
-    template, axis, value, modes, seed = args
-    scenario, override = scenario_for_value(template, axis, value)
-    planned = plan_cell(scenario, seed, override)
-    return [
-        run_cell(scenario, mode, seed, beta_alpha=override, planned=planned) for mode in modes
-    ]
+def _seed_job(args):
+    """One seed over ``values``: plan once, then for each value one cell per
+    mode, in mode order.  Each split value re-times the plan."""
+    template, axis, values, modes, seed = args
+    scenario = scenario_for_value(template, axis, values[0])
+    channels, plan = plan_cell(scenario, seed)
+    out = []
+    for value in values:
+        timed = retime(plan, scenario, channels, value) if axis == "beta-alpha" else plan
+        out.append([run_cell(scenario, mode, seed, planned=(channels, timed)) for mode in modes])
+    return out
 
 
 def _mean(xs):
@@ -225,25 +232,33 @@ def max_workers() -> int:
 def run_experiment(template: Scenario, sweep: SweepSpec, seeds, modes=("proposed",)) -> list:
     """Sweep x mode x seed grid; returns aggregated rows (stable order).
 
-    A job is one (value, seed) and carries the frozen template Scenario
-    itself; its modes share one realization and plan.
+    A job is one seed over one value, or over every value of a split sweep,
+    and carries the frozen template Scenario itself; its cells share one
+    realization and plan.
     """
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
     modes = tuple(modes)
-    keys = [(value, seed) for value in sweep.values for seed in seeds]
-    jobs = [(template, sweep.axis, value, modes, seed) for value, seed in keys]
+    if sweep.axis == "beta-alpha":
+        groups = [tuple(sweep.values)]
+    else:
+        groups = [(value,) for value in sweep.values]
+    jobs = [(template, sweep.axis, values, modes, seed) for values in groups for seed in seeds]
     workers = max_workers()
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor  # its import costs ~24 ms
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_value_job, jobs))
+            outcomes = list(pool.map(_seed_job, jobs))
     else:
-        outcomes = [_value_job(j) for j in jobs]
+        outcomes = [_seed_job(j) for j in jobs]
 
-    cells_of = dict(zip(keys, outcomes))
+    cells_of = {
+        (value, seed): cells
+        for (_, _, values, _, seed), outcome in zip(jobs, outcomes)
+        for value, cells in zip(values, outcome)
+    }
     rows = []
     for value in sweep.values:
         value_repr = (
@@ -318,7 +333,7 @@ def run_figure(name: str, template: Scenario, seeds) -> list:
     if "ratios" in preset:
         rel = parse_sweep(preset["sweep"].replace("beta-alpha-rel", "beta-alpha"))
         for ratio in preset["ratios"]:
-            scen, _ = scenario_for_value(template, "ratio", ratio)
+            scen = scenario_for_value(template, "ratio", ratio)
             if rel.axis == "beta-alpha":
                 base = _optimal_beta_alpha(scen)
                 sweep = SweepSpec(

@@ -435,9 +435,7 @@ class ComplexityReport:
 
 def complexity_report(
     num_static: int,
-    num_mobile: int,
     num_ris: int,
-    num_idle_ris: int,
     num_elements: int,
     l1: int,
     l2: int,
@@ -453,10 +451,10 @@ def complexity_report(
     ratio (T + delta)/T expresses it against the frame duration after
     converting operations to seconds with the computing-time coefficient.
     """
-    x, y, m, n = num_static, num_mobile, num_ris, num_elements
+    x, m, n = num_static, num_ris, num_elements
     mac = complexity_ops(x, m, n, num_existing, l1)
     cent = float((m**2 * n**2 + x**2 * m**2) * l2)
-    dist = float((num_idle_ris**2 * n**2 + num_idle_ris**2) * l3)
+    dist = float((m**2 * n**2 + m**2) * l3)
     delta = float((num_existing**3 - x**3) * l1)
     ratio = (frame_time_s + delta * kappa_s_per_op) / frame_time_s if frame_time_s > 0 else math.inf
     return ComplexityReport(
@@ -554,19 +552,30 @@ def onefactor_throughput(
     return pref * total
 
 
-def joint_optimize(
-    scenario: Scenario,
-    channels: chan.ChannelRealization,
-    beta_alpha_override: float = None,
-) -> OptimizationResult:
-    """Full decomposition: frame timing, then alternating power and
-    centralized assignment for the static users, then distributed
-    per-mobile RIS selection.
+def _frame_figures(scenario, channels, frame, alloc, static_ids, mobile_ids) -> dict:
+    """The OptimizationResult fields that read the frame: S_s, S_c and S_o,
+    the one-factor form and its mismatch, and the complexity report."""
+    radio, dcf, comp = scenario.radio, scenario.dcf, scenario.compute
+    s_s, s_c, s_o = analytic_throughput(frame, alloc, channels, static_ids, mobile_ids, radio, dcf)
+    s_one = onefactor_throughput(frame, alloc, channels, static_ids, mobile_ids, radio, dcf)
+    return {
+        "throughput_scheduled_bps": s_s,
+        "throughput_contended_bps": s_c,
+        "throughput_overall_bps": s_o,
+        "throughput_overall_onefactor_bps": s_one,
+        "onefactor_mismatch_rel": abs(s_one - s_o) / s_o if s_o > 0 else math.inf,
+        "complexity": complexity_report(
+            len(static_ids), scenario.ris.num_ris, scenario.ris.elements_per_ris,
+            comp.l1, comp.l2, comp.l3, scenario.population.num_existing,
+            frame.total_s, comp.kappa_s_per_op,
+        ),
+    }
 
-    beta_alpha_override scales the contended period to the requested
-    beta/alpha ratio while holding alpha*t2 = J*t (used by the split
-    sweeps); the default sits on the fairness-optimal split.
-    """
+
+def joint_optimize(scenario: Scenario, channels: chan.ChannelRealization) -> OptimizationResult:
+    """Full decomposition: frame timing on the fairness-optimal split, then
+    alternating power and centralized assignment for the static users, then
+    distributed per-mobile RIS selection."""
     radio, dcf, comp = scenario.radio, scenario.dcf, scenario.compute
     noise, bw = radio.noise_w, radio.subchannel_bw_hz
     static_ids, mobile_ids = classify_users(scenario.population)
@@ -579,16 +588,7 @@ def joint_optimize(
         x, y, c, dcf, t1_s=comp.kappa_s_per_op * ops,
         num_existing=scenario.population.num_existing, cascade=cascade,
     )
-    if beta_alpha_override is not None:
-        if x == 0:
-            raise DegenerateFrameError("beta/alpha override needs a scheduled period")
-        sched = frame.num_slots * dcf.data_slot_s
-        t2 = sched * (1.0 + beta_alpha_override)
-        frame = replace(
-            frame, t2_s=t2, alpha=sched / t2, beta=1.0 - sched / t2
-        )
-    else:
-        frame.validate(cascade=cascade if x else None)
+    frame.validate(cascade=cascade if x else None)
 
     n_users = scenario.population.num_total
     alloc = empty_allocation(n_users)
@@ -636,30 +636,37 @@ def joint_optimize(
     if bad:
         raise RuntimeError("allocation failed feasibility audit: %s" % "; ".join(bad))
 
-    s_s, s_c, s_o = analytic_throughput(
-        frame, alloc, channels, static_ids, mobile_ids, radio, dcf
-    )
-    s_one = onefactor_throughput(
-        frame, alloc, channels, static_ids, mobile_ids, radio, dcf
-    )
-    mismatch = abs(s_one - s_o) / s_o if s_o > 0 else math.inf
-    report = complexity_report(
-        x, y, scenario.ris.num_ris, scenario.ris.num_ris,
-        scenario.ris.elements_per_ris, comp.l1, comp.l2, comp.l3,
-        scenario.population.num_existing, frame.total_s, comp.kappa_s_per_op,
-    )
     return OptimizationResult(
         frame=frame,
         allocation=alloc,
         static_ids=static_ids,
         mobile_ids=mobile_ids,
-        throughput_scheduled_bps=s_s,
-        throughput_contended_bps=s_c,
-        throughput_overall_bps=s_o,
-        throughput_overall_onefactor_bps=s_one,
-        onefactor_mismatch_rel=mismatch,
         objective_trace=trace,
         cascade=cascade,
-        complexity=report,
         sweeps=sweeps,
+        **_frame_figures(scenario, channels, frame, alloc, static_ids, mobile_ids),
+    )
+
+
+def retime(
+    plan: OptimizationResult,
+    scenario: Scenario,
+    channels: chan.ChannelRealization,
+    beta_alpha: float,
+) -> OptimizationResult:
+    """``plan`` on the split beta/alpha = ``beta_alpha``, alpha*t2 = J*t held.
+
+    The allocation reads only the slot count J, which the split leaves
+    alone, so a split sweep plans once and re-times: only the frame and the
+    fields that read it change.  The plan needs a scheduled period (X > 0).
+    """
+    sched = plan.frame.num_slots * plan.frame.data_slot_s
+    t2 = sched * (1.0 + beta_alpha)
+    frame = replace(plan.frame, t2_s=t2, alpha=sched / t2, beta=1.0 - sched / t2)
+    return replace(
+        plan,
+        frame=frame,
+        **_frame_figures(
+            scenario, channels, frame, plan.allocation, plan.static_ids, plan.mobile_ids
+        ),
     )

@@ -449,12 +449,13 @@ def load_scenario(path: str, seed_override=None) -> Scenario:
         d["seed"] = int(seed_override)
     s = scenario_from_dict(d)
     if len(s.population.positions) == 0 and s.population.num_total > 0:
-        pop = build_population(
+        # draw only the positions: the file's class mix stays
+        drawn = build_population(
             s.population.num_total,
             seed=s.seed,
             area_side_m=s.area_side_m,
         )
-        s = replace(s, population=pop)
+        s = replace(s, population=replace(s.population, positions=drawn.positions))
     return s
 
 

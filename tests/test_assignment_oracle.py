@@ -91,7 +91,7 @@ def test_static_heavy_realizations_match_matching(monkeypatch):
 
 @pytest.mark.parametrize("num_ris", [1, 2, 3, 4])
 def test_fig7_realizations_match_matching(monkeypatch, num_ris):
-    scenario, _ = exp.scenario_for_value(default_scenario(), "ris", num_ris)
+    scenario = exp.scenario_for_value(default_scenario(), "ris", num_ris)
     seen = recorded_inputs(monkeypatch, [(scenario, seed) for seed in (1, 2)])
     assert seen
     check_against_matching(seen)

@@ -9,7 +9,8 @@ users, written by scenario.save_scenario), so four channels resolve in one
 round.  events_proposed_c4.csv runs the same scenario in the proposed mode:
 its 60 static users fill 4 x 15 slots, so the assignment must move users
 off over-full subchannels.  optimize_c4.json is the ``optimize`` JSON of the
-same scenario, and dcf_table_100_2.csv the stdout of ``dcf-table
+same scenario, fig6.csv and fig10.csv are ``report --figure figN --seeds 1``
+on the reference network, and dcf_table_100_2.csv the stdout of ``dcf-table
 --contenders 100 --channels 2``.  elements_sweep.csv varies the surface
 size, so it pins the (U, M, N) channel draws.  A refactor must leave them byte-identical; a change that
 moves the numbers on purpose regenerates them with those commands and
@@ -85,8 +86,12 @@ def test_pool_path_matches_golden(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("figure", ["fig5", "fig6", "fig8", "fig10"])
 def test_report_preset_runs(figure, tmp_path, monkeypatch, capsys):
-    """The presets not in RUNS run on the reference network."""
+    """The presets not in RUNS run on the reference network; the split
+    presets, whose sweeps re-time one plan per seed, match their goldens."""
     monkeypatch.setenv("RIS_MAC_THREADS", "1")
     out = tmp_path / (figure + ".csv")
     argv = ["report", "--figure", figure, "--seeds", "1", "--out", str(out)]
     assert cli.main(argv) == cli.EXIT_OK
+    if figure in ("fig6", "fig10"):
+        with open(os.path.join(GOLDEN_DIR, figure + ".csv"), "rb") as f:
+            assert out.read_bytes() == f.read()

@@ -461,8 +461,7 @@ def rate_increment_kappa(r, h, g, rho_sq_w, noise_w, bw_hz):
 class TestComplexity:
     def test_delta_zero_when_all_static(self):
         rep = opt.complexity_report(
-            num_static=50, num_mobile=0, num_ris=2, num_idle_ris=2,
-            num_elements=64, l1=4, l2=8, l3=4, num_existing=50,
+            num_static=50, num_ris=2, num_elements=64, l1=4, l2=8, l3=4, num_existing=50,
             frame_time_s=1.0, kappa_s_per_op=1e-9,
         )
         assert rep.delta_ops == 0.0

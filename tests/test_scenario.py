@@ -1,6 +1,7 @@
 """Scenario construction, classification, validation, and persistence."""
 
 import dataclasses
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -205,6 +206,18 @@ class TestPersistence:
         save_scenario(s, path)
         back = load_scenario(path)
         assert back == s
+
+    def test_round_trip_without_positions_keeps_the_class_mix(self, tmp_path):
+        # a file with no positions draws them, and keeps its own class mix
+        s = default_scenario(total_users=40, ratio=(18, 1, 1), seed=4)
+        d = s.to_dict()
+        d["population"]["positions"] = []
+        path = str(tmp_path / "scenario.json")
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(d, f)
+        back = load_scenario(path)
+        assert back == s
+        assert (back.population.num_existing, back.population.num_new_mobile) == (38, 2)
 
     def test_seed_override(self, tmp_path):
         s = default_scenario(total_users=12, seed=4)

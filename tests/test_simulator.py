@@ -11,7 +11,7 @@ from ris_mac import channel as chan
 from ris_mac import dcf as dcfmod
 from ris_mac import simulator as sim
 from ris_mac.experiments import plan_cell, run_cell
-from ris_mac.optimizer import joint_optimize
+from ris_mac.optimizer import joint_optimize, retime
 from ris_mac.scenario import (
     DcfParams,
     UserPopulation,
@@ -23,9 +23,9 @@ from ris_mac.scenario import (
 from conftest import composite_gain, guard_shortfall_cell, small_scenario
 
 
-def planned_frame(scenario, seed, mode="proposed", beta_alpha=None):
+def planned_frame(scenario, seed, mode="proposed"):
     channels = chan.draw_channels(scenario, seed)
-    plan = joint_optimize(scenario, channels, beta_alpha_override=beta_alpha)
+    plan = joint_optimize(scenario, channels)
     frame, alloc = sim.plan_mode(scenario, channels, plan, mode)
     trace = sim.run_frame(scenario, channels, frame, alloc, mode, seed, record=True)
     return channels, plan, frame, alloc, trace
@@ -329,10 +329,10 @@ class TestContendedPeriod:
         ch = chan.draw_channels(s, 13)
         plan = joint_optimize(s, ch)
         r_star = plan.frame.beta / plan.frame.alpha
-        below = joint_optimize(s, ch, beta_alpha_override=0.6 * r_star)
+        below = retime(plan, s, ch, 0.6 * r_star)
         trace = sim.run_frame(s, ch, below.frame, below.allocation, "proposed", 13)
         assert not trace.served.all()
-        at = joint_optimize(s, ch, beta_alpha_override=r_star)
+        at = retime(plan, s, ch, r_star)
         trace_at = sim.run_frame(s, ch, at.frame, at.allocation, "proposed", 13)
         assert trace_at.served.all()
 
@@ -342,11 +342,11 @@ class TestContendedPeriod:
         plan = joint_optimize(s, ch)
         r_star = plan.frame.beta / plan.frame.alpha
         _, contenders = classify_users(s.population)
-        below = joint_optimize(s, ch, beta_alpha_override=0.6 * r_star)
+        below = retime(plan, s, ch, 0.6 * r_star)
         trace = sim.run_frame(s, ch, below.frame, below.allocation, "proposed", 13)
         assert trace.contenders_left > 0
         assert int(trace.served[contenders].sum()) + trace.contenders_left == len(contenders)
-        at = joint_optimize(s, ch, beta_alpha_override=r_star)
+        at = retime(plan, s, ch, r_star)
         trace_at = sim.run_frame(s, ch, at.frame, at.allocation, "proposed", 13)
         assert trace_at.contenders_left == 0
 
