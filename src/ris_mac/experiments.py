@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from . import channel as chan
 from . import dcf as dcfmod
 from . import simulator as sim
-from .optimizer import DegenerateFrameError, joint_optimize, retime
+from .optimizer import DegenerateFrameError, fairness_floor, joint_optimize, retime
 from .scenario import (
     Scenario,
     build_population,
@@ -358,4 +358,4 @@ def _optimal_beta_alpha(scenario: Scenario) -> float:
     j = -(-len(static_ids) // c)
     if j == 0:
         return float("inf")
-    return cascade.required_beta_t2_s / (j * scenario.dcf.data_slot_s)
+    return fairness_floor(cascade, j, scenario.dcf.data_slot_s)

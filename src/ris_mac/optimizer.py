@@ -77,9 +77,16 @@ class FrameConfig:
             if abs(self.scheduled_s - self.num_slots * self.data_slot_s) > 1e-9:
                 raise ValueError("alpha*t2 must equal J*t")
             if cascade is not None:
-                need = cascade.required_beta_t2_s / (self.num_slots * self.data_slot_s)
+                need = fairness_floor(cascade, self.num_slots, self.data_slot_s)
                 if self.beta / self.alpha < need - 1e-9:
                     raise ValueError("beta/alpha below the fairness feasibility floor")
+
+
+def fairness_floor(cascade, num_slots: int, data_slot_s: float) -> float:
+    """The least beta/alpha that gives the cascade's contended period room
+    behind J = ``num_slots`` scheduled slots of ``data_slot_s``:
+    required_beta_t2_s / (J * t)."""
+    return cascade.required_beta_t2_s / (num_slots * data_slot_s)
 
 
 @dataclass

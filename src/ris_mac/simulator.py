@@ -10,6 +10,8 @@ rounds of one handshake time t_r each.  A round draws every remaining
 contender's subchannel pick and then its backoff counter on a per-frame
 bounds array: C_s per pick (filled once per frame) followed by each
 contender's window, read from the per-stage table min(w_min * 2^s, w_max).
+Picks are fixed, and not drawn, on a single subchannel (a bound of 1 takes
+no word) and under csi_best_channel.
 
 The contention draws make no Generator call.  A WordTape reads the frame's
 fresh PCG64 in chunks with ``bit_generator.random_raw`` and splits each
@@ -26,14 +28,23 @@ arrays against the bounds; when some product's low word falls below the
 frame's largest rejection threshold (256 of 2^32 at a window of 960), the
 round redoes its draws one element at a time, exactly.
 
-One sort of the unique channel-major key
-(pick * (w_max + 1) + counter) * n + index resolves every occupied
-subchannel at once: each channel's group is led by its minimum counter,
-whose unique holder wins, while a tie is a collision that raises the tied
-users' stages, and only their entries of the bounds are rewritten.  A round
-that serves anyone shrinks the per-frame state with one keep-mask.  The
-grant order is a permutation of the occupied channels (permutation(0) and
-permutation(1) take no word).
+One sort of the unique counter-major key (counter * C_s + pick) * n0 +
+index resolves every occupied subchannel at once; n0 is the frame's
+starting contender count, so the weights never change as contenders leave.
+A round builds its keys from its draws in one integer product, plus a
+per-frame term: the index, and n0 times the pick when picks are fixed.
+Sorted, the keys run by counter, then channel, then index, so each
+channel's first key holds its minimum counter, whose unique holder wins,
+while a run of keys that share it is a collision that raises the tied
+users' stages, and only their entries of the bounds are rewritten.  The
+round reads only the head of the sorted keys: the scan stops once every
+channel has shown its minimum and that minimum's run has ended, and reads
+the rest only when the head does not settle the round, as when fewer than
+C_s channels are occupied.  A round that serves anyone shrinks the bounds
+and terms by moving their kept stretches down in place.  The grant order
+is a permutation of the occupied channels (permutation(0) and
+permutation(1) take no word, permutation(2) one word masked to its low
+bit).
 The BS paces its CTS grants to the closed-form service recursion, drawn
 lazily from dcf.service_rounds, the generator contention_cascade sizes the
 contended period from: each round adds the recursion's increment to the
@@ -91,6 +102,10 @@ CLASS_MOBILE = 1
 CLASS_NEW = 2
 
 WORD_MASK = 0xFFFFFFFF
+
+_HIGH_WORD = np.uint64(32)
+_min = np.minimum.reduce
+_tolist = np.ndarray.tolist
 
 
 class ModeMismatchError(ValueError):
@@ -150,7 +165,8 @@ class WordTape:
 
     ``integers``, ``below`` and ``permutation`` give the values of
     ``Generator.integers(0, bounds)``, ``integers(0, b)`` and
-    ``permutation(k)`` on the same generator, and consume the same words.
+    ``permutation(k)`` on the same generator, and consume the same words;
+    ``word`` hands out the next word, as ``next_uint32`` would.
     Outputs are read with ``random_raw``, READ_AHEAD draws' worth of the
     size that ran short at a time, and split by mask and shift, so the word
     order does not depend on the host's byte order.  ``values`` lists every
@@ -193,7 +209,8 @@ class WordTape:
         self._pos = end
         return words
 
-    def _word(self) -> int:
+    def word(self) -> int:
+        """The next 32-bit word."""
         if self._pos == len(self._words):
             self._fill(1)
         w = self._words.item(self._pos)
@@ -206,7 +223,7 @@ class WordTape:
             return 0
         threshold = (2**32 - b) % b
         while True:
-            m = self._word() * b
+            m = self.word() * b
             if m & WORD_MASK >= threshold:
                 return m >> 32
 
@@ -223,12 +240,13 @@ class WordTape:
     def _integers_wide(self, bounds: np.ndarray) -> np.ndarray:
         n = len(bounds)
         prod = self._take(n) * bounds
-        if n and (prod & WORD_MASK).min() < self._reject_below:
+        # the cast to uint32 keeps each product's low word
+        if n and _min(prod.astype(np.uint32)) < self._reject_below:
             # some word may be rejected: redo the draws from the same words,
             # which _take left just behind _pos
             self._pos -= n
             return np.array([self.below(b) for b in bounds.tolist()], dtype=np.int64)
-        prod >>= 32
+        prod >>= _HIGH_WORD
         return prod.view(np.int64)
 
     def permutation(self, k: int) -> list:
@@ -236,52 +254,66 @@ class WordTape:
         order = list(range(k))
         for i in range(k - 1, 0, -1):
             mask = (1 << i.bit_length()) - 1
-            j = self._word() & mask
+            j = self.word() & mask
             while j > i:
-                j = self._word() & mask
+                j = self.word() & mask
             order[i], order[j] = order[j], order[i]
         return order
 
 
-def resolve_backoff(pick: np.ndarray, counters: np.ndarray, w_max: int) -> tuple:
+HEAD = 16  # sorted keys a round reads before it reads the rest
+
+
+def resolve_round(keys: np.ndarray, num_channels: int, n0: int) -> tuple:
     """First-expiry resolution of one round on every occupied subchannel.
 
-    One sort of the unique key ``(pick * (w_max + 1) + counter) * n + index``
-    groups the n contenders by channel, each group led by its minimum counter
-    with ties in ascending index order (counters are below w_max, so keys
-    never cross a channel; they fit int64 while C_s * (w_max + 1) * n stays
-    below 2^63, which ``validate_scenario``'s w_max < 2^31 keeps for any
-    C_s * n below 2^32); each group's bounds and its run of minimum keys
-    are then found by bisection.  Returns lists (occupied, lead, collided,
-    tied):
+    ``keys`` holds one unique counter-major key per contender,
+    ``(counter * num_channels + pick) * n0 + index`` with index < n0, and
+    is sorted in place (keys stay below w_max * num_channels * n0, which
+    ``validate_scenario``'s w_max < 2^31 keeps inside int64 for any
+    num_channels * n0 below 2^32).  Sorted, the keys run by counter, then
+    channel, then index, so each channel's first key holds its minimum
+    counter, and the keys that share its quotient by n0 (its run) are the
+    users tied on it, in ascending index order.  The scan stops at the
+    first key after every channel has shown its minimum and that minimum's
+    run has ended, so it reads the HEAD keys of the sorted list, and the
+    rest only when they do not settle the round, as when fewer than
+    ``num_channels`` channels are occupied.  Returns lists (occupied, lead,
+    collided, tied):
 
     - ``occupied``: the channels with contenders, ascending;
     - ``lead``: per occupied channel, the index of its minimum counter's
       holder (on a tie, the lowest tied index);
     - ``collided``: per occupied channel, whether the minimum is tied, so
       those users' RTS frames collide and the channel has no winner;
-    - ``tied``: the indices of every tied user, ascending within a channel.
+    - ``tied``: the indices of every tied user, channel by channel in the
+      order the scan meets them, ascending within a channel.
     """
-    n = len(counters)
-    per_channel = (w_max + 1) * n
-    keys = (pick * (w_max + 1) + counters) * n + np.arange(n)
     keys.sort()  # in place: np.sort would copy the fresh array
-    keys = keys.tolist()
-    occupied, lead, collided, tied = [], [], [], []
-    start = 0
-    while start < n:
-        first = keys[start]
-        c = first // per_channel
-        end = bisect.bisect_left(keys, (c + 1) * per_channel, start)
-        run = bisect.bisect_left(keys, (first // n + 1) * n, start, end)
-        tie = run - start > 1
-        occupied.append(c)
-        lead.append(first % n)
-        collided.append(tie)
-        if tie:
-            tied.extend(key % n for key in keys[start:run])
-        start = end
-    return occupied, lead, collided, tied
+    lead = [-1] * num_channels
+    collided = [False] * num_channels
+    tied = []
+    unseen = num_channels
+    run_end = c = 0  # one past the run being read, and its channel
+    for key in itertools.chain.from_iterable(map(_tolist, (keys[:HEAD], keys[HEAD:]))):
+        if key < run_end:
+            if not collided[c]:
+                collided[c] = True
+                tied.append(lead[c])
+            tied.append(key % n0)
+        elif not unseen:
+            break
+        else:
+            quotient = key // n0
+            c = quotient % num_channels
+            if lead[c] < 0:
+                lead[c] = key % n0
+                unseen -= 1
+                run_end = (quotient + 1) * n0
+    if not unseen:
+        return list(range(num_channels)), lead, collided, tied
+    occupied = [c for c in range(num_channels) if lead[c] >= 0]
+    return occupied, [lead[c] for c in occupied], [collided[c] for c in occupied], tied
 
 
 def run_frame(
@@ -414,9 +446,10 @@ def _run_contention(
     """Round-paced DCF with BS-gated grants.
 
     ``rng`` must be a fresh PCG64 Generator: a WordTape reads its words, so
-    the rounds make no Generator call.  Appends the rounds' TraceEvents to ``events`` unless it is None.
-    Returns (rounds, collisions, grant_shortfall, contenders_left, bits),
-    ``bits`` summed over the grants round by round in grant order.
+    the rounds make no Generator call.  Appends the rounds' TraceEvents to
+    ``events`` unless it is None.  Returns (rounds, collisions,
+    grant_shortfall, contenders_left, bits), ``bits`` summed over the
+    grants round by round in grant order.
     """
     radio, dcf = scenario.radio, scenario.dcf
     t_r = dcfmod.handshake_time(dcf)
@@ -436,27 +469,34 @@ def _run_contention(
         return opt.distributed_ris_select(channels, k, ris_on_channel[c], rho[k], noise, bw)
 
     # per-frame state, indexed like the sorted contender ids: each one's
-    # backoff stage, and the draw bounds, C_s per pick (unless the picks are
-    # CSI-fixed) followed by each one's window, so a round is one tape draw
+    # backoff stage, the draw bounds, C_s per pick (unless the picks are
+    # fixed) followed by each one's window, so a round is one tape draw, and
+    # each one's key term, its index plus n0 times its pick when fixed
     remaining = sorted(int(k) for k in contenders)
-    n = len(remaining)
+    n = n0 = len(remaining)
+    num_channels = len(live_channels)
     stage = [0] * n
     windows = window_table(dcf)
     top = dcf.max_backoff_stage
-    draw_picks = not scenario.csi_best_channel
+    # a single channel's picks are bounds of 1, which take no word
+    draw_picks = num_channels > 1 and not scenario.csi_best_channel
     lo = n if draw_picks else 0  # where the windows start in the bounds
-    bounds = np.full(lo + n, len(live_channels), dtype=np.uint64)
+    bounds = np.full(lo + n, num_channels, dtype=np.uint64)
     bounds[lo:] = windows[0]
-    tape = WordTape(rng, windows + [len(live_channels)])
+    tape = WordTape(rng, windows + [num_channels] if draw_picks else windows)
+    term = np.arange(n, dtype=np.int64)
+    # the key (counter * C_s + pick) * n0 + index is one product of the
+    # round's draws, (picks, counters) or (counters), plus term
+    weights = np.array([n0, num_channels * n0] if draw_picks else [num_channels * n0], np.int64)
     # the recursion's cumulative service, held at n once it has served everyone
     paced = itertools.chain(
-        dcfmod.service_rounds(n, len(live_channels), dcf.w_min, top), itertools.repeat((n, False))
+        dcfmod.service_rounds(n, num_channels, dcf.w_min, top), itertools.repeat((n, False))
     )
     rounds_budget = int(math.floor(budget_s / t_r + 1e-9))
-    best_channel = None  # csi_best_channel picks, fixed before the first round
-    if not draw_picks and rounds_budget > 0:
-        best_channel = np.array(
-            [np.argmax([select(k, c)[1] for c in range(len(live_channels))]) for k in remaining]
+    if scenario.csi_best_channel and rounds_budget > 0:
+        # csi_best_channel picks, fixed before the first round
+        term += n0 * np.array(
+            [np.argmax([select(k, c)[1] for c in range(num_channels)]) for k in remaining]
         )
 
     rounds = collisions = grant_shortfall = owed = paced_served = 0
@@ -467,10 +507,11 @@ def _run_contention(
         owed += served_after - paced_served
         paced_served = served_after
         draws = tape.integers(bounds)
-        pick = draws[:n] if draw_picks else best_channel
         counters = draws[lo:]
+        keys = weights @ draws.reshape(len(weights), n)
+        keys += term[:n]
 
-        occupied, lead, collided, tied = resolve_backoff(pick, counters, dcf.w_max)
+        occupied, lead, collided, tied = resolve_round(keys, num_channels, n0)
         for i in tied:
             s = stage[i] = min(stage[i] + 1, top)
             bounds[lo + i] = windows[s]
@@ -482,7 +523,11 @@ def _run_contention(
                         t_rts, "collision", -1, live_channels[c], -1, float(counters[i])
                     ))
 
-        grant_order = tape.permutation(len(occupied))
+        # permutation(2) is one word masked to its low bit
+        if len(occupied) == 2:
+            grant_order = (0, 1) if tape.word() & 1 else (1, 0)
+        else:
+            grant_order = tape.permutation(len(occupied))
         # serves the recursion asked for beyond the occupied channels carry
         # over to the next round
         grants = min(owed, len(occupied))
@@ -494,6 +539,7 @@ def _run_contention(
             if collided[g]:
                 # post-collision re-draw inside the round settles on one
                 # of the channel's contenders, in ascending index order
+                pick = draws[:n] if draw_picks else term[:n] // n0
                 here = np.flatnonzero(pick == c)
                 i = int(here[tape.below(here.size)])
             k = remaining[i]
@@ -520,17 +566,22 @@ def _run_contention(
                                    float(counters[i]))
                     )
         if granted:
-            keep = np.ones(n, dtype=bool)
-            keep[granted] = False
-            kept_windows = bounds[lo:][keep]
-            for i in sorted(granted, reverse=True):
+            # drop the granted entries by moving each kept stretch of the
+            # windows (which start lower once there are fewer picks) and of
+            # the terms down in place; a term moved d places loses d, so it
+            # stays index plus n0 times the pick (drawn picks leave the
+            # terms equal to the indices, which the move would not change)
+            granted.sort()
+            for i in reversed(granted):
                 del remaining[i], stage[i]
+            new_lo = n - len(granted) if draw_picks else 0
+            for d, (i, j) in enumerate(zip([-1] + granted, granted + [n])):
+                bounds[new_lo + i + 1 - d:new_lo + j - d] = bounds[lo + i + 1:lo + j]
+                if d and not draw_picks:
+                    term[i + 1 - d:j - d] = term[i + 1:j] - d
             n = len(remaining)
-            lo = n if draw_picks else 0
+            lo = new_lo
             bounds = bounds[: lo + n]
-            bounds[lo:] = kept_windows
-            if best_channel is not None:
-                best_channel = best_channel[keep]
         rounds += 1
     return rounds, collisions, grant_shortfall, n, bits_sum
 

@@ -4,7 +4,9 @@ contention_oracle.py holds that loop verbatim.  Each case plans one frame
 and replays it through both engines from the same seed; every event, the
 served and bits arrays and the four returned counts must be equal, so the
 RNG stream, the tie order and the kept windows all match the reference,
-and so must the contended bits each engine sums in grant order.
+and so must the contended bits each engine sums in grant order.  The
+engine also replays each frame unrecorded, as sweeps run it, and must
+match the reference on everything but the (empty) event list.
 Besides the reference DCF, two edge DCFs run: w_min = 1, whose stage-0
 window of 1 is a draw that consumes no bits, and max_backoff_stage = 0,
 whose window never moves.  A third, one window of 3 * 2^29, makes Lemire's
@@ -60,20 +62,25 @@ def planned(num_channels, num_ris, seed, dcf=DcfParams()):
 
 
 def both_engines(monkeypatch, scenario, channels, frame, alloc, mode, seed):
+    """(engine, quiet, reference): the engine recorded and unrecorded, and
+    the reference loop recorded."""
     engine = sim.run_frame(scenario, channels, frame, alloc, mode, seed, record=True)
+    quiet = sim.run_frame(scenario, channels, frame, alloc, mode, seed)
     with monkeypatch.context() as m:
         m.setattr(sim, "_run_contention", contention_oracle._run_contention)
         reference = sim.run_frame(scenario, channels, frame, alloc, mode, seed, record=True)
-    return engine, reference
+    return engine, quiet, reference
 
 
-def assert_same(engine, reference):
+def assert_same(engine, quiet, reference):
     assert engine.events == reference.events
-    assert engine.served.tolist() == reference.served.tolist()
-    assert engine.bits.tolist() == reference.bits.tolist()
-    for name in ("n_r_measured", "collisions", "grant_shortfall", "contenders_left",
-                 "throughput_contended_bps"):
-        assert getattr(engine, name) == getattr(reference, name), name
+    assert quiet.events == []
+    for trace in (engine, quiet):
+        assert trace.served.tolist() == reference.served.tolist()
+        assert trace.bits.tolist() == reference.bits.tolist()
+        for name in ("n_r_measured", "collisions", "grant_shortfall", "contenders_left",
+                     "throughput_contended_bps"):
+            assert getattr(trace, name) == getattr(reference, name), name
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -85,8 +92,8 @@ def test_engine_matches_reference_loop(monkeypatch, num_channels, num_ris, csi, 
     s, channels, plan = planned(num_channels, num_ris, seed)
     s = dataclasses.replace(s, csi_best_channel=csi)
     frame, alloc = sim.plan_mode(s, channels, plan, mode)
-    engine, reference = both_engines(monkeypatch, s, channels, frame, alloc, mode, seed)
-    assert_same(engine, reference)
+    engine, quiet, reference = both_engines(monkeypatch, s, channels, frame, alloc, mode, seed)
+    assert_same(engine, quiet, reference)
     if mode != "scheme1":
         assert reference.n_r_measured > 0
 
@@ -100,8 +107,8 @@ def test_edge_dcf_matches_reference_loop(monkeypatch, dcf_name, num_channels, cs
     s, channels, plan = planned(num_channels, 2, seed, EDGE_DCFS[dcf_name])
     s = dataclasses.replace(s, csi_best_channel=csi)
     frame, alloc = sim.plan_mode(s, channels, plan, mode)
-    engine, reference = both_engines(monkeypatch, s, channels, frame, alloc, mode, seed)
-    assert_same(engine, reference)
+    engine, quiet, reference = both_engines(monkeypatch, s, channels, frame, alloc, mode, seed)
+    assert_same(engine, quiet, reference)
     if mode != "scheme1":
         assert reference.n_r_measured > 0 and reference.collisions > 0
 
@@ -113,8 +120,8 @@ def test_rejecting_window_matches_reference_loop(monkeypatch, num_channels, mode
     # windows this wide almost never tie, so collisions are not asserted
     s, channels, plan = planned(num_channels, 3, seed, REJECTING_DCF)
     frame, alloc = sim.plan_mode(s, channels, plan, mode)
-    engine, reference = both_engines(monkeypatch, s, channels, frame, alloc, mode, seed)
-    assert_same(engine, reference)
+    engine, quiet, reference = both_engines(monkeypatch, s, channels, frame, alloc, mode, seed)
+    assert_same(engine, quiet, reference)
     assert reference.n_r_measured > 0
 
 
@@ -131,9 +138,9 @@ def test_grant_shortfall_matches_reference_loop(monkeypatch):
     ch = chan.ChannelRealization(g=ch.g, h=h, r=ch.r)
     frame, alloc = sim.plan_scheme2(s, 50 * dcfmod.handshake_time(s.dcf))
     monkeypatch.setattr(dcfmod, "round_params", lambda n, c, w, l: (0.1, 0.0, 1.0))
-    engine, reference = both_engines(monkeypatch, s, ch, frame, alloc, "scheme2", 22)
+    engine, quiet, reference = both_engines(monkeypatch, s, ch, frame, alloc, "scheme2", 22)
     assert reference.grant_shortfall > 0
-    assert_same(engine, reference)
+    assert_same(engine, quiet, reference)
 
 
 @pytest.mark.parametrize("total_users", [3, 4, 6])
@@ -144,6 +151,6 @@ def test_guard_shortfall_matches_reference_loop(monkeypatch, total_users):
     from conftest import guard_shortfall_cell
 
     s, ch, frame, alloc, _ = guard_shortfall_cell(total_users)
-    engine, reference = both_engines(monkeypatch, s, ch, frame, alloc, "scheme2", 22)
+    engine, quiet, reference = both_engines(monkeypatch, s, ch, frame, alloc, "scheme2", 22)
     assert reference.grant_shortfall > 0 and reference.served.all()
-    assert_same(engine, reference)
+    assert_same(engine, quiet, reference)

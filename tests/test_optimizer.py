@@ -78,6 +78,35 @@ class TestFrameTiming:
         f.validate(cascade=cascade)
 
 
+    def test_fairness_floor_is_the_one_split_bound(self):
+        # validate and the split presets' base ratio both read the floor
+        # from fairness_floor: the optimal split sits on it, a split just
+        # below it fails validation, and the base ratio of a scenario is it
+        from ris_mac import experiments
+
+        dcf = DcfParams()
+        cascade = dcfmod.contention_cascade(100, 2, dcf)
+        f = opt.optimal_frame_timing(100, 100, 2, dcf, t1_s=5e-3)
+        floor = opt.fairness_floor(cascade, f.num_slots, dcf.data_slot_s)
+        assert floor == cascade.required_beta_t2_s / (f.num_slots * dcf.data_slot_s)
+        assert f.beta / f.alpha == pytest.approx(floor, rel=1e-12)
+        f.validate(cascade=cascade)
+        alpha = 1.0 / (1.0 + floor * (1 - 1e-6))
+        below = dataclasses.replace(
+            f, alpha=alpha, beta=1.0 - alpha, t2_s=f.num_slots * dcf.data_slot_s / alpha
+        )
+        with pytest.raises(ValueError, match="fairness feasibility floor"):
+            below.validate(cascade=cascade)
+
+        s = small_scenario(total_users=40)
+        static_ids, mobile_ids = classify_users(s.population)
+        c = len(s.ris.subchannels)
+        cascade = dcfmod.contention_cascade(len(mobile_ids), c, s.dcf)
+        j = -(-len(static_ids) // c)
+        want = opt.fairness_floor(cascade, j, s.dcf.data_slot_s)
+        assert experiments._optimal_beta_alpha(s) == want
+
+
 class TestAllocatePower:
     def test_single_user_gets_full_budget(self):
         p = opt.allocate_power(np.array([3.0]), 2.0, 0.0, 1e7)

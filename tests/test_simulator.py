@@ -31,6 +31,29 @@ def planned_frame(scenario, seed, mode="proposed"):
     return channels, plan, frame, alloc, trace
 
 
+def resolve(pick, counters, num_channels, n0=None):
+    """sim.resolve_round on the counter-major keys of contenders listed by
+    index; n0 defaults to their count."""
+    n0 = len(counters) if n0 is None else n0
+    keys = (np.asarray(counters) * num_channels + np.asarray(pick)) * n0 + np.arange(len(counters))
+    return sim.resolve_round(keys.astype(np.int64), num_channels, n0)
+
+
+def per_channel_reference(pick, counters, num_channels) -> tuple:
+    """(occupied, lead, collided, tied) found one channel at a time; tied
+    users are listed in channel order."""
+    occupied, lead, collided, tied = [], [], [], []
+    for c in range(num_channels):
+        here = np.flatnonzero(pick == c)
+        if here.size:
+            at_min = here[counters[here] == counters[here].min()].tolist()
+            occupied.append(c)
+            lead.append(at_min[0])
+            collided.append(len(at_min) > 1)
+            tied.extend(at_min if len(at_min) > 1 else [])
+    return occupied, lead, collided, tied
+
+
 class TestBackoff:
     def test_window_doubles_and_caps(self):
         # eight collisions in a row walk the table and then stay on its last stage
@@ -40,28 +63,102 @@ class TestBackoff:
         assert sizes == [15, 30, 60, 120, 240, 480, 960, 960]
         assert len(table) == dcf.max_backoff_stage + 1
 
-    def test_resolve_backoff_unique_min_wins(self):
+    def test_resolve_round_unique_min_wins(self):
         users, counters = np.array([3, 7, 9]), np.array([5, 2, 4])
-        occupied, lead, collided, tied = sim.resolve_backoff(np.zeros(3, dtype=int), counters, 960)
+        occupied, lead, collided, tied = resolve(np.zeros(3, dtype=int), counters, 1)
         assert occupied == [0] and not collided[0]
         assert users[lead[0]] == 7 and users[tied].tolist() == []
 
-    def test_resolve_backoff_tie_collides(self):
+    def test_resolve_round_tie_collides(self):
         users, counters = np.array([3, 7, 9]), np.array([2, 2, 4])
-        occupied, lead, collided, tied = sim.resolve_backoff(np.zeros(3, dtype=int), counters, 960)
+        occupied, lead, collided, tied = resolve(np.zeros(3, dtype=int), counters, 1)
         assert occupied == [0] and collided[0]
         assert users[tied].tolist() == [3, 7]
 
-    def test_resolve_backoff_every_channel_at_once(self):
+    def test_resolve_round_every_channel_at_once(self):
         # channel 2 has a unique minimum, channel 0 a three-way tie, channel 1
-        # is empty; a counter at the window cap never spills into channel 3
+        # is empty; a counter at the window cap sorts last on channel 3
         pick = np.array([2, 0, 0, 2, 0, 3, 0])
         counters = np.array([4, 1, 1, 9, 3, 959, 1])
-        occupied, lead, collided, tied = sim.resolve_backoff(pick, counters, 960)
+        occupied, lead, collided, tied = resolve(pick, counters, 4)
         assert occupied == [0, 2, 3]
         assert lead == [1, 0, 5]
         assert collided == [True, False, False]
         assert tied == [1, 2, 6]
+
+    def test_resolve_round_reads_past_the_head_when_a_channel_is_empty(self):
+        # channel 1 of 3 is empty, so no head settles the round, and channel
+        # 2's minimum sits behind every key of channel 0
+        n = 3 * sim.HEAD
+        pick = np.where(np.arange(n) < n - 1, 0, 2)
+        counters = np.arange(n) % 5
+        counters[-1] = 7
+        occupied, lead, collided, tied = resolve(pick, counters, 3)
+        assert occupied == [0, 2]
+        assert lead == [0, n - 1]
+        assert collided == [True, False]
+        assert tied == list(range(0, n - 1, 5))
+        assert (occupied, lead, collided, tied) == per_channel_reference(pick, counters, 3)
+
+    def test_resolve_round_minimum_run_longer_than_the_head(self):
+        # a minimum run on channel 0 that is longer than the head, then one
+        # on channel 1 that starts inside the head and ends past it, each
+        # followed by later keys of both channels
+        n0 = 3 * sim.HEAD
+        for run0, count1 in ((sim.HEAD + 4, 3), (sim.HEAD // 2, 0)):
+            run1 = sim.HEAD
+            pick = np.array([0] * run0 + [1] * run1 + [0, 1] * 4)
+            counters = np.array([0] * run0 + [count1] * run1 + [1, 4] * 4)
+            occupied, lead, collided, tied = resolve(pick, counters, 2, n0)
+            assert occupied == [0, 1] and collided == [True, True]
+            assert lead == [0, run0]
+            assert tied == list(range(run0 + run1))
+            assert (occupied, lead, collided, tied) == per_channel_reference(pick, counters, 2)
+
+    def test_resolve_round_on_one_channel(self):
+        # with C_s = 1 every pick is 0 (a bound of 1, which takes no word),
+        # so the key is counter * n0 + index
+        counters = np.array([6, 2, 9, 2, 2])
+        occupied, lead, collided, tied = resolve(np.zeros(5, dtype=int), counters, 1)
+        assert (occupied, lead, collided, tied) == ([0], [1], [True], [1, 3, 4])
+        counters[3:] = 8
+        assert resolve(np.zeros(5, dtype=int), counters, 1) == ([0], [1], [False], [])
+
+    def test_one_channel_round_draws_no_pick(self, monkeypatch):
+        # a frame on one subchannel hands the tape only the windows
+        s = small_scenario(total_users=12, ratio=(0, 1, 0), num_ris=1, elements=4)
+        channels = chan.draw_channels(s, 5)
+        plan = joint_optimize(s, channels)
+        handed = []
+        integers = sim.WordTape.integers
+
+        def spy(tape, bounds):
+            handed.append(bounds.tolist())
+            return integers(tape, bounds)
+
+        monkeypatch.setattr(sim.WordTape, "integers", spy)
+        trace = sim.run_frame(s, channels, plan.frame, plan.allocation, "proposed", 5)
+        windows = set(sim.window_table(s.dcf))
+        assert handed and trace.served.all()
+        assert all(set(bounds) <= windows for bounds in handed)
+        assert [len(b) for b in handed] == sorted((len(b) for b in handed), reverse=True)
+        assert len(handed[0]) == s.population.num_total
+
+    def test_resolve_round_matches_per_channel_minimum(self):
+        meta = np.random.default_rng(2028)
+        for _ in range(500):
+            num_channels = int(meta.integers(1, 5))
+            n = int(meta.integers(1, 4 * sim.HEAD))
+            pick = meta.integers(0, num_channels, size=n)
+            counters = meta.integers(0, int(meta.choice([2, 5, 15, 960])), size=n)
+            n0 = n + int(meta.integers(0, 20))
+            got = resolve(pick, counters, num_channels, n0)
+            want = per_channel_reference(pick, counters, num_channels)
+            assert got[:3] == want[:3]
+            # tied users come channel by channel, ascending within each
+            for c in range(num_channels):
+                assert [i for i in got[3] if pick[i] == c] == [i for i in want[3] if pick[i] == c]
+            assert sorted(got[3]) == sorted(want[3])
 
     def test_array_draws_equal_scalar_draws(self):
         # a round's picks and counters are one array draw, whose stream is
