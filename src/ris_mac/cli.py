@@ -1,8 +1,7 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 usage error, 2 scenario validation failure,
-3 infeasible optimization or a contention cascade past its round cap,
-4 runtime error.
+3 infeasible optimization, 4 runtime error.
 """
 
 from __future__ import annotations
@@ -183,6 +182,7 @@ def cmd_optimize(args) -> int:
             "handshake_s": result.cascade.t_r_s,
             "required_contended_s": result.cascade.required_beta_t2_s,
             "starvation_guard_fired": result.cascade.starvation_guard_fired,
+            "guard_served": result.cascade.guard_served,
         },
         "complexity": {
             "mac_ops": result.complexity.mac_ops,
@@ -305,7 +305,7 @@ def main(argv=None) -> int:
     except ScenarioInvalid as e:
         print(e.args[0], file=sys.stderr)
         return EXIT_VALIDATION
-    except (InfeasibleError, dcfmod.CascadeError) as e:
+    except InfeasibleError as e:
         print("infeasible: %s" % e, file=sys.stderr)
         return EXIT_INFEASIBLE
     except (exp.SweepSpecError, ValueError) as e:

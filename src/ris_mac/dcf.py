@@ -13,10 +13,9 @@ The round recursion runs until every one of the Y mobile users has been
 served exactly once; the round count N_r sizes the contended period as
 N_r * t_r, with t_r the airtime of one successful RTS/CTS handshake plus
 payload.  service_rounds is the one implementation of the recursion and its
-starvation guard: contention_cascade collects its rounds, at most
-CASCADE_ROUND_CAP of them, and the frame engine draws them lazily, one per
-contention round its budget holds, so a frame runs even where the closed
-form would pass the cap.
+starvation guard, which ends it within N_r <= 50 Y rounds: contention_cascade
+collects all of its rounds, and the frame engine draws them lazily, one per
+contention round its budget holds.
 
 The closed form is the sum read as a derivative: with x = (1-tau)^2 and
 q = 1/C the terms are tau * C(N,V) V x^(V-1) q^V (1-q)^(N-V), which is tau
@@ -33,7 +32,6 @@ correcting it.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,17 +39,12 @@ from .scenario import DcfParams
 
 FIXED_POINT_TOL = 1e-12
 FIXED_POINT_MAX_ITER = 200
-CASCADE_ROUND_CAP = 10_000
 STARVATION_GUARD_ROUNDS = 50
 # absorbs float accumulation in C * sum(P) right at integer boundaries
 FLOOR_EPS = 1e-9
 
 
 class FixedPointError(RuntimeError):
-    pass
-
-
-class CascadeError(RuntimeError):
     pass
 
 
@@ -145,10 +138,25 @@ class ContentionRound:
 @dataclass(frozen=True)
 class ContentionSummary:
     rounds: tuple
-    n_r: int
     t_r_s: float
-    required_beta_t2_s: float
-    starvation_guard_fired: bool = False
+
+    @property
+    def n_r(self) -> int:
+        return len(self.rounds)
+
+    @property
+    def required_beta_t2_s(self) -> float:
+        return len(self.rounds) * self.t_r_s
+
+    @property
+    def starvation_guard_fired(self) -> bool:
+        return any(rd.forced for rd in self.rounds)
+
+    @property
+    def guard_served(self) -> int:
+        """Users served by forced rounds (Y - contenders are served before each)."""
+        y = self.rounds[0].contenders if self.rounds else 0
+        return sum(rd.cumulative_served - (y - rd.contenders) for rd in self.rounds if rd.forced)
 
 
 @functools.lru_cache(maxsize=1 << 14)
@@ -164,13 +172,14 @@ def round_params(contenders: int, num_channels: int, w_min: int, max_stage: int)
 
 def service_rounds(total_users: int, num_channels: int, w_min: int, max_stage: int):
     """The floor recursion, one round at a time: yields (cumulative_served,
-    forced) per round until all ``total_users`` are served, with no round cap.
+    forced) per round until all ``total_users`` are served.
 
     A round with N remaining contenders adds C * P_ch(N) to the credit and
     serves floor(credit) less those already served.  A starvation guard
     force-serves one user per subchannel after 50 consecutive zero-increment
-    rounds, since the floor can stall when Y*tau/C is tiny; ``forced`` flags
-    those rounds as a model deviation.  contention_cascade collects the
+    rounds, since the floor can stall when Y*tau/C is tiny, so every round
+    serves or lengthens a streak and at most 50 Y rounds run; ``forced``
+    flags those rounds as a model deviation.  contention_cascade collects the
     rounds into its rows; the frame engine draws them lazily, one per
     contention round its budget holds.
     """
@@ -212,21 +221,11 @@ def contention_cascade(num_mobile: int, num_channels: int, dcf: DcfParams) -> Co
     w, l = dcf.w_min, dcf.max_backoff_stage
     rows = []
     served = 0
-    for served_after, forced in itertools.islice(service_rounds(y, c, w, l), CASCADE_ROUND_CAP):
+    for served_after, forced in service_rounds(y, c, w, l):
         tau, p, p_ch = round_params(y - served, c, w, l)
         rows.append(ContentionRound(len(rows) + 1, y - served, tau, p, p_ch, served_after, forced))
         served = served_after
-    if served < y:
-        raise CascadeError(
-            "non-terminating cascade: %d rounds, %d of %d served" % (len(rows), served, y)
-        )
-    return ContentionSummary(
-        rounds=tuple(rows),
-        n_r=len(rows),
-        t_r_s=t_r,
-        required_beta_t2_s=len(rows) * t_r,
-        starvation_guard_fired=any(rd.forced for rd in rows),
-    )
+    return ContentionSummary(rounds=tuple(rows), t_r_s=t_r)
 
 
 def handshake_time(dcf: DcfParams) -> float:

@@ -353,7 +353,7 @@ def validate_scenario(s: Scenario) -> ValidationReport:
     if d.w_min > d.w_max:
         rep.add("w_min <= w_max violated (%d > %d)" % (d.w_min, d.w_max))
     if d.w_max >= 2**31:
-        # the contention round sorts int64 keys of (channel, counter, index)
+        # simulator.resolve_round bounds its int64 key (counter * C_s + pick) * n0 + index
         rep.add("w_max < 2^31 violated (w_max=%d)" % d.w_max)
     if d.w_max != d.w_min * 2**d.max_backoff_stage:
         rep.add(

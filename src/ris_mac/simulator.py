@@ -81,7 +81,6 @@ is the one place a mode name picks a planner.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass

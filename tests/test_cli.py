@@ -14,7 +14,7 @@ from ris_mac import channel as chan
 from ris_mac import cli
 from ris_mac import io as rio
 from ris_mac.experiments import SweepSpecError, parse_sweep
-from ris_mac.scenario import save_scenario
+from ris_mac.scenario import default_scenario, save_scenario
 
 from conftest import small_scenario
 
@@ -214,11 +214,23 @@ class TestCommands:
         save_scenario(s, path)
         assert cli.main(["optimize", "--scenario", path]) == cli.EXIT_INFEASIBLE
 
-    def test_cascade_past_round_cap_is_infeasible(self, capsys):
+    def test_dcf_table_runs_the_cascade_to_the_end(self, capsys):
+        # 600 contenders on one channel take 11,099 rounds, none forced
         code = cli.main(["dcf-table", "--contenders", "600", "--channels", "1"])
-        assert code == cli.EXIT_INFEASIBLE
-        err = capsys.readouterr().err
-        assert err.startswith("infeasible: non-terminating cascade: 10000 rounds")
+        assert code == cli.EXIT_OK
+        last = capsys.readouterr().out.splitlines()[-1].split(",")
+        assert (last[0], last[-1]) == ("11099", "600")
+
+    def test_optimize_plans_a_long_cascade(self, tmp_path, capsys):
+        # 1:5:1 of 700 users puts 600 contenders on the one surface's subchannel
+        path = str(tmp_path / "massive.json")
+        save_scenario(default_scenario(700, ratio=(1, 5, 1), num_ris=1), path)
+        out = str(tmp_path / "plan.json")
+        assert cli.main(["optimize", "--scenario", path, "--out", out]) == cli.EXIT_OK
+        contention = json.loads(Path(out).read_text())["contention"]
+        assert contention["rounds"] == 11099
+        assert contention["guard_served"] == 0
+        assert contention["starvation_guard_fired"] is False
 
     def test_simulate_runs(self, tmp_path, capsys):
         _, path = save_small(tmp_path, total_users=8)

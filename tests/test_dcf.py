@@ -206,10 +206,7 @@ def gammaln_channel_success(contenders, tau, num_channels):
 
 
 def cascade_outcome(y, c, params):
-    try:
-        summary = dcf.contention_cascade(y, c, params)
-    except dcf.CascadeError:
-        return "CascadeError"
+    summary = dcf.contention_cascade(y, c, params)
     return (
         summary.n_r,
         [rd.cumulative_served for rd in summary.rounds],
@@ -324,12 +321,27 @@ class TestCascade:
         first = dcf.contention_cascade(23, 3, DcfParams())
         assert dcf.contention_cascade(23, 3, DcfParams()) is first
 
-    def test_cascade_error_raises_on_every_call(self, monkeypatch):
-        monkeypatch.setattr(dcf, "CASCADE_ROUND_CAP", 3)
-        params = DcfParams(w_min=31)  # an input no other test caches
-        for _ in range(2):
-            with pytest.raises(dcf.CascadeError):
-                dcf.contention_cascade(57, 2, params)
+    def test_rounds_bounded_and_guard_served_counted(self):
+        # a round serves a user or lengthens a zero streak, and the 50th
+        # round of a streak force-serves min(C, n) >= 1, so N_r <= 50 Y.
+        # The guard first serves anyone at Y = 718 on one channel and at
+        # Y = 2665 on two, so the grid brackets both onsets.
+        onset = [(717, 1), (718, 1), (2664, 2), (2665, 2)]
+        grid = [(y, c, w) for w in (15, 255) for c in (1, 2, 3) for y in (1, 5, 40, 300)]
+        grid += [(y, c, W_PAPER) for y, c in onset]
+        for y, c, w in grid:
+            summary = dcf.contention_cascade(y, c, DcfParams(w_min=w))
+            assert summary.n_r <= dcf.STARVATION_GUARD_ROUNDS * y, (y, c, w)
+            guard_served = prev = 0
+            for served, forced in dcf.service_rounds(y, c, w, L_PAPER):
+                if forced:
+                    guard_served += served - prev
+                prev = served
+            assert summary.guard_served == guard_served, (y, c, w)
+            assert summary.starvation_guard_fired == (guard_served > 0), (y, c, w)
+        guard = {yc: dcf.contention_cascade(*yc, DcfParams()).guard_served for yc in onset}
+        assert guard[717, 1] == 0 < guard[718, 1]
+        assert guard[2664, 2] == 0 < guard[2665, 2]
 
     def test_conservation_property(self):
         for y in (1, 2, 3, 9, 28, 55):

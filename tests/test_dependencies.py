@@ -6,10 +6,14 @@ second of start-up and tens of MB of resident memory, so the package must
 neither load it on import nor need it at runtime.  Two lighter imports are
 kept out as well: ``numpy.ma`` (about 20 ms and 1.3 MB, pulled in by
 ``np.unique``) and the process-pool machinery (about 24 ms), which only a
-multi-worker sweep needs.  Every check runs in a fresh interpreter, since
-this test process has these modules loaded already.
+multi-worker sweep needs.  The import checks run in a fresh interpreter,
+since this test process has these modules loaded already.  A last check
+reads the source: every module-level import of a package module is read
+there.
 """
 
+import ast
+import glob
 import os
 import subprocess
 import sys
@@ -67,3 +71,29 @@ rows = exp.run_experiment(default_scenario(), exp.parse_sweep("point"), [1], mod
 print(",".join("%s:%d" % (r["mode"], r["s_o_bps"] > 0) for r in rows))
 """
     assert run_python(code) == "proposed:1,scheme1:1,scheme2:1"
+
+
+def unused_imports(path):
+    """Names bound by a module-level import of ``path`` that the module never
+    reads (``from __future__`` imports bind nothing to read)."""
+    with open(path, encoding="utf-8") as f:
+        tree = ast.parse(f.read(), filename=path)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted("%s:%d %s" % (os.path.basename(path), line, name)
+                  for name, line in bound.items() if name not in read)
+
+
+def test_package_modules_read_every_import():
+    pkg = os.path.dirname(os.path.abspath(ris_mac.__file__))
+    paths = sorted(glob.glob(os.path.join(pkg, "*.py")))
+    assert len(paths) > 1
+    found = [u for p in paths if os.path.basename(p) != "__init__.py" for u in unused_imports(p)]
+    assert found == []

@@ -477,15 +477,13 @@ class TestContendedPeriod:
         assert trace.served.all() and trace.contenders_left == 0
         assert trace.n_r_measured <= n_r + 1
 
-    def test_scheme2_runs_past_the_cascade_round_cap(self):
-        # every one of 700 users contends on one surface: the closed form
-        # needs more than CASCADE_ROUND_CAP rounds, but the frame draws only
-        # the rounds its budget holds
+    def test_scheme2_frame_ends_before_the_all_contend_cascade(self):
+        # every one of 700 users contends on one surface: serving them all
+        # takes more rounds than the frame's budget holds, and the frame
+        # draws only the rounds it holds
         s = small_scenario(total_users=700, num_ris=1, elements=4, seed=5)
-        with pytest.raises(dcfmod.CascadeError):
-            dcfmod.contention_cascade(700, 1, s.dcf)
         row = run_cell(s, "scheme2", 5)
-        assert 0 < row["n_r_measured"] < dcfmod.CASCADE_ROUND_CAP
+        assert 0 < row["n_r_measured"] < dcfmod.contention_cascade(700, 1, s.dcf).n_r
         assert 0 < row["served_mobile"] < 1
 
 
