@@ -232,6 +232,26 @@ def amplitude_snr(amplitude: float, tx_power_w, noise_w) -> float:
     return float(amplitude) ** 2 * tx_power_w / noise_w
 
 
+def aligned_rates(amplitude, tx_power_w, noise_w: float, subchannel_bw_hz: float) -> np.ndarray:
+    """Rate of each aligned amplitude, an array of any shape, at the power
+    ``tx_power_w`` (a scalar, or an array that broadcasts against it).
+
+    Each rate equals rate_bps(amplitude_snr(a, p, noise_w), bw) bit for bit,
+    because the float operations are the same: every square is Python's
+    ``float ** 2`` (numpy's ``a**2`` differs from it in the last bit for
+    some values), then ``a2 * p / noise`` and ``bw * np.log2(1.0 + snr)`` as
+    arrays, and numpy's array log2 equals its scalar log2 (a numpy fact the
+    tests check).
+    """
+    amplitude = np.asarray(amplitude, dtype=float)
+    power = np.asarray(tx_power_w, dtype=float)
+    if noise_w <= 0 or (power <= 0).any():
+        raise ValueError("power and noise must be > 0")
+    squares = np.array([a**2 for a in amplitude.ravel().tolist()], dtype=float)
+    snr = squares.reshape(amplitude.shape) * power / noise_w
+    return subchannel_bw_hz * np.log2(1.0 + snr)
+
+
 def aligned_rate_matrix(
     channels: ChannelRealization,
     user_ids,
@@ -247,9 +267,7 @@ def aligned_rate_matrix(
     if ids.size == 0:
         return np.zeros((0, channels.num_ris))
     p = np.broadcast_to(np.asarray(tx_power_w, dtype=float), ids.shape)
-    amp = channels.aligned_amplitude[ids]
-    snr_km = amp**2 * p[:, None] / noise_w
-    return subchannel_bw_hz * np.log2(1.0 + snr_km)
+    return aligned_rates(channels.aligned_amplitude[ids], p[:, None], noise_w, subchannel_bw_hz)
 
 
 def dump_channels(ch: ChannelRealization, path: str) -> None:

@@ -13,9 +13,11 @@ The round recursion runs until every one of the Y mobile users has been
 served exactly once; the round count N_r sizes the contended period as
 N_r * t_r, with t_r the airtime of one successful RTS/CTS handshake plus
 payload.  service_rounds is the one implementation of the recursion and its
-starvation guard, which ends it within N_r <= 50 Y rounds: contention_cascade
-collects all of its rounds, and the frame engine draws them lazily, one per
-contention round its budget holds.
+starvation guard, which ends it within N_r <= 50 Y rounds.  A
+ServiceSchedule keeps the rounds stepped so far as per-round serve
+increments, one per (Y, C, w_min, l) for the process (service_schedule):
+contention_cascade steps it to the end, and a frame reads it by round
+index, stepping it only as far as the rounds its budget holds.
 
 The closed form is the sum read as a derivative: with x = (1-tau)^2 and
 q = 1/C the terms are tau * C(N,V) V x^(V-1) q^V (1-q)^(N-V), which is tau
@@ -32,7 +34,9 @@ correcting it.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+from array import array
 from dataclasses import dataclass
 
 from .scenario import DcfParams
@@ -137,26 +141,43 @@ class ContentionRound:
 
 @dataclass(frozen=True)
 class ContentionSummary:
-    rounds: tuple
+    """The cascade's service schedule (run to its end) and t_r.  Every
+    figure is computed from the schedule; the rows are built only when
+    ``rounds`` is read (dcf-table and the tests read them)."""
+
+    schedule: ServiceSchedule
     t_r_s: float
 
     @property
     def n_r(self) -> int:
-        return len(self.rounds)
+        return len(self.schedule.increments)
 
     @property
     def required_beta_t2_s(self) -> float:
-        return len(self.rounds) * self.t_r_s
+        return len(self.schedule.increments) * self.t_r_s
 
     @property
     def starvation_guard_fired(self) -> bool:
-        return any(rd.forced for rd in self.rounds)
+        return bool(self.schedule.forced)
 
     @property
     def guard_served(self) -> int:
-        """Users served by forced rounds (Y - contenders are served before each)."""
-        y = self.rounds[0].contenders if self.rounds else 0
-        return sum(rd.cumulative_served - (y - rd.contenders) for rd in self.rounds if rd.forced)
+        """Users served by forced rounds."""
+        increments = self.schedule.increments
+        return sum(increments[i] for i in self.schedule.forced)
+
+    @property
+    def rounds(self) -> tuple:
+        """One ContentionRound per round, built on each read."""
+        y, c, w, l = self.schedule.key
+        forced = set(self.schedule.forced)
+        rows = []
+        served = 0
+        for i, delta in enumerate(self.schedule.increments):
+            tau, p, p_ch = round_params(y - served, c, w, l)
+            before, served = served, served + delta
+            rows.append(ContentionRound(i + 1, y - before, tau, p, p_ch, served, i in forced))
+        return tuple(rows)
 
 
 @functools.lru_cache(maxsize=1 << 14)
@@ -179,9 +200,8 @@ def service_rounds(total_users: int, num_channels: int, w_min: int, max_stage: i
     force-serves one user per subchannel after 50 consecutive zero-increment
     rounds, since the floor can stall when Y*tau/C is tiny, so every round
     serves or lengthens a streak and at most 50 Y rounds run; ``forced``
-    flags those rounds as a model deviation.  contention_cascade collects the
-    rounds into its rows; the frame engine draws them lazily, one per
-    contention round its budget holds.
+    flags those rounds as a model deviation.  ServiceSchedule steps it and
+    keeps the rounds for contention_cascade and the frame engine.
     """
     served = 0
     credit = 0.0
@@ -203,6 +223,55 @@ def service_rounds(total_users: int, num_channels: int, w_min: int, max_stage: i
         yield served, forced
 
 
+class ServiceSchedule:
+    """The rounds of service_rounds(*key) stepped so far, kept compactly:
+    ``increments`` holds each round's serves (4 bytes a round) and
+    ``forced`` the indices of the guard's rounds.
+
+    ``through(rounds)`` steps the recursion only until it holds that many
+    rounds, so a frame never steps it past the rounds its budget holds, and
+    a later, longer reader resumes where the last one stopped.
+    """
+
+    def __init__(self, total_users: int, num_channels: int, w_min: int, max_stage: int):
+        if num_channels < 1:
+            raise ValueError("num_channels must be >= 1")
+        self.key = (total_users, num_channels, w_min, max_stage)
+        self._start()
+
+    def _start(self) -> None:
+        self.increments = array("I")
+        self.forced = array("I")
+        self._steps = service_rounds(*self.key)
+        self._served = 0
+
+    def through(self, rounds=None) -> array:
+        """The increments, holding at least the first ``rounds`` rounds
+        (every round when None), or all of them once the recursion ended."""
+        missing = None if rounds is None else rounds - len(self.increments)
+        if missing is None or missing > 0:
+            increments, forced, served = self.increments, self.forced, self._served
+            try:
+                for served_after, was_forced in itertools.islice(self._steps, missing):
+                    if was_forced:
+                        forced.append(len(increments))
+                    increments.append(served_after - served)
+                    served = served_after
+            except BaseException:
+                self._start()  # a failed step leaves no partial schedule behind
+                raise
+            self._served = served
+        return self.increments
+
+
+@functools.lru_cache(maxsize=128)
+def service_schedule(total_users: int, num_channels: int, w_min: int, max_stage: int):
+    """The one ServiceSchedule per (Y, C, w_min, l) for the process, shared by
+    contention_cascade and every frame that paces to it, so each recursion
+    is stepped once."""
+    return ServiceSchedule(total_users, num_channels, w_min, max_stage)
+
+
 @functools.lru_cache(maxsize=128)
 def contention_cascade(num_mobile: int, num_channels: int, dcf: DcfParams) -> ContentionSummary:
     """Run the service recursion until all mobile users are served once.
@@ -216,16 +285,9 @@ def contention_cascade(num_mobile: int, num_channels: int, dcf: DcfParams) -> Co
     y = int(num_mobile)
     if y < 0:
         raise ValueError("num_mobile must be >= 0")
-    c = int(num_channels)
-    t_r = handshake_time(dcf)
-    w, l = dcf.w_min, dcf.max_backoff_stage
-    rows = []
-    served = 0
-    for served_after, forced in service_rounds(y, c, w, l):
-        tau, p, p_ch = round_params(y - served, c, w, l)
-        rows.append(ContentionRound(len(rows) + 1, y - served, tau, p, p_ch, served_after, forced))
-        served = served_after
-    return ContentionSummary(rounds=tuple(rows), t_r_s=t_r)
+    schedule = service_schedule(y, int(num_channels), dcf.w_min, dcf.max_backoff_stage)
+    schedule.through()
+    return ContentionSummary(schedule=schedule, t_r_s=handshake_time(dcf))
 
 
 def handshake_time(dcf: DcfParams) -> float:

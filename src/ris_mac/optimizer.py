@@ -398,21 +398,55 @@ def distributed_ris_select(
 ) -> tuple:
     """Best idle surface for one mobile user.
 
-    ``idle_ris`` lists the surface ids in ascending order.  Evaluates the
-    aligned-phase rate on each of them and returns (ris_id, rate); a tie
-    keeps the first, so it breaks to the lowest RIS id.
+    ``idle_ris`` lists the surface ids in ascending order.  Reads the
+    aligned-phase rates of one channel.aligned_rates pass over the user's
+    surfaces and returns (ris_id, rate) of the best idle one; a tie keeps
+    the first, so it breaks to the lowest RIS id.
     """
     if len(idle_ris) == 0:
         raise InfeasibleError("no RIS available for user %d" % user_id)
-    amp = channels.aligned_amplitude[user_id]
+    rates = chan.aligned_rates(
+        channels.aligned_amplitude[user_id], tx_power_w, noise_w, bw_hz
+    ).tolist()
     best_m = -1
     best_rate = -1.0
     for m in idle_ris:
-        rate = chan.rate_bps(chan.amplitude_snr(amp[m], tx_power_w, noise_w), bw_hz)
-        if rate > best_rate + 1e-15:
-            best_rate = rate
+        if rates[m] > best_rate + 1e-15:
+            best_rate = rates[m]
             best_m = m
     return best_m, best_rate
+
+
+def best_surfaces(
+    channels: chan.ChannelRealization,
+    user_ids,
+    surface_lists,
+    tx_power_w,
+    noise_w: float,
+    bw_hz: float,
+) -> tuple:
+    """Each listed user's best surface, and its rate, in each of
+    ``surface_lists`` (ascending surface ids): two (users, lists) arrays.
+
+    ``tx_power_w`` is a scalar or one entry per user.  The rule is the
+    distributed selection's, applied surface by surface: the first surface
+    holds unless a later one's rate exceeds the best so far by more than
+    1e-15.  The rates come from one channel.aligned_rates pass.
+    """
+    ids = list(user_ids)
+    power = np.asarray(tx_power_w, dtype=float).reshape(-1, 1)
+    rates = chan.aligned_rates(channels.aligned_amplitude[ids], power, noise_w, bw_hz)
+    surface = np.empty((len(ids), len(surface_lists)), dtype=int)
+    best = np.empty(surface.shape)
+    for c, ms in enumerate(surface_lists):
+        top_m, top = surface[:, c], best[:, c]
+        top_m[:] = ms[0]
+        top[:] = rates[:, ms[0]]
+        for m in ms[1:]:
+            better = rates[:, m] > top + 1e-15
+            top_m[better] = m
+            top[better] = rates[better, m]
+    return surface, best
 
 
 def complexity_ops(
@@ -515,18 +549,21 @@ def analytic_throughput(
     t_d * rate over contended users normalized by beta*t2; the overall
     figure weights both by t2/(t0+t1+t2).
     """
-    bw = radio.subchannel_bw_hz
-    noise = radio.noise_w
-    amp = channels.aligned_amplitude
+    def period_bits(ids, airtime):
+        # rates of the users with a surface, 0.0 for the rest, summed one
+        # by one in the order listed
+        ids = np.asarray(list(ids), dtype=int)
+        surface = alloc.ris_of_user[ids]
+        on = surface >= 0
+        rate = np.zeros(len(ids))
+        rate[on] = chan.aligned_rates(
+            channels.aligned_amplitude[ids[on], surface[on]], alloc.rho_sq_w[ids[on]],
+            radio.noise_w, radio.subchannel_bw_hz,
+        )
+        return sum(airtime * rate)
 
-    def user_rate(k):
-        m = alloc.ris_of_user[k]
-        if m < 0:
-            return 0.0
-        return chan.rate_bps(chan.amplitude_snr(amp[k, m], alloc.rho_sq_w[k], noise), bw)
-
-    sched_bits = sum(dcf.data_slot_s * user_rate(k) for k in static_ids)
-    cont_bits = sum(dcf.payload_time_s * user_rate(k) for k in mobile_ids)
+    sched_bits = period_bits(static_ids, dcf.data_slot_s)
+    cont_bits = period_bits(mobile_ids, dcf.payload_time_s)
     return throughput_from_bits(frame, sched_bits, cont_bits)
 
 
@@ -542,7 +579,12 @@ def onefactor_throughput(
     """Single-prefactor overall-throughput form
     B(t+t_d)/(C*(t0+t1+t2)) * sum of all assigned log terms; blends the two
     slot durations into one factor, so it generally differs from the exact
-    composition and is reported alongside it."""
+    composition and is reported alongside it.
+
+    The log terms stay scalar math.log2 calls: math.log2 and np.log2 differ
+    in the last bit for some arguments, so moving this sum onto
+    channel.aligned_rates would move the reported one-factor bytes.
+    """
     noise = radio.noise_w
     amp = channels.aligned_amplitude
     total = 0.0

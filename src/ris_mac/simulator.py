@@ -24,9 +24,10 @@ every draw has the value, and consumes the words, of the Generator call it
 stands for, and since numpy draws an array of bounds element by element as
 it draws the scalars, the stream equals per-user draws in sorted-id order.
 A round takes its words as one slice and multiplies and shifts them as
-arrays against the bounds; when some product's low word falls below the
-frame's largest rejection threshold (256 of 2^32 at a window of 960), the
-round redoes its draws one element at a time, exactly.
+arrays against the bounds, inline in the round loop; when some product's
+low word falls below the frame's largest rejection threshold (256 of 2^32
+at a window of 960), the round redoes its draws one element at a time,
+exactly.
 
 One sort of the unique counter-major key (counter * C_s + pick) * n0 +
 index resolves every occupied subchannel at once; n0 is the frame's
@@ -45,14 +46,17 @@ and terms by moving their kept stretches down in place.  The grant order
 is a permutation of the occupied channels (permutation(0) and
 permutation(1) take no word, permutation(2) one word masked to its low
 bit).
-The BS paces its CTS grants to the closed-form service recursion, drawn
-lazily from dcf.service_rounds, the generator contention_cascade sizes the
-contended period from: each round adds the recursion's increment to the
-serves owed, grants min(owed, occupied channels), and carries the rest to
-the next round.  So the rounds-to-all-served tracks the analytic round count
-while the seed decides which user wins which round, on which channel, and at
-what rate; a granted collided channel re-draws its winner among its
-contenders in ascending index order.  Backoff airtime is not part of the t_r
+The BS paces its CTS grants to the closed-form service recursion that
+contention_cascade sizes the contended period from.  Its per-round serve
+increments are cached once per (Y, C, w_min, l) for the process
+(dcf.service_schedule, shared with the cascade), and a frame reads them by
+round index, stepping the recursion no further than its round budget: each
+round adds the increment to the serves owed, grants min(owed, occupied
+channels), and carries the rest to the next round.  So the
+rounds-to-all-served tracks the analytic round count while the seed decides
+which user wins which round, on which channel, and at what rate; a granted
+collided channel re-draws its winner among its contenders in ascending
+index order.  Backoff airtime is not part of the t_r
 budget, matching the handshake-time accounting; counters are logged as event
 metadata.
 
@@ -65,10 +69,16 @@ sums into S_s, S_c and S_o.  TraceEvents are built only when a caller asks
 ``simulate --events``); sweep frames carry an empty event list.
 measure_throughput recomputes the three figures from a recorded trace.
 
-A grant's rate stays a scalar chain per grant (optimizer.distributed_ris_select
-over Python floats): numpy's ``a**2`` and Python's ``float(a)**2`` differ in
-the last bit for some values, so rates computed as arrays would move table
-bytes.
+Every rate a frame grants comes from one exact array pass per period,
+channel.aligned_rates, which applies the float operations of the scalar
+chain rate_bps(amplitude_snr(a, p, noise)): each square is Python's
+``float ** 2`` (numpy's ``a**2`` differs from it in the last bit for some
+values), then ``a2 * p / noise`` and ``bw * np.log2(1.0 + snr)`` as arrays,
+so the rates, and the table bytes, are those of the chain.  The scheduled
+period computes every granted user's bits in one call; the contended period
+builds, once per frame, each contender's best surface and rate on each live
+channel (optimizer.best_surfaces, distributed_ris_select's tie rule), which
+the grants and the csi_best_channel picks read.
 
 Benchmarks: scheme 1 schedules every existing user centrally (new arrivals
 wait a frame); scheme 2 lets everyone contend.  Both run against the same
@@ -81,7 +91,6 @@ is the one place a mode name picks a planner.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from operator import itemgetter
@@ -104,7 +113,6 @@ WORD_MASK = 0xFFFFFFFF
 
 _HIGH_WORD = np.uint64(32)
 _min = np.minimum.reduce
-_tolist = np.ndarray.tolist
 
 
 class ModeMismatchError(ValueError):
@@ -170,9 +178,12 @@ class WordTape:
     size that ran short at a time, and split by mask and shift, so the word
     order does not depend on the host's byte order.  ``values`` lists every
     bound ``integers`` is handed (a superset will do), so a round spends no
-    numpy call on finding whether some bound is 1 (a draw that takes no
-    word) or the largest rejection threshold, below which a product's low
-    word sends the round's draws one element at a time.
+    numpy call on finding whether some bound is 1 (``narrow``: a draw that
+    takes no word) or the largest rejection threshold (``reject_below``),
+    below which a product's low word sends the round's draws one element
+    at a time (``each``).  ``words[pos:]`` are the words not yet handed
+    out; the contention rounds read them inline, as ``integers`` does when
+    no bound is 1.
     """
 
     READ_AHEAD = 16
@@ -182,38 +193,29 @@ class WordTape:
         if not isinstance(bg, np.random.PCG64) or bg.state["has_uint32"]:
             raise ValueError("a word tape needs a PCG64 with no buffered half-word")
         self._raw = bg.random_raw
-        self._words = np.empty(0, dtype=np.uint64)
-        self._pos = 0
+        self.words = np.empty(0, dtype=np.uint64)
+        self.pos = 0
         values = [int(b) for b in values]
-        self._narrow = 1 in values  # some bound takes no word
-        self._reject_below = max((2**32 - b) % b for b in values)
+        self.narrow = 1 in values  # some bound takes no word
+        self.reject_below = max((2**32 - b) % b for b in values)
 
-    def _fill(self, count: int) -> None:
-        rest = self._words[self._pos:]
+    def fill(self, count: int) -> None:
+        """Read words until at least ``count`` follow ``pos``, which moves to 0."""
+        rest = self.words[self.pos:]
         outputs = (self.READ_AHEAD * count - len(rest) + 1) // 2
         raw = self._raw(outputs)
         words = np.empty(len(rest) + 2 * outputs, dtype=np.uint64)
         words[: len(rest)] = rest
         words[len(rest)::2] = raw & WORD_MASK
         words[len(rest) + 1::2] = raw >> 32
-        self._words, self._pos = words, 0
-
-    def _take(self, count: int) -> np.ndarray:
-        """The next ``count`` words, a uint64 view."""
-        end = self._pos + count
-        if end > len(self._words):
-            self._fill(count)
-            end = count
-        words = self._words[self._pos:end]
-        self._pos = end
-        return words
+        self.words, self.pos = words, 0
 
     def word(self) -> int:
         """The next 32-bit word."""
-        if self._pos == len(self._words):
-            self._fill(1)
-        w = self._words.item(self._pos)
-        self._pos += 1
+        if self.pos == len(self.words):
+            self.fill(1)
+        w = self.words.item(self.pos)
+        self.pos += 1
         return w
 
     def below(self, b: int) -> int:
@@ -226,10 +228,14 @@ class WordTape:
             if m & WORD_MASK >= threshold:
                 return m >> 32
 
+    def each(self, bounds: np.ndarray) -> np.ndarray:
+        """``integers(0, bounds)`` one element at a time, exactly, as int64."""
+        return np.array([self.below(b) for b in bounds.tolist()], dtype=np.int64)
+
     def integers(self, bounds: np.ndarray) -> np.ndarray:
         """``integers(0, bounds)`` for a uint64 array of bounds among
         ``values``, as int64."""
-        if self._narrow:
+        if self.narrow:
             wide = np.flatnonzero(bounds > 1)
             draws = np.zeros(len(bounds), dtype=np.int64)
             draws[wide] = self._integers_wide(bounds[wide])
@@ -238,13 +244,16 @@ class WordTape:
 
     def _integers_wide(self, bounds: np.ndarray) -> np.ndarray:
         n = len(bounds)
-        prod = self._take(n) * bounds
+        end = self.pos + n
+        if end > len(self.words):
+            self.fill(n)
+            end = n
+        prod = self.words[self.pos:end] * bounds
         # the cast to uint32 keeps each product's low word
-        if n and _min(prod.astype(np.uint32)) < self._reject_below:
-            # some word may be rejected: redo the draws from the same words,
-            # which _take left just behind _pos
-            self._pos -= n
-            return np.array([self.below(b) for b in bounds.tolist()], dtype=np.int64)
+        if n and _min(prod.astype(np.uint32)) < self.reject_below:
+            # some word may be rejected: redo the draws from the same words
+            return self.each(bounds)
+        self.pos = end
         prod >>= _HIGH_WORD
         return prod.view(np.int64)
 
@@ -294,21 +303,25 @@ def resolve_round(keys: np.ndarray, num_channels: int, n0: int) -> tuple:
     tied = []
     unseen = num_channels
     run_end = c = 0  # one past the run being read, and its channel
-    for key in itertools.chain.from_iterable(map(_tolist, (keys[:HEAD], keys[HEAD:]))):
-        if key < run_end:
-            if not collided[c]:
-                collided[c] = True
-                tied.append(lead[c])
-            tied.append(key % n0)
-        elif not unseen:
-            break
+    for part in (keys[:HEAD], keys[HEAD:]):
+        for key in part.tolist():
+            if key < run_end:
+                if not collided[c]:
+                    collided[c] = True
+                    tied.append(lead[c])
+                tied.append(key % n0)
+            elif not unseen:
+                break
+            else:
+                quotient = key // n0
+                c = quotient % num_channels
+                if lead[c] < 0:
+                    lead[c] = key % n0
+                    unseen -= 1
+                    run_end = (quotient + 1) * n0
         else:
-            quotient = key // n0
-            c = quotient % num_channels
-            if lead[c] < 0:
-                lead[c] = key % n0
-                unseen -= 1
-                run_end = (quotient + 1) * n0
+            continue  # the head did not settle the round: read the rest
+        break
     if not unseen:
         return list(range(num_channels)), lead, collided, tied
     occupied = [c for c in range(num_channels) if lead[c] >= 0]
@@ -376,26 +389,24 @@ def run_frame(
     slots_available = int(math.floor(frame.scheduled_s / dcf.data_slot_s + 1e-9))
     grants_dropped = 0
     sched_bits = 0.0
-    granted, gained = [], []
     if scheduled:
-        noise, bw, slot_s = radio.noise_w, radio.subchannel_bw_hz, dcf.data_slot_s
-        rho = alloc.rho_sq_w.tolist()
-        amp = channels.aligned_amplitude.tolist()
+        slot_s = dcf.data_slot_s
         # users are listed ascending, so the stable sort gives (slot, user) order
         scheduled.sort(key=slot_of.__getitem__)
-        for k in scheduled:
-            j = slot_of[k]
-            if j >= slots_available:
-                grants_dropped += 1  # common transmission budget too short for this grant
-                continue
-            m = ris_of[k]
-            delivered = slot_s * chan.rate_bps(chan.amplitude_snr(amp[k][m], rho[k], noise), bw)
+        # a grant past the slots the common transmission budget holds is dropped
+        granted = [k for k in scheduled if slot_of[k] < slots_available]
+        grants_dropped = len(scheduled) - len(granted)
+        surface = [ris_of[k] for k in granted]
+        gained = (slot_s * chan.aligned_rates(
+            channels.aligned_amplitude[granted, surface], alloc.rho_sq_w[granted],
+            radio.noise_w, radio.subchannel_bw_hz,
+        )).tolist()
+        for delivered in gained:
             sched_bits += delivered
-            granted.append(k)
-            gained.append(delivered)
-            if record:
+        if record:
+            for k, m, delivered in zip(granted, surface, gained):
                 ch = scenario.ris.subchannel_of_ris[m]
-                t_slot = sched_start + j * slot_s
+                t_slot = sched_start + slot_of[k] * slot_s
                 events.append(TraceEvent(t_slot, "slot-grant", k, ch, m))
                 events.append(TraceEvent(t_slot, "data", k, ch, m, delivered))
         # each user holds at most one slot and contends in no mode that schedules it
@@ -461,18 +472,14 @@ def _run_contention(
         for ch in live_channels
     ]
 
-    noise, bw = radio.noise_w, radio.subchannel_bw_hz
-    rho = alloc.rho_sq_w.tolist()
-
-    def select(k, c):
-        return opt.distributed_ris_select(channels, k, ris_on_channel[c], rho[k], noise, bw)
-
     # per-frame state, indexed like the sorted contender ids: each one's
     # backoff stage, the draw bounds, C_s per pick (unless the picks are
     # fixed) followed by each one's window, so a round is one tape draw, and
-    # each one's key term, its index plus n0 times its pick when fixed
-    remaining = sorted(int(k) for k in contenders)
-    n = n0 = len(remaining)
+    # each one's key term, its index plus n0 times its pick when fixed;
+    # ``remaining`` holds the positions of the contenders left in ``ids``
+    ids = sorted(int(k) for k in contenders)
+    n = n0 = len(ids)
+    remaining = list(range(n))
     num_channels = len(live_channels)
     stage = [0] * n
     windows = window_table(dcf)
@@ -483,29 +490,50 @@ def _run_contention(
     bounds = np.full(lo + n, num_channels, dtype=np.uint64)
     bounds[lo:] = windows[0]
     tape = WordTape(rng, windows + [num_channels] if draw_picks else windows)
+    reject_below = tape.reject_below
     term = np.arange(n, dtype=np.int64)
     # the key (counter * C_s + pick) * n0 + index is one product of the
     # round's draws, (picks, counters) or (counters), plus term
     weights = np.array([n0, num_channels * n0] if draw_picks else [num_channels * n0], np.int64)
-    # the recursion's cumulative service, held at n once it has served everyone
-    paced = itertools.chain(
-        dcfmod.service_rounds(n, num_channels, dcf.w_min, top), itertools.repeat((n, False))
-    )
     rounds_budget = int(math.floor(budget_s / t_r + 1e-9))
-    if scenario.csi_best_channel and rounds_budget > 0:
+    # the recursion's serves per round, stepped no further than the budget;
+    # past its end it serves no one
+    paced = dcfmod.service_schedule(n, num_channels, dcf.w_min, top).through(rounds_budget)
+    paced_rounds = len(paced)
+    # every rate a grant can read: each contender's best surface and its
+    # rate on each channel, by position
+    surface_on, rate_on = opt.best_surfaces(
+        channels, ids, ris_on_channel, alloc.rho_sq_w[ids], radio.noise_w, radio.subchannel_bw_hz
+    )
+    if scenario.csi_best_channel:
         # csi_best_channel picks, fixed before the first round
-        term += n0 * np.array(
-            [np.argmax([select(k, c)[1] for c in range(num_channels)]) for k in remaining]
-        )
+        term += n0 * np.argmax(rate_on, axis=1)
+    surface_on, rate_on = surface_on.tolist(), rate_on.tolist()
 
-    rounds = collisions = grant_shortfall = owed = paced_served = 0
+    rounds = collisions = grant_shortfall = owed = 0
     bits_sum = 0.0
     while n and rounds < rounds_budget:
         t_rts = start_s + rounds * t_r + dcf.difs_s
-        served_after, _ = next(paced)
-        owed += served_after - paced_served
-        paced_served = served_after
-        draws = tape.integers(bounds)
+        if rounds < paced_rounds:
+            owed += paced[rounds]
+        if tape.narrow:
+            draws = tape.integers(bounds)
+        else:
+            # the tape's wide draw, inline: one slice of words, one product
+            # with the bounds, the rejection screen on the products' low
+            # words (the uint32 cast keeps them), one shift
+            count = len(bounds)
+            end = tape.pos + count
+            if end > len(tape.words):
+                tape.fill(count)
+                end = count
+            prod = tape.words[tape.pos:end] * bounds
+            if _min(prod.astype(np.uint32)) < reject_below:
+                draws = tape.each(bounds)
+            else:
+                tape.pos = end
+                prod >>= _HIGH_WORD
+                draws = prod.view(np.int64)
         counters = draws[lo:]
         keys = weights @ draws.reshape(len(weights), n)
         keys += term[:n]
@@ -541,9 +569,9 @@ def _run_contention(
                 pick = draws[:n] if draw_picks else term[:n] // n0
                 here = np.flatnonzero(pick == c)
                 i = int(here[tape.below(here.size)])
-            k = remaining[i]
-            m_star, rate = select(k, c)
-            delivered = dcf.payload_time_s * rate
+            p = remaining[i]
+            k, m_star = ids[p], surface_on[p][c]
+            delivered = dcf.payload_time_s * rate_on[p][c]
             served[k] = True
             bits[k] += delivered
             bits_sum += delivered
@@ -561,7 +589,7 @@ def _run_contention(
                 if not collided[g]:
                     i = lead[g]
                     events.append(
-                        TraceEvent(t_rts, "rts", remaining[i], live_channels[occupied[g]], -1,
+                        TraceEvent(t_rts, "rts", ids[remaining[i]], live_channels[occupied[g]], -1,
                                    float(counters[i]))
                     )
         if granted:

@@ -1,6 +1,7 @@
 import dataclasses
 
 import numpy as np
+import pytest
 
 from ris_mac import channel as chan
 from ris_mac import dcf as dcfmod
@@ -32,6 +33,22 @@ def small_scenario(
     )
     radio = dataclasses.replace(s.radio, rate_min_bps=rate_min_bps)
     return dataclasses.replace(s, radio=radio)
+
+
+@pytest.fixture
+def fresh_schedules():
+    """Empty the process's service-schedule and cascade caches (a cascade
+    holds its schedule) before and after the test, so a test that patches
+    the recursion paces to schedules stepped under its patch and leaves none
+    of them behind."""
+
+    def clear():
+        dcfmod.service_schedule.cache_clear()
+        dcfmod.contention_cascade.cache_clear()
+
+    clear()
+    yield
+    clear()
 
 
 def guard_shortfall_cell(total_users, seed=22):

@@ -143,6 +143,36 @@ class TestSnrAndRate:
         assert scaled == pytest.approx(c**2 * base, rel=1e-9)
 
 
+    def test_array_rates_equal_the_scalar_chain(self):
+        # aligned_rates squares as Python does, so each rate equals
+        # rate_bps(amplitude_snr(a, p, noise), bw) bit for bit, also on the
+        # amplitudes whose numpy square (a**2) is off in the last bit, at
+        # powers where that bit reaches the rate
+        meta = np.random.default_rng(2029)
+        amp = meta.uniform(0.0, 1e-3, size=100_000)
+        off = amp[amp**2 != np.array([a**2 for a in amp.tolist()])]
+        assert off.size, "no amplitude whose numpy square differs from Python's"
+        amp = np.concatenate((off, amp[: off.size]))
+        noise, bw = 1e-12, 1e7
+        for power in (1e-6, 1e-4, 1e-2):
+            want = [chan.rate_bps(chan.amplitude_snr(a, power, noise), bw) for a in amp.tolist()]
+            assert chan.aligned_rates(amp, power, noise, bw).tolist() == want
+        # a (users, surfaces) block with one power per user
+        block = amp[: amp.size // 2 * 2].reshape(-1, 2)
+        power = meta.uniform(1e-6, 1e-2, size=(block.shape[0], 1))
+        want = [
+            [chan.rate_bps(chan.amplitude_snr(a, p, noise), bw) for a in row]
+            for row, p in zip(block.tolist(), power[:, 0].tolist())
+        ]
+        assert chan.aligned_rates(block, power, noise, bw).tolist() == want
+
+    def test_array_rates_reject_nonpositive_power_or_noise(self):
+        with pytest.raises(ValueError):
+            chan.aligned_rates(np.ones(3), np.array([1.0, 0.0, 1.0]), 1.0, 1e6)
+        with pytest.raises(ValueError):
+            chan.aligned_rates(np.ones(3), 1.0, 0.0, 1e6)
+
+
 class TestDrawChannels:
     def test_deterministic_per_seed(self):
         s = small_scenario()
@@ -228,13 +258,14 @@ class TestDrawChannels:
 
 
 def _old_aligned_rate_matrix(channels, user_ids, tx_power_w, noise_w, bw_hz):
-    """The copy-based form aligned_rate_matrix had before the cached amplitude."""
+    """The copy-based form aligned_rate_matrix had before the cached
+    amplitude, with its rates taken by the one rate definition."""
     ids = np.asarray(list(user_ids), dtype=int)
     p = np.broadcast_to(np.asarray(tx_power_w, dtype=float), ids.shape)
     amp = np.abs(channels.r[ids])[:, None] + np.sum(
         np.abs(channels.h[ids]) * np.abs(channels.g[ids]), axis=2
     )
-    return bw_hz * np.log2(1.0 + amp**2 * p[:, None] / noise_w)
+    return chan.aligned_rates(amp, p[:, None], noise_w, bw_hz)
 
 
 class TestAlignedAmplitude:

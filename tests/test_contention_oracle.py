@@ -125,7 +125,7 @@ def test_rejecting_window_matches_reference_loop(monkeypatch, num_channels, mode
     assert reference.n_r_measured > 0
 
 
-def test_grant_shortfall_matches_reference_loop(monkeypatch):
+def test_grant_shortfall_matches_reference_loop(monkeypatch, fresh_schedules):
     # the set-up of test_grant_shortfall_is_handed_back: one occupied
     # channel while the recursion asks for two serves a round
     from conftest import small_scenario

@@ -6,6 +6,7 @@ cascade."""
 
 import itertools
 import math
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
@@ -232,14 +233,17 @@ class TestClosedForm:
         params = DcfParams()
         grid = [(y, c) for c in range(1, 5) for y in [*range(41), *range(47, 301, 11), 300]]
 
-        def outcomes():
+        def clear():
             dcf.round_params.cache_clear()
+            dcf.service_schedule.cache_clear()
             dcf.contention_cascade.cache_clear()
+
+        def outcomes():
+            clear()
             try:
                 return [cascade_outcome(y, c, params) for y, c in grid]
             finally:
-                dcf.round_params.cache_clear()
-                dcf.contention_cascade.cache_clear()
+                clear()
 
         closed = outcomes()
         monkeypatch.setattr(dcf, "channel_success_prob", gammaln_channel_success)
@@ -320,6 +324,21 @@ class TestCascade:
     def test_cascade_is_memoised(self):
         first = dcf.contention_cascade(23, 3, DcfParams())
         assert dcf.contention_cascade(23, 3, DcfParams()) is first
+
+    def test_cached_cascade_keeps_no_row_objects(self):
+        # the cache keeps a cascade's compact schedule, 4 bytes a round, not
+        # a row object per round: at 15,357 rounds those rows once held 3.4 MB
+        dcf.round_params.cache_clear()
+        dcf.service_schedule.cache_clear()
+        dcf.contention_cascade.cache_clear()
+        tracemalloc.start()
+        try:
+            summary = dcf.contention_cascade(700, 1, DcfParams())
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert summary.n_r == 15357
+        assert retained < 512 * 1024
 
     def test_rounds_bounded_and_guard_served_counted(self):
         # a round serves a user or lengthens a zero streak, and the 50th

@@ -6,6 +6,7 @@ the complexity/rate-increment identities."""
 import dataclasses
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -16,7 +17,13 @@ from ris_mac import channel as chan
 from ris_mac import dcf as dcfmod
 from ris_mac import optimizer as opt
 from ris_mac import simulator as sim
-from ris_mac.scenario import DcfParams, build_ris_inventory, classify_users, validate_scenario
+from ris_mac.scenario import (
+    DcfParams,
+    build_ris_inventory,
+    classify_users,
+    load_scenario,
+    validate_scenario,
+)
 
 from conftest import aligned_gain_magnitude, random_link, small_scenario
 
@@ -322,6 +329,35 @@ class TestDistributedSelect:
                 for mm in idle
             }
             assert m == max(idle, key=lambda mm: gains[mm])
+
+
+    def test_surface_table_matches_select_on_every_channel(self):
+        # the frames' table (best_surfaces) against distributed_ris_select on
+        # the c4 network with its surfaces bonded two to a subchannel; user
+        # 0's second surface on each subchannel is an exact tie with its
+        # first, which both rules keep
+        path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
+                            "scenario_c4.json")
+        s = load_scenario(path)
+        s = dataclasses.replace(s, ris=dataclasses.replace(s.ris, subchannel_of_ris=(1, 1, 0, 0)))
+        ch = chan.draw_channels(s, 1)
+        lists = [[m for m, c in enumerate(s.ris.subchannel_of_ris) if c == sub]
+                 for sub in s.ris.subchannels]
+        assert lists == [[2, 3], [0, 1]]
+        amp = ch.aligned_amplitude
+        amp[0, 3], amp[0, 1] = amp[0, 2], amp[0, 0]
+        users = list(range(s.population.num_total))
+        power = np.random.default_rng(7).uniform(1e-3, 1e-1, size=len(users))
+        noise, bw = s.radio.noise_w, s.radio.subchannel_bw_hz
+        surface, rate = opt.best_surfaces(ch, users, lists, power, noise, bw)
+        assert surface.shape == rate.shape == (len(users), len(lists))
+        for k in users:
+            for c, ms in enumerate(lists):
+                want = opt.distributed_ris_select(ch, k, ms, power[k], noise, bw)
+                assert (surface[k, c], rate[k, c]) == want, (k, ms)
+        assert surface[0].tolist() == [2, 0]
+        # both surfaces win somewhere, so the table does not just keep the first
+        assert {int(m) for m in surface[:, 0]} == {2, 3}
 
 
 class TestJointOptimize:

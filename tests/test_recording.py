@@ -87,21 +87,22 @@ def test_sweep_builds_no_trace_event(monkeypatch):
 @pytest.mark.parametrize("csi", [False, True], ids=["uniform", "csi"])
 @pytest.mark.parametrize("network", ["c4", "c4_m_gt_c"])
 def test_surface_lists_reach_selection_ascending(monkeypatch, network, csi):
-    # distributed_ris_select breaks ties to the first surface it is given,
-    # which is the lowest id only while its lists come in ascending order
+    # a frame's surface table (optimizer.best_surfaces, distributed_ris_select's
+    # rule) breaks ties to the first surface of each list it is given, which
+    # is the lowest id only while its lists come in ascending order
     lists = []
-    select = opt.distributed_ris_select
+    select = opt.best_surfaces
 
-    def spy(channels, user_id, idle_ris, *rest):
-        lists.append(list(idle_ris))
-        return select(channels, user_id, idle_ris, *rest)
+    def spy(channels, user_ids, surface_lists, *rest):
+        lists.extend(list(ids) for ids in surface_lists)
+        return select(channels, user_ids, surface_lists, *rest)
 
     for seed in (1, 2):
         s, channels, plan = planned(network, seed)
         assert validate_scenario(s).ok
         s = dataclasses.replace(s, csi_best_channel=csi)
         with monkeypatch.context() as m:
-            m.setattr(opt, "distributed_ris_select", spy)
+            m.setattr(opt, "best_surfaces", spy)
             for mode in ("proposed", "scheme2"):
                 frame, alloc = sim.plan_mode(s, channels, plan, mode)
                 sim.run_frame(s, channels, frame, alloc, mode, seed)

@@ -125,24 +125,34 @@ class TestBackoff:
         assert resolve(np.zeros(5, dtype=int), counters, 1) == ([0], [1], [False], [])
 
     def test_one_channel_round_draws_no_pick(self, monkeypatch):
-        # a frame on one subchannel hands the tape only the windows
+        # a frame on one subchannel builds its tape over the windows alone,
+        # and every round's keys are counter * n0 + index, one per contender
         s = small_scenario(total_users=12, ratio=(0, 1, 0), num_ris=1, elements=4)
         channels = chan.draw_channels(s, 5)
         plan = joint_optimize(s, channels)
-        handed = []
-        integers = sim.WordTape.integers
+        values, handed = [], []
+        init, resolve = sim.WordTape.__init__, sim.resolve_round
 
-        def spy(tape, bounds):
-            handed.append(bounds.tolist())
-            return integers(tape, bounds)
+        def spy_init(tape, rng, bounds):
+            values.append(list(bounds))
+            init(tape, rng, bounds)
 
-        monkeypatch.setattr(sim.WordTape, "integers", spy)
+        def spy_resolve(keys, num_channels, n0):
+            handed.append((keys.tolist(), num_channels, n0))
+            return resolve(keys, num_channels, n0)
+
+        monkeypatch.setattr(sim.WordTape, "__init__", spy_init)
+        monkeypatch.setattr(sim, "resolve_round", spy_resolve)
         trace = sim.run_frame(s, channels, plan.frame, plan.allocation, "proposed", 5)
         windows = set(sim.window_table(s.dcf))
+        n0 = s.population.num_total
         assert handed and trace.served.all()
-        assert all(set(bounds) <= windows for bounds in handed)
-        assert [len(b) for b in handed] == sorted((len(b) for b in handed), reverse=True)
-        assert len(handed[0]) == s.population.num_total
+        assert len(values) == 1 and set(values[0]) <= windows
+        assert all(c == 1 and n == n0 for _, c, n in handed)
+        assert all(key // n0 < max(windows) for keys, _, _ in handed for key in keys)
+        sizes = [len(keys) for keys, _, _ in handed]
+        assert sizes == sorted(sizes, reverse=True)
+        assert sizes[0] == n0
 
     def test_resolve_round_matches_per_channel_minimum(self):
         meta = np.random.default_rng(2028)
@@ -181,6 +191,20 @@ class TestBackoff:
             assert picks.tolist() == want_picks, cause
             assert counters.tolist() == want_counters, cause
             assert vec.bit_generator.state == ref.bit_generator.state, cause
+
+    def test_array_log2_equals_scalar_log2(self):
+        # channel.aligned_rates takes np.log2 over arrays where the scalar
+        # chain rate_bps takes it of one float at a time; rates stay
+        # bit-identical only while numpy's array and scalar log2 agree,
+        # over every array length (SIMD loops split off a remainder)
+        meta = np.random.default_rng(2030)
+        x = 1.0 + np.concatenate((meta.uniform(0.0, 1.0, 20_000),
+                                  10.0 ** meta.uniform(-12.0, 6.0, 20_000)))
+        cause = "numpy %s: array and scalar np.log2 differ" % np.__version__
+        want = [np.log2(v) for v in x.tolist()]
+        assert np.log2(x).tolist() == want, cause
+        for n in range(1, 70):
+            assert np.log2(x[n : 2 * n]).tolist() == want[n : 2 * n], cause
 
     def test_merged_draw_equals_two_calls(self):
         # a round draws its picks and counters from one bounds array, C_s
@@ -448,7 +472,7 @@ class TestContendedPeriod:
         assert trace_at.contenders_left == 0
 
 
-    def test_grant_shortfall_is_handed_back(self, monkeypatch):
+    def test_grant_shortfall_is_handed_back(self, monkeypatch, fresh_schedules):
         # every user senses subchannel 0 as best (the surface on subchannel 1
         # reflects nothing), while the recursion asks for C * P_ch = 2 serves
         # a round: one channel is occupied, so each round grants one user
@@ -485,6 +509,45 @@ class TestContendedPeriod:
         row = run_cell(s, "scheme2", 5)
         assert 0 < row["n_r_measured"] < dcfmod.contention_cascade(700, 1, s.dcf).n_r
         assert 0 < row["served_mobile"] < 1
+
+
+class TestPacing:
+    def test_each_recursion_is_stepped_once_and_no_further_than_read(
+        self, monkeypatch, fresh_schedules
+    ):
+        # the planner's cascade and every frame pace to one service schedule
+        # per (Y, C, w_min, l): each recursion starts once for the process,
+        # and runs to the end only for a cascade; a frame steps it no
+        # further than its round budget
+        started, steps = {}, {}
+        service_rounds = dcfmod.service_rounds
+
+        def counted(*key):
+            started[key] = started.get(key, 0) + 1
+            for step in service_rounds(*key):
+                steps[key] = steps.get(key, 0) + 1
+                yield step
+
+        monkeypatch.setattr(dcfmod, "service_rounds", counted)
+        s = small_scenario(total_users=40, ratio=(1, 2, 1), seed=6)
+        d, c = s.dcf, len(s.ris.subchannels)
+        everyone = (s.population.num_total, c, d.w_min, d.max_backoff_stage)
+        read = {}
+        for seed in (6, 7):
+            channels, plan = plan_cell(s, seed)
+            for mode in sim.MODES:
+                frame, alloc = sim.plan_mode(s, channels, plan, mode)
+                sim.run_frame(s, channels, frame, alloc, mode, seed)
+                if mode == "scheme2":
+                    budget = int(frame.contended_s / dcfmod.handshake_time(d) + 1e-9)
+                    read[everyone] = max(read.get(everyone, 0), budget)
+        y = len(classify_users(s.population)[1])
+        read[y, c, d.w_min, d.max_backoff_stage] = plan.cascade.n_r
+        assert started == {key: 1 for key in read}
+        for key, rounds in read.items():
+            assert steps[key] == min(rounds, sum(1 for _ in service_rounds(*key)))
+        # the scheme 2 frames end before the all-users recursion does
+        assert steps[everyone] < sum(1 for _ in service_rounds(*everyone))
 
 
 def old_period_lengths(frame, mode):
