@@ -15,9 +15,10 @@ N_r * t_r, with t_r the airtime of one successful RTS/CTS handshake plus
 payload.  service_rounds is the one implementation of the recursion and its
 starvation guard, which ends it within N_r <= 50 Y rounds.  A
 ServiceSchedule keeps the rounds stepped so far as per-round serve
-increments, one per (Y, C, w_min, l) for the process (service_schedule):
-contention_cascade steps it to the end, and a frame reads it by round
-index, stepping it only as far as the rounds its budget holds.
+increments, one per (Y, C, w_min, l) for the process (service_schedule,
+which never evicts one): contention_cascade steps it to the end, and a
+frame reads it by round index, stepping it only as far as the rounds its
+budget holds.
 
 The closed form is the sum read as a derivative: with x = (1-tau)^2 and
 q = 1/C the terms are tau * C(N,V) V x^(V-1) q^V (1-q)^(N-V), which is tau
@@ -264,11 +265,14 @@ class ServiceSchedule:
         return self.increments
 
 
-@functools.lru_cache(maxsize=128)
+@functools.lru_cache(maxsize=None)
 def service_schedule(total_users: int, num_channels: int, w_min: int, max_stage: int):
     """The one ServiceSchedule per (Y, C, w_min, l) for the process, shared by
     contention_cascade and every frame that paces to it, so each recursion
-    is stepped once."""
+    is stepped once.  The schedules are never evicted (4 bytes a round
+    stepped): an evicted one would be stepped again by its next reader,
+    while a cached cascade still held the first, so this cache is their one
+    owner and the cascade's own, bounded cache only wraps them."""
     return ServiceSchedule(total_users, num_channels, w_min, max_stage)
 
 

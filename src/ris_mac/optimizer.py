@@ -398,23 +398,15 @@ def distributed_ris_select(
 ) -> tuple:
     """Best idle surface for one mobile user.
 
-    ``idle_ris`` lists the surface ids in ascending order.  Reads the
-    aligned-phase rates of one channel.aligned_rates pass over the user's
-    surfaces and returns (ris_id, rate) of the best idle one; a tie keeps
-    the first, so it breaks to the lowest RIS id.
+    ``idle_ris`` lists the surface ids in ascending order.  Returns
+    (ris_id, rate) of the best idle one at aligned phases, by
+    best_surfaces' rule: a tie keeps the first, so it breaks to the lowest
+    RIS id.
     """
     if len(idle_ris) == 0:
         raise InfeasibleError("no RIS available for user %d" % user_id)
-    rates = chan.aligned_rates(
-        channels.aligned_amplitude[user_id], tx_power_w, noise_w, bw_hz
-    ).tolist()
-    best_m = -1
-    best_rate = -1.0
-    for m in idle_ris:
-        if rates[m] > best_rate + 1e-15:
-            best_rate = rates[m]
-            best_m = m
-    return best_m, best_rate
+    surface, rate = best_surfaces(channels, [user_id], [idle_ris], tx_power_w, noise_w, bw_hz)
+    return int(surface[0, 0]), float(rate[0, 0])
 
 
 def best_surfaces(
@@ -428,10 +420,10 @@ def best_surfaces(
     """Each listed user's best surface, and its rate, in each of
     ``surface_lists`` (ascending surface ids): two (users, lists) arrays.
 
-    ``tx_power_w`` is a scalar or one entry per user.  The rule is the
-    distributed selection's, applied surface by surface: the first surface
-    holds unless a later one's rate exceeds the best so far by more than
-    1e-15.  The rates come from one channel.aligned_rates pass.
+    ``tx_power_w`` is a scalar or one entry per user.  The rule, which
+    distributed_ris_select reads too, runs surface by surface: the first
+    surface holds unless a later one's rate exceeds the best so far by more
+    than 1e-15.  The rates come from one channel.aligned_rates pass.
     """
     ids = list(user_ids)
     power = np.asarray(tx_power_w, dtype=float).reshape(-1, 1)

@@ -24,10 +24,9 @@ every draw has the value, and consumes the words, of the Generator call it
 stands for, and since numpy draws an array of bounds element by element as
 it draws the scalars, the stream equals per-user draws in sorted-id order.
 A round takes its words as one slice and multiplies and shifts them as
-arrays against the bounds, inline in the round loop; when some product's
-low word falls below the frame's largest rejection threshold (256 of 2^32
-at a window of 960), the round redoes its draws one element at a time,
-exactly.
+arrays against the bounds; when some product's low word falls below the
+frame's largest rejection threshold (256 of 2^32 at a window of 960), the
+round redoes its draws one element at a time, exactly.
 
 One sort of the unique counter-major key (counter * C_s + pick) * n0 +
 index resolves every occupied subchannel at once; n0 is the frame's
@@ -178,12 +177,9 @@ class WordTape:
     size that ran short at a time, and split by mask and shift, so the word
     order does not depend on the host's byte order.  ``values`` lists every
     bound ``integers`` is handed (a superset will do), so a round spends no
-    numpy call on finding whether some bound is 1 (``narrow``: a draw that
-    takes no word) or the largest rejection threshold (``reject_below``),
-    below which a product's low word sends the round's draws one element
-    at a time (``each``).  ``words[pos:]`` are the words not yet handed
-    out; the contention rounds read them inline, as ``integers`` does when
-    no bound is 1.
+    numpy call on finding whether some bound is 1 (a draw that takes no
+    word) or the largest rejection threshold, below which a product's low
+    word sends the round's draws one element at a time.
     """
 
     READ_AHEAD = 16
@@ -193,29 +189,38 @@ class WordTape:
         if not isinstance(bg, np.random.PCG64) or bg.state["has_uint32"]:
             raise ValueError("a word tape needs a PCG64 with no buffered half-word")
         self._raw = bg.random_raw
-        self.words = np.empty(0, dtype=np.uint64)
-        self.pos = 0
+        self._words = np.empty(0, dtype=np.uint64)
+        self._pos = 0
         values = [int(b) for b in values]
-        self.narrow = 1 in values  # some bound takes no word
-        self.reject_below = max((2**32 - b) % b for b in values)
+        self._narrow = 1 in values  # some bound takes no word
+        self._reject_below = max((2**32 - b) % b for b in values)
 
-    def fill(self, count: int) -> None:
-        """Read words until at least ``count`` follow ``pos``, which moves to 0."""
-        rest = self.words[self.pos:]
+    def _fill(self, count: int) -> None:
+        rest = self._words[self._pos:]
         outputs = (self.READ_AHEAD * count - len(rest) + 1) // 2
         raw = self._raw(outputs)
         words = np.empty(len(rest) + 2 * outputs, dtype=np.uint64)
         words[: len(rest)] = rest
         words[len(rest)::2] = raw & WORD_MASK
         words[len(rest) + 1::2] = raw >> 32
-        self.words, self.pos = words, 0
+        self._words, self._pos = words, 0
+
+    def _take(self, count: int) -> np.ndarray:
+        """The next ``count`` words, a uint64 view."""
+        end = self._pos + count
+        if end > len(self._words):
+            self._fill(count)
+            end = count
+        words = self._words[self._pos:end]
+        self._pos = end
+        return words
 
     def word(self) -> int:
         """The next 32-bit word."""
-        if self.pos == len(self.words):
-            self.fill(1)
-        w = self.words.item(self.pos)
-        self.pos += 1
+        if self._pos == len(self._words):
+            self._fill(1)
+        w = self._words.item(self._pos)
+        self._pos += 1
         return w
 
     def below(self, b: int) -> int:
@@ -228,14 +233,10 @@ class WordTape:
             if m & WORD_MASK >= threshold:
                 return m >> 32
 
-    def each(self, bounds: np.ndarray) -> np.ndarray:
-        """``integers(0, bounds)`` one element at a time, exactly, as int64."""
-        return np.array([self.below(b) for b in bounds.tolist()], dtype=np.int64)
-
     def integers(self, bounds: np.ndarray) -> np.ndarray:
         """``integers(0, bounds)`` for a uint64 array of bounds among
         ``values``, as int64."""
-        if self.narrow:
+        if self._narrow:
             wide = np.flatnonzero(bounds > 1)
             draws = np.zeros(len(bounds), dtype=np.int64)
             draws[wide] = self._integers_wide(bounds[wide])
@@ -244,16 +245,13 @@ class WordTape:
 
     def _integers_wide(self, bounds: np.ndarray) -> np.ndarray:
         n = len(bounds)
-        end = self.pos + n
-        if end > len(self.words):
-            self.fill(n)
-            end = n
-        prod = self.words[self.pos:end] * bounds
+        prod = self._take(n) * bounds
         # the cast to uint32 keeps each product's low word
-        if n and _min(prod.astype(np.uint32)) < self.reject_below:
-            # some word may be rejected: redo the draws from the same words
-            return self.each(bounds)
-        self.pos = end
+        if n and _min(prod.astype(np.uint32)) < self._reject_below:
+            # some word may be rejected: redo the draws from the same words,
+            # which _take left just behind _pos
+            self._pos -= n
+            return np.array([self.below(b) for b in bounds.tolist()], dtype=np.int64)
         prod >>= _HIGH_WORD
         return prod.view(np.int64)
 
@@ -490,7 +488,6 @@ def _run_contention(
     bounds = np.full(lo + n, num_channels, dtype=np.uint64)
     bounds[lo:] = windows[0]
     tape = WordTape(rng, windows + [num_channels] if draw_picks else windows)
-    reject_below = tape.reject_below
     term = np.arange(n, dtype=np.int64)
     # the key (counter * C_s + pick) * n0 + index is one product of the
     # round's draws, (picks, counters) or (counters), plus term
@@ -516,24 +513,7 @@ def _run_contention(
         t_rts = start_s + rounds * t_r + dcf.difs_s
         if rounds < paced_rounds:
             owed += paced[rounds]
-        if tape.narrow:
-            draws = tape.integers(bounds)
-        else:
-            # the tape's wide draw, inline: one slice of words, one product
-            # with the bounds, the rejection screen on the products' low
-            # words (the uint32 cast keeps them), one shift
-            count = len(bounds)
-            end = tape.pos + count
-            if end > len(tape.words):
-                tape.fill(count)
-                end = count
-            prod = tape.words[tape.pos:end] * bounds
-            if _min(prod.astype(np.uint32)) < reject_below:
-                draws = tape.each(bounds)
-            else:
-                tape.pos = end
-                prod >>= _HIGH_WORD
-                draws = prod.view(np.int64)
+        draws = tape.integers(bounds)
         counters = draws[lo:]
         keys = weights @ draws.reshape(len(weights), n)
         keys += term[:n]

@@ -325,6 +325,39 @@ class TestCascade:
         first = dcf.contention_cascade(23, 3, DcfParams())
         assert dcf.contention_cascade(23, 3, DcfParams()) is first
 
+    def test_evicted_cascade_rebuilds_over_the_same_schedule(self, fresh_schedules):
+        # the schedules are owned by service_schedule, which never evicts
+        # one, so a cascade dropped from its own cache wraps the recursion
+        # already stepped instead of stepping a second copy, however many
+        # other keys were read since (making a schedule steps nothing)
+        first = dcf.contention_cascade(23, 3, DcfParams())
+        for y in range(1000, 1300):
+            dcf.service_schedule(y, 3, 15, 6)
+        dcf.contention_cascade.cache_clear()
+        again = dcf.contention_cascade(23, 3, DcfParams())
+        assert again is not first and again.schedule is first.schedule
+
+    def test_failed_step_leaves_no_partial_schedule(self, monkeypatch, fresh_schedules):
+        # a step that raises ends the recursion's generator; the schedule
+        # starts over, so the cached one is not left short for later readers
+        params = DcfParams()
+        key = (60, 2, params.w_min, params.max_backoff_stage)
+        full = sum(1 for _ in dcf.service_rounds(*key))
+        round_params, calls = dcf.round_params, []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 10:
+                raise RuntimeError("step failed")
+            return round_params(*args)
+
+        monkeypatch.setattr(dcf, "round_params", failing)
+        with pytest.raises(RuntimeError):
+            dcf.service_schedule(*key).through()
+        monkeypatch.setattr(dcf, "round_params", round_params)
+        assert full > 10
+        assert dcf.contention_cascade(60, 2, params).n_r == full
+
     def test_cached_cascade_keeps_no_row_objects(self):
         # the cache keeps a cascade's compact schedule, 4 bytes a round, not
         # a row object per round: at 15,357 rounds those rows once held 3.4 MB

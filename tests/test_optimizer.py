@@ -332,10 +332,11 @@ class TestDistributedSelect:
 
 
     def test_surface_table_matches_select_on_every_channel(self):
-        # the frames' table (best_surfaces) against distributed_ris_select on
-        # the c4 network with its surfaces bonded two to a subchannel; user
-        # 0's second surface on each subchannel is an exact tie with its
-        # first, which both rules keep
+        # the frames' table (best_surfaces) against distributed_ris_select
+        # and a scalar loop over the rate chain with the rule spelled out,
+        # on the c4 network with its surfaces bonded two to a subchannel;
+        # user 0's second surface on each subchannel is an exact tie with
+        # its first, which the rule keeps
         path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
                             "scenario_c4.json")
         s = load_scenario(path)
@@ -353,8 +354,14 @@ class TestDistributedSelect:
         assert surface.shape == rate.shape == (len(users), len(lists))
         for k in users:
             for c, ms in enumerate(lists):
+                best_m, best = -1, -1.0
+                for m in ms:
+                    r = chan.rate_bps(chan.amplitude_snr(amp[k, m], power[k], noise), bw)
+                    if r > best + 1e-15:
+                        best_m, best = m, r
+                assert (surface[k, c], rate[k, c]) == (best_m, best), (k, ms)
                 want = opt.distributed_ris_select(ch, k, ms, power[k], noise, bw)
-                assert (surface[k, c], rate[k, c]) == want, (k, ms)
+                assert want == (best_m, best), (k, ms)
         assert surface[0].tolist() == [2, 0]
         # both surfaces win somewhere, so the table does not just keep the first
         assert {int(m) for m in surface[:, 0]} == {2, 3}

@@ -125,34 +125,24 @@ class TestBackoff:
         assert resolve(np.zeros(5, dtype=int), counters, 1) == ([0], [1], [False], [])
 
     def test_one_channel_round_draws_no_pick(self, monkeypatch):
-        # a frame on one subchannel builds its tape over the windows alone,
-        # and every round's keys are counter * n0 + index, one per contender
+        # a frame on one subchannel hands the tape only the windows
         s = small_scenario(total_users=12, ratio=(0, 1, 0), num_ris=1, elements=4)
         channels = chan.draw_channels(s, 5)
         plan = joint_optimize(s, channels)
-        values, handed = [], []
-        init, resolve = sim.WordTape.__init__, sim.resolve_round
+        handed = []
+        integers = sim.WordTape.integers
 
-        def spy_init(tape, rng, bounds):
-            values.append(list(bounds))
-            init(tape, rng, bounds)
+        def spy(tape, bounds):
+            handed.append(bounds.tolist())
+            return integers(tape, bounds)
 
-        def spy_resolve(keys, num_channels, n0):
-            handed.append((keys.tolist(), num_channels, n0))
-            return resolve(keys, num_channels, n0)
-
-        monkeypatch.setattr(sim.WordTape, "__init__", spy_init)
-        monkeypatch.setattr(sim, "resolve_round", spy_resolve)
+        monkeypatch.setattr(sim.WordTape, "integers", spy)
         trace = sim.run_frame(s, channels, plan.frame, plan.allocation, "proposed", 5)
         windows = set(sim.window_table(s.dcf))
-        n0 = s.population.num_total
         assert handed and trace.served.all()
-        assert len(values) == 1 and set(values[0]) <= windows
-        assert all(c == 1 and n == n0 for _, c, n in handed)
-        assert all(key // n0 < max(windows) for keys, _, _ in handed for key in keys)
-        sizes = [len(keys) for keys, _, _ in handed]
-        assert sizes == sorted(sizes, reverse=True)
-        assert sizes[0] == n0
+        assert all(set(bounds) <= windows for bounds in handed)
+        assert [len(b) for b in handed] == sorted((len(b) for b in handed), reverse=True)
+        assert len(handed[0]) == s.population.num_total
 
     def test_resolve_round_matches_per_channel_minimum(self):
         meta = np.random.default_rng(2028)
