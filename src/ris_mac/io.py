@@ -11,7 +11,6 @@ Generator streams, so a byte-for-byte rerun needs the same numpy.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import platform
@@ -64,6 +63,8 @@ def read_csv(path: str) -> list:
 
 
 def file_sha256(path: str) -> str:
+    import hashlib  # deferred: a run that draws nothing and writes no manifest skips it
+
     with open(path, "rb") as f:
         return hashlib.sha256(f.read()).hexdigest()
 

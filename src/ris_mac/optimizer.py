@@ -231,7 +231,9 @@ def allocate_power(
     if n == 0:
         return np.zeros(0)
     ids = list(user_ids) if user_ids is not None else list(range(n))
-    floors = np.array([rate_floor_power(ck, rate_min_bps, bw_hz) for ck in c])
+    # rate_floor_power's bits from one IEEE division; a gain <= 0 gets inf, warning-free
+    need = 2.0 ** (rate_min_bps / bw_hz) - 1.0
+    floors = np.divide(need, c, out=np.full(n, math.inf), where=c > 0)
     worst = int(np.argmax(floors))
     if floors[worst] > p_max_w + POWER_TOL:
         raise InfeasibleError(
@@ -245,9 +247,12 @@ def allocate_power(
         )
 
     inv_c = 1.0 / c
+    buf = np.empty(n)
 
     def spend(mu):
-        return np.maximum(floors, mu - inv_c).sum()
+        np.subtract(mu, inv_c, out=buf)
+        np.maximum(floors, buf, out=buf)
+        return buf.sum()
 
     lo = 0.0
     hi = p_max_w + inv_c.max()
@@ -578,13 +583,12 @@ def onefactor_throughput(
     channel.aligned_rates would move the reported one-factor bytes.
     """
     noise = radio.noise_w
-    amp = channels.aligned_amplitude
+    ids = np.asarray(list(static_ids) + list(mobile_ids), dtype=int)
+    ids = ids[alloc.ris_of_user[ids] >= 0]
+    amps = channels.aligned_amplitude[ids, alloc.ris_of_user[ids]].tolist()
     total = 0.0
-    for k in list(static_ids) + list(mobile_ids):
-        m = alloc.ris_of_user[k]
-        if m < 0:
-            continue
-        total += math.log2(1.0 + chan.amplitude_snr(amp[k, m], alloc.rho_sq_w[k], noise))
+    for a, p in zip(amps, alloc.rho_sq_w[ids].tolist()):
+        total += math.log2(1.0 + a**2 * p / noise)
     pref = (
         radio.bandwidth_total_hz
         * (dcf.data_slot_s + dcf.payload_time_s)
@@ -616,7 +620,7 @@ def _frame_figures(scenario, channels, frame, alloc, static_ids, mobile_ids) -> 
 def joint_optimize(scenario: Scenario, channels: chan.ChannelRealization) -> OptimizationResult:
     """Full decomposition: frame timing on the fairness-optimal split, then
     alternating power and centralized assignment for the static users, then
-    distributed per-mobile RIS selection."""
+    every mobile user's best surface from one best_surfaces pass."""
     radio, dcf, comp = scenario.radio, scenario.dcf, scenario.compute
     noise, bw = radio.noise_w, radio.subchannel_bw_hz
     static_ids, mobile_ids = classify_users(scenario.population)
@@ -664,11 +668,10 @@ def joint_optimize(scenario: Scenario, channels: chan.ChannelRealization) -> Opt
                 break
             prev_obj = obj
 
-    p_mobile = radio.tx_power_mobile_w
-    for k in mobile_ids:
-        alloc.ris_of_user[k], _ = distributed_ris_select(
-            channels, k, range(scenario.ris.num_ris), p_mobile, noise, bw
-        )
+    surface, _ = best_surfaces(
+        channels, mobile_ids, [range(scenario.ris.num_ris)], radio.tx_power_mobile_w, noise, bw
+    )
+    alloc.ris_of_user[mobile_ids] = surface[:, 0]
 
     bad = check_allocation(
         alloc, static_ids, mobile_ids, scenario.ris.subchannel_of_ris,

@@ -76,7 +76,7 @@ values), then ``a2 * p / noise`` and ``bw * np.log2(1.0 + snr)`` as arrays,
 so the rates, and the table bytes, are those of the chain.  The scheduled
 period computes every granted user's bits in one call; the contended period
 builds, once per frame, each contender's best surface and rate on each live
-channel (optimizer.best_surfaces, distributed_ris_select's tie rule), which
+channel (optimizer.best_surfaces, where the tie rule is written), which
 the grants and the csi_best_channel picks read.
 
 Benchmarks: scheme 1 schedules every existing user centrally (new arrivals
@@ -659,26 +659,21 @@ def plan_scheme1(scenario, channels, t2_common: float) -> tuple:
     pop = scenario.population
     k_exist = pop.num_existing
     static_ids, _ = classify_users(pop)
-    static_set = set(static_ids)
     existing = list(range(k_exist))
     j1 = -(-k_exist // len(scenario.ris.subchannels)) if k_exist else 0
 
     alloc = opt.empty_allocation(pop.num_total)
     if k_exist:
-        rho = np.array(
-            [
-                radio.p_max_w / max(len(static_ids), 1) if k in static_set
-                else radio.tx_power_mobile_w
-                for k in existing
-            ]
+        is_static = np.asarray(pop.mobility_flags) == 1
+        rho = np.where(
+            is_static, radio.p_max_w / max(len(static_ids), 1), radio.tx_power_mobile_w
         )
         ris_of, slot_of, _ = opt.centralized_ris_config(
             channels, existing, rho, radio.noise_w, radio.subchannel_bw_hz, j1,
             scenario.ris.subchannel_of_ris,
         )
-        eidx = np.asarray(existing, dtype=int)
-        alloc.ris_of_user[eidx] = ris_of
-        alloc.slot_of_user[eidx] = slot_of
+        alloc.ris_of_user[:k_exist] = ris_of
+        alloc.slot_of_user[:k_exist] = slot_of
         if static_ids:
             sidx = np.asarray(static_ids, dtype=int)
             amp = channels.aligned_amplitude[sidx, alloc.ris_of_user[sidx]]
@@ -688,9 +683,7 @@ def plan_scheme1(scenario, channels, t2_common: float) -> tuple:
                 gains, radio.p_max_w, radio.rate_min_bps,
                 radio.subchannel_bw_hz, user_ids=static_ids,
             )
-        for k in existing:
-            if k not in static_set:
-                alloc.rho_sq_w[k] = radio.tx_power_mobile_w
+        alloc.rho_sq_w[:k_exist][~is_static] = radio.tx_power_mobile_w
 
     ops = opt.complexity_ops(
         k_exist, scenario.ris.num_ris, scenario.ris.elements_per_ris, k_exist, comp.l1

@@ -9,7 +9,9 @@ users, written by scenario.save_scenario), so four channels resolve in one
 round.  events_proposed_c4.csv runs the same scenario in the proposed mode:
 its 60 static users fill 4 x 15 slots, so the assignment must move users
 off over-full subchannels.  optimize_c4.json is the ``optimize`` JSON of the
-same scenario, fig5.csv, fig6.csv, fig8.csv and fig10.csv are ``report
+same scenario and optimize_ref.json that of the reference network (M = C = 2),
+so the plan's mobile surfaces, powers and one-factor figure are pinned on
+both.  fig5.csv, fig6.csv, fig8.csv and fig10.csv are ``report
 --figure figN --seeds 1`` on the reference network, and dcf_table_100_2.csv
 the stdout of ``dcf-table --contenders 100 --channels 2``.
 elements_sweep.csv varies the surface size, so it pins the (U, M, N)
@@ -53,6 +55,7 @@ RUNS = {
     "optimize_c4.json": [
         "optimize", "--scenario", os.path.join(GOLDEN_DIR, "scenario_c4.json"), "--out",
     ],
+    "optimize_ref.json": ["optimize", "--out"],
 }
 
 

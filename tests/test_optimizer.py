@@ -7,6 +7,7 @@ import dataclasses
 import itertools
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -169,6 +170,70 @@ class TestAllocatePower:
                 np.array([1e-6, 10.0]), 1.0, 1e7, 1e7, user_ids=["u7", "u9"]
             )
         assert "u7" in str(e.value)
+
+    def test_array_floors_equal_the_scalar_floor_bitwise(self):
+        # allocate_power's floors are this one array division; IEEE division
+        # is correctly rounded, so each equals rate_floor_power's bits
+        rng = np.random.default_rng(11)
+        gains = np.concatenate([np.logspace(-6, 6, 241), 10.0 ** rng.uniform(-6, 6, 500)])
+        for rate_min in (0.0, 1e4, 0.3e7, 2.5e7):
+            floors = np.divide(
+                2.0 ** (rate_min / 1e7) - 1.0, gains,
+                out=np.full(gains.size, math.inf), where=gains > 0,
+            )
+            want = [opt.rate_floor_power(g, rate_min, 1e7) for g in gains.tolist()]
+            assert floors.tolist() == want
+
+    def test_zero_gain_names_its_user_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(opt.InfeasibleError) as e:
+                opt.allocate_power(
+                    np.array([5.0, 0.0, 2.0]), 1.0, 1e4, 1e7, user_ids=[4, 8, 15]
+                )
+        assert str(e.value).startswith("rate floor infeasible for user 8: needs inf W")
+
+    def test_matches_the_scalar_floor_bisection_bitwise(self):
+        # the reference builds its floors user by user and a fresh array per
+        # bisection step; at least half the instances bind some floor
+        def reference(c, p_max_w, rate_min, bw):
+            floors = np.array([opt.rate_floor_power(ck, rate_min, bw) for ck in c])
+            inv_c = 1.0 / c
+
+            def spend(mu):
+                return np.maximum(floors, mu - inv_c).sum()
+
+            lo, hi = 0.0, p_max_w + inv_c.max()
+            while spend(hi) < p_max_w:
+                hi *= 2.0
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if spend(mid) > p_max_w:
+                    hi = mid
+                else:
+                    lo = mid
+                if hi - lo < 1e-16 * max(1.0, p_max_w):
+                    break
+            p = np.maximum(floors, 0.5 * (lo + hi) - inv_c)
+            slack = p_max_w - p.sum()
+            free = p > floors + opt.POWER_TOL
+            if not np.any(free):
+                free = np.ones_like(p, dtype=bool)
+            p[free] += slack / free.sum()
+            return np.maximum(p, floors)
+
+        rng = np.random.default_rng(13)
+        bound = 0
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            gains = 10.0 ** rng.uniform(-1, 4, size=n)
+            rate_min = float(rng.uniform(1e5, 3e7))
+            floors = np.array([opt.rate_floor_power(g, rate_min, 1e7) for g in gains])
+            p_max = float(floors.sum() * rng.uniform(1.01, 3.0))
+            got = opt.allocate_power(gains, p_max, rate_min, 1e7)
+            assert got.tobytes() == reference(gains, p_max, rate_min, 1e7).tobytes()
+            bound += int(np.any(got == floors))
+        assert bound >= 100
 
     def test_three_user_grid_oracle(self):
         # 1e-3-resolution search over the budget simplex (acceptance runs
@@ -393,6 +458,30 @@ class TestJointOptimize:
         assert np.array_equal(a.allocation.ris_of_user, b.allocation.ris_of_user)
         assert np.array_equal(a.allocation.rho_sq_w, b.allocation.rho_sq_w)
 
+    @pytest.mark.parametrize("num_ris", [1, 2, 3, 4])
+    @pytest.mark.parametrize("ratio", [(5, 4, 1), (3, 6, 1)])
+    def test_mobile_surfaces_equal_the_per_user_select_loop(self, num_ris, ratio):
+        for seed in (1, 2, 3):
+            s = small_scenario(total_users=40, ratio=ratio, num_ris=num_ris, seed=seed)
+            ch = chan.draw_channels(s, seed)
+            res = opt.joint_optimize(s, ch)
+            want = [
+                opt.distributed_ris_select(
+                    ch, k, range(num_ris), s.radio.tx_power_mobile_w,
+                    s.radio.noise_w, s.radio.subchannel_bw_hz,
+                )[0]
+                for k in res.mobile_ids
+            ]
+            assert res.allocation.ris_of_user[res.mobile_ids].tolist() == want
+
+    def test_mobile_surface_tie_goes_to_the_lower_id(self):
+        s = small_scenario(total_users=40, ratio=(3, 6, 1), num_ris=2, seed=4)
+        ch = chan.draw_channels(s, 4)
+        amp = ch.aligned_amplitude
+        amp[:, 1] = amp[:, 0]
+        res = opt.joint_optimize(s, ch)
+        assert res.allocation.ris_of_user[res.mobile_ids].tolist() == [0] * len(res.mobile_ids)
+
     def test_allocation_passes_standalone_audit(self):
         s = small_scenario(total_users=10, seed=12)
         ch = chan.draw_channels(s, 12)
@@ -428,6 +517,62 @@ class TestJointOptimize:
         alloc.slot_of_user[:] = [0, 0]
         bad = opt.check_allocation(alloc, [0, 1], [], (0, 1, 0), num_slots=1, p_max_w=1.0)
         assert bad == ["subchannel 0 slot 0 held by users 0 and 1"]
+
+    @pytest.mark.parametrize("ris_of, slot_of, rho, mobile_ids, want", [
+        # static users 0-2 throughout; three surfaces on subchannels
+        # (0, 1, 0), two slots, a 1 W budget
+        ([-1, 3, 1], [0, 0, 1], [0.2] * 3, [], [
+            "static user 0 holds RIS -1, not one of 0..2",
+            "static user 1 holds RIS 3, not one of 0..2",
+        ]),
+        ([0, 1, 2], [-1, 2, 1], [0.2] * 3, [], [
+            "static user 0 must hold exactly one data slot",
+            "static user 1 must hold exactly one data slot",
+        ]),
+        ([0, 1, 2, -1, -2, 3], [0, 0, 1, -1, -1, -1], [0.2] * 6, [3, 4, 5], [
+            "mobile user 4 holds RIS -2, not -1 or one of 0..2",
+            "mobile user 5 holds RIS 3, not -1 or one of 0..2",
+        ]),
+        # the mobile user's power is outside the static budget
+        ([0, 1, 2, 0], [0, 0, 1, -1], [0.5, 0.25, 0.5, 9.0], [3], [
+            "static power budget exceeded: 1.25 > 1",
+        ]),
+    ])
+    def test_audit_names_each_violation(self, ris_of, slot_of, rho, mobile_ids, want):
+        alloc = opt.empty_allocation(len(ris_of))
+        alloc.ris_of_user[:] = ris_of
+        alloc.slot_of_user[:] = slot_of
+        alloc.rho_sq_w[:] = rho
+        bad = opt.check_allocation(
+            alloc, [0, 1, 2], mobile_ids, (0, 1, 0), num_slots=2, p_max_w=1.0
+        )
+        assert bad == want
+
+    def test_onefactor_sum_equals_the_per_user_loop(self):
+        # the scalar loop the one-factor form sums, in static-then-mobile
+        # order and skipping a user without a surface
+        for seed in (1, 2, 3):
+            s = small_scenario(total_users=40, ratio=(3, 6, 1), num_ris=3, seed=seed)
+            ch = chan.draw_channels(s, seed)
+            res = opt.joint_optimize(s, ch)
+            alloc = res.allocation
+            alloc.ris_of_user[res.mobile_ids[seed]] = -1
+            got = opt.onefactor_throughput(
+                res.frame, alloc, ch, res.static_ids, res.mobile_ids, s.radio, s.dcf
+            )
+            total = 0.0
+            for k in res.static_ids + res.mobile_ids:
+                m = alloc.ris_of_user[k]
+                if m >= 0:
+                    snr = chan.amplitude_snr(
+                        ch.aligned_amplitude[k, m], alloc.rho_sq_w[k], s.radio.noise_w
+                    )
+                    total += math.log2(1.0 + snr)
+            pref = (
+                s.radio.bandwidth_total_hz * (s.dcf.data_slot_s + s.dcf.payload_time_s)
+                / (s.radio.num_subchannels * res.frame.total_s)
+            )
+            assert got == pref * total
 
     def test_power_step_decrease_keeps_previous_iterate(self):
         # the assignment step ignores the rate floors; on this draw the
