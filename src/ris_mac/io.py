@@ -4,9 +4,14 @@ Floats serialize with 12 significant digits and columns keep a fixed order,
 so a rerun with the same scenario, seeds, and artifact version emits
 byte-identical files.  The manifest timestamp honors RIS_MAC_TIMESTAMP so
 determinism harnesses can pin it.  The manifest also names the numpy and
-Python versions: the contention draws follow numpy's PCG64 word order and
-its bounded-draw rules (simulator.WordTape), and the channel draws its
-Generator streams, so a byte-for-byte rerun needs the same numpy.
+Python versions.  The contention draws rest only on PCG64's raw outputs,
+by the simulator's documented rule: a word is the high 32 bits of one
+``random_raw`` output, a draw below b is (w * b) >> 32 with no rejection
+(each value's probability off by at most b / 2^32 of itself), and each
+contender takes one word a round, whose draw v below W_s * C_s is its
+counter times C_s plus its pick, so its sort key is v * n0 + index.  The
+channel draws are Generator normals, so a byte-for-byte rerun needs the
+same numpy.
 """
 
 from __future__ import annotations

@@ -352,9 +352,14 @@ def validate_scenario(s: Scenario) -> ValidationReport:
         rep.add("w_min >= 1 violated (w_min=%d)" % d.w_min)
     if d.w_min > d.w_max:
         rep.add("w_min <= w_max violated (%d > %d)" % (d.w_min, d.w_max))
-    if d.w_max >= 2**31:
-        # simulator.resolve_round bounds its int64 key (counter * C_s + pick) * n0 + index
-        rep.add("w_max < 2^31 violated (w_max=%d)" % d.w_max)
+    if d.w_max * r.num_subchannels > 2**20:
+        # a contention draw below w_max * C_s is off by at most its bound /
+        # 2^32 of each value's probability (simulator's draw rule); the cap
+        # keeps that at or below 2^-12, and a round's products inside int64
+        rep.add(
+            "w_max * num_subchannels <= 2^20 violated (%d * %d)"
+            % (d.w_max, r.num_subchannels)
+        )
     if d.w_max != d.w_min * 2**d.max_backoff_stage:
         rep.add(
             "w_max = w_min * 2^stage violated (%d != %d * 2^%d)"

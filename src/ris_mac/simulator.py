@@ -6,45 +6,42 @@ user transmits through its assigned surface at the realization's cached
 aligned amplitude |r| + sum |h||g| (every element co-phased with the direct
 path; allocations carry only surface, slot and power), the same gain the
 optimizer and the contended grants read.  The contended period advances in
-rounds of one handshake time t_r each.  A round draws every remaining
-contender's subchannel pick and then its backoff counter on a per-frame
-bounds array: C_s per pick (filled once per frame) followed by each
-contender's window, read from the per-stage table min(w_min * 2^s, w_max).
-Picks are fixed, and not drawn, on a single subchannel (a bound of 1 takes
-no word) and under csi_best_channel.
+rounds of one handshake time t_r each.
 
-The contention draws make no Generator call.  A WordTape reads the frame's
-fresh PCG64 in chunks with ``bit_generator.random_raw`` and splits each
-64-bit output into its low and then its high 32 bits, the order
-``next_uint32`` hands them out, and computes each draw from these words by
-the rule numpy applies: ``integers(0, b)`` is Lemire's multiply-shift (a word
-u gives (u * b) >> 32 and is redrawn while (u * b) mod 2^32 < (2^32 - b) mod
-b; a bound of 1 takes no word), ``permutation(k)`` is masked rejection.  So
-every draw has the value, and consumes the words, of the Generator call it
-stands for, and since numpy draws an array of bounds element by element as
-it draws the scalars, the stream equals per-user draws in sorted-id order.
-A round takes its words as one slice and multiplies and shifts them as
-arrays against the bounds; when some product's low word falls below the
-frame's largest rejection threshold (256 of 2^32 at a window of 960), the
-round redoes its draws one element at a time, exactly.
+The contention draws follow one rule, on the frame's fresh PCG64 and no
+Generator call.  A word is the high 32 bits of the next ``random_raw``
+output, and a draw below b is (w * b) >> 32 for the next word w, with no
+rejection: of the 2^32 words, floor(2^32 / b) or one more map to each
+value, so each value's probability is off by at most b / 2^32 of itself
+(4.5e-7 at the reference's window of 960 on 2 subchannels;
+validate_scenario caps w_max * C at 2^20, which keeps it at or below
+2^-12).  A round takes one word per remaining contender, in sorted-id
+order, and draws v below its span W_s * C_s, where W_s = min(w_min * 2^s,
+w_max) is its stage's window: its backoff counter is v // C_s and its
+subchannel pick v % C_s.  Picks are fixed, and the span is W_s alone, on a
+single subchannel and under csi_best_channel.  The grant order is a
+Fisher-Yates shuffle of the occupied channels by the same rule (position
+i = k-1 .. 1 swaps with a draw below i + 1, so permutation(0) and (1) take
+no word), and a granted collided channel re-draws its winner below the
+count of its contenders, in ascending index order.
 
 One sort of the unique counter-major key (counter * C_s + pick) * n0 +
 index resolves every occupied subchannel at once; n0 is the frame's
 starting contender count, so the weights never change as contenders leave.
-A round builds its keys from its draws in one integer product, plus a
-per-frame term: the index, and n0 times the pick when picks are fixed.
-Sorted, the keys run by counter, then channel, then index, so each
-channel's first key holds its minimum counter, whose unique holder wins,
-while a run of keys that share it is a collision that raises the tied
-users' stages, and only their entries of the bounds are rewritten.  The
-round reads only the head of the sorted keys: the scan stops once every
-channel has shown its minimum and that minimum's run has ended, and reads
-the rest only when the head does not settle the round, as when fewer than
-C_s channels are occupied.  A round that serves anyone shrinks the bounds
-and terms by moving their kept stretches down in place.  The grant order
-is a permutation of the occupied channels (permutation(0) and
-permutation(1) take no word, permutation(2) one word masked to its low
-bit).
+With drawn picks that key is simply v * n0 + index, and with fixed picks
+v * C_s * n0 + index + n0 * pick, so a round builds its keys from its
+words in one product against the per-contender spans, one shift, one
+product by the weight and one add of a per-frame term.  Sorted, the keys
+run by counter, then channel, then index, so each channel's first key
+holds its minimum counter, whose unique holder wins, while a run of keys
+that share it is a collision that raises the tied users' stages, and only
+their spans are rewritten.  The round reads only the head of the sorted
+keys: the scan stops once every channel has shown its minimum and that
+minimum's run has ended, and reads the rest only when the head does not
+settle the round, as when fewer than C_s channels are occupied.  A round
+that serves anyone shrinks the spans and terms by moving their kept
+stretches down in place.
+
 The BS paces its CTS grants to the closed-form service recursion that
 contention_cascade sizes the contended period from.  Its per-round serve
 increments are cached once per (Y, C, w_min, l) for the process
@@ -53,11 +50,9 @@ round index, stepping the recursion no further than its round budget: each
 round adds the increment to the serves owed, grants min(owed, occupied
 channels), and carries the rest to the next round.  So the
 rounds-to-all-served tracks the analytic round count while the seed decides
-which user wins which round, on which channel, and at what rate; a granted
-collided channel re-draws its winner among its contenders in ascending
-index order.  Backoff airtime is not part of the t_r
-budget, matching the handshake-time accounting; counters are logged as event
-metadata.
+which user wins which round, on which channel, and at what rate.  Backoff
+airtime is not part of the t_r budget, matching the handshake-time
+accounting; counters are logged as event metadata.
 
 A frame sums the bits of each period as it grants them, in the order a
 stable time sort of its trace holds the data events (float addition is not
@@ -108,10 +103,8 @@ CLASS_STATIC = 0
 CLASS_MOBILE = 1
 CLASS_NEW = 2
 
-WORD_MASK = 0xFFFFFFFF
-
-_HIGH_WORD = np.uint64(32)
-_min = np.minimum.reduce
+# a numpy scalar: as a round's shift operand, a Python int costs more than the arithmetic
+_SHIFT = np.int64(32)
 
 
 class ModeMismatchError(ValueError):
@@ -166,47 +159,31 @@ def window_table(dcf) -> list:
 
 
 class WordTape:
-    """One frame's contention draws, computed from the 32-bit words of its
-    fresh PCG64 by numpy's rules (see the module docstring).
+    """One frame's contention draws by the module's rule, from the 32-bit
+    words of its fresh PCG64: the high half of each ``random_raw`` output.
 
-    ``integers``, ``below`` and ``permutation`` give the values of
-    ``Generator.integers(0, bounds)``, ``integers(0, b)`` and
-    ``permutation(k)`` on the same generator, and consume the same words;
-    ``word`` hands out the next word, as ``next_uint32`` would.
-    Outputs are read with ``random_raw``, READ_AHEAD draws' worth of the
-    size that ran short at a time, and split by mask and shift, so the word
-    order does not depend on the host's byte order.  ``values`` lists every
-    bound ``integers`` is handed (a superset will do), so a round spends no
-    numpy call on finding whether some bound is 1 (a draw that takes no
-    word) or the largest rejection threshold, below which a product's low
-    word sends the round's draws one element at a time.
+    Outputs are read READ_AHEAD draws' worth of the size that ran short at
+    a time.
     """
 
     READ_AHEAD = 16
 
-    def __init__(self, rng: np.random.Generator, values):
+    def __init__(self, rng: np.random.Generator):
         bg = rng.bit_generator
-        if not isinstance(bg, np.random.PCG64) or bg.state["has_uint32"]:
-            raise ValueError("a word tape needs a PCG64 with no buffered half-word")
+        if not isinstance(bg, np.random.PCG64):
+            raise ValueError("a word tape needs a PCG64")
         self._raw = bg.random_raw
-        self._words = np.empty(0, dtype=np.uint64)
+        self._words = np.empty(0, dtype=np.int64)
         self._pos = 0
-        values = [int(b) for b in values]
-        self._narrow = 1 in values  # some bound takes no word
-        self._reject_below = max((2**32 - b) % b for b in values)
 
     def _fill(self, count: int) -> None:
         rest = self._words[self._pos:]
-        outputs = (self.READ_AHEAD * count - len(rest) + 1) // 2
-        raw = self._raw(outputs)
-        words = np.empty(len(rest) + 2 * outputs, dtype=np.uint64)
-        words[: len(rest)] = rest
-        words[len(rest)::2] = raw & WORD_MASK
-        words[len(rest) + 1::2] = raw >> 32
-        self._words, self._pos = words, 0
+        words = self._raw(self.READ_AHEAD * count) >> 32
+        self._words = np.concatenate((rest, words.view(np.int64)))
+        self._pos = 0
 
-    def _take(self, count: int) -> np.ndarray:
-        """The next ``count`` words, a uint64 view."""
+    def take(self, count: int) -> np.ndarray:
+        """The next ``count`` words, an int64 view."""
         end = self._pos + count
         if end > len(self._words):
             self._fill(count)
@@ -215,54 +192,21 @@ class WordTape:
         self._pos = end
         return words
 
-    def word(self) -> int:
-        """The next 32-bit word."""
+    def below(self, b: int) -> int:
+        """A draw below ``b``, for 1 <= b <= 2^32: (w * b) >> 32 for the next
+        word w."""
         if self._pos == len(self._words):
             self._fill(1)
         w = self._words.item(self._pos)
         self._pos += 1
-        return w
-
-    def below(self, b: int) -> int:
-        """``integers(0, b)`` for 1 <= b <= 2^32."""
-        if b == 1:
-            return 0
-        threshold = (2**32 - b) % b
-        while True:
-            m = self.word() * b
-            if m & WORD_MASK >= threshold:
-                return m >> 32
-
-    def integers(self, bounds: np.ndarray) -> np.ndarray:
-        """``integers(0, bounds)`` for a uint64 array of bounds among
-        ``values``, as int64."""
-        if self._narrow:
-            wide = np.flatnonzero(bounds > 1)
-            draws = np.zeros(len(bounds), dtype=np.int64)
-            draws[wide] = self._integers_wide(bounds[wide])
-            return draws
-        return self._integers_wide(bounds)
-
-    def _integers_wide(self, bounds: np.ndarray) -> np.ndarray:
-        n = len(bounds)
-        prod = self._take(n) * bounds
-        # the cast to uint32 keeps each product's low word
-        if n and _min(prod.astype(np.uint32)) < self._reject_below:
-            # some word may be rejected: redo the draws from the same words,
-            # which _take left just behind _pos
-            self._pos -= n
-            return np.array([self.below(b) for b in bounds.tolist()], dtype=np.int64)
-        prod >>= _HIGH_WORD
-        return prod.view(np.int64)
+        return (w * b) >> 32
 
     def permutation(self, k: int) -> list:
-        """``permutation(k)`` as a list; k <= 1 takes no word."""
+        """A Fisher-Yates shuffle of range(k) as a list: position i = k-1 .. 1
+        swaps with a draw below i + 1, so k <= 1 takes no word."""
         order = list(range(k))
         for i in range(k - 1, 0, -1):
-            mask = (1 << i.bit_length()) - 1
-            j = self.word() & mask
-            while j > i:
-                j = self.word() & mask
+            j = self.below(i + 1)
             order[i], order[j] = order[j], order[i]
         return order
 
@@ -276,8 +220,8 @@ def resolve_round(keys: np.ndarray, num_channels: int, n0: int) -> tuple:
     ``keys`` holds one unique counter-major key per contender,
     ``(counter * num_channels + pick) * n0 + index`` with index < n0, and
     is sorted in place (keys stay below w_max * num_channels * n0, which
-    ``validate_scenario``'s w_max < 2^31 keeps inside int64 for any
-    num_channels * n0 below 2^32).  Sorted, the keys run by counter, then
+    ``validate_scenario``'s cap w_max * num_channels <= 2^20 keeps inside
+    int64 for any n0 below 2^43).  Sorted, the keys run by counter, then
     channel, then index, so each channel's first key holds its minimum
     counter, and the keys that share its quotient by n0 (its run) are the
     users tied on it, in ascending index order.  The scan stops at the
@@ -471,27 +415,23 @@ def _run_contention(
     ]
 
     # per-frame state, indexed like the sorted contender ids: each one's
-    # backoff stage, the draw bounds, C_s per pick (unless the picks are
-    # fixed) followed by each one's window, so a round is one tape draw, and
-    # each one's key term, its index plus n0 times its pick when fixed;
+    # backoff stage, its span W_s * C_s (W_s when the picks are fixed), and
+    # its key term, its index plus n0 times its pick when fixed;
     # ``remaining`` holds the positions of the contenders left in ``ids``
     ids = sorted(int(k) for k in contenders)
     n = n0 = len(ids)
     remaining = list(range(n))
     num_channels = len(live_channels)
     stage = [0] * n
-    windows = window_table(dcf)
     top = dcf.max_backoff_stage
-    # a single channel's picks are bounds of 1, which take no word
     draw_picks = num_channels > 1 and not scenario.csi_best_channel
-    lo = n if draw_picks else 0  # where the windows start in the bounds
-    bounds = np.full(lo + n, num_channels, dtype=np.uint64)
-    bounds[lo:] = windows[0]
-    tape = WordTape(rng, windows + [num_channels] if draw_picks else windows)
+    per_counter = num_channels if draw_picks else 1  # values of v per counter
+    spans = [w * per_counter for w in window_table(dcf)]
+    span = np.full(n, spans[0], dtype=np.int64)
+    tape = WordTape(rng)
     term = np.arange(n, dtype=np.int64)
-    # the key (counter * C_s + pick) * n0 + index is one product of the
-    # round's draws, (picks, counters) or (counters), plus term
-    weights = np.array([n0, num_channels * n0] if draw_picks else [num_channels * n0], np.int64)
+    # the key (counter * C_s + pick) * n0 + index is v * weight + term
+    weight = np.int64(n0 if draw_picks else n0 * num_channels)
     rounds_budget = int(math.floor(budget_s / t_r + 1e-9))
     # the recursion's serves per round, stepped no further than the budget;
     # past its end it serves no one
@@ -513,26 +453,25 @@ def _run_contention(
         t_rts = start_s + rounds * t_r + dcf.difs_s
         if rounds < paced_rounds:
             owed += paced[rounds]
-        draws = tape.integers(bounds)
-        counters = draws[lo:]
-        keys = weights @ draws.reshape(len(weights), n)
-        keys += term[:n]
+        v = tape.take(n) * span
+        v >>= _SHIFT
+        keys = v * weight
+        keys += term
 
         occupied, lead, collided, tied = resolve_round(keys, num_channels, n0)
         for i in tied:
             s = stage[i] = min(stage[i] + 1, top)
-            bounds[lo + i] = windows[s]
+            span[i] = spans[s]
         collisions += sum(collided)
         if events is not None:
             for c, i, tie in zip(occupied, lead, collided):
                 if tie:
                     events.append(TraceEvent(
-                        t_rts, "collision", -1, live_channels[c], -1, float(counters[i])
+                        t_rts, "collision", -1, live_channels[c], -1, float(v[i] // per_counter)
                     ))
 
-        # permutation(2) is one word masked to its low bit
         if len(occupied) == 2:
-            grant_order = (0, 1) if tape.word() & 1 else (1, 0)
+            grant_order = (0, 1) if tape.below(2) else (1, 0)  # permutation(2)
         else:
             grant_order = tape.permutation(len(occupied))
         # serves the recursion asked for beyond the occupied channels carry
@@ -546,7 +485,7 @@ def _run_contention(
             if collided[g]:
                 # post-collision re-draw inside the round settles on one
                 # of the channel's contenders, in ascending index order
-                pick = draws[:n] if draw_picks else term[:n] // n0
+                pick = v % num_channels if draw_picks else term // n0
                 here = np.flatnonzero(pick == c)
                 i = int(here[tape.below(here.size)])
             p = remaining[i]
@@ -560,7 +499,9 @@ def _run_contention(
                 ch = live_channels[c]
                 t_cts = t_rts + rts_s + dcf.sifs_s
                 t_data = t_cts + cts_s + dcf.sifs_s
-                events.append(TraceEvent(t_rts, "rts", k, ch, m_star, float(counters[i])))
+                events.append(
+                    TraceEvent(t_rts, "rts", k, ch, m_star, float(v[i] // per_counter))
+                )
                 events.append(TraceEvent(t_cts, "cts", k, ch, m_star))
                 events.append(TraceEvent(t_data, "data", k, ch, m_star, delivered))
         if events is not None:
@@ -570,25 +511,22 @@ def _run_contention(
                     i = lead[g]
                     events.append(
                         TraceEvent(t_rts, "rts", ids[remaining[i]], live_channels[occupied[g]], -1,
-                                   float(counters[i]))
+                                   float(v[i] // per_counter))
                     )
         if granted:
             # drop the granted entries by moving each kept stretch of the
-            # windows (which start lower once there are fewer picks) and of
-            # the terms down in place; a term moved d places loses d, so it
-            # stays index plus n0 times the pick (drawn picks leave the
+            # spans and terms down in place; a term moved d places loses d,
+            # so it stays index plus n0 times the pick (drawn picks leave the
             # terms equal to the indices, which the move would not change)
             granted.sort()
             for i in reversed(granted):
                 del remaining[i], stage[i]
-            new_lo = n - len(granted) if draw_picks else 0
-            for d, (i, j) in enumerate(zip([-1] + granted, granted + [n])):
-                bounds[new_lo + i + 1 - d:new_lo + j - d] = bounds[lo + i + 1:lo + j]
-                if d and not draw_picks:
+            for d, (i, j) in enumerate(zip(granted, granted[1:] + [n]), 1):
+                span[i + 1 - d:j - d] = span[i + 1:j]
+                if not draw_picks:
                     term[i + 1 - d:j - d] = term[i + 1:j] - d
             n = len(remaining)
-            lo = new_lo
-            bounds = bounds[: lo + n]
+            span, term = span[:n], term[:n]
         rounds += 1
     return rounds, collisions, grant_shortfall, n, bits_sum
 

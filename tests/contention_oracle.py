@@ -2,10 +2,18 @@
 resolution, kept as the reference that test_contention_oracle compares
 the engine against.  Its one addition since is the fifth return value, the
 contended bits summed in grant order, which run_frame reads.  Its one
-deliberate edit is the pacing: a round's quota is the cumulative service
-of dcf.service_rounds less the users granted so far, so serves the
-recursion asked for beyond the occupied channels carry over to the next
-round (they used to be handed back into a schedule object).
+deliberate edits are two.  The pacing: a round's quota is the cumulative
+service of dcf.service_rounds less the users granted so far, so serves
+the recursion asked for beyond the occupied channels carry over to the
+next round (they used to be handed back into a schedule object).  The
+draws: they follow the engine's documented rule in place of numpy's
+Generator calls.  The loop reads its own words one at a time, the high 32
+bits of each ``random_raw`` output, and a draw below b is (w * b) >> 32.
+Each round draws one v per contender, below its window times C_s, whose
+quotient by C_s is the counter and whose remainder is the pick (under
+csi_best_channel, below the window alone); the grant order is a
+Fisher-Yates shuffle by the same rule, and a collided channel's re-draw
+one draw below its contender count.
 
 Each occupied subchannel is resolved on its own: ``flatnonzero`` finds its
 contenders, ``resolve_backoff`` its unique minimum or its ties, and the
@@ -31,6 +39,22 @@ def contention_windows(stage: np.ndarray, dcf) -> np.ndarray:
 def next_stage(stage: np.ndarray, dcf) -> np.ndarray:
     """Backoff stages after a collision: one up, capped at max_backoff_stage."""
     return np.minimum(stage + 1, dcf.max_backoff_stage)
+
+
+def below(rng, b: int) -> int:
+    """A draw below ``b`` by the engine's documented rule: the next word w,
+    the high 32 bits of one ``random_raw`` output, gives (w * b) >> 32."""
+    return (int(rng.bit_generator.random_raw()) >> 32) * b >> 32
+
+
+def permutation(rng, k: int) -> np.ndarray:
+    """A Fisher-Yates shuffle of range(k) by the same rule: position
+    i = k-1 .. 1 swaps with a draw below i + 1."""
+    order = list(range(k))
+    for i in range(k - 1, 0, -1):
+        j = below(rng, i + 1)
+        order[i], order[j] = order[j], order[i]
+    return np.array(order, dtype=int)
 
 
 def resolve_backoff(counters: np.ndarray) -> tuple:
@@ -94,9 +118,13 @@ def _run_contention(
                      for k in remaining]
                 )
             pick = best_channel
+            counters = np.array([below(rng, int(w)) for w in contention_windows(stage, dcf)])
         else:
-            pick = rng.integers(0, len(live_channels), size=remaining.size)
-        counters = rng.integers(0, contention_windows(stage, dcf))
+            # one draw v per contender, below its window times C_s: the
+            # counter is v // C_s and the pick v % C_s
+            spans = contention_windows(stage, dcf) * len(live_channels)
+            v = np.array([below(rng, int(w)) for w in spans], dtype=int)
+            pick, counters = v % len(live_channels), v // len(live_channels)
 
         occupied = np.flatnonzero(np.bincount(pick, minlength=len(live_channels)))
         resolved = {}  # channel -> (its contenders, index of the winner or None)
@@ -112,7 +140,7 @@ def _run_contention(
                 stage[here[tied]] = next_stage(stage[here[tied]], dcf)
             resolved[c] = here, win
 
-        grant_order = occupied[rng.permutation(len(occupied))]
+        grant_order = occupied[permutation(rng, len(occupied))]
         grants = min(quota, len(occupied))
         grant_shortfall += quota - grants
         keep = np.ones(remaining.size, dtype=bool)
@@ -120,7 +148,7 @@ def _run_contention(
             here, win = resolved[c]
             if win is None:
                 # post-collision re-draw inside the round settles on one user
-                win = int(rng.integers(0, len(here)))
+                win = below(rng, len(here))
             i = here[win]
             k, ch = int(remaining[i]), live_channels[c]
             m_star, rate = select(k, c)

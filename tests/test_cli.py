@@ -88,6 +88,28 @@ class TestCommands:
         assert cli.main(["validate", "--scenario", path]) == cli.EXIT_VALIDATION
         assert cli.main(["simulate", "--scenario", path, "--frames", "1"]) == cli.EXIT_VALIDATION
 
+    @pytest.mark.parametrize("argv", [["simulate", "--frames", "1"], ["optimize"]],
+                             ids=lambda argv: argv[0])
+    def test_window_span_past_the_draw_cap_exits_2_before_drawing(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        # w_max * C = 2^19 * 4 > 2^20: a contention draw's bias bound would
+        # pass 2^-12, so the command stops before any channel draw
+        s = small_scenario()
+        s = dataclasses.replace(
+            s, radio=dataclasses.replace(s.radio, num_subchannels=4),
+            dcf=dataclasses.replace(s.dcf, w_min=2**13, w_max=2**19),
+        )
+        path = str(tmp_path / "wide_window.json")
+        save_scenario(s, path)
+
+        def no_draw(*args):
+            raise AssertionError("channels drawn for an invalid scenario")
+
+        monkeypatch.setattr(chan, "draw_channels", no_draw)
+        assert cli.main(argv + ["--scenario", path]) == cli.EXIT_VALIDATION
+        assert "w_max * num_subchannels <= 2^20 violated" in capsys.readouterr().err
+
     def test_dcf_table_prints_rows(self, capsys):
         assert cli.main(["dcf-table", "--contenders", "3", "--channels", "2"]) == cli.EXIT_OK
         out = capsys.readouterr().out.strip().splitlines()

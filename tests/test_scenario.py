@@ -144,12 +144,19 @@ class TestValidation:
         assert "w_min >= 1 violated (w_min=%d)" % w_min in report.violations
 
     def test_window_too_wide_for_round_keys_flagged(self):
-        s = default_scenario()
-        wide = dataclasses.replace(s.dcf, w_min=2**26, w_max=2**31, max_backoff_stage=5)
+        # a contention draw below w_max * C is off by at most that span over
+        # 2^32 of each value's probability; the cap is a span of 2^20
+        s = default_scenario()  # C = 2
+        wide = dataclasses.replace(s.dcf, w_min=2**15, w_max=2**20, max_backoff_stage=5)
         report = validate_scenario(dataclasses.replace(s, dcf=wide))
-        assert report.violations == ["w_max < 2^31 violated (w_max=%d)" % 2**31]
-        ok = dataclasses.replace(wide, w_min=2**25, w_max=2**30)
+        assert report.violations == ["w_max * num_subchannels <= 2^20 violated (%d * 2)" % 2**20]
+        ok = dataclasses.replace(wide, w_min=2**14, w_max=2**19)
         assert validate_scenario(dataclasses.replace(s, dcf=ok)).ok
+        one = dataclasses.replace(
+            s, radio=dataclasses.replace(s.radio, num_subchannels=1),
+            ris=dataclasses.replace(s.ris, subchannel_of_ris=(0, 0)), dcf=wide,
+        )
+        assert validate_scenario(one).ok
 
     def test_position_outside_area_flagged(self):
         pop = build_population(2, (1, 1, 0), positions=[(10.0, 10.0, 0.0), (99.0, 0.0, 0.0)])

@@ -116,7 +116,7 @@ class TestBackoff:
             assert (occupied, lead, collided, tied) == per_channel_reference(pick, counters, 2)
 
     def test_resolve_round_on_one_channel(self):
-        # with C_s = 1 every pick is 0 (a bound of 1, which takes no word),
+        # with C_s = 1 every pick is 0 (v % 1, for a draw v below the window),
         # so the key is counter * n0 + index
         counters = np.array([6, 2, 9, 2, 2])
         occupied, lead, collided, tied = resolve(np.zeros(5, dtype=int), counters, 1)
@@ -125,24 +125,39 @@ class TestBackoff:
         assert resolve(np.zeros(5, dtype=int), counters, 1) == ([0], [1], [False], [])
 
     def test_one_channel_round_draws_no_pick(self, monkeypatch):
-        # a frame on one subchannel hands the tape only the windows
+        # on one subchannel each contender's span is its window alone: a
+        # round takes one word per contender and its key's counter is the
+        # word times the window, shifted down 32 bits
         s = small_scenario(total_users=12, ratio=(0, 1, 0), num_ris=1, elements=4)
         channels = chan.draw_channels(s, 5)
         plan = joint_optimize(s, channels)
-        handed = []
-        integers = sim.WordTape.integers
+        taken, keyed = [], []
+        take, resolve_round = sim.WordTape.take, sim.resolve_round
 
-        def spy(tape, bounds):
-            handed.append(bounds.tolist())
-            return integers(tape, bounds)
+        def spy_take(tape, count):
+            words = take(tape, count)
+            taken.append(words.tolist())
+            return words
 
-        monkeypatch.setattr(sim.WordTape, "integers", spy)
+        def spy_resolve(keys, num_channels, n0):
+            keyed.append((keys.tolist(), n0))
+            return resolve_round(keys, num_channels, n0)
+
+        monkeypatch.setattr(sim.WordTape, "take", spy_take)
+        monkeypatch.setattr(sim, "resolve_round", spy_resolve)
         trace = sim.run_frame(s, channels, plan.frame, plan.allocation, "proposed", 5)
-        windows = set(sim.window_table(s.dcf))
-        assert handed and trace.served.all()
-        assert all(set(bounds) <= windows for bounds in handed)
-        assert [len(b) for b in handed] == sorted((len(b) for b in handed), reverse=True)
-        assert len(handed[0]) == s.population.num_total
+        windows = sim.window_table(s.dcf)
+        n0 = s.population.num_total
+        assert trace.served.all() and len(taken) == len(keyed) == trace.n_r_measured
+        assert [len(w) for w in taken] == sorted((len(w) for w in taken), reverse=True)
+        assert len(taken[0]) == n0
+        for words, (keys, key_n0) in zip(taken, keyed):
+            assert key_n0 == n0 and len(keys) == len(words)
+            assert sorted(k % n0 for k in keys) == list(range(len(keys)))
+            for w, k in zip(words, keys):
+                assert k // n0 in {(w * window) >> 32 for window in windows}
+        # the first round's spans are all the stage-0 window
+        assert [k // n0 for k in keyed[0][0]] == [(w * windows[0]) >> 32 for w in taken[0]]
 
     def test_resolve_round_matches_per_channel_minimum(self):
         meta = np.random.default_rng(2028)
@@ -160,28 +175,6 @@ class TestBackoff:
                 assert [i for i in got[3] if pick[i] == c] == [i for i in want[3] if pick[i] == c]
             assert sorted(got[3]) == sorted(want[3])
 
-    def test_array_draws_equal_scalar_draws(self):
-        # a round's picks and counters are one array draw, whose stream is
-        # that of per-user draws in sorted-id order only while numpy consumes
-        # the bit stream the same way for both; WordTape.integers and the
-        # reference loop in contention_oracle.py both rest on this
-        meta = np.random.default_rng(2024)
-        for _ in range(300):
-            n = int(meta.integers(1, 40))
-            highs = meta.integers(1, 961, size=n)
-            highs[meta.random(n) < 0.25] = 1
-            num_channels = int(meta.integers(1, 5))
-            seed = int(meta.integers(2**32))
-            vec, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            picks = vec.integers(0, num_channels, size=n)
-            counters = vec.integers(0, highs)
-            want_picks = [int(ref.integers(0, num_channels)) for _ in range(n)]
-            want_counters = [int(ref.integers(0, int(h))) for h in highs]
-            cause = "numpy %s: array and scalar Generator.integers draws differ" % np.__version__
-            assert picks.tolist() == want_picks, cause
-            assert counters.tolist() == want_counters, cause
-            assert vec.bit_generator.state == ref.bit_generator.state, cause
-
     def test_array_log2_equals_scalar_log2(self):
         # channel.aligned_rates takes np.log2 over arrays where the scalar
         # chain rate_bps takes it of one float at a time; rates stay
@@ -195,46 +188,6 @@ class TestBackoff:
         assert np.log2(x).tolist() == want, cause
         for n in range(1, 70):
             assert np.log2(x[n : 2 * n]).tolist() == want[n : 2 * n], cause
-
-    def test_merged_draw_equals_two_calls(self):
-        # a round draws its picks and counters from one bounds array, C_s
-        # per contender followed by the windows, while the reference loop
-        # makes a picks call then a counters call; the two agree only while
-        # numpy's merged and split draws agree, value for value and state
-        # for state
-        meta = np.random.default_rng(2025)
-        cases = [(1, 1, np.ones(1, dtype=int)), (200, 4, np.full(200, 960)),
-                 (200, 1, np.ones(200, dtype=int))]
-        for _ in range(400):
-            n = int(meta.integers(1, 201))
-            windows = meta.integers(1, 961, size=n)
-            windows[meta.random(n) < 0.25] = 1
-            cases.append((n, int(meta.integers(1, 5)), windows))
-        for n, num_channels, windows in cases:
-            seed = int(meta.integers(2**32))
-            merged, split = np.random.default_rng(seed), np.random.default_rng(seed)
-            draws = merged.integers(0, np.concatenate((np.full(n, num_channels), windows)))
-            picks = split.integers(0, num_channels, size=n)
-            counters = split.integers(0, windows)
-            cause = "numpy %s: merged and split Generator.integers draws differ" % np.__version__
-            assert draws[:n].tolist() == picks.tolist(), cause
-            assert draws[n:].tolist() == counters.tolist(), cause
-            assert merged.bit_generator.state == split.bit_generator.state, cause
-
-    def test_permutation_of_zero_or_one_draws_no_bits(self):
-        # WordTape.permutation(0) and (1) take no word, and the reference
-        # loop calls Generator.permutation on every round; the two streams
-        # agree only while these calls consume nothing
-        cause = "numpy %s: Generator.permutation(%d) consumed bits"
-        for size in (0, 1):
-            rng = np.random.default_rng(2026)
-            before = rng.bit_generator.state
-            assert rng.permutation(size).tolist() == list(range(size))
-            assert rng.bit_generator.state == before, cause % (np.__version__, size)
-        rng = np.random.default_rng(2026)
-        before = rng.bit_generator.state
-        rng.permutation(2)
-        assert rng.bit_generator.state != before
 
     def test_collision_appears_with_tied_draws(self):
         # two mobile users on a single subchannel: scan seeds until their
@@ -250,67 +203,89 @@ class TestBackoff:
         assert found, "no tie in 60 seeds despite W=15 windows"
 
 
-# bounds where Lemire's rule behaves differently: every power of two (no
-# rejection), 3 * 2^29 (a quarter of all words rejected) and 2^31 - 1
-SPECIAL_BOUNDS = [2**e for e in range(32)] + [3 * 2**29, 2**31 - 1]
+# every bound a contention draw takes on the tested networks: the spans
+# W_s * C_s of the reference DCF, the edge DCFs of test_contention_oracle and
+# conftest's guard DCF on 1-4 subchannels (C_s = 1 is also the fixed-pick
+# span W_s), the shuffle's bounds 2..4 and a collided channel's re-draw
+# below its contender count; then the largest span validate_scenario allows
+RULE_DCFS = [
+    DcfParams(),
+    DcfParams(w_min=1, w_max=64, max_backoff_stage=6),
+    DcfParams(w_min=15, w_max=15, max_backoff_stage=0),
+    DcfParams(w_min=255, w_max=255 * 2**6),
+]
+RULE_BOUNDS = sorted(
+    {w * c for d in RULE_DCFS for w in sim.window_table(d) for c in range(1, 5)}
+    | set(range(1, 2001)) | {2**20}
+)
 
 
-def random_bound(meta) -> int:
-    if meta.random() < 0.3:
-        return int(meta.choice(SPECIAL_BOUNDS))
-    return int(meta.integers(1, 961))
+def words_per_value(b: int) -> np.ndarray:
+    """How many of the 2^32 words w give each value k of (w * b) >> 32:
+    those with k * 2^32 <= w * b < (k + 1) * 2^32, counted as
+    ceil((k + 1) * 2^32 / b) - ceil(k * 2^32 / b), with no word listed."""
+    edges = -(-(np.arange(b + 1, dtype=np.int64) << 32) // b)
+    return np.diff(edges)
 
 
 class TestWordTape:
-    def random_calls(self, meta, ones: bool) -> list:
-        """An interleaving of the tape's three draws with random arguments;
-        with ``ones``, a quarter of the array bounds are 1."""
-        calls = []
-        for _ in range(int(meta.integers(1, 12))):
-            kind = ("integers", "below", "permutation")[int(meta.integers(3))]
-            if kind == "integers":
-                n = int(meta.integers(1, 40))
-                bounds = np.array([random_bound(meta) for _ in range(n)], dtype=np.uint64)
-                if ones:
-                    bounds[meta.random(n) < 0.25] = 1
-                calls.append((kind, bounds))
-            elif kind == "below":
-                calls.append((kind, random_bound(meta)))
-            else:
-                calls.append((kind, int(meta.integers(5))))
-        return calls
+    def test_known_answers(self):
+        # the first eight words of PCG64 seeded 2029: the high 32 bits of
+        # its first eight raw outputs
+        words = [3432184286, 164977938, 1788294798, 3211984922,
+                 2224482258, 1193302901, 1791668175, 1041647501]
+        raw = np.random.default_rng(2029).bit_generator.random_raw(8)
+        assert (raw >> np.uint64(32)).tolist() == words
+        tape = sim.WordTape(np.random.default_rng(2029))
+        assert tape.take(3).tolist() == words[:3]
+        assert tape.below(960) == 717 == (words[3] * 960) >> 32
+        # position 2 swaps with a draw below 3 (1), position 1 with one below 2 (0)
+        assert tape.permutation(3) == [2, 0, 1]
+        assert tape.permutation(1) == [0] and tape.permutation(0) == []
+        assert tape.below(2**32) == words[6]
+        assert tape.take(1).tolist() == words[7:]
 
-    def test_draws_equal_generator_draws(self):
+    def test_take_below_permutation_read_the_raw_words_in_order(self):
+        # an interleaving of the three draws, refills included, consumes the
+        # raw outputs' high words one by one, by the documented rule
         meta = np.random.default_rng(2027)
-        cause = "numpy %s: word tape and Generator draws differ" % np.__version__
-        for case in range(400):
-            calls = self.random_calls(meta, ones=case % 2 == 1)
-            values = set().union(*(arg.tolist() for kind, arg in calls if kind == "integers"))
+        for _ in range(100):
             seed = int(meta.integers(2**32))
-            tape = sim.WordTape(np.random.default_rng(seed), values or {2})
-            ref = np.random.default_rng(seed)
-            for kind, arg in calls:
-                if kind == "integers":
-                    got = tape.integers(arg)
-                    assert got.dtype == np.int64, cause
-                    assert got.tolist() == ref.integers(0, arg.astype(np.int64)).tolist(), cause
-                elif kind == "below":
-                    assert tape.below(arg) == int(ref.integers(0, arg)), cause
+            tape = sim.WordTape(np.random.default_rng(seed))
+            raw = np.random.default_rng(seed).bit_generator.random_raw(20_000)
+            words = iter((raw >> np.uint64(32)).tolist())
+            for _ in range(int(meta.integers(1, 12))):
+                kind = int(meta.integers(3))
+                if kind == 0:
+                    count = int(meta.integers(0, 300))
+                    got = tape.take(count)
+                    assert got.dtype == np.int64
+                    assert got.tolist() == [next(words) for _ in range(count)]
+                elif kind == 1:
+                    b = int(meta.choice(RULE_BOUNDS))
+                    assert tape.below(b) == (next(words) * b) >> 32
                 else:
-                    assert tape.permutation(arg) == ref.permutation(arg).tolist(), cause
-            # the draws after the sequence agree too, so both consumed the
-            # same words
-            after = [2**31 - 1, 960, 3 * 2**29, 7]
-            want = [int(ref.integers(0, b)) for b in after]
-            assert [tape.below(b) for b in after] == want, cause
+                    k = int(meta.integers(6))
+                    order = list(range(k))
+                    for i in range(k - 1, 0, -1):
+                        j = (next(words) * (i + 1)) >> 32
+                        order[i], order[j] = order[j], order[i]
+                    assert tape.permutation(k) == order
+            assert tape.take(1).tolist() == [next(words)]
 
-    def test_needs_a_pcg64_with_no_buffered_half_word(self):
-        rng = np.random.default_rng(1)
-        rng.integers(0, 10)  # one 32-bit word: the other half stays buffered
-        with pytest.raises(ValueError, match="half-word"):
-            sim.WordTape(rng, [10])
+    def test_each_value_is_within_its_bias_bound(self):
+        # each value takes floor(2^32 / b) words or one more, so its
+        # probability is within b / 2^32 of 1 / b, relative:
+        # |count - 2^32 / b| / (2^32 / b) <= b / 2^32, in exact integers;
+        # validate_scenario's cap b <= 2^20 keeps that at or below 2^-12
+        for b in RULE_BOUNDS:
+            counts = words_per_value(b)
+            assert counts.size == b and int(counts.sum()) == 2**32
+            assert int(np.abs(counts * b - 2**32).max()) <= b
+
+    def test_needs_a_pcg64(self):
         with pytest.raises(ValueError, match="PCG64"):
-            sim.WordTape(np.random.Generator(np.random.MT19937(1)), [10])
+            sim.WordTape(np.random.Generator(np.random.MT19937(1)))
 
 
 class TestScheduledPeriod:
@@ -609,6 +584,36 @@ class TestModes:
         assert trace.grants_dropped == s.population.num_existing - int(trace.served.sum())
         full, alloc = sim.plan_scheme1(s, ch, t2_common=frame.num_slots * s.dcf.data_slot_s)
         assert sim.run_frame(s, ch, full, alloc, "scheme1", 20).grants_dropped == 0
+
+    def test_scheme1_powers(self, monkeypatch):
+        # static users assign at an even share P_max / X of the budget and
+        # transmit at water-filled powers; mobile users do both at their
+        # fixed power, which differs from the share on this network
+        from ris_mac import optimizer as opt
+
+        s = small_scenario(total_users=12, ratio=(1, 1, 0), seed=20)
+        radio = s.radio
+        static_ids, mobile_ids = classify_users(s.population)
+        share = radio.p_max_w / len(static_ids)
+        assert share != radio.tx_power_mobile_w
+        ch = chan.draw_channels(s, 20)
+        handed = []
+        config = opt.centralized_ris_config
+
+        def spy(channels, ids, rho, *rest):
+            handed.append(np.asarray(rho)[ids].tolist())
+            return config(channels, ids, rho, *rest)
+
+        monkeypatch.setattr(opt, "centralized_ris_config", spy)
+        _, alloc = sim.plan_scheme1(s, ch, t2_common=1.0)
+        is_static = np.asarray(s.population.mobility_flags) == 1
+        assert handed == [np.where(is_static, share, radio.tx_power_mobile_w).tolist()]
+        amp = ch.aligned_amplitude[static_ids, alloc.ris_of_user[static_ids]]
+        gains = np.array([a**2 / radio.noise_w for a in amp.tolist()])
+        want = opt.allocate_power(gains, radio.p_max_w, radio.rate_min_bps,
+                                  radio.subchannel_bw_hz, user_ids=static_ids)
+        assert alloc.rho_sq_w[static_ids].tolist() == want.tolist()
+        assert alloc.rho_sq_w[mobile_ids].tolist() == [radio.tx_power_mobile_w] * len(mobile_ids)
 
     def test_mode_allocation_mismatch_rejected(self):
         s = small_scenario(total_users=6, seed=16)
