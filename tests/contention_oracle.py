@@ -1,7 +1,7 @@
 """The round loop of the contention engine as it stood before the one-sort
 resolution, kept as the reference that test_contention_oracle compares
 the engine against.  Its one addition since is the fifth return value, the
-contended bits summed in grant order, which run_frame reads.  Its one
+contended bits summed in grant order, which run_frame reads.  Its
 deliberate edits are two.  The pacing: a round's quota is the cumulative
 service of dcf.service_rounds less the users granted so far, so serves
 the recursion asked for beyond the occupied channels carry over to the
@@ -12,7 +12,7 @@ bits of each ``random_raw`` output, and a draw below b is (w * b) >> 32.
 Each round draws one v per contender, below its window times C_s, whose
 quotient by C_s is the counter and whose remainder is the pick (under
 csi_best_channel, below the window alone); the grant order is a
-Fisher-Yates shuffle by the same rule, and a collided channel's re-draw
+Fisher-Yates shuffle by the same rule, and a collided channel's re-draw is
 one draw below its contender count.
 
 Each occupied subchannel is resolved on its own: ``flatnonzero`` finds its
