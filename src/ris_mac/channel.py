@@ -81,14 +81,6 @@ class ChannelRealization:
             self._links = _draw(*self._source, links=True)[2]
         return self._links
 
-    @property
-    def num_users(self) -> int:
-        return self.r.shape[0]
-
-    @property
-    def num_ris(self) -> int:
-        return self.aligned_amplitude.shape[1]
-
 
 def _pathloss_power(dist_m, exponent: float, ref_db: float):
     """Power gain of the distance power law with a 1 m reference."""
@@ -264,8 +256,6 @@ def aligned_rate_matrix(
     tx_power_w may be scalar or one entry per listed user.
     """
     ids = np.asarray(list(user_ids), dtype=int)
-    if ids.size == 0:
-        return np.zeros((0, channels.num_ris))
     p = np.broadcast_to(np.asarray(tx_power_w, dtype=float), ids.shape)
     return aligned_rates(channels.aligned_amplitude[ids], p[:, None], noise_w, subchannel_bw_hz)
 

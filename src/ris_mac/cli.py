@@ -127,7 +127,7 @@ def at_least(low: int):
 
 
 class ScenarioInvalid(Exception):
-    """Raised by _load with the failed ValidationReport; main exits 2."""
+    """Raised with a failed validation's text, before any channel draw; main exits 2."""
 
 
 def _read(args):
@@ -136,12 +136,16 @@ def _read(args):
     return default_scenario(seed=args.seed if args.seed is not None else 1)
 
 
+def _require_valid(s, label: str = "") -> None:
+    report = validate_scenario(s)
+    if not report.ok:
+        raise ScenarioInvalid(label + str(report))
+
+
 def _load(args):
     """The scenario of a model-running command, validated before any channel draw."""
     s = _read(args)
-    report = validate_scenario(s)
-    if not report.ok:
-        raise ScenarioInvalid(report)
+    _require_valid(s)
     return s
 
 
@@ -265,6 +269,9 @@ def cmd_simulate(args) -> int:
 def cmd_experiment(args) -> int:
     s = _load(args)
     sweep = exp.parse_sweep(args.sweep)
+    for value in sweep.values:  # every sweep point, before the first draw
+        _require_valid(exp.scenario_for_value(s, sweep.axis, value),
+                       "sweep value %s=%s:\n" % (sweep.axis, value))
     rows = exp.run_experiment(s, sweep, args.seeds, modes=args.modes)
     rio.write_table(rows, exp.RESULT_COLUMNS, args.out, fmt=args.format)
     manifest_path = args.out + ".manifest.json"

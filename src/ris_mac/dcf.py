@@ -12,13 +12,10 @@ Per contention round i with N_i remaining mobile users:
 The round recursion runs until every one of the Y mobile users has been
 served exactly once; the round count N_r sizes the contended period as
 N_r * t_r, with t_r the airtime of one successful RTS/CTS handshake plus
-payload.  service_rounds is the one implementation of the recursion and its
-starvation guard, which ends it within N_r <= 50 Y rounds.  A
-ServiceSchedule keeps the rounds stepped so far as per-round serve
-increments, one per (Y, C, w_min, l) for the process (service_schedule,
-which never evicts one): contention_cascade steps it to the end, and a
-frame reads it by round index, stepping it only as far as the rounds its
-budget holds.
+payload.  ServiceSchedule is the one implementation of the recursion and
+its starvation guard, which ends it within N_r <= 50 Y rounds, and
+service_schedule its one cache: contention_cascade and every frame read the
+same schedule per (Y, C, w_min, l) for the process.
 
 The closed form is the sum read as a derivative: with x = (1-tau)^2 and
 q = 1/C the terms are tau * C(N,V) V x^(V-1) q^V (1-q)^(N-V), which is tau
@@ -35,7 +32,6 @@ correcting it.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from array import array
 from dataclasses import dataclass
@@ -192,99 +188,79 @@ def round_params(contenders: int, num_channels: int, w_min: int, max_stage: int)
     return tau, p, channel_success_prob(contenders, tau, num_channels)
 
 
-def service_rounds(total_users: int, num_channels: int, w_min: int, max_stage: int):
-    """The floor recursion, one round at a time: yields (cumulative_served,
-    forced) per round until all ``total_users`` are served.
+class ServiceSchedule:
+    """The floor recursion of key (Y, C, w_min, l), stepped so far: each
+    round's serves in ``increments`` (4 bytes a round), and the indices of
+    the guard's rounds, a model deviation, in ``forced``.
 
     A round with N remaining contenders adds C * P_ch(N) to the credit and
-    serves floor(credit) less those already served.  A starvation guard
-    force-serves one user per subchannel after 50 consecutive zero-increment
-    rounds, since the floor can stall when Y*tau/C is tiny, so every round
-    serves or lengthens a streak and at most 50 Y rounds run; ``forced``
-    flags those rounds as a model deviation.  ServiceSchedule steps it and
-    keeps the rounds for contention_cascade and the frame engine.
-    """
-    served = 0
-    credit = 0.0
-    zero_streak = 0
-    while served < total_users:
-        n = total_users - served
-        credit += num_channels * round_params(n, num_channels, w_min, max_stage)[2]
-        delta = min(max(math.floor(credit + FLOOR_EPS) - served, 0), n)
-        forced = False
-        if delta:
-            zero_streak = 0
-        else:
-            zero_streak += 1
-            if zero_streak >= STARVATION_GUARD_ROUNDS:
-                delta = min(num_channels, n)
-                forced = True
-                zero_streak = 0
-        served += delta
-        yield served, forced
-
-
-class ServiceSchedule:
-    """The rounds of service_rounds(*key) stepped so far, kept compactly:
-    ``increments`` holds each round's serves (4 bytes a round) and
-    ``forced`` the indices of the guard's rounds.
-
-    ``through(rounds)`` steps the recursion only until it holds that many
-    rounds, so a frame never steps it past the rounds its budget holds, and
-    a later, longer reader resumes where the last one stopped.
+    serves floor(credit) less those already served.  The floor can stall
+    when Y*tau/C is tiny, so after 50 consecutive zero-increment rounds a
+    starvation guard force-serves one user per subchannel: at most 50 Y
+    rounds run.  ``through(rounds)`` steps only as far as a reader asks, and
+    a longer reader resumes where the last one stopped.  A round's state
+    changes only after its round_params call returns, so a step that raises
+    keeps every round before it.
     """
 
     def __init__(self, total_users: int, num_channels: int, w_min: int, max_stage: int):
         if num_channels < 1:
             raise ValueError("num_channels must be >= 1")
         self.key = (total_users, num_channels, w_min, max_stage)
-        self._start()
-
-    def _start(self) -> None:
         self.increments = array("I")
         self.forced = array("I")
-        self._steps = service_rounds(*self.key)
         self._served = 0
+        self._credit = 0.0
+        self._zero_streak = 0
 
     def through(self, rounds=None) -> array:
         """The increments, holding at least the first ``rounds`` rounds
         (every round when None), or all of them once the recursion ended."""
-        missing = None if rounds is None else rounds - len(self.increments)
-        if missing is None or missing > 0:
-            increments, forced, served = self.increments, self.forced, self._served
-            try:
-                for served_after, was_forced in itertools.islice(self._steps, missing):
-                    if was_forced:
+        total, c, w, l = self.key
+        increments, forced = self.increments, self.forced
+        served, credit, streak = self._served, self._credit, self._zero_streak
+        left = -1 if rounds is None else max(rounds - len(increments), 0)  # -1: no limit
+        try:
+            while served < total and left:
+                left -= 1
+                n = total - served
+                credit += c * round_params(n, c, w, l)[2]
+                delta = min(math.floor(credit + FLOOR_EPS) - served, n)
+                if delta > 0:
+                    streak = 0
+                else:
+                    delta = 0
+                    streak += 1
+                    if streak >= STARVATION_GUARD_ROUNDS:
+                        delta = min(c, n)
                         forced.append(len(increments))
-                    increments.append(served_after - served)
-                    served = served_after
-            except BaseException:
-                self._start()  # a failed step leaves no partial schedule behind
-                raise
-            self._served = served
-        return self.increments
+                        streak = 0
+                increments.append(delta)
+                served += delta
+        finally:
+            # the rounds appended so far are whole: the next call resumes after them
+            self._served, self._credit, self._zero_streak = served, credit, streak
+        return increments
 
 
 @functools.lru_cache(maxsize=None)
 def service_schedule(total_users: int, num_channels: int, w_min: int, max_stage: int):
     """The one ServiceSchedule per (Y, C, w_min, l) for the process, shared by
     contention_cascade and every frame that paces to it, so each recursion
-    is stepped once.  The schedules are never evicted (4 bytes a round
-    stepped): an evicted one would be stepped again by its next reader,
-    while a cached cascade still held the first, so this cache is their one
-    owner and the cascade's own, bounded cache only wraps them."""
+    is stepped once.  It is the one cache of the recursion, and it never
+    evicts a schedule (4 bytes a round stepped): an evicted one would be
+    stepped again by its next reader."""
     return ServiceSchedule(total_users, num_channels, w_min, max_stage)
 
 
-@functools.lru_cache(maxsize=128)
 def contention_cascade(num_mobile: int, num_channels: int, dcf: DcfParams) -> ContentionSummary:
     """Run the service recursion until all mobile users are served once.
 
     N_r counts rounds with remaining contenders > 0; a literal reading of
     the stopping indicator (remaining >= 0) never terminates, so the
     recursion stops when the remaining count reaches zero, which is exactly
-    the once-per-user fairness target.  A pure function of its arguments
-    with a frozen result, cached for the process like round_params.
+    the once-per-user fairness target.  The summary only wraps the cached
+    service_schedule, so a repeated call steps nothing.
     """
     y = int(num_mobile)
     if y < 0:

@@ -13,6 +13,7 @@ parallel execution cannot change the results.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -64,6 +65,17 @@ class SweepSpec:
         return "%s=%s" % (self.axis, vals)
 
 
+def _number(text: str) -> float:
+    """One finite number of a sweep spec; anything else is a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise SweepSpecError("sweep entries must be finite numbers, got %r" % text.strip())
+    return value
+
+
 def parse_sweep(spec: str) -> SweepSpec:
     """Parse an axis spec.
 
@@ -86,15 +98,15 @@ def parse_sweep(spec: str) -> SweepSpec:
     if axis == "ratio":
         values = []
         for part in rest.split(","):
-            nums = tuple(float(x) for x in part.strip().split(":"))
+            nums = tuple(_number(x) for x in part.strip().split(":"))
             if len(nums) != 3:
                 raise SweepSpecError("ratio entries are s:m:n triples, got %r" % part)
             values.append(nums)
         return SweepSpec(axis=axis, values=tuple(values))
     if "," in rest:
-        nums = tuple(float(x) for x in rest.split(","))
+        nums = tuple(_number(x) for x in rest.split(","))
     else:
-        parts = [float(x) for x in rest.split(":")]
+        parts = [_number(x) for x in rest.split(":")]
         if len(parts) != 3:
             raise SweepSpecError("range specs are start:stop:step, got %r" % rest)
         start, stop, step = parts
@@ -107,6 +119,8 @@ def parse_sweep(spec: str) -> SweepSpec:
             v += step
         nums = tuple(nums)
     if axis in ("users", "ris", "elements"):
+        if any(v < 0 for v in nums):
+            raise SweepSpecError("%s axis counts must be >= 0, got %r" % (axis, rest))
         nums = tuple(int(v) for v in nums)
     return SweepSpec(axis=axis, values=nums)
 

@@ -371,25 +371,20 @@ def centralized_ris_config(
     noise_w: float,
     bw_hz: float,
     num_slots: int,
-    subchannel_of_ris,
+    surface_lists,
 ) -> tuple:
     """Surface and slot assignment for the scheduled users at aligned phases.
 
     Phase alignment is closed-form per (user, RIS) pair and independent of
     the assignment, so one assignment over the aligned rates is the fixed
     point of the phase/assignment alternation.  Slots belong to subchannels:
-    on each subchannel that carries a surface a user takes its best bonded
-    surface (lowest id on ties), and the users are matched to (subchannel,
+    ``surface_lists`` holds the surfaces on each subchannel that carries one
+    (RisInventory.surfaces_by_subchannel), a user takes its best surface on
+    each by best_surfaces' rule, and the users are matched to (subchannel,
     slot) pairs over those rates.  Returns (ris_of, slot_of, objective).
     """
-    rates = chan.aligned_rate_matrix(channels, static_ids, rho_sq_w, noise_w, bw_hz)
-    sub_of = np.asarray(subchannel_of_ris)
-    surfaces = [np.flatnonzero(sub_of == ch) for ch in sorted(set(sub_of.tolist()))]
-    # (X, C_s): each user's best surface on each subchannel that carries one
-    best = np.stack([ms[rates[:, ms].argmax(axis=1)] for ms in surfaces], axis=1)
-    col_of, slot_of, objective = assign_ris_static(
-        np.take_along_axis(rates, best, axis=1), num_slots
-    )
+    best, rates = best_surfaces(channels, static_ids, surface_lists, rho_sq_w, noise_w, bw_hz)
+    col_of, slot_of, objective = assign_ris_static(rates, num_slots)
     return best[np.arange(len(col_of)), col_of], slot_of, objective
 
 
@@ -425,15 +420,14 @@ def best_surfaces(
     """Each listed user's best surface, and its rate, in each of
     ``surface_lists`` (ascending surface ids): two (users, lists) arrays.
 
-    ``tx_power_w`` is a scalar or one entry per user.  The rule, which
-    distributed_ris_select reads too, runs surface by surface: the first
-    surface holds unless a later one's rate exceeds the best so far by more
-    than 1e-15.  The rates come from one channel.aligned_rates pass.
+    ``tx_power_w`` is a scalar or one entry per user.  The rule, by which
+    static users, contenders and mobile users alike take their surface, runs
+    surface by surface: the first surface holds unless a later one's rate
+    exceeds the best so far by more than 1e-15.  The rates come from one
+    channel.aligned_rate_matrix pass.
     """
-    ids = list(user_ids)
-    power = np.asarray(tx_power_w, dtype=float).reshape(-1, 1)
-    rates = chan.aligned_rates(channels.aligned_amplitude[ids], power, noise_w, bw_hz)
-    surface = np.empty((len(ids), len(surface_lists)), dtype=int)
+    rates = chan.aligned_rate_matrix(channels, user_ids, tx_power_w, noise_w, bw_hz)
+    surface = np.empty((rates.shape[0], len(surface_lists)), dtype=int)
     best = np.empty(surface.shape)
     for c, ms in enumerate(surface_lists):
         top_m, top = surface[:, c], best[:, c]
@@ -649,7 +643,7 @@ def joint_optimize(scenario: Scenario, channels: chan.ChannelRealization) -> Opt
             sweeps = sweep
             ris_of, slot_of, _ = centralized_ris_config(
                 channels, static_ids, rho_static, noise, bw,
-                frame.num_slots, scenario.ris.subchannel_of_ris,
+                frame.num_slots, scenario.ris.surfaces_by_subchannel,
             )
             gains = np.array(
                 [a**2 / noise for a in channels.aligned_amplitude[sidx, ris_of].tolist()]

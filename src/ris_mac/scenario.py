@@ -129,6 +129,14 @@ class RisInventory:
         carry scheduled slots and contention (C_s of them)."""
         return tuple(sorted(set(self.subchannel_of_ris)))
 
+    @property
+    def surfaces_by_subchannel(self) -> tuple:
+        """The ascending ids of the surfaces bonded to each of ``subchannels``."""
+        return tuple(
+            tuple(m for m, c in enumerate(self.subchannel_of_ris) if c == ch)
+            for ch in self.subchannels
+        )
+
 
 @dataclass(frozen=True)
 class ComputeModel:
@@ -330,6 +338,15 @@ def default_scenario(
     )
 
 
+def _is_point(p) -> bool:
+    """Whether ``p`` is three finite coordinates."""
+    try:
+        x, y, z = p
+        return math.isfinite(x) and math.isfinite(y) and math.isfinite(z)
+    except (TypeError, ValueError):  # not three numbers
+        return False
+
+
 def validate_scenario(s: Scenario) -> ValidationReport:
     """Collect every violated invariant; an empty report means runnable."""
     rep = ValidationReport()
@@ -389,10 +406,14 @@ def validate_scenario(s: Scenario) -> ValidationReport:
             % (len(pop.positions), pop.num_total)
         )
     for k, p in enumerate(pop.positions):
-        x, y, _ = p
-        if not (0.0 <= x <= s.area_side_m and 0.0 <= y <= s.area_side_m):
+        if not _is_point(p):
+            rep.add("user %d position is not three finite coordinates" % k)
+            break
+        if not (0.0 <= p[0] <= s.area_side_m and 0.0 <= p[1] <= s.area_side_m):
             rep.add("user %d position outside the configured area" % k)
             break
+    if not _is_point(s.bs_position):
+        rep.add("bs_position is not three finite coordinates")
 
     ris = s.ris
     if ris.num_ris < 1:
@@ -401,6 +422,9 @@ def validate_scenario(s: Scenario) -> ValidationReport:
         rep.add("elements_per_ris >= 1 violated (N=%d)" % ris.elements_per_ris)
     if len(ris.positions) != ris.num_ris:
         rep.add("ris positions length != num_ris")
+    bad = [m for m, p in enumerate(ris.positions) if not _is_point(p)]
+    if bad:
+        rep.add("surface %d position is not three finite coordinates" % bad[0])
     if len(ris.subchannel_of_ris) != ris.num_ris:
         rep.add("subchannel_of_ris length != num_ris")
     elif any(not (0 <= c < r.num_subchannels) for c in ris.subchannel_of_ris):

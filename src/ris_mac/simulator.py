@@ -42,13 +42,14 @@ settle the round, as when fewer than C_s channels are occupied.  A round
 that serves anyone shrinks the spans and terms by moving their kept
 stretches down in place.
 
-The BS paces its CTS grants to the closed-form service recursion that
-contention_cascade sizes the contended period from.  Its per-round serve
-increments are cached once per (Y, C, w_min, l) for the process
-(dcf.service_schedule, shared with the cascade), and a frame reads them by
-round index, stepping the recursion no further than its round budget: each
-round adds the increment to the serves owed, grants min(owed, occupied
-channels), and carries the rest to the next round.  So the
+The BS paces its CTS grants to the closed-form service recursion
+(dcf.ServiceSchedule) that contention_cascade sizes the contended period
+from.  Its per-round serve increments are cached once per (Y, C, w_min, l)
+for the process (dcf.service_schedule, the one cache, which the cascade
+wraps), and a frame reads them by round index, stepping the recursion no
+further than its round budget: each round adds the increment to the serves
+owed, grants min(owed, occupied channels), and carries the rest to the next
+round.  So the
 rounds-to-all-served tracks the analytic round count while the seed decides
 which user wins which round, on which channel, and at what rate.  Backoff
 airtime is not part of the t_r budget, matching the handshake-time
@@ -409,10 +410,6 @@ def _run_contention(
     cts_s = dcf.cts_bytes * 8 / dcf.control_rate_bps
     # channels are handled by their index into the sorted live subchannels
     live_channels = scenario.ris.subchannels
-    ris_on_channel = [
-        [m for m, c in enumerate(scenario.ris.subchannel_of_ris) if c == ch]
-        for ch in live_channels
-    ]
 
     # per-frame state, indexed like the sorted contender ids: each one's
     # backoff stage, its span W_s * C_s (W_s when the picks are fixed), and
@@ -440,7 +437,8 @@ def _run_contention(
     # every rate a grant can read: each contender's best surface and its
     # rate on each channel, by position
     surface_on, rate_on = opt.best_surfaces(
-        channels, ids, ris_on_channel, alloc.rho_sq_w[ids], radio.noise_w, radio.subchannel_bw_hz
+        channels, ids, scenario.ris.surfaces_by_subchannel, alloc.rho_sq_w[ids],
+        radio.noise_w, radio.subchannel_bw_hz,
     )
     if scenario.csi_best_channel:
         # csi_best_channel picks, fixed before the first round
@@ -608,7 +606,7 @@ def plan_scheme1(scenario, channels, t2_common: float) -> tuple:
         )
         ris_of, slot_of, _ = opt.centralized_ris_config(
             channels, existing, rho, radio.noise_w, radio.subchannel_bw_hz, j1,
-            scenario.ris.subchannel_of_ris,
+            scenario.ris.surfaces_by_subchannel,
         )
         alloc.ris_of_user[:k_exist] = ris_of
         alloc.slot_of_user[:k_exist] = slot_of

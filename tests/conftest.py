@@ -37,18 +37,12 @@ def small_scenario(
 
 @pytest.fixture
 def fresh_schedules():
-    """Empty the process's service-schedule and cascade caches (a cascade
-    holds its schedule) before and after the test, so a test that patches
-    the recursion paces to schedules stepped under its patch and leaves none
-    of them behind."""
-
-    def clear():
-        dcfmod.service_schedule.cache_clear()
-        dcfmod.contention_cascade.cache_clear()
-
-    clear()
+    """Empty the process's one cache of service schedules before and after
+    the test, so a test that patches the recursion paces to schedules
+    stepped under its patch and leaves none of them behind."""
+    dcfmod.service_schedule.cache_clear()
     yield
-    clear()
+    dcfmod.service_schedule.cache_clear()
 
 
 def guard_shortfall_cell(total_users, seed=22):

@@ -3,12 +3,13 @@ resolution, kept as the reference that test_contention_oracle compares
 the engine against.  Its one addition since is the fifth return value, the
 contended bits summed in grant order, which run_frame reads.  Its
 deliberate edits are two.  The pacing: a round's quota is the cumulative
-service of dcf.service_rounds less the users granted so far, so serves
-the recursion asked for beyond the occupied channels carry over to the
-next round (they used to be handed back into a schedule object).  The
-draws: they follow the engine's documented rule in place of numpy's
-Generator calls.  The loop reads its own words one at a time, the high 32
-bits of each ``random_raw`` output, and a draw below b is (w * b) >> 32.
+service of a fresh, uncached dcf.ServiceSchedule less the users granted so
+far, so serves the recursion asked for beyond the occupied channels carry
+over to the next round (they used to be handed back into a schedule
+object).  The draws: they follow the engine's documented rule in place of
+numpy's Generator calls.  The loop reads its own words one at a time, the
+high 32 bits of each ``random_raw`` output, and a draw below b is
+(w * b) >> 32.
 Each round draws one v per contender, below its window times C_s, whose
 quotient by C_s is the counter and whose remainder is the pick (under
 csi_best_channel, below the window alone); the grant order is a
@@ -99,10 +100,8 @@ def _run_contention(
     remaining = np.array(sorted(contenders), dtype=int)
     stage = np.zeros(remaining.size, dtype=int)
     total = remaining.size
-    paced = itertools.chain(
-        dcfmod.service_rounds(total, len(live_channels), dcf.w_min, dcf.max_backoff_stage),
-        itertools.repeat((total, False)),
-    )
+    schedule = dcfmod.ServiceSchedule(total, len(live_channels), dcf.w_min, dcf.max_backoff_stage)
+    paced = itertools.chain(itertools.accumulate(schedule.through()), itertools.repeat(total))
     rounds_budget = int(math.floor(budget_s / t_r + 1e-9))
     best_channel = None  # csi_best_channel picks, fixed when the first round starts
 
@@ -110,7 +109,7 @@ def _run_contention(
     bits_sum = 0.0
     while remaining.size and rounds < rounds_budget:
         t_rts = start_s + rounds * t_r + dcf.difs_s
-        quota = next(paced)[0] - (total - remaining.size)
+        quota = next(paced) - (total - remaining.size)
         if scenario.csi_best_channel:
             if best_channel is None:
                 best_channel = np.array(

@@ -8,7 +8,7 @@ import importlib
 import inspect
 import os
 
-from ris_mac import simulator as sim
+import pytest
 
 TRACER = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "tracer.py"
@@ -34,26 +34,64 @@ def test_every_traced_function_exists():
         )
 
 
-def test_contention_hook_reads_the_parameters_it_names():
+# each hook that reads arguments by position: the function it wraps, and
+# the position of every parameter it reads
+HOOKS = {
+    "_on_contention": ("simulator", "_run_contention", {"scenario": 0, "contenders": 3, "served": 8}),
+    "_mode_label": ("simulator", "run_frame", {"mode": 4}),
+    "_on_draw": ("channel", "draw_channels", {"scenario": 0, "rng_seed": 1}),
+    "_on_joint_optimize": ("optimizer", "joint_optimize", {"scenario": 0, "channels": 1}),
+    "_on_write_table": ("io", "write_table", {"path": 2}),
+}
+
+
+def is_args_index(node) -> bool:
+    return (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and node.value.id == "args" and isinstance(node.slice, ast.Constant))
+
+
+def positional_reads(hook_name: str) -> dict:
+    """{parameter: position} of every argument the tracer's ``hook_name``
+    reads by position: ``name = args[i]`` (also inside a tuple assignment)
+    names it by its target, and ``args[i] if ... else kwargs["name"]`` by
+    the keyword it falls back to."""
     hook = next(
         node for node in ast.walk(tracer_module())
-        if isinstance(node, ast.FunctionDef) and node.name == "_on_contention"
+        if isinstance(node, ast.FunctionDef) and node.name == hook_name
     )
-    # positions read as ``name = args[i]``, also inside a tuple assignment
     read = {}
     for node in ast.walk(hook):
-        if not isinstance(node, ast.Assign):
-            continue
-        target, value = node.targets[0], node.value
-        pairs = (
-            zip(target.elts, value.elts)
-            if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple)
-            else [(target, value)]
-        )
-        for name, item in pairs:
-            if (isinstance(item, ast.Subscript) and isinstance(item.value, ast.Name)
-                    and item.value.id == "args"):
-                read[name.id] = ast.literal_eval(item.slice)
-    assert read == {"scenario": 0, "contenders": 3, "served": 8}
-    params = list(inspect.signature(sim._run_contention).parameters)
+        if isinstance(node, ast.IfExp) and is_args_index(node.body):
+            fallback = node.orelse
+            assert isinstance(fallback, ast.Subscript) and fallback.value.id == "kwargs"
+            read[ast.literal_eval(fallback.slice)] = ast.literal_eval(node.body.slice)
+        elif isinstance(node, ast.Assign):
+            target, value = node.targets[0], node.value
+            pairs = (
+                zip(target.elts, value.elts)
+                if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple)
+                else [(target, value)]
+            )
+            for name, item in pairs:
+                if is_args_index(item):
+                    read[name.id] = ast.literal_eval(item.slice)
+    return read
+
+
+def assert_reads_match_signature(hook_name: str) -> None:
+    module, function, expected = HOOKS[hook_name]
+    read = positional_reads(hook_name)
+    assert read == expected
+    wrapped = getattr(importlib.import_module("ris_mac." + module), function)
+    params = list(inspect.signature(wrapped).parameters)
     assert {name: params[i] for name, i in read.items()} == {name: name for name in read}
+
+
+def test_contention_hook_reads_the_parameters_it_names():
+    assert_reads_match_signature("_on_contention")
+
+
+@pytest.mark.parametrize("hook_name", ["_mode_label", "_on_draw", "_on_joint_optimize",
+                                       "_on_write_table"])
+def test_hook_reads_the_parameters_it_names(hook_name):
+    assert_reads_match_signature(hook_name)

@@ -277,9 +277,10 @@ class TestAlignedAmplitude:
     def test_equals_scalar_gain_magnitude_exactly(self, realization):
         _, ch = realization
         amp = ch.aligned_amplitude
-        assert amp.shape == (ch.num_users, ch.num_ris)
-        for k in range(ch.num_users):
-            for m in range(ch.num_ris):
+        num_users, num_ris = amp.shape
+        assert ch.r.shape == (num_users,) and ch.h.shape[:2] == (num_users, num_ris)
+        for k in range(num_users):
+            for m in range(num_ris):
                 assert amp[k, m] == aligned_gain_magnitude(ch.r[k], ch.h[k, m], ch.g[k, m])
 
     def test_computed_once_per_realization(self, realization):
@@ -290,7 +291,8 @@ class TestAlignedAmplitude:
         s, ch = realization
         radio = s.radio
         rng = np.random.default_rng(3)
-        ids = rng.permutation(ch.num_users)[: ch.num_users // 2]
+        num_users = ch.aligned_amplitude.shape[0]
+        ids = rng.permutation(num_users)[: num_users // 2]
         for power in (radio.tx_power_mobile_w, rng.uniform(1e-4, 1e-1, size=ids.size)):
             got = chan.aligned_rate_matrix(ch, ids, power, radio.noise_w, radio.subchannel_bw_hz)
             want = _old_aligned_rate_matrix(ch, ids, power, radio.noise_w, radio.subchannel_bw_hz)
@@ -394,7 +396,7 @@ class TestDrawBytes:
 
         monkeypatch.setattr(chan, "_draw", counted)
         ch = chan.draw_channels(small_scenario(), 4)
-        assert ch.aligned_amplitude.shape == (ch.num_users, ch.num_ris) == (10, 2)
+        assert ch.aligned_amplitude.shape == (10, 2)
         assert builds == [False]
         assert ch.g is ch.g and ch.h is ch.h
         assert builds == [False, True]

@@ -54,6 +54,15 @@ class TestParsing:
         with pytest.raises(SweepSpecError):
             parse_sweep("bogus=1:2:1")
 
+    @pytest.mark.parametrize("spec", [
+        "users=a:b:c", "users=", "users=50,x", "users=nan:100:50", "ratio=5:x:1",
+        "users=-50:50:50", "ris=-1,2", "elements=-128,128",
+    ])
+    def test_sweep_bad_entries(self, spec):
+        # a non-numeric or non-finite entry, or a negative count
+        with pytest.raises(SweepSpecError):
+            parse_sweep(spec)
+
     def test_seed_specs(self):
         assert cli.parse_seeds("1,2,9") == [1, 2, 9]
         assert cli.parse_seeds("3:100") == [100, 101, 102]
@@ -203,6 +212,70 @@ class TestCommands:
         assert "error: argument --modes: " in capsys.readouterr().err
         assert draws == []
         assert not out.exists()
+
+    @pytest.mark.parametrize("sweep", ["users=a:b:c", "users=", "users=-50:50:50"])
+    def test_bad_sweep_entry_is_usage_error_before_any_draw(
+        self, tmp_path, capsys, monkeypatch, sweep
+    ):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a channel draw ran before the usage error")
+
+        monkeypatch.setattr(chan, "draw_channels", no_draw)
+        _, path = save_small(tmp_path)
+        out = tmp_path / "out.csv"
+        argv = ["experiment", "--sweep", sweep, "--seeds", "1", "--scenario", path]
+        assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_USAGE
+        assert "error: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sweep, violation", [
+        ("elements=0:2:1", "elements_per_ris >= 1 violated"),
+        ("ris=0:2:1", "num_ris >= 1 violated"),
+    ])
+    def test_every_sweep_value_is_validated_before_any_draw(
+        self, tmp_path, capsys, monkeypatch, sweep, violation
+    ):
+        # the template is valid, but the sweep's first value is not: the
+        # command exits 2 with that value's report, before any channel draw
+        def no_draw(*args, **kwargs):
+            raise AssertionError("channels drawn for an invalid sweep value")
+
+        monkeypatch.setattr(chan, "draw_channels", no_draw)
+        _, path = save_small(tmp_path)
+        out = tmp_path / "out.csv"
+        argv = ["experiment", "--sweep", sweep, "--seeds", "1", "--scenario", path]
+        assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "sweep value %s=0:" % sweep.partition("=")[0] in err and violation in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["user", "surface", "bs"])
+    def test_positions_must_be_three_finite_coordinates(self, tmp_path, capsys, monkeypatch, where):
+        # a 2-coordinate position fails validate (exit 2), and a model
+        # command stops on it before any channel draw
+        s = small_scenario()
+        if where == "user":
+            positions = list(s.population.positions)
+            positions[3] = positions[3][:2]
+            s = dataclasses.replace(
+                s, population=dataclasses.replace(s.population, positions=tuple(positions))
+            )
+        elif where == "surface":
+            positions = (s.ris.positions[0], s.ris.positions[1][:2])
+            s = dataclasses.replace(s, ris=dataclasses.replace(s.ris, positions=positions))
+        else:
+            s = dataclasses.replace(s, bs_position=(0.0, 0.0))
+        path = str(tmp_path / "flat.json")
+        save_scenario(s, path)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("channels drawn for an invalid scenario")
+
+        monkeypatch.setattr(chan, "draw_channels", no_draw)
+        assert cli.main(["validate", "--scenario", path]) == cli.EXIT_VALIDATION
+        assert "not three finite coordinates" in capsys.readouterr().out
+        assert cli.main(["optimize", "--scenario", path]) == cli.EXIT_VALIDATION
+        assert "not three finite coordinates" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["optimize"],

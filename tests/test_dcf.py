@@ -236,7 +236,6 @@ class TestClosedForm:
         def clear():
             dcf.round_params.cache_clear()
             dcf.service_schedule.cache_clear()
-            dcf.contention_cascade.cache_clear()
 
         def outcomes():
             clear()
@@ -265,6 +264,26 @@ def reference_cascade_rounds(y, c, w, l):
         rounds += 1
         assert rounds < 10_000
     return rounds
+
+
+def reference_service_rounds(y, c, w, l):
+    """The floor recursion with its starvation guard, written as the
+    generator the package once stepped: (cumulative_served, forced) per
+    round."""
+    served, credit, streak = 0, 0.0, 0
+    while served < y:
+        n = y - served
+        credit += c * dcf.round_params(n, c, w, l)[2]
+        delta = min(max(math.floor(credit + 1e-9) - served, 0), n)
+        forced = False
+        if delta:
+            streak = 0
+        else:
+            streak += 1
+            if streak >= 50:
+                delta, forced, streak = min(c, n), True, 0
+        served += delta
+        yield served, forced
 
 
 class TestCascade:
@@ -307,11 +326,12 @@ class TestCascade:
 
     @pytest.mark.parametrize("y,c,w_min", [(37, 2, 15), (3, 1, 255)])
     def test_schedule_steps_match_cascade_rows(self, y, c, w_min):
-        # the frame engine draws service_rounds lazily; its rounds must be
-        # the cascade's rows, also when the starvation guard fires (w_min = 255)
+        # the frame engine steps a ServiceSchedule lazily; its rounds must be
+        # the cascade's rows and the reference recursion's, also when the
+        # starvation guard fires (w_min = 255)
         params = DcfParams(w_min=w_min)
         summary = dcf.contention_cascade(y, c, params)
-        steps = list(dcf.service_rounds(y, c, params.w_min, params.max_backoff_stage))
+        steps = list(reference_service_rounds(y, c, params.w_min, params.max_backoff_stage))
         assert steps == [(rd.cumulative_served, rd.forced) for rd in summary.rounds]
         assert [rd.round_index for rd in summary.rounds] == list(range(1, len(steps) + 1))
         guard_fired = any(forced for _, forced in steps)
@@ -321,28 +341,31 @@ class TestCascade:
         rounds = [dcf.contention_cascade(30, c, DcfParams()).n_r for c in range(1, 7)]
         assert all(a >= b for a, b in zip(rounds, rounds[1:]))
 
-    def test_cascade_is_memoised(self):
-        first = dcf.contention_cascade(23, 3, DcfParams())
-        assert dcf.contention_cascade(23, 3, DcfParams()) is first
-
-    def test_evicted_cascade_rebuilds_over_the_same_schedule(self, fresh_schedules):
-        # the schedules are owned by service_schedule, which never evicts
-        # one, so a cascade dropped from its own cache wraps the recursion
-        # already stepped instead of stepping a second copy, however many
-        # other keys were read since (making a schedule steps nothing)
+    def test_cascade_is_memoised(self, monkeypatch, fresh_schedules):
+        # a cascade only wraps its key's schedule in service_schedule, which
+        # never evicts one: a repeated cascade wraps the schedule already
+        # stepped, however many other keys were read since (making a
+        # schedule steps nothing), and steps no round of its own
         first = dcf.contention_cascade(23, 3, DcfParams())
         for y in range(1000, 1300):
             dcf.service_schedule(y, 3, 15, 6)
-        dcf.contention_cascade.cache_clear()
-        again = dcf.contention_cascade(23, 3, DcfParams())
-        assert again is not first and again.schedule is first.schedule
 
-    def test_failed_step_leaves_no_partial_schedule(self, monkeypatch, fresh_schedules):
-        # a step that raises ends the recursion's generator; the schedule
-        # starts over, so the cached one is not left short for later readers
+        def refuse(*args):
+            raise AssertionError("a repeated cascade stepped a round")
+
+        monkeypatch.setattr(dcf, "round_params", refuse)
+        again = dcf.contention_cascade(23, 3, DcfParams())
+        assert again.schedule is first.schedule
+        assert again == first
+
+    def test_failed_step_resumes_to_a_fresh_schedule(self, monkeypatch, fresh_schedules):
+        # a step that raises changes nothing of its round, and the rounds
+        # before it stay: a later through() resumes there and completes the
+        # schedule to exactly the increments of one never interrupted
         params = DcfParams()
         key = (60, 2, params.w_min, params.max_backoff_stage)
-        full = sum(1 for _ in dcf.service_rounds(*key))
+        fresh = dcf.ServiceSchedule(*key)
+        fresh.through()
         round_params, calls = dcf.round_params, []
 
         def failing(*args):
@@ -352,18 +375,21 @@ class TestCascade:
             return round_params(*args)
 
         monkeypatch.setattr(dcf, "round_params", failing)
+        schedule = dcf.service_schedule(*key)
         with pytest.raises(RuntimeError):
-            dcf.service_schedule(*key).through()
+            schedule.through()
+        assert schedule.increments == fresh.increments[:9]
         monkeypatch.setattr(dcf, "round_params", round_params)
-        assert full > 10
-        assert dcf.contention_cascade(60, 2, params).n_r == full
+        assert len(fresh.increments) > 10
+        assert schedule.through() == fresh.increments
+        assert schedule.forced == fresh.forced
+        assert dcf.contention_cascade(60, 2, params).n_r == len(fresh.increments)
 
     def test_cached_cascade_keeps_no_row_objects(self):
         # the cache keeps a cascade's compact schedule, 4 bytes a round, not
         # a row object per round: at 15,357 rounds those rows once held 3.4 MB
         dcf.round_params.cache_clear()
         dcf.service_schedule.cache_clear()
-        dcf.contention_cascade.cache_clear()
         tracemalloc.start()
         try:
             summary = dcf.contention_cascade(700, 1, DcfParams())
@@ -385,7 +411,7 @@ class TestCascade:
             summary = dcf.contention_cascade(y, c, DcfParams(w_min=w))
             assert summary.n_r <= dcf.STARVATION_GUARD_ROUNDS * y, (y, c, w)
             guard_served = prev = 0
-            for served, forced in dcf.service_rounds(y, c, w, L_PAPER):
+            for served, forced in reference_service_rounds(y, c, w, L_PAPER):
                 if forced:
                     guard_served += served - prev
                 prev = served

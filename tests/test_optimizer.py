@@ -314,7 +314,7 @@ class TestCentralizedConfig:
         ris_of, slot_of, obj = opt.centralized_ris_config(
             ch, [0], np.array([0.01]), s.radio.noise_w,
             s.radio.subchannel_bw_hz, num_slots=1,
-            subchannel_of_ris=s.ris.subchannel_of_ris,
+            surface_lists=s.ris.surfaces_by_subchannel,
         )
         assert ris_of[0] == 0 and slot_of[0] == 0
         rates = chan.aligned_rate_matrix(
@@ -329,7 +329,7 @@ class TestCentralizedConfig:
         rho = np.full(len(static_ids), 0.01)
         _, _, obj = opt.centralized_ris_config(
             ch, static_ids, rho, s.radio.noise_w, s.radio.subchannel_bw_hz, num_slots=2,
-            subchannel_of_ris=s.ris.subchannel_of_ris,
+            surface_lists=s.ris.surfaces_by_subchannel,
         )
         rates = chan.aligned_rate_matrix(
             ch, static_ids, rho, s.radio.noise_w, s.radio.subchannel_bw_hz
@@ -410,6 +410,7 @@ class TestDistributedSelect:
         lists = [[m for m, c in enumerate(s.ris.subchannel_of_ris) if c == sub]
                  for sub in s.ris.subchannels]
         assert lists == [[2, 3], [0, 1]]
+        assert s.ris.surfaces_by_subchannel == ((2, 3), (0, 1))
         amp = ch.aligned_amplitude
         amp[0, 3], amp[0, 1] = amp[0, 2], amp[0, 0]
         users = list(range(s.population.num_total))

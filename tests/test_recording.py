@@ -15,8 +15,9 @@ import pytest
 
 from ris_mac import optimizer as opt
 from ris_mac import simulator as sim
+from ris_mac.channel import draw_channels
 from ris_mac.experiments import parse_sweep, plan_cell, run_experiment
-from ris_mac.scenario import default_scenario, load_scenario, validate_scenario
+from ris_mac.scenario import classify_users, default_scenario, load_scenario, validate_scenario
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -109,3 +110,30 @@ def test_surface_lists_reach_selection_ascending(monkeypatch, network, csi):
     assert lists and all(ids == sorted(ids) for ids in lists)
     if network == "c4_m_gt_c":
         assert {tuple(ids) for ids in lists} == {(0, 1), (2, 3)}
+
+
+def test_static_users_and_contenders_take_one_surface_on_a_tie():
+    # on c4_m_gt_c, each user's two surfaces on a subchannel get one aligned
+    # amplitude, an exact tie on every subchannel.  Static users, contenders
+    # and the plan's mobile users take their surface by one rule
+    # (optimizer.best_surfaces), so all of them keep the first surface of
+    # each pair, and a static user that contends on its planned subchannel
+    # is granted the surface it was planned on
+    s = c4_two_per_channel()
+    assert s.ris.surfaces_by_subchannel == ((2, 3), (0, 1))
+    channels = draw_channels(s, 1)
+    amp = channels.aligned_amplitude
+    for first, second in s.ris.surfaces_by_subchannel:
+        amp[:, second] = amp[:, first]
+    plan = opt.joint_optimize(s, channels)
+    planned_on = plan.allocation.ris_of_user.tolist()
+    static_ids, mobile_ids = classify_users(s.population)
+    assert {planned_on[k] for k in static_ids} == {planned_on[k] for k in mobile_ids} == {2, 0}
+    frame, alloc = sim.plan_scheme2(s, plan.frame.t2_s)
+    trace = sim.run_frame(s, channels, frame, alloc, "scheme2", 1, record=True)
+    grants = [e for e in trace.events if e.kind == "data"]
+    assert {e.ris for e in grants} == {2, 0}
+    sub_of = s.ris.subchannel_of_ris
+    same_channel = [e for e in grants
+                    if e.user in static_ids and sub_of[planned_on[e.user]] == e.channel]
+    assert same_channel and all(e.ris == planned_on[e.user] for e in same_channel)

@@ -485,15 +485,23 @@ class TestPacing:
         # and runs to the end only for a cascade; a frame steps it no
         # further than its round budget
         started, steps = {}, {}
-        service_rounds = dcfmod.service_rounds
+        schedule = dcfmod.ServiceSchedule
 
-        def counted(*key):
-            started[key] = started.get(key, 0) + 1
-            for step in service_rounds(*key):
-                steps[key] = steps.get(key, 0) + 1
-                yield step
+        class Counted(schedule):
+            def __init__(self, *key):
+                super().__init__(*key)
+                started[key] = started.get(key, 0) + 1
 
-        monkeypatch.setattr(dcfmod, "service_rounds", counted)
+            def through(self, rounds=None):
+                before = len(self.increments)
+                increments = super().through(rounds)
+                steps[self.key] = steps.get(self.key, 0) + len(increments) - before
+                return increments
+
+        def full(key):
+            return len(schedule(*key).through())
+
+        monkeypatch.setattr(dcfmod, "ServiceSchedule", Counted)
         s = small_scenario(total_users=40, ratio=(1, 2, 1), seed=6)
         d, c = s.dcf, len(s.ris.subchannels)
         everyone = (s.population.num_total, c, d.w_min, d.max_backoff_stage)
@@ -510,9 +518,9 @@ class TestPacing:
         read[y, c, d.w_min, d.max_backoff_stage] = plan.cascade.n_r
         assert started == {key: 1 for key in read}
         for key, rounds in read.items():
-            assert steps[key] == min(rounds, sum(1 for _ in service_rounds(*key)))
+            assert steps[key] == min(rounds, full(key))
         # the scheme 2 frames end before the all-users recursion does
-        assert steps[everyone] < sum(1 for _ in service_rounds(*everyone))
+        assert steps[everyone] < full(everyone)
 
 
 def old_period_lengths(frame, mode):
