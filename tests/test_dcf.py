@@ -342,13 +342,10 @@ class TestCascade:
         assert all(a >= b for a, b in zip(rounds, rounds[1:]))
 
     def test_cascade_is_memoised(self, monkeypatch, fresh_schedules):
-        # a cascade only wraps its key's schedule in service_schedule, which
-        # never evicts one: a repeated cascade wraps the schedule already
-        # stepped, however many other keys were read since (making a
-        # schedule steps nothing), and steps no round of its own
+        # a cascade only wraps its key's schedule in service_schedule: a
+        # repeated cascade wraps the schedule already stepped and steps no
+        # round of its own
         first = dcf.contention_cascade(23, 3, DcfParams())
-        for y in range(1000, 1300):
-            dcf.service_schedule(y, 3, 15, 6)
 
         def refuse(*args):
             raise AssertionError("a repeated cascade stepped a round")
@@ -356,6 +353,18 @@ class TestCascade:
         monkeypatch.setattr(dcf, "round_params", refuse)
         again = dcf.contention_cascade(23, 3, DcfParams())
         assert again.schedule is first.schedule
+        assert again == first
+
+    def test_evicted_cascade_rebuilds_over_the_same_schedule(self, fresh_schedules):
+        # the schedules are owned by service_schedule, which never evicts
+        # one, so a cascade built again wraps the recursion already stepped
+        # instead of stepping a second copy, however many other keys were
+        # read since (making a schedule steps nothing)
+        first = dcf.contention_cascade(23, 3, DcfParams())
+        for y in range(1000, 1300):
+            dcf.service_schedule(y, 3, 15, 6)
+        again = dcf.contention_cascade(23, 3, DcfParams())
+        assert again is not first and again.schedule is first.schedule
         assert again == first
 
     def test_failed_step_resumes_to_a_fresh_schedule(self, monkeypatch, fresh_schedules):
