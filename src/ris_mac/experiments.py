@@ -121,6 +121,8 @@ def parse_sweep(spec: str) -> SweepSpec:
     if axis in ("users", "ris", "elements"):
         if any(v < 0 for v in nums):
             raise SweepSpecError("%s axis counts must be >= 0, got %r" % (axis, rest))
+        if not all(float(v).is_integer() for v in nums):
+            raise SweepSpecError("%s axis counts must be whole numbers, got %r" % (axis, rest))
         nums = tuple(int(v) for v in nums)
     return SweepSpec(axis=axis, values=nums)
 
@@ -136,8 +138,11 @@ def scenario_for_value(template: Scenario, axis: str, value) -> Scenario:
             raise DegenerateFrameError("beta/alpha override needs a scheduled period")
         return template
     if axis == "users":
+        # the template's own class counts are the ratio, so its mix stays
+        tpl = template.population
+        mix = (tpl.num_static, tpl.num_existing - tpl.num_static, tpl.num_new_mobile)
         pop = build_population(
-            int(value), area_side_m=template.area_side_m, seed=template.seed
+            int(value), ratio=mix, area_side_m=template.area_side_m, seed=template.seed
         )
         radio = with_per_user_static_budget(template.radio, pop.num_static)
         return replace(template, population=pop, radio=radio)

@@ -276,6 +276,19 @@ def allocate_power(
     return np.maximum(p, floors)
 
 
+def static_power(channels: chan.ChannelRealization, static_ids, ris_of, radio) -> tuple:
+    """(gains, powers) of the static users on their surfaces ``ris_of``:
+    each gain is the aligned amplitude squared, as Python's ``float ** 2``,
+    over the noise power, and the powers are allocate_power's."""
+    noise = radio.noise_w
+    amps = channels.aligned_amplitude[np.asarray(static_ids, dtype=int), ris_of].tolist()
+    gains = np.array([a**2 / noise for a in amps])
+    powers = allocate_power(
+        gains, radio.p_max_w, radio.rate_min_bps, radio.subchannel_bw_hz, user_ids=static_ids
+    )
+    return gains, powers
+
+
 def assign_ris_static(rate_matrix: np.ndarray, num_slots: int) -> tuple:
     """Exact 0-1 assignment of static users to (subchannel, slot) pairs.
 
@@ -645,12 +658,7 @@ def joint_optimize(scenario: Scenario, channels: chan.ChannelRealization) -> Opt
                 channels, static_ids, rho_static, noise, bw,
                 frame.num_slots, scenario.ris.surfaces_by_subchannel,
             )
-            gains = np.array(
-                [a**2 / noise for a in channels.aligned_amplitude[sidx, ris_of].tolist()]
-            )
-            rho_static = allocate_power(
-                gains, radio.p_max_w, radio.rate_min_bps, bw, user_ids=static_ids,
-            )
+            gains, rho_static = static_power(channels, static_ids, ris_of, radio)
             obj = float(np.sum(np.log2(1.0 + gains * rho_static)))
             if obj < prev_obj - 1e-9:
                 break  # the floored power step lost ground: keep the previous iterate

@@ -396,6 +396,8 @@ def validate_scenario(s: Scenario) -> ValidationReport:
         rep.add("prop_delay_s >= 0 violated")
 
     pop = s.population
+    if pop.num_total < 1:
+        rep.add("at least one user violated (no users to serve)")
     if len(pop.mobility_flags) != pop.num_existing:
         rep.add("mobility_flags length != num_existing")
     if any(u not in (0, 1) for u in pop.mobility_flags):
@@ -442,18 +444,24 @@ def scenario_to_json(s: Scenario) -> str:
     return json.dumps(s.to_dict(), indent=2, sort_keys=True)
 
 
+def _points(entries) -> tuple:
+    """Positions as tuples; an entry that is not a list is kept as it is,
+    for validate_scenario to reject."""
+    return tuple(tuple(p) if isinstance(p, (list, tuple)) else p for p in entries)
+
+
 def scenario_from_dict(d: dict) -> Scenario:
     pop = UserPopulation(
         num_existing=d["population"]["num_existing"],
         num_new_mobile=d["population"]["num_new_mobile"],
         mobility_flags=tuple(d["population"]["mobility_flags"]),
-        positions=tuple(tuple(p) for p in d["population"]["positions"]),
+        positions=_points(d["population"]["positions"]),
     )
     radio = RadioParams(**d.get("radio", {}))
     dcf = DcfParams(**d.get("dcf", {}))
     ris_d = dict(d.get("ris", {}))
     if "positions" in ris_d:
-        ris_d["positions"] = tuple(tuple(p) for p in ris_d["positions"])
+        ris_d["positions"] = _points(ris_d["positions"])
     if "subchannel_of_ris" in ris_d:
         ris_d["subchannel_of_ris"] = tuple(ris_d["subchannel_of_ris"])
     ris = RisInventory(**ris_d)

@@ -78,10 +78,12 @@ the grants and the csi_best_channel picks read.
 Benchmarks: scheme 1 schedules every existing user centrally (new arrivals
 wait a frame); scheme 2 lets everyone contend.  Both run against the same
 transmission-period duration as the proposed frame so the comparison is at
-equal channel time.  Each planner encodes its split in the FrameConfig it
-returns (scheme 1 alpha = 1, beta = 0; scheme 2 alpha = 0, beta = 1), and
-run_frame reads every period length only from that FrameConfig.  plan_mode
-is the one place a mode name picks a planner.
+equal channel time.  Each planner encodes its split in the FrameConfig and
+allocation it returns (scheme 1 alpha = 1, beta = 0 and a slot for every
+existing user; scheme 2 alpha = 0, beta = 1 and no slots), and run_frame
+reads every period length from that FrameConfig and who is scheduled from
+the allocation's slots.  plan_mode is the one place a mode name picks a
+planner; run_frame reads the name only to label the trace.
 """
 
 from __future__ import annotations
@@ -283,9 +285,10 @@ def run_frame(
     """Replay one frame and return its tallies; with ``record`` its
     time-sorted event trace too (otherwise ``events`` is empty).
 
-    Every period length comes from ``frame``; ``mode`` only chooses who is
-    scheduled and who contends, checks that ``alloc`` holds the scheduled
-    users' grants, and labels the trace.
+    Every period length comes from ``frame`` and the user split from
+    ``alloc``: the users that hold a slot are scheduled, and the rest
+    contend when the frame has a contended period.  ``mode`` only labels
+    the trace.
 
     The bits of each period are summed as the grants are made, in the order
     a stable time sort of the trace holds them: scheduled grants by (slot,
@@ -297,24 +300,11 @@ def run_frame(
     radio, dcf = scenario.radio, scenario.dcf
     pop = scenario.population
     n_users = pop.num_total
-    static_ids, mobile_ids = classify_users(pop)
     cls = user_classes(scenario)
-
-    if mode == "proposed":
-        scheduled = list(static_ids)
-        contenders = list(mobile_ids)
-    elif mode == "scheme1":
-        scheduled = list(range(pop.num_existing))
-        contenders = []
-    else:
-        scheduled = []
-        contenders = list(range(n_users))
     slot_of, ris_of = alloc.slot_of_user.tolist(), alloc.ris_of_user.tolist()
-    for k in scheduled:
-        if slot_of[k] < 0 or ris_of[k] < 0:
-            raise ModeMismatchError(
-                "mode %s schedules user %d but the allocation holds no grant" % (mode, k)
-            )
+    holds_slot = alloc.slot_of_user >= 0
+    scheduled = np.flatnonzero(holds_slot).tolist()
+    contenders = np.flatnonzero(~holds_slot).tolist() if frame.contended_s > 0 else []
 
     rng = np.random.default_rng(seed)
     events: list = []
@@ -352,19 +342,16 @@ def run_frame(
                 t_slot = sched_start + slot_of[k] * slot_s
                 events.append(TraceEvent(t_slot, "slot-grant", k, ch, m))
                 events.append(TraceEvent(t_slot, "data", k, ch, m, delivered))
-        # each user holds at most one slot and contends in no mode that schedules it
+        # each user holds at most one slot, and a user with a slot never contends
         served[granted] = True
         bits[granted] = gained
 
-    cont_start = sched_start + frame.scheduled_s
-    cont_budget = frame.contended_s
-    n_r_measured = collisions = grant_shortfall = 0
+    n_r_measured = collisions = grant_shortfall = contenders_left = 0
     cont_bits = 0.0
-    contenders_left = len(contenders)
-    if contenders and cont_budget > 0:
+    if contenders:
         n_r_measured, collisions, grant_shortfall, contenders_left, cont_bits = _run_contention(
-            scenario, channels, alloc, contenders, cont_start, cont_budget,
-            rng, events if record else None, served, bits,
+            scenario, channels, alloc, contenders, sched_start + frame.scheduled_s,
+            frame.contended_s, rng, events if record else None, served, bits,
         )
 
     if record:
@@ -595,31 +582,20 @@ def plan_scheme1(scenario, channels, t2_common: float) -> tuple:
     pop = scenario.population
     k_exist = pop.num_existing
     static_ids, _ = classify_users(pop)
-    existing = list(range(k_exist))
-    j1 = -(-k_exist // len(scenario.ris.subchannels)) if k_exist else 0
+    j1 = -(-k_exist // len(scenario.ris.subchannels))
 
     alloc = opt.empty_allocation(pop.num_total)
-    if k_exist:
-        is_static = np.asarray(pop.mobility_flags) == 1
-        rho = np.where(
-            is_static, radio.p_max_w / max(len(static_ids), 1), radio.tx_power_mobile_w
-        )
-        ris_of, slot_of, _ = opt.centralized_ris_config(
-            channels, existing, rho, radio.noise_w, radio.subchannel_bw_hz, j1,
-            scenario.ris.surfaces_by_subchannel,
-        )
-        alloc.ris_of_user[:k_exist] = ris_of
-        alloc.slot_of_user[:k_exist] = slot_of
-        if static_ids:
-            sidx = np.asarray(static_ids, dtype=int)
-            amp = channels.aligned_amplitude[sidx, alloc.ris_of_user[sidx]]
-            noise = radio.noise_w
-            gains = np.array([a**2 / noise for a in amp.tolist()])
-            alloc.rho_sq_w[sidx] = opt.allocate_power(
-                gains, radio.p_max_w, radio.rate_min_bps,
-                radio.subchannel_bw_hz, user_ids=static_ids,
-            )
-        alloc.rho_sq_w[:k_exist][~is_static] = radio.tx_power_mobile_w
+    is_static = np.asarray(pop.mobility_flags) == 1
+    rho = np.where(is_static, radio.p_max_w / max(len(static_ids), 1), radio.tx_power_mobile_w)
+    ris_of, slot_of, _ = opt.centralized_ris_config(
+        channels, list(range(k_exist)), rho, radio.noise_w, radio.subchannel_bw_hz, j1,
+        scenario.ris.surfaces_by_subchannel,
+    )
+    alloc.ris_of_user[:k_exist] = ris_of
+    alloc.slot_of_user[:k_exist] = slot_of
+    alloc.rho_sq_w[:k_exist] = rho
+    _, powers = opt.static_power(channels, static_ids, alloc.ris_of_user[static_ids], radio)
+    alloc.rho_sq_w[static_ids] = powers
 
     ops = opt.complexity_ops(
         k_exist, scenario.ris.num_ris, scenario.ris.elements_per_ris, k_exist, comp.l1

@@ -1,7 +1,8 @@
 """The benchmark's tracer (perfbench/tracer.py) wraps package functions by
-name and reads some of their arguments by position.  These checks parse it
-with ast, without importing it, so a rename or a moved parameter fails here
-rather than in the benchmark's own runs."""
+name and reads some of their arguments by position, and its worker
+(perfbench/worker.py) calls package functions by keyword.  These checks
+parse both with ast, without importing them, so a rename or a moved
+parameter fails here rather than in the benchmark's own runs."""
 
 import ast
 import importlib
@@ -10,14 +11,18 @@ import os
 
 import pytest
 
-TRACER = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "tracer.py"
-)
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+TRACER = os.path.join(PERFBENCH, "tracer.py")
+WORKER = os.path.join(PERFBENCH, "worker.py")
+
+
+def parse(path: str) -> ast.Module:
+    with open(path, encoding="utf-8") as f:
+        return ast.parse(f.read(), path)
 
 
 def tracer_module() -> ast.Module:
-    with open(TRACER, encoding="utf-8") as f:
-        return ast.parse(f.read(), TRACER)
+    return parse(TRACER)
 
 
 def test_every_traced_function_exists():
@@ -95,3 +100,57 @@ def test_contention_hook_reads_the_parameters_it_names():
                                        "_on_write_table"])
 def test_hook_reads_the_parameters_it_names(hook_name):
     assert_reads_match_signature(hook_name)
+
+
+# the package modules the worker imports by these names
+WORKER_MODULES = ("scenario", "experiments", "io")
+
+
+def worker_calls() -> list:
+    """(module, function, positional count, keyword names) of every call the
+    worker makes through one of WORKER_MODULES."""
+    calls = []
+    for node in ast.walk(parse(WORKER)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in WORKER_MODULES):
+            assert not any(isinstance(a, ast.Starred) for a in node.args)
+            assert all(k.arg is not None for k in node.keywords)  # no **kwargs
+            calls.append((node.func.value.id, node.func.attr, len(node.args),
+                          [k.arg for k in node.keywords]))
+    return calls
+
+
+def test_worker_calls_bind_to_the_current_signatures():
+    calls = worker_calls()
+    assert {(module, name) for module, name, _, _ in calls} >= {
+        ("scenario", "default_scenario"), ("scenario", "validate_scenario"),
+        ("experiments", "parse_sweep"), ("experiments", "run_experiment"),
+        ("io", "write_table"),
+    }
+    for module, name, positional, keywords in calls:
+        function = getattr(importlib.import_module("ris_mac." + module), name)
+        signature = inspect.signature(function)
+        # raises TypeError on a positional count or keyword the function no longer takes
+        signature.bind(*[None] * positional, **dict.fromkeys(keywords))
+        # a keyword must name a parameter, not fall into a **overrides
+        named = {p.name for p in signature.parameters.values()
+                 if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)}
+        assert set(keywords) <= named, (module, name, keywords)
+
+
+def test_worker_reads_the_names_the_cell_timer_needs():
+    from ris_mac import experiments
+
+    assert isinstance(experiments.RESULT_COLUMNS, tuple) and experiments.RESULT_COLUMNS
+    assert callable(experiments.run_cell)
+    # the cell timer swaps the module's run_cell, which a job finds by that name
+    job = next(
+        node for node in parse(inspect.getsourcefile(experiments)).body
+        if isinstance(node, ast.FunctionDef) and node.name == "_seed_job"
+    )
+    assert any(
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "run_cell"
+        for node in ast.walk(job)
+    )

@@ -57,11 +57,17 @@ class TestParsing:
     @pytest.mark.parametrize("spec", [
         "users=a:b:c", "users=", "users=50,x", "users=nan:100:50", "ratio=5:x:1",
         "users=-50:50:50", "ris=-1,2", "elements=-128,128",
+        "users=50.7:100:50", "ris=1.5,2", "elements=32:128:31.5",
     ])
     def test_sweep_bad_entries(self, spec):
-        # a non-numeric or non-finite entry, or a negative count
+        # a non-numeric or non-finite entry, or a negative or fractional count
         with pytest.raises(SweepSpecError):
             parse_sweep(spec)
+
+    def test_whole_float_counts_are_counts(self):
+        sweep = parse_sweep("users=50.0:100:50")
+        assert sweep.values == (50, 100)
+        assert all(type(v) is int for v in sweep.values)
 
     def test_seed_specs(self):
         assert cli.parse_seeds("1,2,9") == [1, 2, 9]
@@ -213,7 +219,9 @@ class TestCommands:
         assert draws == []
         assert not out.exists()
 
-    @pytest.mark.parametrize("sweep", ["users=a:b:c", "users=", "users=-50:50:50"])
+    @pytest.mark.parametrize("sweep", [
+        "users=a:b:c", "users=", "users=-50:50:50", "users=50.7:100:50", "ris=1.5,2",
+    ])
     def test_bad_sweep_entry_is_usage_error_before_any_draw(
         self, tmp_path, capsys, monkeypatch, sweep
     ):
@@ -231,6 +239,7 @@ class TestCommands:
     @pytest.mark.parametrize("sweep, violation", [
         ("elements=0:2:1", "elements_per_ris >= 1 violated"),
         ("ris=0:2:1", "num_ris >= 1 violated"),
+        ("users=0:50:50", "at least one user violated"),
     ])
     def test_every_sweep_value_is_validated_before_any_draw(
         self, tmp_path, capsys, monkeypatch, sweep, violation
@@ -249,19 +258,23 @@ class TestCommands:
         assert "sweep value %s=0:" % sweep.partition("=")[0] in err and violation in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("where", ["user", "surface", "bs"])
+    @pytest.mark.parametrize("where", ["user", "surface", "bs", "user-number", "surface-number"])
     def test_positions_must_be_three_finite_coordinates(self, tmp_path, capsys, monkeypatch, where):
-        # a 2-coordinate position fails validate (exit 2), and a model
-        # command stops on it before any channel draw
+        # a 2-coordinate position, or one that is a bare number, fails
+        # validate (exit 2), and a model command stops on it before any
+        # channel draw
         s = small_scenario()
-        if where == "user":
+        if where.startswith("user"):
             positions = list(s.population.positions)
-            positions[3] = positions[3][:2]
+            positions[3] = 5.0 if where == "user-number" else positions[3][:2]
             s = dataclasses.replace(
                 s, population=dataclasses.replace(s.population, positions=tuple(positions))
             )
-        elif where == "surface":
-            positions = (s.ris.positions[0], s.ris.positions[1][:2])
+        elif where.startswith("surface"):
+            positions = (
+                (1.0, 2.0) if where == "surface-number"
+                else (s.ris.positions[0], s.ris.positions[1][:2])
+            )
             s = dataclasses.replace(s, ris=dataclasses.replace(s.ris, positions=positions))
         else:
             s = dataclasses.replace(s, bs_position=(0.0, 0.0))
@@ -276,6 +289,11 @@ class TestCommands:
         assert "not three finite coordinates" in capsys.readouterr().out
         assert cli.main(["optimize", "--scenario", path]) == cli.EXIT_VALIDATION
         assert "not three finite coordinates" in capsys.readouterr().err
+
+    def test_scenario_with_no_users_fails_validation(self, tmp_path, capsys):
+        _, path = save_small(tmp_path, total_users=0)
+        assert cli.main(["validate", "--scenario", path]) == cli.EXIT_VALIDATION
+        assert "at least one user violated" in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv", [
         ["optimize"],

@@ -80,6 +80,19 @@ def test_split_sweep_without_static_user_fails_before_any_draw(monkeypatch, tmp_
     assert calls == {"draw": 0, "plan": 0, "cell": 0}
 
 
+def test_users_sweep_keeps_the_template_class_mix():
+    # an 18:1:1 template swept to 100 users stays 18:1:1 (90:5:5), where
+    # the 5:4:1 default would give 50:40:10
+    template = default_scenario(total_users=800, ratio=(18, 1, 1))
+    pop = exp.scenario_for_value(template, "users", 100).population
+    assert (pop.num_static, pop.num_existing - pop.num_static, pop.num_new_mobile) == (90, 5, 5)
+    # on the reference 5:4:1 template the counts are the default ratio's
+    reference = default_scenario()
+    for total in (0, 7, 50, 333):
+        swept = exp.scenario_for_value(reference, "users", total).population
+        assert swept == default_scenario(total_users=total).population
+
+
 def test_sweeps_and_reports_never_build_the_links(monkeypatch, tmp_path, capsys):
     # every rate reads the aligned amplitude, so a sweep or a figure that
     # needed the complex g and h would fail here

@@ -532,6 +532,18 @@ def old_period_lengths(frame, mode):
     return sched_len, offset, budget
 
 
+def old_user_split(scenario, mode):
+    """(scheduled, contenders) as run_frame derived them from the mode name
+    before it read them from the allocation's slots."""
+    pop = scenario.population
+    static_ids, mobile_ids = classify_users(pop)
+    if mode == "proposed":
+        return static_ids, mobile_ids
+    if mode == "scheme1":
+        return list(range(pop.num_existing)), []
+    return [], list(range(pop.num_total))
+
+
 GOLDEN_C4 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "scenario_c4.json")
 
 
@@ -623,13 +635,73 @@ class TestModes:
         assert alloc.rho_sq_w[static_ids].tolist() == want.tolist()
         assert alloc.rho_sq_w[mobile_ids].tolist() == [radio.tx_power_mobile_w] * len(mobile_ids)
 
-    def test_mode_allocation_mismatch_rejected(self):
-        s = small_scenario(total_users=6, seed=16)
-        ch = chan.draw_channels(s, 16)
-        plan = joint_optimize(s, ch)
-        frame, alloc = sim.plan_scheme2(s, plan.frame.t2_s)
-        with pytest.raises(sim.ModeMismatchError):
-            sim.run_frame(s, ch, frame, alloc, "scheme1", 16)
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("mode", sim.MODES)
+    @pytest.mark.parametrize("network", ["reference", "c4"])
+    def test_plan_slots_exactly_the_users_the_mode_schedules(self, network, mode, seed):
+        # run_frame schedules the users that hold a slot, so each planner's
+        # slots must be the old per-mode split's scheduled users, each on a surface
+        s = default_scenario(seed=seed) if network == "reference" else load_scenario(GOLDEN_C4)
+        channels, plan = plan_cell(s, seed)
+        _, alloc = sim.plan_mode(s, channels, plan, mode)
+        scheduled, _ = old_user_split(s, mode)
+        holds_slot = alloc.slot_of_user >= 0
+        assert np.flatnonzero(holds_slot).tolist() == scheduled
+        assert (alloc.ris_of_user[holds_slot] >= 0).all()
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("mode", sim.MODES)
+    @pytest.mark.parametrize("network", ["reference", "c4"])
+    def test_frame_runs_the_old_user_split(self, network, mode, seed, monkeypatch):
+        # the halves of the frame get the users the old per-mode split gave
+        # them: the same scheduled grants in (slot, user) order, the same
+        # contenders when the frame has a contended period, the same tallies
+        s = default_scenario(seed=seed) if network == "reference" else load_scenario(GOLDEN_C4)
+        channels, plan = plan_cell(s, seed)
+        frame, alloc = sim.plan_mode(s, channels, plan, mode)
+        scheduled, contenders = old_user_split(s, mode)
+        handed = []
+        contend = sim._run_contention
+
+        def spy(*args):
+            handed.append(list(args[3]))
+            handed.append(contend(*args))
+            return handed[-1]
+
+        monkeypatch.setattr(sim, "_run_contention", spy)
+        trace = sim.run_frame(s, channels, frame, alloc, mode, seed, record=True)
+        slot_of = alloc.slot_of_user.tolist()
+        slots = int(frame.scheduled_s / s.dcf.data_slot_s + 1e-9)
+        granted = sorted((k for k in scheduled if slot_of[k] < slots), key=slot_of.__getitem__)
+        assert [e.user for e in trace.events if e.kind == "slot-grant"] == granted
+        assert trace.grants_dropped == len(scheduled) - len(granted)
+        old_contends = bool(contenders) and frame.contended_s > 0
+        assert handed[::2] == ([contenders] if old_contends else [])
+        rounds, collisions, shortfall, left, _ = handed[1] if old_contends else (0,) * 5
+        assert (trace.n_r_measured, trace.collisions, trace.grant_shortfall) == (
+            rounds, collisions, shortfall,
+        )
+        assert trace.contenders_left == (left if old_contends else len(contenders))
+        served = np.zeros(s.population.num_total, dtype=bool)
+        served[granted] = True
+        served[contenders] = trace.served[contenders]
+        assert trace.served.tolist() == served.tolist()
+
+    def test_scheme1_cell_with_only_new_arrivals(self):
+        # no existing user: scheme 1 plans no slot and no power, and its
+        # frame serves no one (the arrivals wait for the next frame)
+        s = small_scenario(total_users=6, ratio=(0, 0, 1), seed=23)
+        assert s.population.num_existing == 0
+        channels, plan = plan_cell(s, 23)
+        frame, alloc = sim.plan_mode(s, channels, plan, "scheme1")
+        assert (frame.t0_s, frame.num_slots, frame.t2_s) == (0.0, 0, plan.frame.t2_s)
+        assert alloc.slot_of_user.tolist() == alloc.ris_of_user.tolist() == [-1] * 6
+        assert alloc.rho_sq_w.tolist() == [0.0] * 6
+        trace = sim.run_frame(s, channels, frame, alloc, "scheme1", 23, record=True)
+        assert not trace.served.any() and trace.contenders_left == 0
+        assert [e.kind for e in trace.events] == ["compute", "idle"]
+        cell = run_cell(s, "scheme1", 23, planned=(channels, plan))
+        assert (cell["s_o_bps"], cell["served_new"], cell["n_r_measured"]) == (0.0, 0.0, 0)
 
     def test_unknown_mode_rejected(self):
         s = small_scenario(total_users=6, seed=17)
