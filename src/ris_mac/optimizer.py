@@ -211,6 +211,26 @@ def rate_floor_power(gain_sq_over_noise: float, rate_min_bps: float, bw_hz: floa
     return (2.0 ** (rate_min_bps / bw_hz) - 1.0) / gain_sq_over_noise
 
 
+def _water_level(floors: np.ndarray, inv_c: np.ndarray, headroom: float) -> tuple:
+    """(level, j): the water level mu at which sum_k max(floor_k, mu - 1/c_k)
+    exceeds sum(floors) by ``headroom``, worked out from the breakpoints
+    b_k = floor_k + 1/c_k, and the number j >= 1 of users above their
+    floors there.
+
+    With the j smallest breakpoints below mu the excess is
+    j mu - (b_1 + ... + b_j), so mu_j = (headroom + b_1 + ... + b_j) / j.
+    In exact arithmetic the j with mu_j > b_j form a prefix, and the last
+    one holds the level.  When there is none, the floors spend the whole
+    budget and the level is b_1.
+    """
+    b = np.sort(floors + inv_c)
+    levels = (headroom + np.cumsum(b)) / np.arange(1, b.size + 1)
+    j = int(np.count_nonzero(levels > b))
+    if j == 0:
+        return float(b[0]), 1
+    return float(levels[j - 1]), j
+
+
 def allocate_power(
     gain_sq_over_noise: np.ndarray,
     p_max_w: float,
@@ -225,6 +245,17 @@ def allocate_power(
     KKT point is p_k(mu) = max(floor_k, mu - 1/c_k) with the water level mu
     found by bisection on the (monotone) budget constraint; the objective is
     increasing, so the budget binds.
+
+    The bisection is replayed, not run.  ``_water_level`` works out the
+    level from the sorted breakpoints, and a step whose midpoint lies
+    outside a small band around it is decided by comparing the midpoint
+    with the level; only a step inside the band sums the powers.  The float
+    sum ``spend`` is monotone in mu: each term max(floor_k, mu - 1/c_k) is,
+    and numpy adds the terms in one fixed order.  lo only rises and hi only
+    falls, so if spend(lo) <= P_max and, once hi has moved, spend(hi) > P_max,
+    every step went the way the summing bisection takes it, and the powers
+    equal its powers to the last bit.  If that check fails, the plain
+    bisection runs again from the same start, so the band sets speed only.
     """
     c = np.asarray(gain_sq_over_noise, dtype=float)
     n = c.size
@@ -240,10 +271,11 @@ def allocate_power(
             "rate floor infeasible for user %s: needs %.6g W, budget %.6g W"
             % (ids[worst], floors[worst], p_max_w)
         )
-    if floors.sum() > p_max_w + POWER_TOL:
+    total = floors.sum()
+    if total > p_max_w + POWER_TOL:
         raise InfeasibleError(
             "rate floors sum to %.6g W, exceeding the %.6g W budget (binding user %s)"
-            % (floors.sum(), p_max_w, ids[worst])
+            % (total, p_max_w, ids[worst])
         )
 
     inv_c = 1.0 / c
@@ -254,18 +286,33 @@ def allocate_power(
         np.maximum(floors, buf, out=buf)
         return buf.sum()
 
-    lo = 0.0
-    hi = p_max_w + inv_c.max()
-    while spend(hi) < p_max_w:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if spend(mid) > p_max_w:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < 1e-16 * max(1.0, p_max_w):
-            break
+    top = p_max_w + inv_c.max()
+    while spend(top) < p_max_w:
+        top *= 2.0
+
+    stop = 1e-16 * max(1.0, p_max_w)
+
+    def bisect(below, above):
+        # a midpoint above `above` overspends and one below `below` does
+        # not; only one in between is summed
+        lo, hi, moved = 0.0, top, False
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if mid > above or (mid >= below and spend(mid) > p_max_w):
+                hi, moved = mid, True
+            else:
+                lo = mid
+            if hi - lo < stop:
+                break
+        return lo, hi, moved
+
+    level, j = _water_level(floors, inv_c, p_max_w - total)
+    # rounding moves spend by about eps * P_max, and with j users above their
+    # floors that moves its crossing of P_max by about eps * P_max / j
+    band = 1e-15 * (level + p_max_w / j)
+    lo, hi, moved = bisect(level - band, level + band)
+    if spend(lo) > p_max_w or (moved and spend(hi) <= p_max_w):
+        lo, hi, _ = bisect(-math.inf, math.inf)
     p = np.maximum(floors, 0.5 * (lo + hi) - inv_c)
     # remove bisection slack so the budget holds exactly
     slack = p_max_w - p.sum()

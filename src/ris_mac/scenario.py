@@ -396,6 +396,9 @@ def validate_scenario(s: Scenario) -> ValidationReport:
         rep.add("prop_delay_s >= 0 violated")
 
     pop = s.population
+    for name in ("num_existing", "num_new_mobile"):
+        if getattr(pop, name) < 0:
+            rep.add("%s >= 0 violated (%d)" % (name, getattr(pop, name)))
     if pop.num_total < 1:
         rep.add("at least one user violated (no users to serve)")
     if len(pop.mobility_flags) != pop.num_existing:

@@ -295,6 +295,27 @@ class TestCommands:
         assert cli.main(["validate", "--scenario", path]) == cli.EXIT_VALIDATION
         assert "at least one user violated" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [["validate"], ["simulate", "--frames", "1"]],
+                             ids=lambda argv: argv[0])
+    def test_negative_class_count_fails_validation(self, tmp_path, capsys, monkeypatch, argv):
+        # 2 existing users and -1 new arrivals make one user with one
+        # position, so every length check passes
+        d = small_scenario(total_users=3).to_dict()
+        d["population"].update(
+            num_existing=2, num_new_mobile=-1, mobility_flags=[1, 0],
+            positions=[[10.0, 10.0, 0.0]],
+        )
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps(d))
+
+        def no_draw(*args):
+            raise AssertionError("channels drawn for an invalid scenario")
+
+        monkeypatch.setattr(chan, "draw_channels", no_draw)
+        assert cli.main(argv + ["--scenario", str(path)]) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "num_new_mobile >= 0 violated (-1)" in captured.out + captured.err
+
     @pytest.mark.parametrize("argv", [
         ["optimize"],
         ["simulate", "--frames", "1"],

@@ -8,6 +8,7 @@ import itertools
 import math
 import os
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -48,6 +49,59 @@ def power_kkt_residual(
         if np.any(~free):
             resid = max(resid, float(max(0.0, np.max(grad[~free]) - lam)))
     return resid
+
+
+def bisection_powers(c, p_max_w, rate_min, bw):
+    """allocate_power's powers by the plain bisection, summing the powers at
+    every step: floors built user by user, a fresh array per step."""
+    floors = np.array([opt.rate_floor_power(ck, rate_min, bw) for ck in c])
+    inv_c = 1.0 / c
+
+    def spend(mu):
+        return np.maximum(floors, mu - inv_c).sum()
+
+    lo, hi = 0.0, p_max_w + inv_c.max()
+    while spend(hi) < p_max_w:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if spend(mid) > p_max_w:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo < 1e-16 * max(1.0, p_max_w):
+            break
+    p = np.maximum(floors, 0.5 * (lo + hi) - inv_c)
+    slack = p_max_w - p.sum()
+    free = p > floors + opt.POWER_TOL
+    if not np.any(free):
+        free = np.ones_like(p, dtype=bool)
+    p[free] += slack / free.sum()
+    return np.maximum(p, floors)
+
+
+def wide_power_cases(seed):
+    """(gains, p_max, rate_min) over 1 to 1,000 users, gains over 5 and 10
+    decades, with and without repeated gains (tied breakpoints), budgets
+    below and above 1 W (the bisection stops at 1e-16 * max(1, P)), and a
+    budget equal to the floor sum, above it by at most 1e-9 of it, or up
+    to twice it."""
+    rng = np.random.default_rng(seed)
+    for n in (1, 2, 62, 720, 1000):
+        for decades in (5, 10):
+            for tied in (False, True):
+                for watts in (0.05, 30.0):
+                    for headroom in (0.0, 1e-9, 1.0):
+                        gains = 10.0 ** rng.uniform(0.0, decades, size=n)
+                        if tied:
+                            gains = rng.choice(gains[: max(1, n // 8)], size=n)
+                        rate_min = float(rng.uniform(1e5, 3e7))
+                        need = 2.0 ** (rate_min / 1e7) - 1.0
+                        # floors near watts / 2, so the budget stays on one side of 1 W
+                        gains = gains * (need / gains).sum() * 2.0 / watts
+                        floors = np.array([opt.rate_floor_power(g, rate_min, 1e7) for g in gains])
+                        p_max = float(floors.sum() * (1.0 + headroom * rng.uniform(0.01, 1.0)))
+                        yield gains, p_max, rate_min
 
 
 class TestFrameTiming:
@@ -194,34 +248,7 @@ class TestAllocatePower:
         assert str(e.value).startswith("rate floor infeasible for user 8: needs inf W")
 
     def test_matches_the_scalar_floor_bisection_bitwise(self):
-        # the reference builds its floors user by user and a fresh array per
-        # bisection step; at least half the instances bind some floor
-        def reference(c, p_max_w, rate_min, bw):
-            floors = np.array([opt.rate_floor_power(ck, rate_min, bw) for ck in c])
-            inv_c = 1.0 / c
-
-            def spend(mu):
-                return np.maximum(floors, mu - inv_c).sum()
-
-            lo, hi = 0.0, p_max_w + inv_c.max()
-            while spend(hi) < p_max_w:
-                hi *= 2.0
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if spend(mid) > p_max_w:
-                    hi = mid
-                else:
-                    lo = mid
-                if hi - lo < 1e-16 * max(1.0, p_max_w):
-                    break
-            p = np.maximum(floors, 0.5 * (lo + hi) - inv_c)
-            slack = p_max_w - p.sum()
-            free = p > floors + opt.POWER_TOL
-            if not np.any(free):
-                free = np.ones_like(p, dtype=bool)
-            p[free] += slack / free.sum()
-            return np.maximum(p, floors)
-
+        # at least half the instances bind some floor
         rng = np.random.default_rng(13)
         bound = 0
         for _ in range(200):
@@ -231,9 +258,40 @@ class TestAllocatePower:
             floors = np.array([opt.rate_floor_power(g, rate_min, 1e7) for g in gains])
             p_max = float(floors.sum() * rng.uniform(1.01, 3.0))
             got = opt.allocate_power(gains, p_max, rate_min, 1e7)
-            assert got.tobytes() == reference(gains, p_max, rate_min, 1e7).tobytes()
+            assert got.tobytes() == bisection_powers(gains, p_max, rate_min, 1e7).tobytes()
             bound += int(np.any(got == floors))
         assert bound >= 100
+        cases = 0
+        for gains, p_max, rate_min in wide_power_cases(29):
+            got = opt.allocate_power(gains, p_max, rate_min, 1e7)
+            assert got.tobytes() == bisection_powers(gains, p_max, rate_min, 1e7).tobytes()
+            cases += 1
+        assert cases == 120
+
+    @pytest.mark.parametrize("shift", [0.5, 1.0 - 1e-12, 1.0 + 1e-12, 2.0, math.nan])
+    def test_a_wrong_level_falls_back_to_the_plain_bisection(self, monkeypatch, shift):
+        # a level off by more than the band sends some step the wrong way;
+        # the bracket check sees it and the plain bisection runs again
+        exact = opt._water_level
+
+        def shifted(*args):
+            level, j = exact(*args)
+            return level * shift, j
+
+        monkeypatch.setattr(opt, "_water_level", shifted)
+        for gains, p_max, rate_min in itertools.islice(wide_power_cases(31), 0, None, 7):
+            got = opt.allocate_power(gains, p_max, rate_min, 1e7)
+            assert got.tobytes() == bisection_powers(gains, p_max, rate_min, 1e7).tobytes()
+
+    def test_sums_the_powers_a_few_times_a_call(self):
+        # one np.maximum per budget sum: the hi start, at most a step or two
+        # inside the band and the two bracket checks, plus the two that form
+        # the powers; the plain bisection summed about 55 times at 720 users
+        rng = np.random.default_rng(37)
+        gains = 10.0 ** rng.uniform(3.0, 3.7, size=720)
+        with mock.patch.object(np, "maximum", wraps=np.maximum) as maximum:
+            opt.allocate_power(gains, 7.2, 1e6, 1e7)
+        assert maximum.call_count <= 8
 
     def test_three_user_grid_oracle(self):
         # 1e-3-resolution search over the budget simplex (acceptance runs
