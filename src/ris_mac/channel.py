@@ -229,18 +229,18 @@ def aligned_rates(amplitude, tx_power_w, noise_w: float, subchannel_bw_hz: float
     ``tx_power_w`` (a scalar, or an array that broadcasts against it).
 
     Each rate equals rate_bps(amplitude_snr(a, p, noise_w), bw) bit for bit,
-    because the float operations are the same: every square is Python's
-    ``float ** 2`` (numpy's ``a**2`` differs from it in the last bit for
-    some values), then ``a2 * p / noise`` and ``bw * np.log2(1.0 + snr)`` as
-    arrays, and numpy's array log2 equals its scalar log2 (a numpy fact the
-    tests check).
+    because the float operations are the same: every square is
+    ``np.float_power(a, 2.0)``, which calls the same libm ``pow`` as
+    Python's ``float ** 2`` (numpy's ``a**2`` and ``np.square`` differ from
+    it in the last bit for some values), then ``a2 * p / noise`` and
+    ``bw * np.log2(1.0 + snr)`` as arrays, and numpy's array log2 equals
+    its scalar log2 (numpy facts the tests check).
     """
     amplitude = np.asarray(amplitude, dtype=float)
     power = np.asarray(tx_power_w, dtype=float)
     if noise_w <= 0 or (power <= 0).any():
         raise ValueError("power and noise must be > 0")
-    squares = np.array([a**2 for a in amplitude.ravel().tolist()], dtype=float)
-    snr = squares.reshape(amplitude.shape) * power / noise_w
+    snr = np.float_power(amplitude, 2.0) * power / noise_w
     return subchannel_bw_hz * np.log2(1.0 + snr)
 
 

@@ -294,15 +294,18 @@ def allocate_power(
 
     def bisect(below, above):
         # a midpoint above `above` overspends and one below `below` does
-        # not; only one in between is summed
+        # not; only one in between is summed.  A step whose midpoint rounds
+        # to the end it replaces moves nothing, and then neither would any
+        # later step, so the loop ends there with the bracket the 200 steps
+        # would leave (one ulp of the level can exceed `stop`)
         lo, hi, moved = 0.0, top, False
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             if mid > above or (mid >= below and spend(mid) > p_max_w):
-                hi, moved = mid, True
+                hi, moved, stuck = mid, True, mid == hi
             else:
-                lo = mid
-            if hi - lo < stop:
+                lo, stuck = mid, mid == lo
+            if stuck or hi - lo < stop:
                 break
         return lo, hi, moved
 
@@ -325,11 +328,11 @@ def allocate_power(
 
 def static_power(channels: chan.ChannelRealization, static_ids, ris_of, radio) -> tuple:
     """(gains, powers) of the static users on their surfaces ``ris_of``:
-    each gain is the aligned amplitude squared, as Python's ``float ** 2``,
-    over the noise power, and the powers are allocate_power's."""
-    noise = radio.noise_w
-    amps = channels.aligned_amplitude[np.asarray(static_ids, dtype=int), ris_of].tolist()
-    gains = np.array([a**2 / noise for a in amps])
+    each gain is the aligned amplitude squared by ``np.float_power``, which
+    equals Python's ``float ** 2``, over the noise power, and the powers are
+    allocate_power's."""
+    amps = channels.aligned_amplitude[np.asarray(static_ids, dtype=int), ris_of]
+    gains = np.float_power(amps, 2.0) / radio.noise_w
     powers = allocate_power(
         gains, radio.p_max_w, radio.rate_min_bps, radio.subchannel_bw_hz, user_ids=static_ids
     )

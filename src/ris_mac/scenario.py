@@ -244,7 +244,7 @@ def build_population(
     if positions is None:
         rng = np.random.default_rng(seed)
         xy = rng.uniform(0.0, area_side_m, size=(total_users, 2))
-        positions = tuple((float(x), float(y), 0.0) for x, y in xy)
+        positions = tuple((x, y, 0.0) for x, y in xy.tolist())
     else:
         positions = tuple(tuple(float(c) for c in p) for p in positions)
     return UserPopulation(

@@ -21,26 +21,31 @@ w_max) is its stage's window: its backoff counter is v // C_s and its
 subchannel pick v % C_s.  Picks are fixed, and the span is W_s alone, on a
 single subchannel and under csi_best_channel.  The grant order is a
 Fisher-Yates shuffle of the occupied channels by the same rule (position
-i = k-1 .. 1 swaps with a draw below i + 1, so permutation(0) and (1) take
-no word), and a granted collided channel re-draws its winner below the
-count of its contenders, in ascending index order.
+i = k-1 .. 1 swaps with a draw below i + 1, so one channel takes no
+word), and a granted collided channel re-draws its winner below the count
+of its contenders, in ascending index order.  The round loop reads all of
+these words by position from one read-ahead buffer, a WordTape, and a
+round that grants no one in a frame that records no trace skips its
+shuffle's k - 1 words without building the order.
 
-One sort of the unique counter-major key (counter * C_s + pick) * n0 +
-index resolves every occupied subchannel at once; n0 is the frame's
-starting contender count, so the weights never change as contenders leave.
-With drawn picks that key is simply v * n0 + index, and with fixed picks
-v * C_s * n0 + index + n0 * pick, so a round builds its keys from its
-words in one product against the per-contender spans, one shift, one
-product by the weight and one add of a per-frame term.  Sorted, the keys
-run by counter, then channel, then index, so each channel's first key
-holds its minimum counter, whose unique holder wins, while a run of keys
-that share it is a collision that raises the tied users' stages, and only
-their spans are rewritten.  The round reads only the head of the sorted
-keys: the scan stops once every channel has shown its minimum and that
-minimum's run has ended, and reads the rest only when the head does not
+One sort of the unique key (v << 32) | term resolves every occupied
+subchannel at once.  The term is the contender's index, plus n0 times its
+pick when the picks are fixed; n0 is the frame's starting contender
+count, and C_s * n0 < 2^32 (checked) keeps the term in the low word.  A
+round builds its keys in three array operations: the product of its
+words and the spans, whose high word is v, a mask that keeps that word,
+and an or with the terms; the product stays unsorted for a collided
+channel's re-draw and the trace's counters.  Sorted, the keys run by
+counter, then channel, then index, so each channel's first key holds its
+minimum counter, whose unique holder wins, while a run of keys that share
+it is a collision that raises the tied users' stages, and only their
+spans are rewritten.  The round reads only the head of the sorted keys:
+the scan stops once every channel has shown its minimum and that
+minimum's run has ended, and slices the rest only when the head does not
 settle the round, as when fewer than C_s channels are occupied.  A round
 that serves anyone shrinks the spans and terms by moving their kept
-stretches down in place.
+stretches down in place, and the frame writes its grants into its served
+and bits arrays once, when its rounds end.
 
 The BS paces its CTS grants to the closed-form service recursion
 (dcf.ServiceSchedule) that contention_cascade sizes the contended period
@@ -66,10 +71,11 @@ measure_throughput recomputes the three figures from a recorded trace.
 
 Every rate a frame grants comes from one exact array pass per period,
 channel.aligned_rates, which applies the float operations of the scalar
-chain rate_bps(amplitude_snr(a, p, noise)): each square is Python's
-``float ** 2`` (numpy's ``a**2`` differs from it in the last bit for some
-values), then ``a2 * p / noise`` and ``bw * np.log2(1.0 + snr)`` as arrays,
-so the rates, and the table bytes, are those of the chain.  The scheduled
+chain rate_bps(amplitude_snr(a, p, noise)): each square is
+``np.float_power(a, 2.0)``, which equals Python's ``float ** 2`` (numpy's
+``a**2`` differs from it in the last bit for some values), then
+``a2 * p / noise`` and ``bw * np.log2(1.0 + snr)`` as arrays, so the rates,
+and the table bytes, are those of the chain.  The scheduled
 period computes every granted user's bits in one call; the contended period
 builds, once per frame, each contender's best surface and rate on each live
 channel (optimizer.best_surfaces, where the tie rule is written), which
@@ -106,8 +112,10 @@ CLASS_STATIC = 0
 CLASS_MOBILE = 1
 CLASS_NEW = 2
 
-# a numpy scalar: as a round's shift operand, a Python int costs more than the arithmetic
-_SHIFT = np.int64(32)
+# a round key's low word, its term, and its high word, its draw v, as a
+# numpy scalar: as a round's operand a Python int costs more than the mask
+LOW = 0xFFFFFFFF
+_HIGH = np.int64(~LOW)
 
 
 class ModeMismatchError(ValueError):
@@ -162,11 +170,13 @@ def window_table(dcf) -> list:
 
 
 class WordTape:
-    """One frame's contention draws by the module's rule, from the 32-bit
-    words of its fresh PCG64: the high half of each ``random_raw`` output.
+    """One frame's contention words, read ahead into one buffer: the frame's
+    j-th word is the high 32 bits of its fresh PCG64's j-th ``random_raw``
+    output.
 
-    Outputs are read READ_AHEAD draws' worth of the size that ran short at
-    a time.
+    ``words`` is the buffer, an int64 array that its reader reads by
+    position.  Before a read would pass its end, the reader calls
+    ``refill`` with the position of its first unread word.
     """
 
     READ_AHEAD = 16
@@ -176,60 +186,36 @@ class WordTape:
         if not isinstance(bg, np.random.PCG64):
             raise ValueError("a word tape needs a PCG64")
         self._raw = bg.random_raw
-        self._words = np.empty(0, dtype=np.int64)
-        self._pos = 0
+        self.words = np.empty(0, dtype=np.int64)
 
-    def _fill(self, count: int) -> None:
-        rest = self._words[self._pos:]
-        words = self._raw(self.READ_AHEAD * count) >> 32
-        self._words = np.concatenate((rest, words.view(np.int64)))
-        self._pos = 0
-
-    def take(self, count: int) -> np.ndarray:
-        """The next ``count`` words, an int64 view."""
-        end = self._pos + count
-        if end > len(self._words):
-            self._fill(count)
-            end = count
-        words = self._words[self._pos:end]
-        self._pos = end
-        return words
-
-    def below(self, b: int) -> int:
-        """A draw below ``b``, for 1 <= b <= 2^32: (w * b) >> 32 for the next
-        word w."""
-        if self._pos == len(self._words):
-            self._fill(1)
-        w = self._words.item(self._pos)
-        self._pos += 1
-        return (w * b) >> 32
-
-    def permutation(self, k: int) -> list:
-        """A Fisher-Yates shuffle of range(k) as a list: position i = k-1 .. 1
-        swaps with a draw below i + 1, so k <= 1 takes no word."""
-        order = list(range(k))
-        for i in range(k - 1, 0, -1):
-            j = self.below(i + 1)
-            order[i], order[j] = order[j], order[i]
-        return order
+    def refill(self, pos: int, count: int) -> np.ndarray:
+        """The new buffer: the words from ``pos`` on, followed by READ_AHEAD
+        times ``count`` fresh ones, so its word 0 is the old buffer's word
+        ``pos`` and at least ``count`` words can be read from there."""
+        fresh = self._raw(self.READ_AHEAD * count) >> 32
+        self.words = np.concatenate((self.words[pos:], fresh.view(np.int64)))
+        return self.words
 
 
 HEAD = 16  # sorted keys a round reads before it reads the rest
+_HEAD_FIRST = (slice(HEAD), slice(HEAD, None))
 
 
-def resolve_round(keys: np.ndarray, num_channels: int, n0: int) -> tuple:
+def resolve_round(keys: np.ndarray, num_channels: int, n0: int, per_counter: int) -> tuple:
     """First-expiry resolution of one round on every occupied subchannel.
 
-    ``keys`` holds one unique counter-major key per contender,
-    ``(counter * num_channels + pick) * n0 + index`` with index < n0, and
-    is sorted in place (keys stay below w_max * num_channels * n0, which
-    ``validate_scenario``'s cap w_max * num_channels <= 2^20 keeps inside
-    int64 for any n0 below 2^43).  Sorted, the keys run by counter, then
-    channel, then index, so each channel's first key holds its minimum
-    counter, and the keys that share its quotient by n0 (its run) are the
-    users tied on it, in ascending index order.  The scan stops at the
-    first key after every channel has shown its minimum and that minimum's
-    run has ended, so it reads the HEAD keys of the sorted list, and the
+    ``keys`` holds one unique key ``(v << 32) | term`` per contender and
+    is sorted in place.  The draw v is counter * per_counter + pick, where
+    per_counter is num_channels when the picks are drawn and 1 when they
+    are fixed; the term is index + n0 * pick with index < n0, its pick 0
+    when drawn.  So a key's channel is
+    ``(key >> 32) % per_counter + (key & LOW) // n0`` and its index
+    ``(key & LOW) % n0``.  Sorted, the keys run by counter, then channel,
+    then index, so each channel's first key holds its minimum counter, and
+    the keys that share its counter and channel (its run) are the users
+    tied on it, in ascending index order.  The scan stops at the first key
+    after every channel has shown its minimum and that minimum's run has
+    ended, so it reads the HEAD keys of the sorted list, and slices the
     rest only when they do not settle the round, as when fewer than
     ``num_channels`` channels are occupied.  Returns lists (occupied, lead,
     collided, tied):
@@ -248,22 +234,22 @@ def resolve_round(keys: np.ndarray, num_channels: int, n0: int) -> tuple:
     tied = []
     unseen = num_channels
     run_end = c = 0  # one past the run being read, and its channel
-    for part in (keys[:HEAD], keys[HEAD:]):
-        for key in part.tolist():
+    for part in _HEAD_FIRST:
+        for key in keys[part].tolist():
             if key < run_end:
                 if not collided[c]:
                     collided[c] = True
                     tied.append(lead[c])
-                tied.append(key % n0)
-            elif not unseen:
-                break
-            else:
-                quotient = key // n0
-                c = quotient % num_channels
+                tied.append((key & LOW) % n0)
+            elif unseen:
+                low = key & LOW
+                c = (key >> 32) % per_counter + low // n0
                 if lead[c] < 0:
-                    lead[c] = key % n0
+                    i = lead[c] = low % n0
                     unseen -= 1
-                    run_end = (quotient + 1) * n0
+                    run_end = key - i + n0
+            else:
+                break
         else:
             continue  # the head did not settle the round: read the rest
         break
@@ -385,37 +371,46 @@ def _run_contention(
 ):
     """Round-paced DCF with BS-gated grants.
 
-    ``rng`` must be a fresh PCG64 Generator: a WordTape reads its words, so
-    the rounds make no Generator call.  Appends the rounds' TraceEvents to
-    ``events`` unless it is None.  Returns (rounds, collisions,
-    grant_shortfall, contenders_left, bits), ``bits`` summed over the
-    grants round by round in grant order.
+    ``rng`` must be a fresh PCG64 Generator: the rounds read its words from
+    one WordTape buffer, by position, and make no Generator call.  Appends
+    the rounds' TraceEvents to ``events`` unless it is None, and marks the
+    granted contenders in ``served`` and adds their bits to ``bits`` once,
+    when the rounds end.  Returns (rounds, collisions, grant_shortfall,
+    contenders_left, bits), ``bits`` summed over the grants round by round
+    in grant order.
     """
     radio, dcf = scenario.radio, scenario.dcf
+    # channels are handled by their index into the sorted live subchannels
+    live_channels = scenario.ris.subchannels
+    num_channels = len(live_channels)
+    ids = sorted(int(k) for k in contenders)
+    n = n0 = len(ids)
+    if num_channels * n0 > LOW:
+        raise ValueError(
+            "a round key's low word holds index + n0 * pick: C * n0 = %d must be below 2^32"
+            % (num_channels * n0)
+        )
     t_r = dcfmod.handshake_time(dcf)
     rts_s = dcf.rts_bytes * 8 / dcf.control_rate_bps
     cts_s = dcf.cts_bytes * 8 / dcf.control_rate_bps
-    # channels are handled by their index into the sorted live subchannels
-    live_channels = scenario.ris.subchannels
 
     # per-frame state, indexed like the sorted contender ids: each one's
     # backoff stage, its span W_s * C_s (W_s when the picks are fixed), and
     # its key term, its index plus n0 times its pick when fixed;
     # ``remaining`` holds the positions of the contenders left in ``ids``
-    ids = sorted(int(k) for k in contenders)
-    n = n0 = len(ids)
     remaining = list(range(n))
-    num_channels = len(live_channels)
     stage = [0] * n
     top = dcf.max_backoff_stage
+    up = list(range(1, top + 1)) + [top]  # the stage a collision moves each stage to
     draw_picks = num_channels > 1 and not scenario.csi_best_channel
     per_counter = num_channels if draw_picks else 1  # values of v per counter
     spans = [w * per_counter for w in window_table(dcf)]
     span = np.full(n, spans[0], dtype=np.int64)
-    tape = WordTape(rng)
     term = np.arange(n, dtype=np.int64)
-    # the key (counter * C_s + pick) * n0 + index is v * weight + term
-    weight = np.int64(n0 if draw_picks else n0 * num_channels)
+    tape = WordTape(rng)
+    # a round reads at most n + 2 C - 1 words: its n draws, k - 1 for the
+    # shuffle of its k <= C occupied channels and one re-draw per grant
+    reach = 2 * num_channels
     rounds_budget = int(math.floor(budget_s / t_r + 1e-9))
     # the recursion's serves per round, stepped no further than the budget;
     # past its end it serves no one
@@ -434,70 +429,86 @@ def _run_contention(
 
     rounds = collisions = grant_shortfall = owed = 0
     bits_sum = 0.0
+    won, gains = [], []  # every grant's contender id and bits, in grant order
+    words, pos = tape.words, 0
     while n and rounds < rounds_budget:
-        t_rts = start_s + rounds * t_r + dcf.difs_s
         if rounds < paced_rounds:
             owed += paced[rounds]
-        v = tape.take(n) * span
-        v >>= _SHIFT
-        keys = v * weight
-        keys += term
+        if pos + n + reach > len(words):
+            words, pos = tape.refill(pos, n + reach), 0
+        # the key (v << 32) | term with v = (w * span) >> 32, below 2^52 by
+        # validate_scenario's span cap of 2^20; the product stays unsorted
+        # for the re-draw and the trace's counters
+        product = words[pos:pos + n] * span
+        pos += n
+        keys = product & _HIGH
+        keys |= term
 
-        occupied, lead, collided, tied = resolve_round(keys, num_channels, n0)
+        occupied, lead, collided, tied = resolve_round(keys, num_channels, n0, per_counter)
         for i in tied:
-            s = stage[i] = min(stage[i] + 1, top)
+            s = stage[i] = up[stage[i]]
             span[i] = spans[s]
         collisions += sum(collided)
         if events is not None:
+            t_rts = start_s + rounds * t_r + dcf.difs_s
             for c, i, tie in zip(occupied, lead, collided):
                 if tie:
                     events.append(TraceEvent(
-                        t_rts, "collision", -1, live_channels[c], -1, float(v[i] // per_counter)
+                        t_rts, "collision", -1, live_channels[c], -1,
+                        float((product.item(i) >> 32) // per_counter),
                     ))
 
-        if len(occupied) == 2:
-            grant_order = (0, 1) if tape.below(2) else (1, 0)  # permutation(2)
-        else:
-            grant_order = tape.permutation(len(occupied))
         # serves the recursion asked for beyond the occupied channels carry
         # over to the next round
-        grants = min(owed, len(occupied))
+        k = len(occupied)
+        grants = min(owed, k)
         owed -= grants
         grant_shortfall += owed
+        rounds += 1
+        if not grants and events is None:
+            pos += k - 1  # no grant and no trace reads the order: skip its words
+            continue
+        # the grant order: a Fisher-Yates shuffle of the occupied channels
+        grant_order = list(range(k))
+        for g in range(k - 1, 0, -1):
+            j = (words.item(pos) * (g + 1)) >> 32
+            pos += 1
+            grant_order[g], grant_order[j] = grant_order[j], grant_order[g]
         granted = []
         for g in grant_order[:grants]:
             c, i = occupied[g], lead[g]
             if collided[g]:
                 # post-collision re-draw inside the round settles on one
                 # of the channel's contenders, in ascending index order
-                pick = v % num_channels if draw_picks else term // n0
+                pick = (product >> 32) % num_channels if draw_picks else term // n0
                 here = np.flatnonzero(pick == c)
-                i = int(here[tape.below(here.size)])
+                i = int(here[(words.item(pos) * here.size) >> 32])
+                pos += 1
             p = remaining[i]
-            k, m_star = ids[p], surface_on[p][c]
+            user, m_star = ids[p], surface_on[p][c]
             delivered = dcf.payload_time_s * rate_on[p][c]
-            served[k] = True
-            bits[k] += delivered
+            won.append(user)
+            gains.append(delivered)
             bits_sum += delivered
             granted.append(i)
             if events is not None:
                 ch = live_channels[c]
                 t_cts = t_rts + rts_s + dcf.sifs_s
                 t_data = t_cts + cts_s + dcf.sifs_s
-                events.append(
-                    TraceEvent(t_rts, "rts", k, ch, m_star, float(v[i] // per_counter))
-                )
-                events.append(TraceEvent(t_cts, "cts", k, ch, m_star))
-                events.append(TraceEvent(t_data, "data", k, ch, m_star, delivered))
+                events.append(TraceEvent(
+                    t_rts, "rts", user, ch, m_star, float((product.item(i) >> 32) // per_counter)
+                ))
+                events.append(TraceEvent(t_cts, "cts", user, ch, m_star))
+                events.append(TraceEvent(t_data, "data", user, ch, m_star, delivered))
         if events is not None:
             # candidates that expired without a grant sent an RTS the BS ignored
             for g in grant_order[grants:]:
                 if not collided[g]:
                     i = lead[g]
-                    events.append(
-                        TraceEvent(t_rts, "rts", ids[remaining[i]], live_channels[occupied[g]], -1,
-                                   float(v[i] // per_counter))
-                    )
+                    events.append(TraceEvent(
+                        t_rts, "rts", ids[remaining[i]], live_channels[occupied[g]], -1,
+                        float((product.item(i) >> 32) // per_counter),
+                    ))
         if granted:
             # drop the granted entries by moving each kept stretch of the
             # spans and terms down in place; a term moved d places loses d,
@@ -512,7 +523,9 @@ def _run_contention(
                     term[i + 1 - d:j - d] = term[i + 1:j] - d
             n = len(remaining)
             span, term = span[:n], term[:n]
-        rounds += 1
+    # each contender is granted at most once, so no id repeats in ``won``
+    served[won] = True
+    bits[won] += gains
     return rounds, collisions, grant_shortfall, n, bits_sum
 
 

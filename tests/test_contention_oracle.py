@@ -5,8 +5,8 @@ word is the high 32 bits of one ``random_raw`` output, a draw below b is
 (w * b) >> 32 with no rejection (each value's probability off by at most
 b / 2^32 of itself), and each contender takes one word a round, a draw v
 below its window times C_s whose quotient is its counter and remainder its
-pick, so the engine's key (counter * C_s + pick) * n0 + index is
-v * n0 + index.
+pick, so the engine's key (v << 32) | index sorts by counter, pick and
+index.
 
 Each case plans one frame and replays it through both engines from the
 same seed; every event, the served and bits arrays and the four returned
@@ -147,3 +147,16 @@ def test_guard_shortfall_matches_reference_loop(monkeypatch, total_users):
     engine, quiet, reference = both_engines(monkeypatch, s, ch, frame, alloc, "scheme2", 22)
     assert reference.grant_shortfall > 0 and reference.served.all()
     assert_same(engine, quiet, reference)
+
+
+@pytest.mark.parametrize("csi", [False, True], ids=["uniform", "csi"])
+def test_long_frame_matches_reference_loop(monkeypatch, csi):
+    # 300 contenders on 2 channels: 871 rounds, whose words run through
+    # about 50 refills of the engine's read-ahead buffer
+    s = dataclasses.replace(network(2, 2, total_users=300, seed=3), csi_best_channel=csi)
+    channels = chan.draw_channels(s, 3)
+    n_r = dcfmod.contention_cascade(300, 2, s.dcf).n_r
+    frame, alloc = sim.plan_scheme2(s, n_r * dcfmod.handshake_time(s.dcf))
+    engine, quiet, reference = both_engines(monkeypatch, s, channels, frame, alloc, "scheme2", 3)
+    assert_same(engine, quiet, reference)
+    assert reference.n_r_measured > 300 and reference.served.all()

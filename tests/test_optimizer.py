@@ -293,6 +293,18 @@ class TestAllocatePower:
             opt.allocate_power(gains, 7.2, 1e6, 1e7)
         assert maximum.call_count <= 8
 
+    @pytest.mark.parametrize("gain, p_max", [(1e3, 1.0), (7.0, 30.0), (1e6, 581.0)])
+    def test_one_user_stops_when_a_step_moves_nothing(self, gain, p_max):
+        # one ulp of a single user's level above 1 W exceeds the stop width
+        # 1e-16 * P, so the bracket stops shrinking long before step 200:
+        # the loop ends at the first step that moves neither end (the 200
+        # steps summed about 155 times here), with the 200-step powers
+        gains = np.array([gain])
+        with mock.patch.object(np, "maximum", wraps=np.maximum) as maximum:
+            got = opt.allocate_power(gains, p_max, 1e4, 1e7)
+        assert maximum.call_count <= 12
+        assert got.tobytes() == bisection_powers(gains, p_max, 1e4, 1e7).tobytes()
+
     def test_three_user_grid_oracle(self):
         # 1e-3-resolution search over the budget simplex (acceptance runs
         # the full 100-instance version)

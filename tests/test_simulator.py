@@ -3,6 +3,7 @@ analytic consistency of the scheduled path, and the contention pacing."""
 
 import dataclasses
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,12 +32,20 @@ def planned_frame(scenario, seed, mode="proposed"):
     return channels, plan, frame, alloc, trace
 
 
-def resolve(pick, counters, num_channels, n0=None):
-    """sim.resolve_round on the counter-major keys of contenders listed by
-    index; n0 defaults to their count."""
+def resolve(pick, counters, num_channels, n0=None, drawn=True):
+    """sim.resolve_round on the keys (v << 32) | term of contenders listed
+    by index; n0 defaults to their count.  With drawn picks v is
+    counter * C + pick and the term is the index; with fixed picks v is
+    the counter and the term index + n0 * pick."""
     n0 = len(counters) if n0 is None else n0
-    keys = (np.asarray(counters) * num_channels + np.asarray(pick)) * n0 + np.arange(len(counters))
-    return sim.resolve_round(keys.astype(np.int64), num_channels, n0)
+    counters = np.asarray(counters, dtype=np.int64)
+    pick = np.asarray(pick, dtype=np.int64)
+    index = np.arange(len(counters), dtype=np.int64)
+    if drawn:
+        keys = ((counters * num_channels + pick) << 32) | index
+        return sim.resolve_round(keys, num_channels, n0, num_channels)
+    keys = (counters << 32) | (index + n0 * pick)
+    return sim.resolve_round(keys, num_channels, n0, 1)
 
 
 def per_channel_reference(pick, counters, num_channels) -> tuple:
@@ -93,12 +102,13 @@ class TestBackoff:
         pick = np.where(np.arange(n) < n - 1, 0, 2)
         counters = np.arange(n) % 5
         counters[-1] = 7
-        occupied, lead, collided, tied = resolve(pick, counters, 3)
-        assert occupied == [0, 2]
-        assert lead == [0, n - 1]
-        assert collided == [True, False]
-        assert tied == list(range(0, n - 1, 5))
-        assert (occupied, lead, collided, tied) == per_channel_reference(pick, counters, 3)
+        for drawn in (True, False):
+            occupied, lead, collided, tied = resolve(pick, counters, 3, drawn=drawn)
+            assert occupied == [0, 2]
+            assert lead == [0, n - 1]
+            assert collided == [True, False]
+            assert tied == list(range(0, n - 1, 5))
+            assert (occupied, lead, collided, tied) == per_channel_reference(pick, counters, 3)
 
     def test_resolve_round_minimum_run_longer_than_the_head(self):
         # a minimum run on channel 0 that is longer than the head, then one
@@ -109,15 +119,16 @@ class TestBackoff:
             run1 = sim.HEAD
             pick = np.array([0] * run0 + [1] * run1 + [0, 1] * 4)
             counters = np.array([0] * run0 + [count1] * run1 + [1, 4] * 4)
-            occupied, lead, collided, tied = resolve(pick, counters, 2, n0)
-            assert occupied == [0, 1] and collided == [True, True]
-            assert lead == [0, run0]
-            assert tied == list(range(run0 + run1))
-            assert (occupied, lead, collided, tied) == per_channel_reference(pick, counters, 2)
+            for drawn in (True, False):
+                occupied, lead, collided, tied = resolve(pick, counters, 2, n0, drawn)
+                assert occupied == [0, 1] and collided == [True, True]
+                assert lead == [0, run0]
+                assert tied == list(range(run0 + run1))
+                assert (occupied, lead, collided, tied) == per_channel_reference(pick, counters, 2)
 
     def test_resolve_round_on_one_channel(self):
         # with C_s = 1 every pick is 0 (v % 1, for a draw v below the window),
-        # so the key is counter * n0 + index
+        # so the key is (counter << 32) | index
         counters = np.array([6, 2, 9, 2, 2])
         occupied, lead, collided, tied = resolve(np.zeros(5, dtype=int), counters, 1)
         assert (occupied, lead, collided, tied) == ([0], [1], [True], [1, 3, 4])
@@ -126,38 +137,61 @@ class TestBackoff:
 
     def test_one_channel_round_draws_no_pick(self, monkeypatch):
         # on one subchannel each contender's span is its window alone: a
-        # round takes one word per contender and its key's counter is the
-        # word times the window, shifted down 32 bits
+        # round reads one word per contender, in index order, and its key's
+        # high word, the counter, is the word times its window shifted down
+        # 32 bits.  One channel means no shuffle word, so the only other
+        # word a round reads is the re-draw of a collided channel it grants
         s = small_scenario(total_users=12, ratio=(0, 1, 0), num_ris=1, elements=4)
         channels = chan.draw_channels(s, 5)
         plan = joint_optimize(s, channels)
-        taken, keyed = [], []
-        take, resolve_round = sim.WordTape.take, sim.resolve_round
+        keyed = []
+        resolve_round = sim.resolve_round
 
-        def spy_take(tape, count):
-            words = take(tape, count)
-            taken.append(words.tolist())
-            return words
+        def spy_resolve(keys, num_channels, n0, per_counter):
+            keys_in = keys.tolist()
+            found = resolve_round(keys, num_channels, n0, per_counter)
+            keyed.append((keys_in, n0, per_counter, found))
+            return found
 
-        def spy_resolve(keys, num_channels, n0):
-            keyed.append((keys.tolist(), n0))
-            return resolve_round(keys, num_channels, n0)
-
-        monkeypatch.setattr(sim.WordTape, "take", spy_take)
         monkeypatch.setattr(sim, "resolve_round", spy_resolve)
         trace = sim.run_frame(s, channels, plan.frame, plan.allocation, "proposed", 5)
         windows = sim.window_table(s.dcf)
         n0 = s.population.num_total
-        assert trace.served.all() and len(taken) == len(keyed) == trace.n_r_measured
-        assert [len(w) for w in taken] == sorted((len(w) for w in taken), reverse=True)
-        assert len(taken[0]) == n0
-        for words, (keys, key_n0) in zip(taken, keyed):
-            assert key_n0 == n0 and len(keys) == len(words)
-            assert sorted(k % n0 for k in keys) == list(range(len(keys)))
-            for w, k in zip(words, keys):
-                assert k // n0 in {(w * window) >> 32 for window in windows}
+        assert trace.served.all() and len(keyed) == trace.n_r_measured
+        raw = np.random.default_rng(5).bit_generator.random_raw(10_000)
+        stream = (raw >> np.uint64(32)).tolist()
         # the first round's spans are all the stage-0 window
-        assert [k // n0 for k in keyed[0][0]] == [(w * windows[0]) >> 32 for w in taken[0]]
+        assert [k >> 32 for k in keyed[0][0]] == [(w * windows[0]) >> 32 for w in stream[:n0]]
+        sizes = [len(keys) for keys, _, _, _ in keyed] + [trace.contenders_left]
+        stage = [0] * n0
+        pos = 0
+        for r, (keys, key_n0, per_counter, (_, lead, collided, tied)) in enumerate(keyed):
+            assert (key_n0, per_counter, len(keys)) == (n0, 1, len(stage))
+            words = stream[pos:pos + len(keys)]
+            pos += len(keys)
+            assert [k & sim.LOW for k in keys] == list(range(len(keys)))
+            assert [k >> 32 for k in keys] == [(w * windows[st]) >> 32 for w, st in zip(words, stage)]
+            for i in tied:
+                stage[i] = min(stage[i] + 1, s.dcf.max_backoff_stage)
+            assert sizes[r] - sizes[r + 1] in (0, 1)
+            if sizes[r + 1] < sizes[r]:
+                # one grant: the unique minimum's holder, or a re-draw below
+                # the contender count on a collided channel
+                i = lead[0]
+                if collided[0]:
+                    i = (stream[pos] * len(keys)) >> 32
+                    pos += 1
+                del stage[i]
+        assert stage == []
+
+    def test_round_keys_need_c_times_n0_below_2_to_32(self):
+        # a key's low word holds index + n0 * pick, so C_s * n0 must stay
+        # below 2^32; the frame checks it before its first round
+        big = SimpleNamespace(radio=None, dcf=None, ris=SimpleNamespace(subchannels=range(2**31)))
+        with pytest.raises(ValueError, match="C \\* n0 = 4294967296 must be below 2\\^32"):
+            sim._run_contention(big, None, None, [0, 1], 0.0, 1.0, None, None, None, None)
+        with pytest.raises(AttributeError):  # C * n0 = 2^31 passes, then the stub has no DCF
+            sim._run_contention(big, None, None, [0], 0.0, 1.0, None, None, None, None)
 
     def test_resolve_round_matches_per_channel_minimum(self):
         meta = np.random.default_rng(2028)
@@ -167,13 +201,15 @@ class TestBackoff:
             pick = meta.integers(0, num_channels, size=n)
             counters = meta.integers(0, int(meta.choice([2, 5, 15, 960])), size=n)
             n0 = n + int(meta.integers(0, 20))
-            got = resolve(pick, counters, num_channels, n0)
             want = per_channel_reference(pick, counters, num_channels)
-            assert got[:3] == want[:3]
-            # tied users come channel by channel, ascending within each
-            for c in range(num_channels):
-                assert [i for i in got[3] if pick[i] == c] == [i for i in want[3] if pick[i] == c]
-            assert sorted(got[3]) == sorted(want[3])
+            for drawn in (True, False):
+                got = resolve(pick, counters, num_channels, n0, drawn)
+                assert got[:3] == want[:3]
+                # tied users come channel by channel, ascending within each
+                for c in range(num_channels):
+                    assert ([i for i in got[3] if pick[i] == c]
+                            == [i for i in want[3] if pick[i] == c])
+                assert sorted(got[3]) == sorted(want[3])
 
     def test_array_log2_equals_scalar_log2(self):
         # channel.aligned_rates takes np.log2 over arrays where the scalar
@@ -188,6 +224,25 @@ class TestBackoff:
         assert np.log2(x).tolist() == want, cause
         for n in range(1, 70):
             assert np.log2(x[n : 2 * n]).tolist() == want[n : 2 * n], cause
+
+    def test_array_float_power_equals_scalar_square(self):
+        # channel.aligned_rates and optimizer.static_power square arrays with
+        # np.float_power(a, 2.0) where the scalar chain squares one float at
+        # a time (a ** 2); the bytes hold only while both reach the same
+        # libm pow, over every array length and layout (np.square, a**2 and
+        # np.power's SIMD loops differ from it in the last bit)
+        meta = np.random.default_rng(2031)
+        x = np.concatenate((meta.uniform(0.0, 1.0, 20_000),
+                            10.0 ** meta.uniform(-320.0, 150.0, 20_000)))
+        cause = "numpy %s: np.float_power(a, 2.0) and float ** 2 differ" % np.__version__
+        want = [v ** 2 for v in x.tolist()]
+        assert np.float_power(x, 2.0).tolist() == want, cause
+        for n in range(1, 70):
+            assert np.float_power(x[n : 2 * n], 2.0).tolist() == want[n : 2 * n], cause
+        strided = x[:6000].reshape(60, 100)[:, ::3]
+        assert np.float_power(strided, 2.0).ravel().tolist() == [
+            v ** 2 for v in strided.ravel().tolist()
+        ], cause
 
     def test_collision_appears_with_tied_draws(self):
         # two mobile users on a single subchannel: scan seeds until their
@@ -237,41 +292,35 @@ class TestWordTape:
         raw = np.random.default_rng(2029).bit_generator.random_raw(8)
         assert (raw >> np.uint64(32)).tolist() == words
         tape = sim.WordTape(np.random.default_rng(2029))
-        assert tape.take(3).tolist() == words[:3]
-        assert tape.below(960) == 717 == (words[3] * 960) >> 32
-        # position 2 swaps with a draw below 3 (1), position 1 with one below 2 (0)
-        assert tape.permutation(3) == [2, 0, 1]
-        assert tape.permutation(1) == [0] and tape.permutation(0) == []
-        assert tape.below(2**32) == words[6]
-        assert tape.take(1).tolist() == words[7:]
+        assert tape.words.size == 0
+        buffer = tape.refill(0, 1)
+        assert buffer is tape.words and buffer.dtype == np.int64
+        assert buffer.size == sim.WordTape.READ_AHEAD
+        assert buffer[:8].tolist() == words
+        # a draw below b is (w * b) >> 32: word 3 below 960
+        assert (buffer.item(3) * 960) >> 32 == 717
+        # a refill keeps the unread words in front of the fresh ones
+        assert tape.refill(5, 1)[:3].tolist() == words[5:]
 
-    def test_take_below_permutation_read_the_raw_words_in_order(self):
-        # an interleaving of the three draws, refills included, consumes the
-        # raw outputs' high words one by one, by the documented rule
+    def test_refills_keep_the_raw_word_order(self):
+        # reads by position with refills in between, each for a count that
+        # reaches past the buffer's end or not, consume the raw outputs'
+        # high words one by one
         meta = np.random.default_rng(2027)
         for _ in range(100):
             seed = int(meta.integers(2**32))
             tape = sim.WordTape(np.random.default_rng(seed))
-            raw = np.random.default_rng(seed).bit_generator.random_raw(20_000)
-            words = iter((raw >> np.uint64(32)).tolist())
+            raw = np.random.default_rng(seed).bit_generator.random_raw(100_000)
+            words, pos, read = tape.words, 0, []
             for _ in range(int(meta.integers(1, 12))):
-                kind = int(meta.integers(3))
-                if kind == 0:
-                    count = int(meta.integers(0, 300))
-                    got = tape.take(count)
-                    assert got.dtype == np.int64
-                    assert got.tolist() == [next(words) for _ in range(count)]
-                elif kind == 1:
-                    b = int(meta.choice(RULE_BOUNDS))
-                    assert tape.below(b) == (next(words) * b) >> 32
-                else:
-                    k = int(meta.integers(6))
-                    order = list(range(k))
-                    for i in range(k - 1, 0, -1):
-                        j = (next(words) * (i + 1)) >> 32
-                        order[i], order[j] = order[j], order[i]
-                    assert tape.permutation(k) == order
-            assert tape.take(1).tolist() == [next(words)]
+                count = int(meta.integers(0, 300))
+                if pos + count > words.size or meta.integers(4) == 0:
+                    words, pos = tape.refill(pos, count + int(meta.integers(0, 5))), 0
+                    assert words is tape.words and words.dtype == np.int64
+                assert pos + count <= words.size
+                read += words[pos:pos + count].tolist()
+                pos += count
+            assert read == (raw[:len(read)] >> np.uint64(32)).tolist()
 
     def test_each_value_is_within_its_bias_bound(self):
         # each value takes floor(2^32 / b) words or one more, so its
