@@ -178,8 +178,6 @@ def cmd_optimize(args) -> int:
             "scheduled": result.throughput_scheduled_bps,
             "contended": result.throughput_contended_bps,
             "overall": result.throughput_overall_bps,
-            "overall_onefactor": result.throughput_overall_onefactor_bps,
-            "onefactor_mismatch_rel": result.onefactor_mismatch_rel,
         },
         "contention": {
             "rounds": result.cascade.n_r,

@@ -571,8 +571,6 @@ class OptimizationResult:
     throughput_scheduled_bps: float
     throughput_contended_bps: float
     throughput_overall_bps: float
-    throughput_overall_onefactor_bps: float
-    onefactor_mismatch_rel: float
     objective_trace: list
     cascade: dcfmod.ContentionSummary
     complexity: ComplexityReport
@@ -621,51 +619,15 @@ def analytic_throughput(
     return throughput_from_bits(frame, sched_bits, cont_bits)
 
 
-def onefactor_throughput(
-    frame: FrameConfig,
-    alloc: AllocationState,
-    channels: chan.ChannelRealization,
-    static_ids,
-    mobile_ids,
-    radio,
-    dcf,
-) -> float:
-    """Single-prefactor overall-throughput form
-    B(t+t_d)/(C*(t0+t1+t2)) * sum of all assigned log terms; blends the two
-    slot durations into one factor, so it generally differs from the exact
-    composition and is reported alongside it.
-
-    The log terms stay scalar math.log2 calls: math.log2 and np.log2 differ
-    in the last bit for some arguments, so moving this sum onto
-    channel.aligned_rates would move the reported one-factor bytes.
-    """
-    noise = radio.noise_w
-    ids = np.asarray(list(static_ids) + list(mobile_ids), dtype=int)
-    ids = ids[alloc.ris_of_user[ids] >= 0]
-    amps = channels.aligned_amplitude[ids, alloc.ris_of_user[ids]].tolist()
-    total = 0.0
-    for a, p in zip(amps, alloc.rho_sq_w[ids].tolist()):
-        total += math.log2(1.0 + a**2 * p / noise)
-    pref = (
-        radio.bandwidth_total_hz
-        * (dcf.data_slot_s + dcf.payload_time_s)
-        / (radio.num_subchannels * frame.total_s)
-    )
-    return pref * total
-
-
 def _frame_figures(scenario, channels, frame, alloc, static_ids, mobile_ids) -> dict:
     """The OptimizationResult fields that read the frame: S_s, S_c and S_o,
-    the one-factor form and its mismatch, and the complexity report."""
+    and the complexity report."""
     radio, dcf, comp = scenario.radio, scenario.dcf, scenario.compute
     s_s, s_c, s_o = analytic_throughput(frame, alloc, channels, static_ids, mobile_ids, radio, dcf)
-    s_one = onefactor_throughput(frame, alloc, channels, static_ids, mobile_ids, radio, dcf)
     return {
         "throughput_scheduled_bps": s_s,
         "throughput_contended_bps": s_c,
         "throughput_overall_bps": s_o,
-        "throughput_overall_onefactor_bps": s_one,
-        "onefactor_mismatch_rel": abs(s_one - s_o) / s_o if s_o > 0 else math.inf,
         "complexity": complexity_report(
             len(static_ids), scenario.ris.num_ris, scenario.ris.elements_per_ris,
             comp.l1, comp.l2, comp.l3, scenario.population.num_existing,

@@ -10,7 +10,7 @@ round.  events_proposed_c4.csv runs the same scenario in the proposed mode:
 its 60 static users fill 4 x 15 slots, so the assignment must move users
 off over-full subchannels.  optimize_c4.json is the ``optimize`` JSON of the
 same scenario and optimize_ref.json that of the reference network (M = C = 2),
-so the plan's mobile surfaces, powers and one-factor figure are pinned on
+so the plan's mobile surfaces, powers and S_s, S_c and S_o are pinned on
 both.  fig5.csv, fig6.csv, fig8.csv and fig10.csv are ``report
 --figure figN --seeds 1`` on the reference network, and dcf_table_100_2.csv
 the stdout of ``dcf-table --contenders 100 --channels 2``.

@@ -619,32 +619,6 @@ class TestJointOptimize:
         )
         assert bad == want
 
-    def test_onefactor_sum_equals_the_per_user_loop(self):
-        # the scalar loop the one-factor form sums, in static-then-mobile
-        # order and skipping a user without a surface
-        for seed in (1, 2, 3):
-            s = small_scenario(total_users=40, ratio=(3, 6, 1), num_ris=3, seed=seed)
-            ch = chan.draw_channels(s, seed)
-            res = opt.joint_optimize(s, ch)
-            alloc = res.allocation
-            alloc.ris_of_user[res.mobile_ids[seed]] = -1
-            got = opt.onefactor_throughput(
-                res.frame, alloc, ch, res.static_ids, res.mobile_ids, s.radio, s.dcf
-            )
-            total = 0.0
-            for k in res.static_ids + res.mobile_ids:
-                m = alloc.ris_of_user[k]
-                if m >= 0:
-                    snr = chan.amplitude_snr(
-                        ch.aligned_amplitude[k, m], alloc.rho_sq_w[k], s.radio.noise_w
-                    )
-                    total += math.log2(1.0 + snr)
-            pref = (
-                s.radio.bandwidth_total_hz * (s.dcf.data_slot_s + s.dcf.payload_time_s)
-                / (s.radio.num_subchannels * res.frame.total_s)
-            )
-            assert got == pref * total
-
     def test_power_step_decrease_keeps_previous_iterate(self):
         # the assignment step ignores the rate floors; on this draw the
         # floored power step of the second sweep lowers the objective
