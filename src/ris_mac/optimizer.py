@@ -12,6 +12,8 @@ paths over the C_s subchannel nodes.  The assignment and power steps
 alternate.  The assignment step ignores the rate floors, so the floored
 power step can lower the sum rate; the alternation stops there and keeps
 the previous iterate, which keeps the recorded objective non-decreasing.
+The power step's water level is closed-form too: it is read off the sorted
+breakpoints floor_k + 1/c_k, with no search.
 
 Phases are not part of the plan: every element is co-phased with the
 direct path, so a user's gain on a surface is the realization's aligned
@@ -154,8 +156,10 @@ def check_allocation(
             else:
                 holder[pair] = k
     if static_ids:
+        # water-filled powers may sum an ulp or two of P over it, and above
+        # about 4.5 kW one ulp of P exceeds an absolute 1e-12 W
         total = float(alloc.rho_sq_w[np.asarray(static_ids, dtype=int)].sum())
-        if total > p_max_w + 1e-12:
+        if total > p_max_w + POWER_TOL * max(1.0, p_max_w):
             bad.append("static power budget exceeded: %.6g > %.6g" % (total, p_max_w))
     return bad
 
@@ -211,26 +215,6 @@ def rate_floor_power(gain_sq_over_noise: float, rate_min_bps: float, bw_hz: floa
     return (2.0 ** (rate_min_bps / bw_hz) - 1.0) / gain_sq_over_noise
 
 
-def _water_level(floors: np.ndarray, inv_c: np.ndarray, headroom: float) -> tuple:
-    """(level, j): the water level mu at which sum_k max(floor_k, mu - 1/c_k)
-    exceeds sum(floors) by ``headroom``, worked out from the breakpoints
-    b_k = floor_k + 1/c_k, and the number j >= 1 of users above their
-    floors there.
-
-    With the j smallest breakpoints below mu the excess is
-    j mu - (b_1 + ... + b_j), so mu_j = (headroom + b_1 + ... + b_j) / j.
-    In exact arithmetic the j with mu_j > b_j form a prefix, and the last
-    one holds the level.  When there is none, the floors spend the whole
-    budget and the level is b_1.
-    """
-    b = np.sort(floors + inv_c)
-    levels = (headroom + np.cumsum(b)) / np.arange(1, b.size + 1)
-    j = int(np.count_nonzero(levels > b))
-    if j == 0:
-        return float(b[0]), 1
-    return float(levels[j - 1]), j
-
-
 def allocate_power(
     gain_sq_over_noise: np.ndarray,
     p_max_w: float,
@@ -241,21 +225,18 @@ def allocate_power(
     """Water-filling with per-user rate floors under a sum-power budget.
 
     Maximizes sum log2(1 + c_k p_k) subject to sum p_k <= P_max and
-    p_k >= floor_k.  The problem is separable and strictly concave, so the
-    KKT point is p_k(mu) = max(floor_k, mu - 1/c_k) with the water level mu
-    found by bisection on the (monotone) budget constraint; the objective is
-    increasing, so the budget binds.
+    p_k >= floor_k.  The problem is separable and strictly concave, and the
+    objective increases in every p_k, so the budget binds and the KKT point
+    is p_k = max(floor_k, mu - 1/c_k) for one water level mu.
 
-    The bisection is replayed, not run.  ``_water_level`` works out the
-    level from the sorted breakpoints, and a step whose midpoint lies
-    outside a small band around it is decided by comparing the midpoint
-    with the level; only a step inside the band sums the powers.  The float
-    sum ``spend`` is monotone in mu: each term max(floor_k, mu - 1/c_k) is,
-    and numpy adds the terms in one fixed order.  lo only rises and hi only
-    falls, so if spend(lo) <= P_max and, once hi has moved, spend(hi) > P_max,
-    every step went the way the summing bisection takes it, and the powers
-    equal its powers to the last bit.  If that check fails, the plain
-    bisection runs again from the same start, so the band sets speed only.
+    The level comes in closed form from the sorted breakpoints
+    b_k = floor_k + 1/c_k.  With the j smallest breakpoints below mu, the
+    powers exceed the floors by j mu - (b_1 + ... + b_j), so the level that
+    spends the headroom H = P_max - sum(floors) is
+    mu_j = (H + b_1 + ... + b_j) / j.  In exact arithmetic the j with
+    mu_j > b_j form a prefix, and the last one holds the level; when there
+    is none, the floors spend the whole budget and the level is b_1.  A last
+    step spreads the rounding slack over the users above their floors.
     """
     c = np.asarray(gain_sq_over_noise, dtype=float)
     n = c.size
@@ -279,45 +260,12 @@ def allocate_power(
         )
 
     inv_c = 1.0 / c
-    buf = np.empty(n)
-
-    def spend(mu):
-        np.subtract(mu, inv_c, out=buf)
-        np.maximum(floors, buf, out=buf)
-        return buf.sum()
-
-    top = p_max_w + inv_c.max()
-    while spend(top) < p_max_w:
-        top *= 2.0
-
-    stop = 1e-16 * max(1.0, p_max_w)
-
-    def bisect(below, above):
-        # a midpoint above `above` overspends and one below `below` does
-        # not; only one in between is summed.  A step whose midpoint rounds
-        # to the end it replaces moves nothing, and then neither would any
-        # later step, so the loop ends there with the bracket the 200 steps
-        # would leave (one ulp of the level can exceed `stop`)
-        lo, hi, moved = 0.0, top, False
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid > above or (mid >= below and spend(mid) > p_max_w):
-                hi, moved, stuck = mid, True, mid == hi
-            else:
-                lo, stuck = mid, mid == lo
-            if stuck or hi - lo < stop:
-                break
-        return lo, hi, moved
-
-    level, j = _water_level(floors, inv_c, p_max_w - total)
-    # rounding moves spend by about eps * P_max, and with j users above their
-    # floors that moves its crossing of P_max by about eps * P_max / j
-    band = 1e-15 * (level + p_max_w / j)
-    lo, hi, moved = bisect(level - band, level + band)
-    if spend(lo) > p_max_w or (moved and spend(hi) <= p_max_w):
-        lo, hi, _ = bisect(-math.inf, math.inf)
-    p = np.maximum(floors, 0.5 * (lo + hi) - inv_c)
-    # remove bisection slack so the budget holds exactly
+    b = np.sort(floors + inv_c)
+    levels = (p_max_w - total + np.cumsum(b)) / np.arange(1, n + 1)
+    j = int(np.count_nonzero(levels > b))
+    level = levels[j - 1] if j else b[0]
+    p = np.maximum(floors, level - inv_c)
+    # remove the rounding slack so the budget holds exactly
     slack = p_max_w - p.sum()
     free = p > floors + POWER_TOL
     if not np.any(free):

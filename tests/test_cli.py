@@ -348,6 +348,22 @@ class TestCommands:
         save_scenario(s, path)
         assert cli.main(["optimize", "--scenario", path]) == cli.EXIT_INFEASIBLE
 
+    @pytest.mark.parametrize("seed", ["1", "2"])
+    def test_optimize_plans_a_budget_above_the_absolute_audit_tolerance(
+        self, tmp_path, capsys, seed
+    ):
+        # at 80 dBm (100 kW) the water-filled powers of these seeds sum an
+        # ulp or two of P over it, more than 1e-12 W
+        s = default_scenario()
+        s = dataclasses.replace(
+            s, radio=dataclasses.replace(s.radio, tx_power_budget_static_dbm=80.0)
+        )
+        path = str(tmp_path / "ref80.json")
+        save_scenario(s, path)
+        assert cli.main(["validate", "--scenario", path]) == cli.EXIT_OK
+        code = cli.main(["optimize", "--scenario", path, "--seed", seed])
+        assert code == cli.EXIT_OK
+
     def test_dcf_table_runs_the_cascade_to_the_end(self, capsys):
         # 600 contenders on one channel take 11,099 rounds, none forced
         code = cli.main(["dcf-table", "--contenders", "600", "--channels", "1"])

@@ -52,8 +52,10 @@ def power_kkt_residual(
 
 
 def bisection_powers(c, p_max_w, rate_min, bw):
-    """allocate_power's powers by the plain bisection, summing the powers at
-    every step: floors built user by user, a fresh array per step."""
+    """Water-filled powers by plain bisection on the water level, summing
+    the powers at every step: floors built user by user, a fresh array per
+    step, then allocate_power's slack step.  An oracle for its closed-form
+    level."""
     floors = np.array([opt.rate_floor_power(ck, rate_min, bw) for ck in c])
     inv_c = 1.0 / c
 
@@ -247,8 +249,24 @@ class TestAllocatePower:
                 )
         assert str(e.value).startswith("rate floor infeasible for user 8: needs inf W")
 
-    def test_matches_the_scalar_floor_bisection_bitwise(self):
-        # at least half the instances bind some floor
+    def test_matches_the_scalar_floor_bisection_closely(self):
+        # the closed form against the bisection oracle: within 1e-14 * P of
+        # it, on budget to POWER_TOL, on or above every floor, and one level
+        # p_k + 1/c_k for the users more than POWER_TOL above their floors
+        # (the ones the slack step treats as free); at least half the
+        # random instances bind some floor
+        def check(gains, p_max, rate_min):
+            got = opt.allocate_power(gains, p_max, rate_min, 1e7)
+            floors = np.array([opt.rate_floor_power(g, rate_min, 1e7) for g in gains])
+            assert np.all(np.abs(got - bisection_powers(gains, p_max, rate_min, 1e7))
+                          <= 1e-14 * p_max)
+            assert abs(got.sum() - p_max) <= opt.POWER_TOL * max(1.0, p_max)
+            assert np.all(got >= floors)
+            levels = (got + 1.0 / gains)[got > floors + opt.POWER_TOL]
+            if levels.size:
+                assert levels.max() - levels.min() <= 1e-15 * levels.max()
+            return got, floors
+
         rng = np.random.default_rng(13)
         bound = 0
         for _ in range(200):
@@ -257,53 +275,30 @@ class TestAllocatePower:
             rate_min = float(rng.uniform(1e5, 3e7))
             floors = np.array([opt.rate_floor_power(g, rate_min, 1e7) for g in gains])
             p_max = float(floors.sum() * rng.uniform(1.01, 3.0))
-            got = opt.allocate_power(gains, p_max, rate_min, 1e7)
-            assert got.tobytes() == bisection_powers(gains, p_max, rate_min, 1e7).tobytes()
+            got, floors = check(gains, p_max, rate_min)
             bound += int(np.any(got == floors))
         assert bound >= 100
         cases = 0
         for gains, p_max, rate_min in wide_power_cases(29):
-            got = opt.allocate_power(gains, p_max, rate_min, 1e7)
-            assert got.tobytes() == bisection_powers(gains, p_max, rate_min, 1e7).tobytes()
+            check(gains, p_max, rate_min)
             cases += 1
         assert cases == 120
-
-    @pytest.mark.parametrize("shift", [0.5, 1.0 - 1e-12, 1.0 + 1e-12, 2.0, math.nan])
-    def test_a_wrong_level_falls_back_to_the_plain_bisection(self, monkeypatch, shift):
-        # a level off by more than the band sends some step the wrong way;
-        # the bracket check sees it and the plain bisection runs again
-        exact = opt._water_level
-
-        def shifted(*args):
-            level, j = exact(*args)
-            return level * shift, j
-
-        monkeypatch.setattr(opt, "_water_level", shifted)
-        for gains, p_max, rate_min in itertools.islice(wide_power_cases(31), 0, None, 7):
-            got = opt.allocate_power(gains, p_max, rate_min, 1e7)
-            assert got.tobytes() == bisection_powers(gains, p_max, rate_min, 1e7).tobytes()
+        # one user above 1 W, where one ulp of the level exceeds the
+        # oracle's stop width 1e-16 * P: the same bits as the oracle
+        for gain, p_max in [(1e3, 1.0), (7.0, 30.0), (1e6, 581.0)]:
+            gains = np.array([gain])
+            got, _ = check(gains, p_max, 1e4)
+            assert got.tobytes() == bisection_powers(gains, p_max, 1e4, 1e7).tobytes()
 
     def test_sums_the_powers_a_few_times_a_call(self):
-        # one np.maximum per budget sum: the hi start, at most a step or two
-        # inside the band and the two bracket checks, plus the two that form
-        # the powers; the plain bisection summed about 55 times at 720 users
+        # one np.maximum forms the powers from the closed-form level and one
+        # keeps the floors after the slack step; the plain bisection summed
+        # about 55 times at 720 users
         rng = np.random.default_rng(37)
         gains = 10.0 ** rng.uniform(3.0, 3.7, size=720)
         with mock.patch.object(np, "maximum", wraps=np.maximum) as maximum:
             opt.allocate_power(gains, 7.2, 1e6, 1e7)
-        assert maximum.call_count <= 8
-
-    @pytest.mark.parametrize("gain, p_max", [(1e3, 1.0), (7.0, 30.0), (1e6, 581.0)])
-    def test_one_user_stops_when_a_step_moves_nothing(self, gain, p_max):
-        # one ulp of a single user's level above 1 W exceeds the stop width
-        # 1e-16 * P, so the bracket stops shrinking long before step 200:
-        # the loop ends at the first step that moves neither end (the 200
-        # steps summed about 155 times here), with the 200-step powers
-        gains = np.array([gain])
-        with mock.patch.object(np, "maximum", wraps=np.maximum) as maximum:
-            got = opt.allocate_power(gains, p_max, 1e4, 1e7)
-        assert maximum.call_count <= 12
-        assert got.tobytes() == bisection_powers(gains, p_max, 1e4, 1e7).tobytes()
+        assert maximum.call_count == 2
 
     def test_three_user_grid_oracle(self):
         # 1e-3-resolution search over the budget simplex (acceptance runs
@@ -618,6 +613,22 @@ class TestJointOptimize:
             alloc, [0, 1, 2], mobile_ids, (0, 1, 0), num_slots=2, p_max_w=1.0
         )
         assert bad == want
+
+    @pytest.mark.parametrize("p_max", [1.0, 1e5])
+    def test_audit_budget_tolerance_scales_with_the_budget(self, p_max):
+        # 1e-9 * P over is reported at either budget; two ulps of P over,
+        # as water-filled powers can sum, is not
+        alloc = opt.empty_allocation(2)
+        alloc.ris_of_user[:] = [0, 1]
+        alloc.slot_of_user[:] = [0, 0]
+
+        def audit(total):
+            alloc.rho_sq_w[:] = [0.5 * p_max, total - 0.5 * p_max]
+            return opt.check_allocation(alloc, [0, 1], [], (0, 1), num_slots=1, p_max_w=p_max)
+
+        over = p_max * (1.0 + 1e-9)
+        assert audit(over) == ["static power budget exceeded: %.6g > %.6g" % (over, p_max)]
+        assert audit(np.nextafter(np.nextafter(p_max, math.inf), math.inf)) == []
 
     def test_power_step_decrease_keeps_previous_iterate(self):
         # the assignment step ignores the rate floors; on this draw the
