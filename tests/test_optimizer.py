@@ -283,12 +283,18 @@ class TestAllocatePower:
             check(gains, p_max, rate_min)
             cases += 1
         assert cases == 120
-        # one user above 1 W, where one ulp of the level exceeds the
-        # oracle's stop width 1e-16 * P: the same bits as the oracle
-        for gain, p_max in [(1e3, 1.0), (7.0, 30.0), (1e6, 581.0)]:
-            gains = np.array([gain])
-            got, _ = check(gains, p_max, 1e4)
-            assert got.tobytes() == bisection_powers(gains, p_max, 1e4, 1e7).tobytes()
+
+    @pytest.mark.parametrize("gain, p_max", [(1e3, 1.0), (7.0, 30.0), (1e6, 581.0)])
+    def test_one_user_stops_when_a_step_moves_nothing(self, gain, p_max):
+        # one ulp of a single user's level above 1 W exceeds the oracle's
+        # stop width 1e-16 * P, so its bracket stops shrinking long before
+        # step 200 and every later step moves nothing; the closed form, with
+        # its two np.maximum calls, gives the same bits as the 200 steps
+        gains = np.array([gain])
+        with mock.patch.object(np, "maximum", wraps=np.maximum) as maximum:
+            got = opt.allocate_power(gains, p_max, 1e4, 1e7)
+        assert maximum.call_count == 2
+        assert got.tobytes() == bisection_powers(gains, p_max, 1e4, 1e7).tobytes()
 
     def test_sums_the_powers_a_few_times_a_call(self):
         # one np.maximum forms the powers from the closed-form level and one
