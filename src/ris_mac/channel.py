@@ -10,11 +10,19 @@ amplitude |r_k| + sum_n |h_kmn||g_kmn|, so a drawn realization holds that
 and r.  The complex reflect links g and h, two (U, M, N) arrays, are
 streamed through row blocks and built whole only when read, which keeps
 them out of a sweep's peak memory and saves their page faults.
+
+A draw of seed s reads a prefix of default_rng(s).standard_normal.  Draws
+whose 4*U*M*N + 2*U normals fit in MEMO_VALUES (2 MiB) read views of a
+memo of the last seed's prefix (NormalTape), so a seed-major sweep
+generates each seed's normals once: fig5 and fig9 at every value, fig7 and
+fig8 at 1-2 surfaces.  Larger draws, such as the 800-user static-heavy
+sweep's, stream from a fresh generator and leave the memo alone.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -23,10 +31,68 @@ from .scenario import Scenario, db_to_linear
 MIN_LINK_DISTANCE_M = 0.1
 TWO_PI = 2.0 * np.pi
 # Reflect links are built as complex in row blocks of at most this many
-# values (2 MiB), or of one row where a row is longer, so a draw needs two
-# (U * M, N) float buffers plus a fixed slack, not whole-array complex
-# temporaries.
+# values (2 MiB), or of one row where a row is longer, so a streamed draw
+# needs two (U * M, N) float buffers and a memo draw one, plus a fixed
+# slack, not whole-array complex temporaries.
 BLOCK_VALUES = 1 << 17
+# The capacity of the memo of normals (NormalTape), 2 MiB of float64
+MEMO_VALUES = 1 << 18
+
+
+class NormalTape:
+    """A prefix memo of one seed's standard normals.
+
+    Every draw of seed s reads a prefix of one sequence,
+    default_rng(s).standard_normal, in the order g re, g im, h re, h im,
+    r re, r im; numpy fills element by element, so how the sequence is
+    chunked does not change its values.  The memo keeps the longest prefix
+    read so far of the last seed, in one float64 buffer of MEMO_VALUES
+    values allocated once, and extends it from the generator left at its
+    end.  A draw of another seed replaces it.  So the draws of one seed at
+    several sweep values generate its normals once.
+    """
+
+    def __init__(self):
+        self.values = np.empty(MEMO_VALUES)
+        self.seed = None
+        self.filled = 0
+        self._rng = None
+
+    def prefix(self, seed: int, count: int) -> np.ndarray:
+        """The first ``count`` normals of seed ``seed``, a view of the memo."""
+        if count > self.values.size:
+            raise ValueError("%d normals exceed the memo's %d" % (count, self.values.size))
+        if self._rng is None or seed != self.seed:
+            self.seed, self.filled, self._rng = seed, 0, np.random.default_rng(seed)
+        if count > self.filled:
+            self._rng.standard_normal(out=self.values[self.filled : count])
+            self.filled = count
+        return self.values[:count]
+
+    def reader(self, seed: int, count: int):
+        """normals(shape, out=None), which returns a draw's next normals in
+        ``shape``, for a draw of ``count`` normals in all.
+
+        A draw that fits, of an integer seed, reads views of the memo; a
+        caller must not write to them or keep them.  A larger draw streams
+        them from a fresh default_rng(seed), into ``out`` where given, and
+        neither reads nor grows the memo.
+        """
+        if count > self.values.size or not isinstance(seed, (int, np.integer)):
+            rng = np.random.default_rng(seed)
+            return lambda shape, out=None: rng.standard_normal(shape, out=out)
+        memo = self.prefix(seed, count)
+        end = 0
+
+        def normals(shape, out=None):
+            nonlocal end
+            start, end = end, end + math.prod(shape)
+            return memo[start:end].reshape(shape)
+
+        return normals
+
+
+_TAPE = NormalTape()
 
 
 class DegenerateGeometryError(ValueError):
@@ -136,7 +202,6 @@ def _draw(scenario: Scenario, rng_seed: int, links: bool = False) -> tuple:
                 % (name, float(np.min(d)), MIN_LINK_DISTANCE_M)
             )
 
-    rng = np.random.default_rng(rng_seed)
     kf = db_to_linear(radio.rician_k_factor_db)
     lam = radio.wavelength_m
     scatter = np.sqrt(1.0 / (2.0 * (kf + 1.0)))
@@ -145,48 +210,50 @@ def _draw(scenario: Scenario, rng_seed: int, links: bool = False) -> tuple:
     step = max(1, BLOCK_VALUES // max(1, n_el))
     im = np.empty((min(step, rows), n_el))
     block = np.empty(im.shape, dtype=complex)
+    normals = _TAPE.reader(rng_seed, 4 * rows * n_el + 2 * n_users)
 
-    def rician(dist, mags, out):
-        # One row per (user, surface) pair.  The real parts of every link
-        # are drawn first, straight into mags, then the imaginary parts one
-        # row block at a time; numpy fills an ``out`` draw element by
-        # element, so the stream is consumed as by one whole-array draw.
-        # Each block is built as complex, in ``out`` when the links are
-        # kept, through the same ufuncs as amp * (los + s * (re + 1j * im)),
-        # so the bytes match; its magnitudes then overwrite its rows of mags.
+    def rician(dist, re, out, times_g):
+        # One row per (user, surface) pair: re holds the real parts of every
+        # link, and the imaginary parts follow one row block at a time, in
+        # the order of one whole-array draw.  Each block is built as complex,
+        # in ``out`` when the links are kept, through the same ufuncs as
+        # amp * (los + s * (re + 1j * im)), so the bytes match.  Its
+        # magnitudes then overwrite its rows of mags, or with ``times_g``
+        # are multiplied into them: the im block is free once c holds it,
+        # and the product is commutative, so these are the bytes of one
+        # whole-array |h| * |g|.
         amp = np.sqrt(_pathloss_power(dist, radio.pathloss_exp_los, radio.pathloss_ref_db))
         los = np.sqrt(kf / (kf + 1.0)) * np.exp(-1j * TWO_PI * dist / lam)
         amp, los = amp.reshape(rows, 1), los.reshape(rows, 1)
         if out is not None:
             out = out.reshape(rows, n_el)
-        rng.standard_normal(out=mags)
         for lo in range(0, rows, step):
             hi = min(lo + step, rows)
             c = block[: hi - lo] if out is None else out[lo:hi]
-            rng.standard_normal(out=im[: hi - lo])
-            c.real = mags[lo:hi]
-            c.imag = im[: hi - lo]
+            c.real = re[lo:hi]
+            c.imag = normals(im[: hi - lo].shape, im[: hi - lo])
             c *= scatter
             c += los[lo:hi]
             c *= amp[lo:hi]
-            np.abs(c, out=mags[lo:hi])
+            if times_g:
+                mags[lo:hi] *= np.abs(c, out=im[: hi - lo])
+            else:
+                np.abs(c, out=mags[lo:hi])
 
     g = h = None
     if links:
         g, h = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
-    g_mag = np.empty((rows, n_el))
-    h_mag = np.empty_like(g_mag)
-    rician(d_user_ris, g_mag, g)
-    rician(np.broadcast_to(d_ris_bs, (n_users, n_ris)), h_mag, h)
-    h_mag *= g_mag
+    # a streamed draw writes g's real parts into mags, which |g| then
+    # overwrites block by block (each block is read before it is written)
+    mags = np.empty((rows, n_el))
+    rician(d_user_ris, normals(mags.shape, mags), g, times_g=False)
+    rician(np.broadcast_to(d_ris_bs, (n_users, n_ris)), normals(mags.shape), h, times_g=True)
 
     amp_direct = np.sqrt(
         _pathloss_power(d_direct, radio.pathloss_exp_nlos, radio.pathloss_ref_db)
     )
-    r = amp_direct * np.sqrt(0.5) * (
-        rng.standard_normal(n_users) + 1j * rng.standard_normal(n_users)
-    )
-    amplitude = np.abs(r)[:, None] + h_mag.reshape(size).sum(axis=2)
+    r = amp_direct * np.sqrt(0.5) * (normals((n_users,)) + 1j * normals((n_users,)))
+    amplitude = np.abs(r)[:, None] + mags.reshape(size).sum(axis=2)
     return amplitude, r, (g, h)
 
 

@@ -558,18 +558,18 @@ def measure_fairness(traces) -> dict:
     if not traces:
         raise ValueError("measure_fairness needs at least one frame")
     names = {CLASS_STATIC: "static", CLASS_MOBILE: "mobile", CLASS_NEW: "new"}
-    sums = {v: 0.0 for v in names.values()}
-    counts = {v: 0 for v in names.values()}
+    sums = np.zeros(len(names))
+    frames = np.zeros(len(names), dtype=int)
     for tr in traces:
-        for cid, name in names.items():
-            mask = tr.class_of_user == cid
-            if mask.sum() == 0:
-                continue
-            sums[name] += float(tr.served[mask].mean())
-            counts[name] += 1
+        # (class, served) pair counts: users and served users per class
+        tally = np.bincount(2 * tr.class_of_user + tr.served, minlength=2 * len(names))
+        users = tally[0::2] + tally[1::2]
+        present = users > 0
+        sums[present] += tally[1::2][present] / users[present]
+        frames += present
     return {
-        name: (sums[name] / counts[name] if counts[name] else float("nan"))
-        for name in names.values()
+        name: (float(sums[cid] / frames[cid]) if frames[cid] else float("nan"))
+        for cid, name in names.items()
     }
 
 

@@ -400,3 +400,106 @@ class TestDrawBytes:
         assert builds == [False]
         assert ch.g is ch.g and ch.h is ch.h
         assert builds == [False, True]
+
+
+def _normal_count(s):
+    return 4 * s.population.num_total * s.ris.num_ris * s.ris.elements_per_ris + 2 * s.population.num_total
+
+
+def _assert_draw_is_expression_form(s, seed):
+    ch = chan.draw_channels(s, seed)
+    g, h, r = _expression_form_draw(s, seed)
+    whole = chan.ChannelRealization(g=g, h=h, r=r).aligned_amplitude
+    assert ch.aligned_amplitude.tobytes() == whole.tobytes()
+    assert ch.r.tobytes() == r.tobytes()
+    return ch, (g, h, r)
+
+
+class TestNormalTape:
+    """Draws that share a seed's prefix of normals equal the expression form
+    bit for bit, whatever the memo held before them."""
+
+    @pytest.fixture
+    def tape(self, monkeypatch):
+        tape = chan.NormalTape()
+        monkeypatch.setattr(chan, "_TAPE", tape)
+        return tape
+
+    @pytest.mark.parametrize("users", [(10, 25, 40), (40, 25, 10), (25, 25, 10, 40, 40)],
+                             ids=["ascending", "descending", "repeated"])
+    @pytest.mark.parametrize("block", [7, chan.BLOCK_VALUES])
+    def test_sweep_values_share_the_prefix(self, tape, monkeypatch, users, block):
+        monkeypatch.setattr(chan, "BLOCK_VALUES", block)
+        longest = 0
+        for u in users:
+            s = default_scenario(total_users=u, elements_per_ris=16)
+            _assert_draw_is_expression_form(s, 9)
+            longest = max(longest, _normal_count(s))
+            assert (tape.seed, tape.filled) == (9, longest)
+
+    def test_interleaved_seeds_replace_the_memo(self, tape):
+        for seed, u in ((3, 30), (4, 20), (3, 40), (3, 30)):
+            s = default_scenario(total_users=u, elements_per_ris=16)
+            _assert_draw_is_expression_form(s, seed)
+            assert tape.seed == seed
+        assert tape.filled == _normal_count(default_scenario(total_users=40, elements_per_ris=16))
+
+    def test_a_count_equal_to_the_cap_fits_and_one_above_streams(self, monkeypatch):
+        s = default_scenario(total_users=12, elements_per_ris=8)
+        count = _normal_count(s)
+        for cap, fits in ((count, True), (count - 1, False)):
+            monkeypatch.setattr(chan, "MEMO_VALUES", cap)
+            monkeypatch.setattr(chan, "_TAPE", chan.NormalTape())
+            _assert_draw_is_expression_form(s, 5)
+            assert chan._TAPE.values.size == cap
+            assert chan._TAPE.filled == (count if fits else 0)
+
+    def test_zero_users(self, tape):
+        s = default_scenario(total_users=0)
+        ch, (g, h, r) = _assert_draw_is_expression_form(s, 2)
+        assert ch.aligned_amplitude.shape == (0, s.ris.num_ris)
+        assert ch.g.shape == g.shape == (0, s.ris.num_ris, s.ris.elements_per_ris)
+        assert tape.filled == 0
+
+    def test_links_rebuilt_after_the_memo_moved_to_another_seed(self, tape):
+        s = default_scenario(total_users=30, elements_per_ris=16)
+        ch, (g, h, r) = _assert_draw_is_expression_form(s, 1)
+        _assert_draw_is_expression_form(default_scenario(total_users=40, elements_per_ris=16), 2)
+        assert tape.seed == 2
+        assert ch.g.tobytes() == g.tobytes()
+        assert ch.h.tobytes() == h.tobytes()
+        assert tape.seed == 1
+
+    def test_a_draw_above_the_cap_neither_reads_nor_grows_the_memo(self, monkeypatch):
+        small = default_scenario(total_users=10, elements_per_ris=8)
+        large = default_scenario(total_users=20, elements_per_ris=8)
+        monkeypatch.setattr(chan, "MEMO_VALUES", _normal_count(small))
+        tape = chan.NormalTape()
+        monkeypatch.setattr(chan, "_TAPE", tape)
+        chan.draw_channels(small, 1)
+        held = tape.values.copy()
+
+        def no_read(seed, count):
+            raise AssertionError("the memo was read")
+
+        monkeypatch.setattr(tape, "prefix", no_read)
+        for seed in (1, 2):
+            ch, (g, h, _) = _assert_draw_is_expression_form(large, seed)
+            assert ch.g.tobytes() == g.tobytes() and ch.h.tobytes() == h.tobytes()
+        assert (tape.seed, tape.filled) == (1, _normal_count(small))
+        assert tape.values.tobytes() == held.tobytes()
+
+    def test_the_memo_never_holds_more_than_its_cap(self, tape):
+        for u, seed in ((50, 1), (200, 1), (800, 1), (200, 2)):
+            chan.draw_channels(default_scenario(total_users=u), seed)
+            assert tape.values.size == chan.MEMO_VALUES
+            assert tape.filled <= chan.MEMO_VALUES
+        with pytest.raises(ValueError):
+            tape.prefix(2, chan.MEMO_VALUES + 1)
+
+    def test_which_draws_fit(self):
+        # fig5's largest draw (200 users, 2 x 128 elements) fits, three
+        # surfaces do not, and static-heavy's smallest (800 users) streams
+        assert _normal_count(default_scenario()) == 205_200 <= chan.MEMO_VALUES
+        assert _normal_count(default_scenario(num_ris=3)) > chan.MEMO_VALUES
+        assert _normal_count(default_scenario(total_users=800, ratio=(18, 1, 1))) == 820_800 > chan.MEMO_VALUES

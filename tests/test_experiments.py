@@ -1,5 +1,6 @@
 """Sweep bookkeeping: a (value, seed) is drawn and planned once for all
-modes, and a split sweep draws and plans once per seed."""
+modes, a split sweep draws and plans once per seed, and jobs run seed by
+seed."""
 
 import pytest
 
@@ -111,3 +112,26 @@ def test_sweeps_and_reports_never_build_the_links(monkeypatch, tmp_path, capsys)
     assert len(rows) == 2 * len(MODES)
     out = str(tmp_path / "fig7.csv")
     assert cli.main(["report", "--figure", "fig7", "--seeds", "1", "--out", out]) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [exp.SweepSpec("users", (12, 8, 12)), exp.SweepSpec("beta-alpha", (0.5, 1.0))],
+    ids=lambda sweep: sweep.axis,
+)
+def test_serial_path_draws_seed_by_seed(monkeypatch, sweep):
+    # jobs run seed-major, so a seed's draws at every value read one prefix
+    # of its normals before the next seed replaces it in the memo
+    drawn = []
+    draw = chan.draw_channels
+
+    def recorded(scenario, seed):
+        drawn.append((scenario.population.num_total, seed))
+        return draw(scenario, seed)
+
+    monkeypatch.setenv("RIS_MAC_THREADS", "1")
+    monkeypatch.setattr(chan, "draw_channels", recorded)
+    rows = exp.run_experiment(small_scenario(total_users=12), sweep, (2, 1), modes=MODES)
+    users = sweep.values if sweep.axis == "users" else (12,)
+    assert drawn == [(u, seed) for seed in (2, 1) for u in users]
+    assert [(r["value"], r["mode"]) for r in rows] == [(v, m) for v in sweep.values for m in MODES]

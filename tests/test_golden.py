@@ -78,14 +78,16 @@ def test_dcf_table_matches_golden(capsys):
 
 
 def test_pool_path_matches_golden(tmp_path, monkeypatch, capsys):
-    """Two worker processes write the serial path's bytes."""
+    """Two worker processes write the serial path's bytes.  Each worker keeps
+    its own memo of normals and takes jobs in whatever order they come, so
+    fig7 (memo and streamed draws) and fig9 (one user count) run here too."""
     monkeypatch.setenv("RIS_MAC_THREADS", "2")
-    name = "users_sweep.csv"
-    out = tmp_path / name
-    assert cli.main(RUNS[name] + [str(out)]) == cli.EXIT_OK
-    with open(os.path.join(GOLDEN_DIR, name), "rb") as f:
-        want = f.read()
-    assert out.read_bytes() == want
+    for name in ("users_sweep.csv", "fig7.csv", "fig9.csv"):
+        out = tmp_path / name
+        assert cli.main(RUNS[name] + [str(out)]) == cli.EXIT_OK
+        with open(os.path.join(GOLDEN_DIR, name), "rb") as f:
+            want = f.read()
+        assert out.read_bytes() == want, name
 
 
 @pytest.mark.parametrize("figure", ["fig5", "fig6", "fig8", "fig10"])

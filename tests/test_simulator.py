@@ -819,6 +819,36 @@ class TestFairnessMeasure:
         fairness = sim.measure_fairness(traces)
         assert fairness == {"static": 1.0, "mobile": 1.0, "new": 1.0}
 
+    def test_equals_the_mask_loop_per_class(self):
+        # the per-class mask and mean the tally replaced, bit for bit, over
+        # frames with absent classes, no users and partial service
+        def mask_loop(traces):
+            names = {sim.CLASS_STATIC: "static", sim.CLASS_MOBILE: "mobile", sim.CLASS_NEW: "new"}
+            sums = {v: 0.0 for v in names.values()}
+            counts = {v: 0 for v in names.values()}
+            for tr in traces:
+                for cid, name in names.items():
+                    mask = tr.class_of_user == cid
+                    if mask.sum() == 0:
+                        continue
+                    sums[name] += float(tr.served[mask].mean())
+                    counts[name] += 1
+            return {n: (sums[n] / counts[n] if counts[n] else float("nan")) for n in names.values()}
+
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            traces = []
+            for _ in range(rng.integers(1, 4)):
+                n = int(rng.integers(0, 40))
+                classes = rng.choice(3, size=rng.integers(1, 4), replace=False)
+                traces.append(SimpleNamespace(
+                    class_of_user=rng.choice(classes, size=n).astype(int),
+                    served=rng.random(n) < rng.random(),
+                ))
+            got, want = sim.measure_fairness(traces), mask_loop(traces)
+            assert str(got) == str(want)  # float repr is exact, and NaN-safe
+            assert all(type(v) is float for v in got.values())
+
     def test_run_cell_columns(self):
         s = small_scenario(total_users=8, seed=19)
         cell = run_cell(s, "proposed", 19)
