@@ -561,7 +561,8 @@ def measure_fairness(traces) -> dict:
     sums = np.zeros(len(names))
     frames = np.zeros(len(names), dtype=int)
     for tr in traces:
-        # (class, served) pair counts: users and served users per class
+        # (class, served) pair counts, class ids being 0..2: users and served
+        # users per class
         tally = np.bincount(2 * tr.class_of_user + tr.served, minlength=2 * len(names))
         users = tally[0::2] + tally[1::2]
         present = users > 0
