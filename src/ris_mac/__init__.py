@@ -15,12 +15,7 @@ from .scenario import (  # noqa: F401
     save_scenario,
     validate_scenario,
 )
-from .channel import (  # noqa: F401
-    ChannelRealization,
-    align_phases,
-    draw_channels,
-    rate_bps,
-)
+from .channel import ChannelRealization, draw_channels  # noqa: F401
 from .dcf import (  # noqa: F401
     ContentionRound,
     ContentionSummary,
@@ -44,7 +39,6 @@ from .optimizer import (  # noqa: F401
 from .simulator import (  # noqa: F401
     FrameTrace,
     measure_fairness,
-    measure_throughput,
     run_frame,
 )
 from .experiments import parse_sweep, run_experiment, run_figure  # noqa: F401

@@ -1,4 +1,5 @@
-"""Stochastic channel realizations, SNR, and optimal per-element phases.
+"""Stochastic channel realizations and the rates of their aligned
+amplitudes.
 
 Each user sees a direct user-BS link plus, per surface, a cascaded
 user-RIS-BS reflect path.  A realization is frozen for the duration of a
@@ -17,6 +18,11 @@ memo of the last seed's prefix (NormalTape), so a seed-major sweep
 generates each seed's normals once: fig5 and fig9 at every value, fig7 and
 fig8 at 1-2 surfaces.  Larger draws, such as the 800-user static-heavy
 sweep's, stream from a fresh generator and leave the memo alone.
+
+No phase is computed here: every rate reads the aligned amplitude.  The
+paper's phase rule that attains it (align_phases) and the scalar rate chain
+that aligned_rates reproduces (rate_bps, amplitude_snr) are test oracles,
+in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -73,12 +79,12 @@ class NormalTape:
         """normals(shape, out=None), which returns a draw's next normals in
         ``shape``, for a draw of ``count`` normals in all.
 
-        A draw that fits, of an integer seed, reads views of the memo; a
-        caller must not write to them or keep them.  A larger draw streams
-        them from a fresh default_rng(seed), into ``out`` where given, and
-        neither reads nor grows the memo.
+        A draw that fits reads views of the memo; a caller must not write
+        to them or keep them.  A larger draw streams them from a fresh
+        default_rng(seed), into ``out`` where given, and neither reads nor
+        grows the memo.
         """
-        if count > self.values.size or not isinstance(seed, (int, np.integer)):
+        if count > self.values.size:
             rng = np.random.default_rng(seed)
             return lambda shape, out=None: rng.standard_normal(shape, out=out)
         memo = self.prefix(seed, count)
@@ -257,51 +263,17 @@ def _draw(scenario: Scenario, rng_seed: int, links: bool = False) -> tuple:
     return amplitude, r, (g, h)
 
 
-def align_phases(r: complex, h: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Co-phase every reflect element with the direct path.
-
-    theta_n = (arg r - arg h_n - arg g_n) mod 2*pi makes each element's
-    contribution to the composite gain r + sum_n h_n e^{j theta_n} g_n add
-    in amplitude, which attains the triangle-inequality maximum
-    |r| + sum |h_n||g_n|, the realization's aligned amplitude.  Elements
-    with a zero-magnitude coefficient contribute nothing, so their
-    (undefined) phase is pinned to 0.  Returns theta, radians in [0, 2*pi).
-    """
-    h = np.asarray(h)
-    g = np.asarray(g)
-    if h.shape != g.shape:
-        raise ValueError("length mismatch: h %s vs g %s" % (h.shape, g.shape))
-    theta = np.mod(np.angle(r) - np.angle(h) - np.angle(g), TWO_PI)
-    theta = np.where((h == 0) | (g == 0), 0.0, theta)
-    # mod can return 2*pi for angles within rounding of a full turn
-    return np.where(theta >= TWO_PI, 0.0, theta)
-
-
-def rate_bps(snr_linear: float, subchannel_bw_hz: float) -> float:
-    """Shannon rate on one subchannel, (B/C) * log2(1 + SNR)."""
-    if snr_linear < 0:
-        raise ValueError("snr must be >= 0")
-    return subchannel_bw_hz * np.log2(1.0 + snr_linear)
-
-
-def amplitude_snr(amplitude: float, tx_power_w, noise_w) -> float:
-    """Linear SNR amplitude^2 * P / sigma^2 of a composite amplitude."""
-    if tx_power_w <= 0 or noise_w <= 0:
-        raise ValueError("power and noise must be > 0")
-    return float(amplitude) ** 2 * tx_power_w / noise_w
-
-
 def aligned_rates(amplitude, tx_power_w, noise_w: float, subchannel_bw_hz: float) -> np.ndarray:
     """Rate of each aligned amplitude, an array of any shape, at the power
     ``tx_power_w`` (a scalar, or an array that broadcasts against it).
 
-    Each rate equals rate_bps(amplitude_snr(a, p, noise_w), bw) bit for bit,
-    because the float operations are the same: every square is
-    ``np.float_power(a, 2.0)``, which calls the same libm ``pow`` as
-    Python's ``float ** 2`` (numpy's ``a**2`` and ``np.square`` differ from
-    it in the last bit for some values), then ``a2 * p / noise`` and
-    ``bw * np.log2(1.0 + snr)`` as arrays, and numpy's array log2 equals
-    its scalar log2 (numpy facts the tests check).
+    Each rate equals the scalar chain rate_bps(amplitude_snr(a, p, noise_w),
+    bw) of tests/oracles.py bit for bit, because the float operations are
+    the same: every square is ``np.float_power(a, 2.0)``, which calls the
+    same libm ``pow`` as Python's ``float ** 2`` (numpy's ``a**2`` and
+    ``np.square`` differ from it in the last bit for some values), then
+    ``a2 * p / noise`` and ``bw * np.log2(1.0 + snr)`` as arrays, and
+    numpy's array log2 equals its scalar log2 (numpy facts the tests check).
     """
     amplitude = np.asarray(amplitude, dtype=float)
     power = np.asarray(tx_power_w, dtype=float)

@@ -44,7 +44,8 @@ def build_parser() -> _Parser:
 
     def add_scenario_args(sp):
         sp.add_argument("--scenario", help="scenario file (JSON); defaults to the reference network")
-        sp.add_argument("--seed", type=int, default=None, help="override the embedded seed")
+        sp.add_argument("--seed", type=at_least(0), default=None,
+                        help="override the embedded seed")
 
     sp = sub.add_parser("validate", help="check a scenario file's invariants")
     add_scenario_args(sp)
@@ -90,14 +91,15 @@ def build_parser() -> _Parser:
 
 def parse_seeds(spec: str) -> list:
     """``--seeds``: a comma list, or count:base for count seeds from base.
-    argparse reports its ValueError, on no seed too, as a usage error."""
+    argparse reports its ValueError, on no seed, a negative seed or a
+    repeated one too, as a usage error."""
     if ":" in spec:
         count, base = spec.split(":")
         seeds = [int(base) + i for i in range(int(count))]
     else:
         seeds = [int(x) for x in spec.split(",") if x.strip()]
-    if not seeds:
-        raise ValueError("no seed in %r" % spec)
+    if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
+        raise ValueError("need distinct seeds >= 0 in %r" % spec)
     return seeds
 
 

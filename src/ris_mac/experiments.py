@@ -201,7 +201,7 @@ def run_cell(scenario: Scenario, mode: str, seed: int, events=None, planned=None
     trace = sim.run_frame(scenario, channels, frame, alloc, mode, seed, record=events is not None)
     if events is not None:
         events.extend(trace.events)
-    fairness = sim.measure_fairness([trace])
+    fairness = sim.measure_fairness(trace)
     ratio = frame.beta / frame.alpha if frame.alpha > 0 else float("inf")
     return {
         "mode": mode,
@@ -265,8 +265,9 @@ def run_experiment(template: Scenario, sweep: SweepSpec, seeds, modes=("proposed
     share its memoized normals (see the module docstring).
     """
     seeds = list(seeds)
-    if not seeds:
-        raise ValueError("need at least one seed")
+    if not seeds or len(set(seeds)) < len(seeds):
+        # a repeated seed would be averaged as a second realization
+        raise ValueError("need at least one seed, and no seed twice: %r" % seeds)
     modes = tuple(modes)
     if sweep.axis == "beta-alpha":
         groups = [tuple(sweep.values)]

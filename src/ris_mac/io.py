@@ -58,15 +58,6 @@ def write_table(rows, columns, path: str, fmt: str = "csv") -> None:
         f.write(body)
 
 
-def read_csv(path: str) -> list:
-    with open(path, "r", encoding="utf-8") as f:
-        lines = [ln.rstrip("\n") for ln in f if ln.strip()]
-    if not lines:
-        return []
-    header = lines[0].split(",")
-    return [dict(zip(header, ln.split(","))) for ln in lines[1:]]
-
-
 def file_sha256(path: str) -> str:
     import hashlib  # deferred: a run that draws nothing and writes no manifest skips it
 

@@ -208,13 +208,6 @@ def optimal_frame_timing(
     )
 
 
-def rate_floor_power(gain_sq_over_noise: float, rate_min_bps: float, bw_hz: float) -> float:
-    """Smallest transmit power meeting the per-user rate floor."""
-    if gain_sq_over_noise <= 0:
-        return math.inf
-    return (2.0 ** (rate_min_bps / bw_hz) - 1.0) / gain_sq_over_noise
-
-
 def allocate_power(
     gain_sq_over_noise: np.ndarray,
     p_max_w: float,
@@ -243,7 +236,8 @@ def allocate_power(
     if n == 0:
         return np.zeros(0)
     ids = list(user_ids) if user_ids is not None else list(range(n))
-    # rate_floor_power's bits from one IEEE division; a gain <= 0 gets inf, warning-free
+    # the bits of rate_floor_power (tests/oracles.py) from one IEEE division;
+    # a gain <= 0 gets inf, warning-free
     need = 2.0 ** (rate_min_bps / bw_hz) - 1.0
     floors = np.divide(need, c, out=np.full(n, math.inf), where=c > 0)
     worst = int(np.argmax(floors))

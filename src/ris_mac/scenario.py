@@ -196,21 +196,31 @@ class ValidationReport:
         return "\n".join(self.violations)
 
 
-def classify_users(pop: UserPopulation) -> tuple:
-    """Partition user ids into (static, mobile) per the mobility flags.
+CLASS_STATIC = 0
+CLASS_MOBILE = 1
+CLASS_NEW = 2
 
-    Mobile users are the non-static existing users followed by the new
-    arrivals, which are appended with fresh ids after the existing block.
-    """
+
+def user_classes(pop: UserPopulation) -> np.ndarray:
+    """Each user's class, by id: an existing user is static (flag 1) or
+    mobile, and the new arrivals, which take the ids after the existing
+    block, are new."""
     if len(pop.mobility_flags) != pop.num_existing:
         raise ValueError(
             "mobility_flags length %d != num_existing %d"
             % (len(pop.mobility_flags), pop.num_existing)
         )
-    static_ids = [k for k, u in enumerate(pop.mobility_flags) if u == 1]
-    mobile_ids = [k for k, u in enumerate(pop.mobility_flags) if u == 0]
-    mobile_ids += list(range(pop.num_existing, pop.num_total))
-    return static_ids, mobile_ids
+    cls = np.full(pop.num_total, CLASS_NEW, dtype=int)
+    static = np.array(pop.mobility_flags) == 1
+    cls[: static.size] = np.where(static, CLASS_STATIC, CLASS_MOBILE)
+    return cls
+
+
+def classify_users(pop: UserPopulation) -> tuple:
+    """Partition user ids into (static, mobile), each ascending: mobile
+    users are the existing mobile users and the new arrivals."""
+    is_static = user_classes(pop) == CLASS_STATIC
+    return np.flatnonzero(is_static).tolist(), np.flatnonzero(~is_static).tolist()
 
 
 def build_population(
@@ -347,9 +357,16 @@ def _is_point(p) -> bool:
         return False
 
 
+def _is_seed(seed) -> bool:
+    """Whether ``seed`` is a non-negative int (a bool is not a seed)."""
+    return isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0
+
+
 def validate_scenario(s: Scenario) -> ValidationReport:
     """Collect every violated invariant; an empty report means runnable."""
     rep = ValidationReport()
+    if not _is_seed(s.seed):
+        rep.add("seed must be an integer >= 0 (got %r)" % (s.seed,))
     r = s.radio
     if r.num_subchannels < 1:
         rep.add("num_subchannels >= 1 violated (C=%d)" % r.num_subchannels)
@@ -488,8 +505,9 @@ def load_scenario(path: str, seed_override=None) -> Scenario:
     if seed_override is not None:
         d["seed"] = int(seed_override)
     s = scenario_from_dict(d)
-    if len(s.population.positions) == 0 and s.population.num_total > 0:
-        # draw only the positions: the file's class mix stays
+    if len(s.population.positions) == 0 and s.population.num_total > 0 and _is_seed(s.seed):
+        # draw only the positions: the file's class mix stays; without a
+        # seed to draw them from, validate_scenario reports both
         drawn = build_population(
             s.population.num_total,
             seed=s.seed,

@@ -67,19 +67,20 @@ round by round in grant order; optimizer.throughput_from_bits turns the two
 sums into S_s, S_c and S_o.  TraceEvents are built only when a caller asks
 (run_frame's ``record``, set by ``run_cell(events=[...])`` and so by
 ``simulate --events``); sweep frames carry an empty event list.
-measure_throughput recomputes the three figures from a recorded trace.
+The test oracle measure_throughput (tests/oracles.py) recomputes the three
+figures from a recorded trace.
 
 Every rate a frame grants comes from one exact array pass per period,
 channel.aligned_rates, which applies the float operations of the scalar
-chain rate_bps(amplitude_snr(a, p, noise)): each square is
-``np.float_power(a, 2.0)``, which equals Python's ``float ** 2`` (numpy's
-``a**2`` differs from it in the last bit for some values), then
-``a2 * p / noise`` and ``bw * np.log2(1.0 + snr)`` as arrays, so the rates,
-and the table bytes, are those of the chain.  The scheduled
-period computes every granted user's bits in one call; the contended period
-builds, once per frame, each contender's best surface and rate on each live
-channel (optimizer.best_surfaces, where the tie rule is written), which
-the grants and the csi_best_channel picks read.
+chain rate_bps(amplitude_snr(a, p, noise)), a test oracle in
+tests/oracles.py: each square is ``np.float_power(a, 2.0)``, which equals
+Python's ``float ** 2`` (numpy's ``a**2`` differs from it in the last bit
+for some values), then ``a2 * p / noise`` and ``bw * np.log2(1.0 + snr)``
+as arrays, so the rates, and the table bytes, are those of the chain.  The
+scheduled period computes every granted user's bits in one call; the
+contended period builds, once per frame, each contender's best surface and
+rate on each live channel (optimizer.best_surfaces, where the tie rule is
+written), which the grants and the csi_best_channel picks read.
 
 Benchmarks: scheme 1 schedules every existing user centrally (new arrivals
 wait a frame); scheme 2 lets everyone contend.  Both run against the same
@@ -104,13 +105,16 @@ import numpy as np
 from . import channel as chan
 from . import dcf as dcfmod
 from . import optimizer as opt
-from .scenario import Scenario, classify_users
+from .scenario import (
+    CLASS_MOBILE,
+    CLASS_NEW,
+    CLASS_STATIC,
+    Scenario,
+    classify_users,
+    user_classes,
+)
 
 MODES = ("proposed", "scheme1", "scheme2")
-
-CLASS_STATIC = 0
-CLASS_MOBILE = 1
-CLASS_NEW = 2
 
 # a round key's low word, its term, and its high word, its draw v, as a
 # numpy scalar: as a round's operand a Python int costs more than the mask
@@ -152,14 +156,6 @@ class FrameTrace:
     throughput_scheduled_bps: float = 0.0
     throughput_contended_bps: float = 0.0
     throughput_overall_bps: float = 0.0
-
-
-def user_classes(scenario: Scenario) -> np.ndarray:
-    pop = scenario.population
-    cls = np.full(pop.num_total, CLASS_NEW, dtype=int)
-    static = np.array(pop.mobility_flags) == 1
-    cls[: static.size] = np.where(static, CLASS_STATIC, CLASS_MOBILE)
-    return cls
 
 
 def window_table(dcf) -> list:
@@ -278,15 +274,16 @@ def run_frame(
 
     The bits of each period are summed as the grants are made, in the order
     a stable time sort of the trace holds them: scheduled grants by (slot,
-    ascending user), contended grants round by round in grant order, so
-    measure_throughput over a recorded trace gives the same three figures.
+    ascending user), contended grants round by round in grant order, so the
+    oracle measure_throughput over a recorded trace gives the same three
+    figures.
     """
     if mode not in MODES:
         raise ModeMismatchError("unknown mode %r" % mode)
     radio, dcf = scenario.radio, scenario.dcf
     pop = scenario.population
     n_users = pop.num_total
-    cls = user_classes(scenario)
+    cls = user_classes(pop)
     slot_of, ris_of = alloc.slot_of_user.tolist(), alloc.ris_of_user.tolist()
     holds_slot = alloc.slot_of_user >= 0
     scheduled = np.flatnonzero(holds_slot).tolist()
@@ -529,47 +526,17 @@ def _run_contention(
     return rounds, collisions, grant_shortfall, n, bits_sum
 
 
-def measure_throughput(trace: FrameTrace, frame: opt.FrameConfig) -> tuple:
-    """(S_s, S_c, S_o) recomputed from a recorded trace's data events, a
-    check on the figures run_frame sums as it grants.
-
-    Scheduled bits are the data events inside [t0+t1, t0+t1+alpha*t2);
-    contended bits the ones after; optimizer.throughput_from_bits composes
-    the three figures.
-    """
-    sched_start = frame.t0_s + frame.t1_s
-    sched_end = sched_start + frame.scheduled_s
-    sched_bits = 0.0
-    cont_bits = 0.0
-    for e in trace.events:
-        if e.kind != "data":
-            continue
-        if sched_start <= e.time_s < sched_end:
-            sched_bits += e.value
-        else:
-            cont_bits += e.value
-    return opt.throughput_from_bits(frame, sched_bits, cont_bits)
-
-
-def measure_fairness(traces) -> dict:
-    """Fraction of users served at least once per frame, split by class and
-    averaged over frames."""
-    traces = list(traces)
-    if not traces:
-        raise ValueError("measure_fairness needs at least one frame")
+def measure_fairness(trace: FrameTrace) -> dict:
+    """Fraction of one frame's users served, split by class; nan for a
+    class the frame has no user of."""
     names = {CLASS_STATIC: "static", CLASS_MOBILE: "mobile", CLASS_NEW: "new"}
-    sums = np.zeros(len(names))
-    frames = np.zeros(len(names), dtype=int)
-    for tr in traces:
-        # (class, served) pair counts, class ids being 0..2: users and served
-        # users per class
-        tally = np.bincount(2 * tr.class_of_user + tr.served, minlength=2 * len(names))
-        users = tally[0::2] + tally[1::2]
-        present = users > 0
-        sums[present] += tally[1::2][present] / users[present]
-        frames += present
+    # (class, served) pair counts, class ids being 0..2: users and served
+    # users per class
+    tally = np.bincount(2 * trace.class_of_user + trace.served, minlength=2 * len(names))
+    served = tally[1::2]
+    users = tally[0::2] + served
     return {
-        name: (float(sums[cid] / frames[cid]) if frames[cid] else float("nan"))
+        name: (float(served[cid] / users[cid]) if users[cid] else float("nan"))
         for cid, name in names.items()
     }
 
@@ -599,7 +566,7 @@ def plan_scheme1(scenario, channels, t2_common: float) -> tuple:
     j1 = -(-k_exist // len(scenario.ris.subchannels))
 
     alloc = opt.empty_allocation(pop.num_total)
-    is_static = np.asarray(pop.mobility_flags) == 1
+    is_static = user_classes(pop)[:k_exist] == CLASS_STATIC
     rho = np.where(is_static, radio.p_max_w / max(len(static_ids), 1), radio.tx_power_mobile_w)
     ris_of, slot_of, _ = opt.centralized_ris_config(
         channels, list(range(k_exist)), rho, radio.noise_w, radio.subchannel_bw_hz, j1,

@@ -13,10 +13,12 @@ import pytest
 from ris_mac import channel as chan
 from ris_mac import cli
 from ris_mac import io as rio
+from ris_mac import scenario as scenario_mod
 from ris_mac.experiments import SweepSpecError, parse_sweep
 from ris_mac.scenario import default_scenario, save_scenario
 
 from conftest import small_scenario
+import oracles
 
 
 def save_small(tmp_path, **kw):
@@ -189,8 +191,15 @@ class TestCommands:
         ["simulate", "--frames", "0"],
         ["simulate", "--frames", "-1"],
         ["simulate", "--frames", "two"],
+        ["experiment", "--sweep", "point", "--seeds=-1"],
+        ["experiment", "--sweep", "point", "--seeds", "2:-1"],
+        ["experiment", "--sweep", "point", "--seeds", "1,1"],
+        ["report", "--figure", "fig9", "--seeds", "3,1,3"],
+        ["optimize", "--seed", "-1"],
+        ["simulate", "--seed", "-1"],
     ], ids=["seeds-x", "seeds-empty", "seeds-open-range", "report-seeds-x", "frames-0",
-            "frames-negative", "frames-word"])
+            "frames-negative", "frames-word", "seeds-negative", "seeds-negative-base",
+            "seeds-repeated", "report-seeds-repeated", "seed-negative", "simulate-seed-negative"])
     def test_bad_run_length_is_usage_error(self, tmp_path, capsys, monkeypatch, argv):
         def no_draw(*args, **kwargs):
             raise AssertionError("a channel draw ran before the usage error")
@@ -289,6 +298,38 @@ class TestCommands:
         assert "not three finite coordinates" in capsys.readouterr().out
         assert cli.main(["optimize", "--scenario", path]) == cli.EXIT_VALIDATION
         assert "not three finite coordinates" in capsys.readouterr().err
+
+    def test_validate_negative_seed_is_usage_error(self, tmp_path, capsys):
+        _, path = save_small(tmp_path)
+        assert cli.main(["validate", "--scenario", path, "--seed", "-1"]) == cli.EXIT_USAGE
+        assert cli.main(["validate", "--seed", "-1"]) == cli.EXIT_USAGE
+        assert "error: argument --seed: must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [None, -1, 1.5, True], ids=["null", "negative", "float", "bool"])
+    @pytest.mark.parametrize("positions", ["stored", "drawn"])
+    def test_scenario_seed_must_be_a_non_negative_int(
+        self, tmp_path, capsys, monkeypatch, seed, positions
+    ):
+        # a file's seed picks the realization (and, when the file stores no
+        # positions, the positions): a seed that is not an integer >= 0
+        # fails validate (exit 2), and a model command stops on it before
+        # any draw
+        d = small_scenario().to_dict()
+        d["seed"] = seed
+        if positions == "drawn":
+            d["population"]["positions"] = []
+        path = tmp_path / "seed.json"
+        path.write_text(json.dumps(d))
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a draw ran for a scenario with an invalid seed")
+
+        monkeypatch.setattr(chan, "draw_channels", no_draw)
+        monkeypatch.setattr(scenario_mod, "build_population", no_draw)
+        assert cli.main(["validate", "--scenario", str(path)]) == cli.EXIT_VALIDATION
+        assert "seed must be an integer >= 0 (got %r)" % (seed,) in capsys.readouterr().out
+        assert cli.main(["optimize", "--scenario", str(path)]) == cli.EXIT_VALIDATION
+        assert "seed must be an integer >= 0" in capsys.readouterr().err
 
     def test_scenario_with_no_users_fails_validation(self, tmp_path, capsys):
         _, path = save_small(tmp_path, total_users=0)
@@ -390,7 +431,7 @@ class TestCommands:
             "--frames", "2", "--out", out,
         ])
         assert code == cli.EXIT_OK
-        rows = rio.read_csv(out)
+        rows = oracles.read_csv(out)
         assert len(rows) == 2
         assert rows[0]["mode"] == "proposed"
 
@@ -411,7 +452,7 @@ class TestCommands:
         argv = ["simulate", "--scenario", path, "--frames", "2", "--events", events]
         assert cli.main(argv) == cli.EXIT_OK
         assert len(passed) == 2 and all(isinstance(e, list) and e for e in passed)
-        assert len(rio.read_csv(events)) == sum(len(e) for e in passed)
+        assert len(oracles.read_csv(events)) == sum(len(e) for e in passed)
 
     def test_experiment_end_to_end(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("RIS_MAC_TIMESTAMP", "pinned")
@@ -422,7 +463,7 @@ class TestCommands:
             "--modes", "proposed,scheme2", "--seeds", "1,2", "--out", out,
         ])
         assert code == cli.EXIT_OK
-        rows = rio.read_csv(out)
+        rows = oracles.read_csv(out)
         assert {r["mode"] for r in rows} == {"proposed", "scheme2"}
         manifest = json.loads(Path(out + ".manifest.json").read_text())
         assert manifest["outputs"][out] == rio.file_sha256(out)
@@ -447,7 +488,7 @@ class TestWriteResults:
         path = str(tmp_path / "t.csv")
         rows = [{"a": 1.23456789012345e7, "b": "x"}, {"a": 0.5, "b": "y"}]
         rio.write_table(rows, ("a", "b"), path)
-        back = rio.read_csv(path)
+        back = oracles.read_csv(path)
         assert float(back[0]["a"]) == pytest.approx(rows[0]["a"], rel=1e-11)
         assert back[1]["b"] == "y"
 

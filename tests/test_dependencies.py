@@ -9,7 +9,9 @@ kept out as well: ``numpy.ma`` (about 20 ms and 1.3 MB, pulled in by
 multi-worker sweep needs.  The import checks run in a fresh interpreter,
 since this test process has these modules loaded already.  A last check
 reads the source: every module-level import of a package module is read
-there.
+there, and every function and method is read by package code, so that
+src/ holds only what a command or the benchmark runs; the specifications
+that only tests read live in tests/oracles.py.
 """
 
 import ast
@@ -97,3 +99,58 @@ def test_package_modules_read_every_import():
     assert len(paths) > 1
     found = [u for p in paths if os.path.basename(p) != "__init__.py" for u in unused_imports(p)]
     assert found == []
+
+
+# (module, function or Class.method) defined in the package but read by no
+# package code, each with the reason it stays
+UNREAD_KEPT = {
+    ("scenario", "save_scenario"): "the README documents it as the scenario-file writer",
+    ("cli", "_Parser.error"): "argparse calls it on a usage error",
+}
+
+
+def traced_functions():
+    """The (module, function) pairs the benchmark's tracer wraps by name,
+    read from perfbench/tracer.py's TRACED without importing it."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "perfbench", "tracer.py"), encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    traced = next(
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)
+    )
+    return set(ast.literal_eval(traced))
+
+
+def test_package_code_reads_every_function():
+    # a module-level function or a method (dunders aside) is read when its
+    # name is loaded, bare or as an attribute, anywhere in the package; an
+    # import alone, such as an __init__ re-export, is no read
+    pkg = os.path.dirname(os.path.abspath(ris_mac.__file__))
+    defined, read = [], set()
+    for path in sorted(glob.glob(os.path.join(pkg, "*.py"))):
+        module = os.path.basename(path)[:-3]
+        with open(path, encoding="utf-8") as f:
+            tree = ast.parse(f.read(), filename=path)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined.append((module, node.name))
+            elif isinstance(node, ast.ClassDef):
+                defined += [
+                    (module, "%s.%s" % (node.name, m.name)) for m in node.body
+                    if isinstance(m, ast.FunctionDef)
+                    and not (m.name.startswith("__") and m.name.endswith("__"))
+                ]
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+    kept = traced_functions() | set(UNREAD_KEPT)
+    unread = [
+        (module, name) for module, name in defined
+        if name.rpartition(".")[2] not in read and (module, name) not in kept
+    ]
+    assert unread == []
+    assert set(UNREAD_KEPT) <= set(defined)

@@ -135,3 +135,11 @@ def test_serial_path_draws_seed_by_seed(monkeypatch, sweep):
     users = sweep.values if sweep.axis == "users" else (12,)
     assert drawn == [(u, seed) for seed in (2, 1) for u in users]
     assert [(r["value"], r["mode"]) for r in rows] == [(v, m) for v in sweep.values for m in MODES]
+
+
+@pytest.mark.parametrize("seeds", [[], [1, 1], [2, 1, 2]], ids=["none", "twice", "apart"])
+def test_a_sweep_needs_distinct_seeds(seeds):
+    # a repeated seed would be averaged as a second realization of the same
+    # draw, so a row would claim more seeds than it has
+    with pytest.raises(ValueError, match="no seed twice"):
+        exp.run_experiment(small_scenario(total_users=8), exp.parse_sweep("point"), seeds)

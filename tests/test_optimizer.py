@@ -28,6 +28,7 @@ from ris_mac.scenario import (
 )
 
 from conftest import aligned_gain_magnitude, random_link, small_scenario
+import oracles
 
 
 def sum_rate(gains, powers):
@@ -56,7 +57,7 @@ def bisection_powers(c, p_max_w, rate_min, bw):
     the powers at every step: floors built user by user, a fresh array per
     step, then allocate_power's slack step.  An oracle for its closed-form
     level."""
-    floors = np.array([opt.rate_floor_power(ck, rate_min, bw) for ck in c])
+    floors = np.array([oracles.rate_floor_power(ck, rate_min, bw) for ck in c])
     inv_c = 1.0 / c
 
     def spend(mu):
@@ -101,7 +102,7 @@ def wide_power_cases(seed):
                         need = 2.0 ** (rate_min / 1e7) - 1.0
                         # floors near watts / 2, so the budget stays on one side of 1 W
                         gains = gains * (need / gains).sum() * 2.0 / watts
-                        floors = np.array([opt.rate_floor_power(g, rate_min, 1e7) for g in gains])
+                        floors = np.array([oracles.rate_floor_power(g, rate_min, 1e7) for g in gains])
                         p_max = float(floors.sum() * (1.0 + headroom * rng.uniform(0.01, 1.0)))
                         yield gains, p_max, rate_min
 
@@ -188,14 +189,14 @@ class TestAllocatePower:
             rate_min = 0.2e7  # floors stay loose
             p = opt.allocate_power(gains, p_max, rate_min, 1e7)
             assert p.sum() == pytest.approx(p_max, abs=1e-9)
-            floors = np.array([opt.rate_floor_power(g, rate_min, 1e7) for g in gains])
+            floors = np.array([oracles.rate_floor_power(g, rate_min, 1e7) for g in gains])
             assert np.all(p >= floors - 1e-12)
 
     def test_kkt_residual_small(self):
         rng = np.random.default_rng(1)
         for _ in range(30):
             gains = rng.uniform(0.5, 50.0, size=4)
-            floors = np.array([opt.rate_floor_power(g, 0.3e7, 1e7) for g in gains])
+            floors = np.array([oracles.rate_floor_power(g, 0.3e7, 1e7) for g in gains])
             p = opt.allocate_power(gains, 1.0, 0.3e7, 1e7)
             assert power_kkt_residual(p, gains, 1.0, floors) < 1e-8
 
@@ -208,7 +209,7 @@ class TestAllocatePower:
             n = int(rng.integers(2, 6))
             gains = rng.uniform(0.5, 40.0, size=n)
             rate_min = 0.1e7
-            floors = np.array([opt.rate_floor_power(g, rate_min, 1e7) for g in gains])
+            floors = np.array([oracles.rate_floor_power(g, rate_min, 1e7) for g in gains])
             p = opt.allocate_power(gains, 1.0, rate_min, 1e7)
             base = sum_rate(gains, p)
             for i in range(n):
@@ -237,7 +238,7 @@ class TestAllocatePower:
                 2.0 ** (rate_min / 1e7) - 1.0, gains,
                 out=np.full(gains.size, math.inf), where=gains > 0,
             )
-            want = [opt.rate_floor_power(g, rate_min, 1e7) for g in gains.tolist()]
+            want = [oracles.rate_floor_power(g, rate_min, 1e7) for g in gains.tolist()]
             assert floors.tolist() == want
 
     def test_zero_gain_names_its_user_without_a_warning(self):
@@ -257,7 +258,7 @@ class TestAllocatePower:
         # random instances bind some floor
         def check(gains, p_max, rate_min):
             got = opt.allocate_power(gains, p_max, rate_min, 1e7)
-            floors = np.array([opt.rate_floor_power(g, rate_min, 1e7) for g in gains])
+            floors = np.array([oracles.rate_floor_power(g, rate_min, 1e7) for g in gains])
             assert np.all(np.abs(got - bisection_powers(gains, p_max, rate_min, 1e7))
                           <= 1e-14 * p_max)
             assert abs(got.sum() - p_max) <= opt.POWER_TOL * max(1.0, p_max)
@@ -273,7 +274,7 @@ class TestAllocatePower:
             n = int(rng.integers(1, 40))
             gains = 10.0 ** rng.uniform(-1, 4, size=n)
             rate_min = float(rng.uniform(1e5, 3e7))
-            floors = np.array([opt.rate_floor_power(g, rate_min, 1e7) for g in gains])
+            floors = np.array([oracles.rate_floor_power(g, rate_min, 1e7) for g in gains])
             p_max = float(floors.sum() * rng.uniform(1.01, 3.0))
             got, floors = check(gains, p_max, rate_min)
             bound += int(np.any(got == floors))
@@ -459,7 +460,7 @@ class TestDistributedSelect:
                 ch, k, idle, 0.01, s.radio.noise_w, s.radio.subchannel_bw_hz
             )
             gains = {
-                mm: chan.amplitude_snr(
+                mm: oracles.amplitude_snr(
                     aligned_gain_magnitude(ch.r[k], ch.h[k, mm], ch.g[k, mm]), 0.01, s.radio.noise_w
                 )
                 for mm in idle
@@ -493,7 +494,7 @@ class TestDistributedSelect:
             for c, ms in enumerate(lists):
                 best_m, best = -1, -1.0
                 for m in ms:
-                    r = chan.rate_bps(chan.amplitude_snr(amp[k, m], power[k], noise), bw)
+                    r = oracles.rate_bps(oracles.amplitude_snr(amp[k, m], power[k], noise), bw)
                     if r > best + 1e-15:
                         best_m, best = m, r
                 assert (surface[k, c], rate[k, c]) == (best_m, best), (k, ms)
@@ -660,11 +661,11 @@ class TestJointOptimize:
         bw = s.radio.subchannel_bw_hz
         for k in res.static_ids:
             m = res.allocation.ris_of_user[k]
-            snr = chan.amplitude_snr(
+            snr = oracles.amplitude_snr(
                 aligned_gain_magnitude(ch.r[k], ch.h[k, m], ch.g[k, m]),
                 res.allocation.rho_sq_w[k], s.radio.noise_w,
             )
-            assert chan.rate_bps(snr, bw) >= s.radio.rate_min_bps - 1e-6
+            assert oracles.rate_bps(snr, bw) >= s.radio.rate_min_bps - 1e-6
 
 
 def held_pairs(alloc, user_ids, subchannel_of_ris):
@@ -722,7 +723,7 @@ class TestSlotInvariant:
 def rate_increment_direct(r, h, g, rho_sq_w, noise_w, bw_hz):
     """Per-user rate gain of the aligned reflect path over direct-only,
     B*(log2(1+SNR_aligned) - log2(1+|r|^2 rho^2/sigma^2))."""
-    snr_ris = chan.amplitude_snr(aligned_gain_magnitude(r, h, g), rho_sq_w, noise_w)
+    snr_ris = oracles.amplitude_snr(aligned_gain_magnitude(r, h, g), rho_sq_w, noise_w)
     snr_direct = abs(r) ** 2 * rho_sq_w / noise_w
     return bw_hz * (math.log2(1.0 + snr_ris) - math.log2(1.0 + snr_direct))
 

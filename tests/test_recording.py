@@ -3,8 +3,8 @@
 run_frame sums each period's bits as it grants and builds TraceEvents only
 when ``record`` is set.  A frame run both ways must give the same served
 set, per-user bits, counts and period throughputs, compared with ``==``, and
-measure_throughput over the recorded trace must give the figures run_frame
-summed.  Sweeps record nothing: they build no TraceEvent at all.
+the oracle measure_throughput over the recorded trace must give the figures
+run_frame summed.  Sweeps record nothing: they build no TraceEvent at all.
 """
 
 import dataclasses
@@ -18,6 +18,8 @@ from ris_mac import simulator as sim
 from ris_mac.channel import draw_channels
 from ris_mac.experiments import parse_sweep, plan_cell, run_experiment
 from ris_mac.scenario import classify_users, default_scenario, load_scenario, validate_scenario
+
+import oracles
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -62,7 +64,7 @@ def test_recording_changes_no_figure(network, csi, mode, seed):
     assert quiet.bits.tolist() == traced.bits.tolist()
     for name in FIGURES:
         assert getattr(quiet, name) == getattr(traced, name), name
-    assert sim.measure_throughput(traced, frame) == (
+    assert oracles.measure_throughput(traced, frame) == (
         traced.throughput_scheduled_bps,
         traced.throughput_contended_bps,
         traced.throughput_overall_bps,

@@ -3,11 +3,15 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ris_mac.scenario import (
+    CLASS_MOBILE,
+    CLASS_NEW,
+    CLASS_STATIC,
     DcfParams,
     RadioParams,
     UserPopulation,
@@ -17,6 +21,7 @@ from ris_mac.scenario import (
     default_scenario,
     load_scenario,
     save_scenario,
+    user_classes,
     validate_scenario,
 )
 
@@ -71,6 +76,46 @@ class TestClassify:
         assert set(static).isdisjoint(mobile)
         assert len(static) == sum(flags)
         assert len(mobile) == k - sum(flags) + z
+
+
+def flagged_population(flags, num_new):
+    return UserPopulation(
+        num_existing=len(flags), num_new_mobile=num_new, mobility_flags=tuple(flags),
+        positions=((1.0, 1.0, 0.0),) * (len(flags) + num_new),
+    )
+
+
+class TestUserClasses:
+    """The class vector is the one definition of a user's class, and
+    classify_users is derived from it."""
+
+    @pytest.mark.parametrize("flags, num_new", [
+        ((0, 1, 0, 1), 3), ((1, 0, 0, 1, 1), 0), ((), 2), ((1, 1), 1),
+    ])
+    def test_class_vector_matches_per_user_reference(self, flags, num_new):
+        want = [CLASS_STATIC if u == 1 else CLASS_MOBILE for u in flags]
+        want += [CLASS_NEW] * num_new
+        got = user_classes(flagged_population(flags, num_new))
+        assert got.tolist() == want
+        assert got.dtype == np.array([0]).dtype
+
+    @given(
+        flags=st.lists(st.integers(min_value=0, max_value=1), max_size=60),
+        num_new=st.integers(min_value=0, max_value=20),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_vector_and_id_lists_match_their_references(self, flags, num_new):
+        pop = flagged_population(flags, num_new)
+        # the per-user class, and the list comprehensions classify_users was
+        want = [CLASS_STATIC if u == 1 else CLASS_MOBILE for u in flags]
+        want += [CLASS_NEW] * num_new
+        assert user_classes(pop).tolist() == want
+        static_ids = [k for k, u in enumerate(flags) if u == 1]
+        mobile_ids = [k for k, u in enumerate(flags) if u == 0]
+        mobile_ids += list(range(len(flags), len(flags) + num_new))
+        static, mobile = classify_users(pop)
+        assert (static, mobile) == (static_ids, mobile_ids)
+        assert all(type(k) is int for k in static + mobile)
 
 
 def rule_case(part, field, changes, message):
