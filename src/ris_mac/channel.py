@@ -222,8 +222,9 @@ def _draw(scenario: Scenario, rng_seed: int, links: bool = False) -> tuple:
         # One row per (user, surface) pair: re holds the real parts of every
         # link, and the imaginary parts follow one row block at a time, in
         # the order of one whole-array draw.  Each block is built as complex,
-        # in ``out`` when the links are kept, through the same ufuncs as
-        # amp * (los + s * (re + 1j * im)), so the bytes match.  Its
+        # in ``out`` when the links are kept, its parts scaled by s as they
+        # are written, then the same ufuncs as amp * (los + s * (re + 1j * im)),
+        # so the bytes match (s times a part is one rounding either way).  Its
         # magnitudes then overwrite its rows of mags, or with ``times_g``
         # are multiplied into them: the im block is free once c holds it,
         # and the product is commutative, so these are the bytes of one
@@ -236,9 +237,8 @@ def _draw(scenario: Scenario, rng_seed: int, links: bool = False) -> tuple:
         for lo in range(0, rows, step):
             hi = min(lo + step, rows)
             c = block[: hi - lo] if out is None else out[lo:hi]
-            c.real = re[lo:hi]
-            c.imag = normals(im[: hi - lo].shape, im[: hi - lo])
-            c *= scatter
+            np.multiply(re[lo:hi], scatter, out=c.real)
+            np.multiply(normals(im[: hi - lo].shape, im[: hi - lo]), scatter, out=c.imag)
             c += los[lo:hi]
             c *= amp[lo:hi]
             if times_g:

@@ -16,7 +16,9 @@ draw uses the memo when its normals fit (fig5 and fig9 at every value,
 fig7 and fig8 at 1-2 surfaces, not the 800-user static-heavy sweep).  Jobs
 are independent and no value depends on the memo's state, so parallel
 execution and the job order cannot change the results; rows are gathered
-in (value, mode, seed) order.
+in (value, mode, seed) order.  A seed's contention frames share runs the
+same way, through the simulator's memo of the seed's contention runs
+(simulator.memo_cut), each frame cutting its run at its own budget.
 """
 
 from __future__ import annotations

@@ -47,16 +47,37 @@ that serves anyone shrinks the spans and terms by moving their kept
 stretches down in place, and the frame writes its grants into its served
 and bits arrays once, when its rounds end.
 
+The round loop reads only the seed, the contender count n0, the live
+channel count C, the DCF windows and the fixed picks, never a user id,
+rate or surface.  So it is one object, a ContentionRun, keyed by (seed,
+n0, C, w_min, w_max, max_backoff_stage, draw_picks, fixed picks under
+csi_best_channel), which works in contender positions and logs each
+grant's position, channel and round, and the running collision and
+shortfall counts in the rounds that change them.  ``through(budget)``
+steps it only as far as a reader asks, like dcf.ServiceSchedule, and a
+frame reads its cut at min(budget, rounds): a shorter budget only ends
+the same run sooner.  The frame maps positions to its own ids and its
+best_surfaces rates, and sums the bits in grant order, so every byte is
+that of a run stepped for the frame alone.  Unrecorded frames read their
+run through a process memo (memo_cut) of the current seed's runs, sweep
+jobs being seed-major, under a hard cap of MEMO_VALUES entries; an
+evicted run is stepped again from round 0 by its next reader.  Frames
+that share a run: the proposed frames of a users sweep and the scheme 2
+frames at half their size (both contend with the same n0), every element
+count of a sweep whose contender count stays put, and every split value
+of a seed.  A recorded frame steps a fresh run outside the memo, through
+the same loop with an event log.
+
 The BS paces its CTS grants to the closed-form service recursion
 (dcf.ServiceSchedule) that contention_cascade sizes the contended period
 from.  Its per-round serve increments are cached once per (Y, C, w_min, l)
 for the process (dcf.service_schedule, the one cache, which the cascade
-wraps), and a frame reads them by round index, stepping the recursion no
-further than its round budget: each round adds the increment to the serves
-owed, grants min(owed, occupied channels), and carries the rest to the next
-round.  So the
-rounds-to-all-served tracks the analytic round count while the seed decides
-which user wins which round, on which channel, and at what rate.  Backoff
+wraps), and a run reads them by round index, stepping the recursion no
+further than its readers' round budgets: each round adds the increment to
+the serves owed, grants min(owed, occupied channels), and carries the rest
+to the next round.  So the rounds-to-all-served tracks the analytic round
+count while the seed decides which user wins which round, on which
+channel, and at what rate.  Backoff
 airtime is not part of the t_r budget, matching the handshake-time
 accounting; counters are logged as event metadata.
 
@@ -96,6 +117,7 @@ planner; run_frame reads the name only to label the trace.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
@@ -289,7 +311,6 @@ def run_frame(
     scheduled = np.flatnonzero(holds_slot).tolist()
     contenders = np.flatnonzero(~holds_slot).tolist() if frame.contended_s > 0 else []
 
-    rng = np.random.default_rng(seed)
     events: list = []
     served = np.zeros(n_users, dtype=bool)
     bits = np.zeros(n_users)
@@ -334,7 +355,7 @@ def run_frame(
     if contenders:
         n_r_measured, collisions, grant_shortfall, contenders_left, cont_bits = _run_contention(
             scenario, channels, alloc, contenders, sched_start + frame.scheduled_s,
-            frame.contended_s, rng, events if record else None, served, bits,
+            frame.contended_s, seed, events if record else None, served, bits,
         )
 
     if record:
@@ -363,167 +384,301 @@ def run_frame(
     )
 
 
-def _run_contention(
-    scenario, channels, alloc, contenders, start_s, budget_s, rng, events, served, bits
-):
-    """Round-paced DCF with BS-gated grants.
+# the contention memo's cap, in entries of ContentionRun.values, each at
+# most 40 bytes (a list slot and its int object, or an int64 word): 2.5 MiB
+MEMO_VALUES = 1 << 16
 
-    ``rng`` must be a fresh PCG64 Generator: the rounds read its words from
-    one WordTape buffer, by position, and make no Generator call.  Appends
-    the rounds' TraceEvents to ``events`` unless it is None, and marks the
-    granted contenders in ``served`` and adds their bits to ``bits`` once,
-    when the rounds end.  Returns (rounds, collisions, grant_shortfall,
-    contenders_left, bits), ``bits`` summed over the grants round by round
-    in grant order.
+
+class ContentionRun:
+    """One contention run (see the module docstring), stepped only as far
+    as its readers ask.
+
+    ``n0`` contenders on ``num_channels`` live channels draw from the
+    fresh PCG64 of ``seed``; position p is the p-th smallest contender id.
+    The picks are drawn when ``picks`` is None and C > 1, else fixed:
+    ``picks`` per position (csi_best_channel), or channel 0 on one channel.
+    ``through(budget)`` resumes the loop where the last call stopped and
+    returns the cut at the budget.  The log: ``won`` and ``won_on`` hold
+    every grant's position and channel index in grant order, ``won_at``
+    the round it was made in, counted from 1; the running collision and
+    shortfall counts are logged the same way, in the rounds that change
+    them.  With ``log_events``, ``events`` holds one (round, kind,
+    position, channel, counter) per collision (position -1), grant and
+    ignored RTS, in the order a trace appends them.
+    """
+
+    def __init__(self, seed, n0: int, num_channels: int, dcf, picks=None, log_events=False):
+        self.n0, self.num_channels = n0, num_channels
+        self._schedule = dcfmod.service_schedule(n0, num_channels, dcf.w_min, dcf.max_backoff_stage)
+        top = dcf.max_backoff_stage
+        self._up = list(range(1, top + 1)) + [top]  # the stage a collision moves each stage to
+        self._draw_picks = num_channels > 1 and picks is None
+        self._per_counter = num_channels if self._draw_picks else 1  # values of v per counter
+        self._spans = [w * self._per_counter for w in window_table(dcf)]
+        # stepping state, indexed like the positions left: each one's
+        # backoff stage, its span W_s * C_s (W_s when the picks are fixed),
+        # and its key term, its index plus n0 times its pick when fixed;
+        # ``remaining`` holds the positions left
+        self._remaining = list(range(n0))
+        self._stage = [0] * n0
+        self._span = np.full(n0, self._spans[0], dtype=np.int64)
+        self._term = np.arange(n0, dtype=np.int64)
+        if picks is not None:
+            self._term += n0 * np.asarray(picks, dtype=np.int64)
+        self._tape = WordTape(np.random.default_rng(seed))
+        self._pos = self._owed = 0
+        self.rounds = 0
+        self.won, self.won_on, self.won_at = [], [], []
+        self._collisions_at, self._collisions = [], []
+        self._shortfall_at, self._shortfall = [], []
+        self.events = [] if log_events else None
+
+    @property
+    def values(self) -> int:
+        """The entries the run holds: its logs, and its stepping state (tape,
+        spans, terms, stages, positions) until its last grant."""
+        held = 3 * len(self.won) + 2 * (len(self._collisions_at) + len(self._shortfall_at))
+        if self._tape is not None:
+            held += len(self._tape.words) + 4 * self.n0
+        return held
+
+    def through(self, budget: int) -> tuple:
+        """Step to round ``budget`` or the run's end and return the cut at
+        ``min(budget, rounds)``: (rounds, collisions, grant_shortfall,
+        grants), the first ``grants`` entries of the grant log."""
+        if self.rounds < budget and self._remaining:
+            self._step(budget)
+        r = min(budget, self.rounds)
+        return (
+            r, _count_at(self._collisions_at, self._collisions, r),
+            _count_at(self._shortfall_at, self._shortfall, r), bisect_right(self.won_at, r),
+        )
+
+    def _step(self, budget: int) -> None:
+        remaining, stage, span, term = self._remaining, self._stage, self._span, self._term
+        n, n0, num_channels = len(remaining), self.n0, self.num_channels
+        up, spans, per_counter, draw_picks = self._up, self._spans, self._per_counter, self._draw_picks
+        won, won_on, won_at = self.won, self.won_on, self.won_at
+        collisions_at, collisions_log = self._collisions_at, self._collisions
+        shortfall_at, shortfall_log = self._shortfall_at, self._shortfall
+        events = self.events
+        tape = self._tape
+        # a round reads at most n + 2 C - 1 words: its n draws, k - 1 for the
+        # shuffle of its k <= C occupied channels and one re-draw per grant
+        reach = 2 * num_channels
+        # the recursion's serves per round, stepped no further than the
+        # budget; past its end it serves no one
+        paced = self._schedule.through(budget)
+        paced_rounds = len(paced)
+        rounds, owed = self.rounds, self._owed
+        collisions = collisions_log[-1] if collisions_log else 0
+        shortfall = shortfall_log[-1] if shortfall_log else 0
+        words, pos = tape.words, self._pos
+        while n and rounds < budget:
+            if rounds < paced_rounds:
+                owed += paced[rounds]
+            rounds += 1
+            if pos + n + reach > len(words):
+                words, pos = tape.refill(pos, n + reach), 0
+            # the key (v << 32) | term with v = (w * span) >> 32, below 2^52
+            # by validate_scenario's span cap of 2^20; the product stays
+            # unsorted for the re-draw and the trace's counters
+            product = words[pos:pos + n] * span
+            pos += n
+            keys = product & _HIGH
+            keys |= term
+
+            occupied, lead, collided, tied = resolve_round(keys, num_channels, n0, per_counter)
+            for i in tied:
+                s = stage[i] = up[stage[i]]
+                span[i] = spans[s]
+            if tied:
+                collisions += sum(collided)
+                collisions_at.append(rounds)
+                collisions_log.append(collisions)
+            if events is not None:
+                for c, i, tie in zip(occupied, lead, collided):
+                    if tie:
+                        events.append((
+                            rounds, "collision", -1, c, (product.item(i) >> 32) // per_counter
+                        ))
+
+            # serves the recursion asked for beyond the occupied channels
+            # carry over to the next round
+            k = len(occupied)
+            grants = min(owed, k)
+            owed -= grants
+            if owed:
+                shortfall += owed
+                shortfall_at.append(rounds)
+                shortfall_log.append(shortfall)
+            if not grants and events is None:
+                pos += k - 1  # no grant and no trace reads the order: skip its words
+                continue
+            # the grant order: a Fisher-Yates shuffle of the occupied channels
+            grant_order = list(range(k))
+            for g in range(k - 1, 0, -1):
+                j = (words.item(pos) * (g + 1)) >> 32
+                pos += 1
+                grant_order[g], grant_order[j] = grant_order[j], grant_order[g]
+            granted = []
+            for g in grant_order[:grants]:
+                c, i = occupied[g], lead[g]
+                if collided[g]:
+                    # post-collision re-draw inside the round settles on one
+                    # of the channel's contenders, in ascending index order
+                    pick = (product >> 32) % num_channels if draw_picks else term // n0
+                    here = np.flatnonzero(pick == c)
+                    i = int(here[(words.item(pos) * here.size) >> 32])
+                    pos += 1
+                won.append(remaining[i])
+                won_on.append(c)
+                won_at.append(rounds)
+                granted.append(i)
+                if events is not None:
+                    events.append((
+                        rounds, "grant", remaining[i], c, (product.item(i) >> 32) // per_counter
+                    ))
+            if events is not None:
+                # candidates that expired without a grant sent an RTS the BS ignored
+                for g in grant_order[grants:]:
+                    if not collided[g]:
+                        i = lead[g]
+                        events.append((
+                            rounds, "rts", remaining[i], occupied[g],
+                            (product.item(i) >> 32) // per_counter,
+                        ))
+            if granted:
+                # drop the granted entries by moving each kept stretch of
+                # the spans and terms down in place; a term moved d places
+                # loses d, so it stays index plus n0 times the pick (drawn
+                # picks leave the terms equal to the indices, which the move
+                # would not change)
+                granted.sort()
+                for i in reversed(granted):
+                    del remaining[i], stage[i]
+                for d, (i, j) in enumerate(zip(granted, granted[1:] + [n]), 1):
+                    span[i + 1 - d:j - d] = span[i + 1:j]
+                    if not draw_picks:
+                        term[i + 1 - d:j - d] = term[i + 1:j] - d
+                n = len(remaining)
+                span, term = span[:n], term[:n]
+        self.rounds, self._owed, self._pos = rounds, owed, pos
+        if n:
+            self._span, self._term = span, term
+        else:  # every contender is served: the run's end, whose state no step reads
+            self._tape = self._span = self._term = None
+
+
+def _count_at(at, counts, rounds: int) -> int:
+    """A running count logged at the round counts ``at``, after ``rounds`` rounds."""
+    i = bisect_right(at, rounds)
+    return counts[i - 1] if i else 0
+
+
+# the current seed's runs by key, least recently read first (see memo_cut)
+_MEMO: dict = {}
+
+
+def memo_cut(seed, n0: int, num_channels: int, dcf, picks, budget: int) -> tuple:
+    """(run, cut): the memo's ContentionRun of this key, stepped through
+    ``budget``, and its cut there.
+
+    The memo holds the current seed's runs only: a new seed's first run
+    drops the others.  Over MEMO_VALUES entries (ContentionRun.values) it
+    drops the least recently read runs first, the one just read too when
+    it alone is over the cap.
+    """
+    draw_picks = num_channels > 1 and picks is None
+    key = (
+        seed, n0, num_channels, dcf.w_min, dcf.w_max, dcf.max_backoff_stage, draw_picks,
+        None if picks is None else picks.tobytes(),
+    )
+    run = _MEMO.pop(key, None)  # a step that raises leaves the run out
+    if run is None:
+        for other in [k for k in _MEMO if k[0] != seed]:
+            del _MEMO[other]
+        run = ContentionRun(seed, n0, num_channels, dcf, picks)
+    cut = run.through(budget)
+    _MEMO[key] = run
+    held = sum(r.values for r in _MEMO.values())
+    while held > MEMO_VALUES:
+        held -= _MEMO.pop(next(iter(_MEMO))).values
+    return run, cut
+
+
+def _run_contention(
+    scenario, channels, alloc, contenders, start_s, budget_s, seed, events, served, bits
+):
+    """Round-paced DCF with BS-gated grants: the contention run of
+    ``seed`` over the sorted ``contenders``, cut at the frame's round
+    budget.
+
+    An unrecorded frame reads the run from the memo (memo_cut); with
+    ``events`` (a list, else None) the frame steps a fresh run outside the
+    memo that logs its events, and appends the rounds' TraceEvents.  Maps
+    the run's positions to the contender ids and its grants to their
+    best_surfaces rates, marks the granted contenders in ``served`` and
+    adds their bits to ``bits``.  Returns (rounds, collisions,
+    grant_shortfall, contenders_left, bits), ``bits`` summed over the
+    grants round by round in grant order.
     """
     radio, dcf = scenario.radio, scenario.dcf
     # channels are handled by their index into the sorted live subchannels
     live_channels = scenario.ris.subchannels
     num_channels = len(live_channels)
     ids = sorted(int(k) for k in contenders)
-    n = n0 = len(ids)
+    n0 = len(ids)
     if num_channels * n0 > LOW:
         raise ValueError(
             "a round key's low word holds index + n0 * pick: C * n0 = %d must be below 2^32"
             % (num_channels * n0)
         )
     t_r = dcfmod.handshake_time(dcf)
-    rts_s = dcf.rts_bytes * 8 / dcf.control_rate_bps
-    cts_s = dcf.cts_bytes * 8 / dcf.control_rate_bps
-
-    # per-frame state, indexed like the sorted contender ids: each one's
-    # backoff stage, its span W_s * C_s (W_s when the picks are fixed), and
-    # its key term, its index plus n0 times its pick when fixed;
-    # ``remaining`` holds the positions of the contenders left in ``ids``
-    remaining = list(range(n))
-    stage = [0] * n
-    top = dcf.max_backoff_stage
-    up = list(range(1, top + 1)) + [top]  # the stage a collision moves each stage to
-    draw_picks = num_channels > 1 and not scenario.csi_best_channel
-    per_counter = num_channels if draw_picks else 1  # values of v per counter
-    spans = [w * per_counter for w in window_table(dcf)]
-    span = np.full(n, spans[0], dtype=np.int64)
-    term = np.arange(n, dtype=np.int64)
-    tape = WordTape(rng)
-    # a round reads at most n + 2 C - 1 words: its n draws, k - 1 for the
-    # shuffle of its k <= C occupied channels and one re-draw per grant
-    reach = 2 * num_channels
     rounds_budget = int(math.floor(budget_s / t_r + 1e-9))
-    # the recursion's serves per round, stepped no further than the budget;
-    # past its end it serves no one
-    paced = dcfmod.service_schedule(n, num_channels, dcf.w_min, top).through(rounds_budget)
-    paced_rounds = len(paced)
     # every rate a grant can read: each contender's best surface and its
     # rate on each channel, by position
     surface_on, rate_on = opt.best_surfaces(
         channels, ids, scenario.ris.surfaces_by_subchannel, alloc.rho_sq_w[ids],
         radio.noise_w, radio.subchannel_bw_hz,
     )
-    if scenario.csi_best_channel:
-        # csi_best_channel picks, fixed before the first round
-        term += n0 * np.argmax(rate_on, axis=1)
-    surface_on, rate_on = surface_on.tolist(), rate_on.tolist()
-
-    rounds = collisions = grant_shortfall = owed = 0
-    bits_sum = 0.0
-    won, gains = [], []  # every grant's contender id and bits, in grant order
-    words, pos = tape.words, 0
-    while n and rounds < rounds_budget:
-        if rounds < paced_rounds:
-            owed += paced[rounds]
-        if pos + n + reach > len(words):
-            words, pos = tape.refill(pos, n + reach), 0
-        # the key (v << 32) | term with v = (w * span) >> 32, below 2^52 by
-        # validate_scenario's span cap of 2^20; the product stays unsorted
-        # for the re-draw and the trace's counters
-        product = words[pos:pos + n] * span
-        pos += n
-        keys = product & _HIGH
-        keys |= term
-
-        occupied, lead, collided, tied = resolve_round(keys, num_channels, n0, per_counter)
-        for i in tied:
-            s = stage[i] = up[stage[i]]
-            span[i] = spans[s]
-        collisions += sum(collided)
-        if events is not None:
-            t_rts = start_s + rounds * t_r + dcf.difs_s
-            for c, i, tie in zip(occupied, lead, collided):
-                if tie:
-                    events.append(TraceEvent(
-                        t_rts, "collision", -1, live_channels[c], -1,
-                        float((product.item(i) >> 32) // per_counter),
-                    ))
-
-        # serves the recursion asked for beyond the occupied channels carry
-        # over to the next round
-        k = len(occupied)
-        grants = min(owed, k)
-        owed -= grants
-        grant_shortfall += owed
-        rounds += 1
-        if not grants and events is None:
-            pos += k - 1  # no grant and no trace reads the order: skip its words
-            continue
-        # the grant order: a Fisher-Yates shuffle of the occupied channels
-        grant_order = list(range(k))
-        for g in range(k - 1, 0, -1):
-            j = (words.item(pos) * (g + 1)) >> 32
-            pos += 1
-            grant_order[g], grant_order[j] = grant_order[j], grant_order[g]
-        granted = []
-        for g in grant_order[:grants]:
-            c, i = occupied[g], lead[g]
-            if collided[g]:
-                # post-collision re-draw inside the round settles on one
-                # of the channel's contenders, in ascending index order
-                pick = (product >> 32) % num_channels if draw_picks else term // n0
-                here = np.flatnonzero(pick == c)
-                i = int(here[(words.item(pos) * here.size) >> 32])
-                pos += 1
-            p = remaining[i]
-            user, m_star = ids[p], surface_on[p][c]
-            delivered = dcf.payload_time_s * rate_on[p][c]
-            won.append(user)
-            gains.append(delivered)
-            bits_sum += delivered
-            granted.append(i)
-            if events is not None:
-                ch = live_channels[c]
+    # csi_best_channel picks, fixed before the first round
+    picks = np.argmax(rate_on, axis=1) if scenario.csi_best_channel and num_channels > 1 else None
+    if events is None:
+        run, (rounds, collisions, shortfall, grants) = memo_cut(
+            seed, n0, num_channels, dcf, picks, rounds_budget
+        )
+    else:
+        run = ContentionRun(seed, n0, num_channels, dcf, picks, log_events=True)
+        rounds, collisions, shortfall, grants = run.through(rounds_budget)
+    # every grant's position, channel and bits, in grant order; the bits
+    # are summed in that order (np.cumsum adds left to right)
+    granted = np.array(run.won[:grants], dtype=np.int64)
+    gains = dcf.payload_time_s * rate_on[granted, np.array(run.won_on[:grants], dtype=np.int64)]
+    bits_sum = float(np.cumsum(gains)[-1]) if grants else 0.0
+    won = np.asarray(ids)[granted]
+    if events is not None:
+        rts_s = dcf.rts_bytes * 8 / dcf.control_rate_bps
+        cts_s = dcf.cts_bytes * 8 / dcf.control_rate_bps
+        delivered = iter(gains.tolist())
+        for r, kind, p, c, counter in run.events:
+            t_rts = start_s + (r - 1) * t_r + dcf.difs_s
+            ch = live_channels[c]
+            if kind == "collision":
+                events.append(TraceEvent(t_rts, "collision", -1, ch, -1, float(counter)))
+            elif kind == "rts":
+                events.append(TraceEvent(t_rts, "rts", ids[p], ch, -1, float(counter)))
+            else:
+                user, m_star = ids[p], surface_on.item(p, c)
                 t_cts = t_rts + rts_s + dcf.sifs_s
                 t_data = t_cts + cts_s + dcf.sifs_s
-                events.append(TraceEvent(
-                    t_rts, "rts", user, ch, m_star, float((product.item(i) >> 32) // per_counter)
-                ))
+                events.append(TraceEvent(t_rts, "rts", user, ch, m_star, float(counter)))
                 events.append(TraceEvent(t_cts, "cts", user, ch, m_star))
-                events.append(TraceEvent(t_data, "data", user, ch, m_star, delivered))
-        if events is not None:
-            # candidates that expired without a grant sent an RTS the BS ignored
-            for g in grant_order[grants:]:
-                if not collided[g]:
-                    i = lead[g]
-                    events.append(TraceEvent(
-                        t_rts, "rts", ids[remaining[i]], live_channels[occupied[g]], -1,
-                        float((product.item(i) >> 32) // per_counter),
-                    ))
-        if granted:
-            # drop the granted entries by moving each kept stretch of the
-            # spans and terms down in place; a term moved d places loses d,
-            # so it stays index plus n0 times the pick (drawn picks leave the
-            # terms equal to the indices, which the move would not change)
-            granted.sort()
-            for i in reversed(granted):
-                del remaining[i], stage[i]
-            for d, (i, j) in enumerate(zip(granted, granted[1:] + [n]), 1):
-                span[i + 1 - d:j - d] = span[i + 1:j]
-                if not draw_picks:
-                    term[i + 1 - d:j - d] = term[i + 1:j] - d
-            n = len(remaining)
-            span, term = span[:n], term[:n]
+                events.append(TraceEvent(t_data, "data", user, ch, m_star, next(delivered)))
     # each contender is granted at most once, so no id repeats in ``won``
     served[won] = True
     bits[won] += gains
-    return rounds, collisions, grant_shortfall, n, bits_sum
+    return rounds, collisions, shortfall, n0 - grants, bits_sum
 
 
 def measure_fairness(trace: FrameTrace) -> dict:

@@ -35,6 +35,14 @@ def small_scenario(
     return dataclasses.replace(s, radio=radio)
 
 
+@pytest.fixture(autouse=True)
+def empty_contention_memo():
+    """Start every test with the process's contention memo empty, so no
+    test reads a run that an earlier one stepped (or stepped under a
+    patched recursion)."""
+    sim._MEMO.clear()
+
+
 @pytest.fixture
 def fresh_schedules():
     """Empty the process's one cache of service schedules before and after

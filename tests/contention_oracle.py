@@ -1,7 +1,9 @@
 """The round loop of the contention engine as it stood before the one-sort
 resolution, kept as the reference that test_contention_oracle compares
-the engine against.  Its one addition since is the fifth return value, the
-contended bits summed in grant order, which run_frame reads.  Its
+the engine against.  Its additions since are two: the fifth return value,
+the contended bits summed in grant order, which run_frame reads, and the
+seed in place of the Generator at position 6, since run_frame passes the
+frame's seed and the loop builds its fresh Generator itself.  Its
 deliberate edits are two.  The pacing: a round's quota is the cumulative
 service of a fresh, uncached dcf.ServiceSchedule less the users granted so
 far, so serves the recursion asked for beyond the occupied channels carry
@@ -73,14 +75,16 @@ def resolve_backoff(counters: np.ndarray) -> tuple:
 
 
 def _run_contention(
-    scenario, channels, alloc, contenders, start_s, budget_s, rng, events, served, bits
+    scenario, channels, alloc, contenders, start_s, budget_s, seed, events, served, bits
 ):
-    """Round-paced DCF with BS-gated grants.
+    """Round-paced DCF with BS-gated grants, drawing from a fresh PCG64
+    Generator of ``seed``.
 
     Returns (rounds, collisions, grant_shortfall, contenders_left, bits),
     ``bits`` summed over the grants in grant order, round by round.
     """
     radio, dcf = scenario.radio, scenario.dcf
+    rng = np.random.default_rng(seed)
     t_r = dcfmod.handshake_time(dcf)
     rts_s = dcf.rts_bytes * 8 / dcf.control_rate_bps
     cts_s = dcf.cts_bytes * 8 / dcf.control_rate_bps

@@ -2,22 +2,27 @@
 analytic consistency of the scheduled path, and the contention pacing."""
 
 import dataclasses
+import functools
 import os
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ris_mac import channel as chan
 from ris_mac import dcf as dcfmod
+from ris_mac import optimizer as opt
 from ris_mac import simulator as sim
-from ris_mac.experiments import plan_cell, run_cell
+from ris_mac.experiments import parse_sweep, plan_cell, run_cell, run_experiment
 from ris_mac.optimizer import joint_optimize, retime
 from ris_mac.scenario import (
     CLASS_MOBILE,
     CLASS_NEW,
     CLASS_STATIC,
     DcfParams,
+    RadioParams,
     classify_users,
     default_scenario,
     load_scenario,
@@ -574,6 +579,182 @@ class TestPacing:
         # the scheme 2 frames end before the all-users recursion does
         assert steps[everyone] < full(everyone)
 
+
+@functools.lru_cache(maxsize=None)
+def contention_network(num_channels, stage, csi, total_users, draw_seed):
+    """(scenario, channels): ``total_users`` on ``num_channels`` subchannels
+    with one 4-element surface each, windows 2^s (w_min = 1) up to
+    ``max_backoff_stage = stage``, drawn at ``draw_seed``."""
+    dcf = DcfParams(w_min=1, w_max=2**stage, max_backoff_stage=stage)
+    radio = RadioParams(num_subchannels=num_channels, rate_min_bps=1e4)
+    s = default_scenario(
+        total_users=total_users, num_ris=num_channels, elements_per_ris=4, seed=3,
+        radio=radio, dcf=dcf,
+    )
+    s = dataclasses.replace(s, csi_best_channel=csi)
+    return s, chan.draw_channels(s, draw_seed)
+
+
+def scheme2_frame(scenario, channels, seed, budget):
+    """An unrecorded scheme2 frame of ``seed`` whose contended period holds
+    ``budget`` rounds."""
+    frame, alloc = sim.plan_scheme2(scenario, budget * dcfmod.handshake_time(scenario.dcf))
+    return sim.run_frame(scenario, channels, frame, alloc, "scheme2", seed)
+
+
+def frame_bytes(trace) -> tuple:
+    """Everything a contended frame returns: its tally, S_c and S_o, and the
+    bytes of ``served`` and ``bits``."""
+    return (
+        trace.n_r_measured, trace.collisions, trace.grant_shortfall, trace.contenders_left,
+        trace.throughput_contended_bps, trace.throughput_overall_bps,
+        trace.served.tobytes(), trace.bits.tobytes(),
+    )
+
+
+def fresh_frame(scenario, channels, seed, budget):
+    """The same frame from a run stepped from round 0 outside the memo."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sim, "_MEMO", {})
+        return scheme2_frame(scenario, channels, seed, budget)
+
+
+def assert_memo_matches_fresh(networks, seeds, budgets):
+    """Every frame of every network, seed and budget, in that nesting and
+    order, read through the process memo equals a fresh unshared run."""
+    for seed in seeds:
+        for budget in budgets:
+            for scenario, channels in networks:
+                shared = scheme2_frame(scenario, channels, seed, budget)
+                fresh = fresh_frame(scenario, channels, seed, budget)
+                assert frame_bytes(shared) == frame_bytes(fresh), (seed, budget)
+                assert sum(run.values for run in sim._MEMO.values()) <= sim.MEMO_VALUES
+
+
+def ordered(budgets, order):
+    """``budgets`` ascending, descending, or ascending with each one read twice."""
+    up = sorted(budgets)
+    return {"ascending": up, "descending": up[::-1], "repeated": [b for b in up for _ in (0, 1)]}[
+        order
+    ]
+
+
+class TestContentionMemo:
+    # a sweep's frames read one contention run per key through a process
+    # memo, each cut at its own round budget; every frame must be the bytes
+    # of a run stepped from round 0 for it alone
+
+    @given(
+        num_channels=st.sampled_from([1, 2, 3]),
+        stage=st.integers(0, 7),
+        csi=st.booleans(),
+        total_users=st.integers(2, 16),
+        budgets=st.lists(st.integers(1, 160), min_size=1, max_size=3, unique=True),
+        order=st.sampled_from(["ascending", "descending", "repeated"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_memoized_frames_equal_fresh_runs(
+        self, num_channels, stage, csi, total_users, budgets, order
+    ):
+        # two realizations share every key part but the csi picks, and the
+        # seeds interleave, so a run read by the wrong frame shows
+        networks = [
+            contention_network(num_channels, stage, csi, total_users, draw_seed)
+            for draw_seed in (1, 2)
+        ]
+        sim._MEMO.clear()
+        assert_memo_matches_fresh(networks, (3, 4, 3), ordered(budgets, order))
+
+    def test_guard_heavy_frames_equal_fresh_runs(self):
+        # one channel and w_min = 1: the floor stalls and the starvation
+        # guard serves most of the 40 contenders over about 2,000 rounds
+        s, channels = contention_network(1, 0, False, 40, 1)
+        schedule = dcfmod.service_schedule(40, 1, 1, 0)
+        assert len(schedule.through()) == 1990 and len(schedule.forced) == 39
+        assert_memo_matches_fresh([(s, channels)], (3, 4, 3), [1990, 700, 2500, 50])
+        assert scheme2_frame(s, channels, 3, 2500).served.all()
+
+    def test_shortfall_frames_equal_fresh_runs(self):
+        # every contender picks subchannel 0 by CSI while the guard asks for
+        # two serves a round: shortfall carries across the cuts
+        s, ch, frame, alloc, n_r = guard_shortfall_cell(6)
+        full = sim.run_frame(s, ch, frame, alloc, "scheme2", 22)
+        assert full.grant_shortfall > 0 and full.served.all()
+        assert_memo_matches_fresh([(s, ch)], (22, 4, 22), [n_r + 1, n_r // 2, 40, n_r + 1])
+
+    def test_key_holds_w_min_and_the_picks(self):
+        # frames of one seed and size whose windows differ only in w_min, or
+        # whose csi picks differ, each read their own run
+        s, channels = contention_network(2, 3, False, 12, 1)
+        wider = dataclasses.replace(s, dcf=dataclasses.replace(s.dcf, w_min=2))
+        assert (s.dcf.w_min, s.dcf.w_max) == (1, wider.dcf.w_max)
+        assert_memo_matches_fresh([(s, channels), (wider, channels)], (5,), [300, 20])
+        picks = [contention_network(3, 2, True, 12, draw_seed) for draw_seed in (1, 2, 3)]
+        assert len({
+            np.argmax(opt.best_surfaces(
+                ch, range(12), net.ris.surfaces_by_subchannel, net.radio.tx_power_mobile_w,
+                net.radio.noise_w, net.radio.subchannel_bw_hz,
+            )[1], axis=1).tobytes()
+            for net, ch in picks
+        }) == 3
+        assert_memo_matches_fresh(picks, (5,), [300, 20])
+
+    @pytest.mark.parametrize("cap", ["zero", "one run"])
+    def test_capped_memo_writes_the_same_rows(self, cap, monkeypatch):
+        template = small_scenario(total_users=40, seed=6)
+        sweeps = [
+            (template, parse_sweep("users=20:40:10"), ("proposed", "scheme2")),
+            (template, parse_sweep("beta-alpha=4:8:2"), ("proposed",)),
+        ]
+        want = [run_experiment(t, sw, (1, 2, 3), modes) for t, sw, modes in sweeps]
+        largest = max(run.values for run in sim._MEMO.values())
+        monkeypatch.setattr(sim, "MEMO_VALUES", 0 if cap == "zero" else largest)
+        held = []
+        memo_cut = sim.memo_cut
+
+        def spy(*args):
+            found = memo_cut(*args)
+            held.append(sum(run.values for run in sim._MEMO.values()))
+            return found
+
+        monkeypatch.setattr(sim, "memo_cut", spy)
+        sim._MEMO.clear()
+        got = [run_experiment(t, sw, (1, 2, 3), modes) for t, sw, modes in sweeps]
+        assert repr(got) == repr(want)  # float repr is exact, and NaN-safe
+        assert held and max(held) <= sim.MEMO_VALUES
+        if cap == "zero":
+            assert not sim._MEMO
+
+    def test_a_split_sweep_steps_each_round_once(self, monkeypatch):
+        # every split value of a seed cuts one run: the rounds stepped are
+        # those of the longest budget, not the sum over the values
+        template = small_scenario(total_users=40, seed=6)
+        stepped = []
+        resolve_round = sim.resolve_round
+
+        def counted(*args):
+            stepped.append(1)
+            return resolve_round(*args)
+
+        monkeypatch.setattr(sim, "resolve_round", counted)
+        rows = run_experiment(template, parse_sweep("beta-alpha=2:8:1"), (1,))
+        read = sum(row["n_r_measured"] for row in rows)
+        assert len(stepped) == max(row["n_r_measured"] for row in rows) < read
+
+    def test_recorded_frame_neither_reads_nor_grows_the_memo(self, monkeypatch):
+        s, channels = contention_network(2, 3, False, 12, 1)
+        quiet = scheme2_frame(s, channels, 5, 300)
+        memo = dict(sim._MEMO)
+        values = {key: run.values for key, run in memo.items()}
+
+        def no_memo(*args):
+            raise AssertionError("a recorded frame read the memo")
+
+        monkeypatch.setattr(sim, "memo_cut", no_memo)
+        frame, alloc = sim.plan_scheme2(s, 300 * dcfmod.handshake_time(s.dcf))
+        traced = sim.run_frame(s, channels, frame, alloc, "scheme2", 5, record=True)
+        assert frame_bytes(traced) == frame_bytes(quiet)
+        assert sim._MEMO == memo and {k: r.values for k, r in sim._MEMO.items()} == values
 
 def old_period_lengths(frame, mode):
     """(scheduled length, contention offset, contention budget) as run_frame
