@@ -294,7 +294,7 @@ def aligned_rate_matrix(
 
     tx_power_w may be scalar or one entry per listed user.
     """
-    ids = np.asarray(list(user_ids), dtype=int)
+    ids = np.asarray(user_ids, dtype=int)
     p = np.broadcast_to(np.asarray(tx_power_w, dtype=float), ids.shape)
     return aligned_rates(channels.aligned_amplitude[ids], p[:, None], noise_w, subchannel_bw_hz)
 

@@ -105,12 +105,13 @@ def parse_seeds(spec: str) -> list:
 
 def parse_modes(spec: str) -> tuple:
     """``--modes``: a comma list of MAC modes; argparse reports an unknown
-    mode or no mode as a usage error, before any channel draw."""
+    mode, a repeated one or no mode as a usage error, before any channel
+    draw."""
     modes = tuple(m.strip() for m in spec.split(",") if m.strip())
     unknown = [m for m in modes if m not in sim.MODES]
-    if unknown or not modes:
+    if unknown or not modes or len(set(modes)) < len(modes):
         raise argparse.ArgumentTypeError(
-            "need modes from %s, got %r" % (", ".join(sim.MODES), spec)
+            "need distinct modes from %s, got %r" % (", ".join(sim.MODES), spec)
         )
     return modes
 

@@ -271,6 +271,9 @@ def run_experiment(template: Scenario, sweep: SweepSpec, seeds, modes=("proposed
         # a repeated seed would be averaged as a second realization
         raise ValueError("need at least one seed, and no seed twice: %r" % seeds)
     modes = tuple(modes)
+    if len(set(modes)) < len(modes):
+        # a repeated mode would write its rows twice
+        raise ValueError("no mode twice: %r" % (modes,))
     if sweep.axis == "beta-alpha":
         groups = [tuple(sweep.values)]
     else:

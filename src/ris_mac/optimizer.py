@@ -131,34 +131,45 @@ def check_allocation(
     which also bounds every subchannel's load by J.
     """
     bad = []
-    ris_of = alloc.ris_of_user
+    ris_of, slot_of = alloc.ris_of_user, alloc.slot_of_user
     num_ris = len(subchannel_of_ris)
-    for k in static_ids:
-        if not 0 <= ris_of[k] < num_ris:
+    static = np.asarray(static_ids, dtype=int)
+    s_ris, s_slot = ris_of[static], slot_of[static]
+    off_ris = (s_ris < 0) | (s_ris >= num_ris)
+    off_slot = (s_slot < 0) | (s_slot >= num_slots)
+    for i in np.flatnonzero(off_ris | off_slot).tolist():
+        k = static_ids[i]
+        if off_ris[i]:
             bad.append(
-                "static user %d holds RIS %d, not one of 0..%d" % (k, ris_of[k], num_ris - 1)
+                "static user %d holds RIS %d, not one of 0..%d" % (k, s_ris[i], num_ris - 1)
             )
-        if alloc.slot_of_user[k] < 0 or alloc.slot_of_user[k] >= num_slots:
+        if off_slot[i]:
             bad.append("static user %d must hold exactly one data slot" % k)
-    for k in mobile_ids:
-        if ris_of[k] != -1 and not 0 <= ris_of[k] < num_ris:
-            bad.append(
-                "mobile user %d holds RIS %d, not -1 or one of 0..%d" % (k, ris_of[k], num_ris - 1)
-            )
-    holder = {}
-    for k in static_ids:
-        if 0 <= ris_of[k] < num_ris:
-            pair = (subchannel_of_ris[ris_of[k]], int(alloc.slot_of_user[k]))
-            if pair in holder:
-                bad.append(
-                    "subchannel %d slot %d held by users %d and %d" % (pair + (holder[pair], k))
-                )
-            else:
-                holder[pair] = k
-    if static_ids:
+    mobile = np.asarray(mobile_ids, dtype=int)
+    m_ris = ris_of[mobile]
+    for i in np.flatnonzero((m_ris != -1) & ((m_ris < 0) | (m_ris >= num_ris))).tolist():
+        bad.append(
+            "mobile user %d holds RIS %d, not -1 or one of 0..%d"
+            % (mobile_ids[i], m_ris[i], num_ris - 1)
+        )
+    # the (subchannel, slot) pair of each static user on a surface as one
+    # key, and the listed position of the pair's first holder (np.unique's
+    # return_index is the first occurrence)
+    on = np.flatnonzero(~off_ris)
+    sub, slot = np.asarray(subchannel_of_ris, dtype=int)[s_ris[on]], s_slot[on]
+    low = slot.min(initial=0)
+    span = slot.max(initial=0) - low + 1
+    _, first_of, pair = np.unique(sub * span + slot - low, return_index=True, return_inverse=True)
+    first = first_of[pair]
+    for j in np.flatnonzero(first != np.arange(on.size)).tolist():
+        bad.append(
+            "subchannel %d slot %d held by users %d and %d"
+            % (sub[j], slot[j], static_ids[on[first[j]]], static_ids[on[j]])
+        )
+    if static.size:
         # water-filled powers may sum an ulp or two of P over it, and above
         # about 4.5 kW one ulp of P exceeds an absolute 1e-12 W
-        total = float(alloc.rho_sq_w[np.asarray(static_ids, dtype=int)].sum())
+        total = float(alloc.rho_sq_w[static].sum())
         if total > p_max_w + POWER_TOL * max(1.0, p_max_w):
             bad.append("static power budget exceeded: %.6g > %.6g" % (total, p_max_w))
     return bad
@@ -235,22 +246,23 @@ def allocate_power(
     n = c.size
     if n == 0:
         return np.zeros(0)
-    ids = list(user_ids) if user_ids is not None else list(range(n))
     # the bits of rate_floor_power (tests/oracles.py) from one IEEE division;
     # a gain <= 0 gets inf, warning-free
     need = 2.0 ** (rate_min_bps / bw_hz) - 1.0
     floors = np.divide(need, c, out=np.full(n, math.inf), where=c > 0)
     worst = int(np.argmax(floors))
-    if floors[worst] > p_max_w + POWER_TOL:
-        raise InfeasibleError(
-            "rate floor infeasible for user %s: needs %.6g W, budget %.6g W"
-            % (ids[worst], floors[worst], p_max_w)
-        )
     total = floors.sum()
+    # a floor over the budget is >= 0, so the sum of the floors is over it too
     if total > p_max_w + POWER_TOL:
+        user = worst if user_ids is None else list(user_ids)[worst]
+        if floors[worst] > p_max_w + POWER_TOL:
+            raise InfeasibleError(
+                "rate floor infeasible for user %s: needs %.6g W, budget %.6g W"
+                % (user, floors[worst], p_max_w)
+            )
         raise InfeasibleError(
             "rate floors sum to %.6g W, exceeding the %.6g W budget (binding user %s)"
-            % (total, p_max_w, ids[worst])
+            % (total, p_max_w, user)
         )
 
     inv_c = 1.0 / c
@@ -325,26 +337,30 @@ def _repair_overfull(rates: np.ndarray, col_of: np.ndarray, load: list, cap: int
 
     heaps[a][b] holds (R[u, a] - R[u, b], u) for users u that were on
     column a when pushed; entries of users that have since left a are
-    dropped lazily when they reach the top.
+    dropped lazily when they reach the top.  A heap is built when
+    Bellman-Ford first reads its column pair, as the sorted list of the
+    users then on a (one stable argsort of their losses, ties by id), and
+    from then on takes a push for each user that moves onto a.  Its top is
+    the least (loss, user) among the users on a, as if it had been built
+    at the start and pushed every move, since entries of users that left
+    are skipped.
     """
     m = len(load)
     heaps = [[None] * m for _ in range(m)]
-    for a in range(m):
-        on_a = np.flatnonzero(col_of == a)
-        for b in range(m):
-            if b != a:
-                loss = rates[on_a, a] - rates[on_a, b]
-                heaps[a][b] = sorted(zip(loss.tolist(), on_a.tolist()))
 
     def cheapest(a, b):
         heap = heaps[a][b]
+        if heap is None:
+            on_a = np.flatnonzero(col_of == a)
+            loss = rates[on_a, a] - rates[on_a, b]
+            order = np.argsort(loss, kind="stable")
+            heap = heaps[a][b] = list(zip(loss[order].tolist(), on_a[order].tolist()))
         while heap and col_of[heap[0][1]] != a:
             heapq.heappop(heap)
         return heap[0] if heap else None
 
     excess = sum(n - cap for n in load if n > cap)
     for _ in range(excess):
-        top = [[cheapest(a, b) if b != a else None for b in range(m)] for a in range(m)]
         # Bellman-Ford from every over-full column at once; paths kept simple
         dist = [0.0 if n > cap else math.inf for n in load]
         path = [[a] for a in range(m)]
@@ -353,18 +369,20 @@ def _repair_overfull(rates: np.ndarray, col_of: np.ndarray, load: list, cap: int
                 if dist[a] == math.inf:
                     continue
                 for b in range(m):
-                    hop = top[a][b]
-                    if hop is not None and dist[a] + hop[0] < dist[b] and b not in path[a]:
+                    if b in path[a]:
+                        continue
+                    hop = cheapest(a, b)
+                    if hop is not None and dist[a] + hop[0] < dist[b]:
                         dist[b] = dist[a] + hop[0]
                         path[b] = path[a] + [b]
         sink = min((b for b in range(m) if load[b] < cap), key=lambda b: dist[b])
         hops = list(zip(path[sink], path[sink][1:]))
-        movers = [top[a][b][1] for a, b in hops]
+        movers = [cheapest(a, b)[1] for a, b in hops]
         for (_, b), u in zip(hops, movers):
             col_of[u] = b
-            for c in range(m):
-                if c != b:
-                    heapq.heappush(heaps[b][c], (rates[u, b] - rates[u, c], u))
+            for c, heap in enumerate(heaps[b]):
+                if heap is not None:
+                    heapq.heappush(heap, (rates.item(u, b) - rates.item(u, c), u))
         load[path[sink][0]] -= 1
         load[sink] += 1
 

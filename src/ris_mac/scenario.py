@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -92,6 +93,11 @@ class DcfParams:
     slot_time_s: float = 20e-6
 
 
+CLASS_STATIC = 0
+CLASS_MOBILE = 1
+CLASS_NEW = 2
+
+
 @dataclass(frozen=True)
 class UserPopulation:
     """Existing users (with mobility flags) plus this frame's new arrivals.
@@ -112,6 +118,29 @@ class UserPopulation:
     @property
     def num_static(self) -> int:
         return int(sum(self.mobility_flags))
+
+    @cached_property
+    def classes(self) -> np.ndarray:
+        """Each user's class by id (see user_classes), built once per
+        population and read-only.  It is not a field, so equality, to_dict
+        and scenario files leave it out; a pickle carries it, and
+        dataclasses.replace builds a new population that rebuilds it."""
+        if len(self.mobility_flags) != self.num_existing:
+            raise ValueError(
+                "mobility_flags length %d != num_existing %d"
+                % (len(self.mobility_flags), self.num_existing)
+            )
+        cls = np.full(self.num_total, CLASS_NEW, dtype=int)
+        static = np.array(self.mobility_flags) == 1
+        cls[: static.size] = np.where(static, CLASS_STATIC, CLASS_MOBILE)
+        cls.flags.writeable = False
+        return cls
+
+    def __setstate__(self, state: dict) -> None:
+        # a numpy pickle below protocol 5 loads a writeable array
+        self.__dict__.update(state)
+        if "classes" in state:
+            state["classes"].flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -196,24 +225,12 @@ class ValidationReport:
         return "\n".join(self.violations)
 
 
-CLASS_STATIC = 0
-CLASS_MOBILE = 1
-CLASS_NEW = 2
-
-
 def user_classes(pop: UserPopulation) -> np.ndarray:
     """Each user's class, by id: an existing user is static (flag 1) or
     mobile, and the new arrivals, which take the ids after the existing
-    block, are new."""
-    if len(pop.mobility_flags) != pop.num_existing:
-        raise ValueError(
-            "mobility_flags length %d != num_existing %d"
-            % (len(pop.mobility_flags), pop.num_existing)
-        )
-    cls = np.full(pop.num_total, CLASS_NEW, dtype=int)
-    static = np.array(pop.mobility_flags) == 1
-    cls[: static.size] = np.where(static, CLASS_STATIC, CLASS_MOBILE)
-    return cls
+    block, are new.  The population's read-only class vector
+    (UserPopulation.classes), built on first read."""
+    return pop.classes
 
 
 def classify_users(pop: UserPopulation) -> tuple:

@@ -5,8 +5,13 @@ The scheduled period is deterministic given the allocation: each scheduled
 user transmits through its assigned surface at the realization's cached
 aligned amplitude |r| + sum |h||g| (every element co-phased with the direct
 path; allocations carry only surface, slot and power), the same gain the
-optimizer and the contended grants read.  The contended period advances in
-rounds of one handshake time t_r each.
+optimizer and the contended grants read.  It is one pass of array
+operations with no per-user Python step: a stable argsort of the slots
+orders the scheduled users by (slot, ascending user), a mask drops the
+grants past the slots the period holds, one aligned_rates call gives the
+bits, and np.cumsum sums them left to right in that order (the oracle
+scheduled_period in tests/oracles.py is the per-user form).  The contended
+period advances in rounds of one handshake time t_r each.
 
 The contention draws follow one rule, on the frame's fresh PCG64 and no
 Generator call.  A word is the high 32 bits of the next ``random_raw``
@@ -132,7 +137,6 @@ from .scenario import (
     CLASS_NEW,
     CLASS_STATIC,
     Scenario,
-    classify_users,
     user_classes,
 )
 
@@ -306,9 +310,9 @@ def run_frame(
     pop = scenario.population
     n_users = pop.num_total
     cls = user_classes(pop)
-    slot_of, ris_of = alloc.slot_of_user.tolist(), alloc.ris_of_user.tolist()
-    holds_slot = alloc.slot_of_user >= 0
-    scheduled = np.flatnonzero(holds_slot).tolist()
+    slot = alloc.slot_of_user
+    holds_slot = slot >= 0
+    scheduled = np.flatnonzero(holds_slot)
     contenders = np.flatnonzero(~holds_slot).tolist() if frame.contended_s > 0 else []
 
     events: list = []
@@ -326,26 +330,27 @@ def run_frame(
     slots_available = int(math.floor(frame.scheduled_s / dcf.data_slot_s + 1e-9))
     grants_dropped = 0
     sched_bits = 0.0
-    if scheduled:
+    if scheduled.size:
         slot_s = dcf.data_slot_s
         # users are listed ascending, so the stable sort gives (slot, user) order
-        scheduled.sort(key=slot_of.__getitem__)
+        scheduled = scheduled[np.argsort(slot[scheduled], kind="stable")]
         # a grant past the slots the common transmission budget holds is dropped
-        granted = [k for k in scheduled if slot_of[k] < slots_available]
-        grants_dropped = len(scheduled) - len(granted)
-        surface = [ris_of[k] for k in granted]
-        gained = (slot_s * chan.aligned_rates(
+        granted = scheduled[slot[scheduled] < slots_available]
+        grants_dropped = scheduled.size - granted.size
+        surface = alloc.ris_of_user[granted]
+        gained = slot_s * chan.aligned_rates(
             channels.aligned_amplitude[granted, surface], alloc.rho_sq_w[granted],
             radio.noise_w, radio.subchannel_bw_hz,
-        )).tolist()
-        for delivered in gained:
-            sched_bits += delivered
+        )
+        if granted.size:
+            sched_bits = float(np.cumsum(gained)[-1])  # left to right, in grant order
         if record:
-            for k, m, delivered in zip(granted, surface, gained):
-                ch = scenario.ris.subchannel_of_ris[m]
-                t_slot = sched_start + slot_of[k] * slot_s
-                events.append(TraceEvent(t_slot, "slot-grant", k, ch, m))
-                events.append(TraceEvent(t_slot, "data", k, ch, m, delivered))
+            sub = scenario.ris.subchannel_of_ris
+            t_slot = (sched_start + slot[granted] * slot_s).tolist()
+            rows = zip(t_slot, granted.tolist(), surface.tolist(), gained.tolist())
+            for t, k, m, delivered in rows:
+                events.append(TraceEvent(t, "slot-grant", k, sub[m], m))
+                events.append(TraceEvent(t, "data", k, sub[m], m, delivered))
         # each user holds at most one slot, and a user with a slot never contends
         served[granted] = True
         bits[granted] = gained
@@ -717,14 +722,15 @@ def plan_scheme1(scenario, channels, t2_common: float) -> tuple:
     radio, dcf, comp = scenario.radio, scenario.dcf, scenario.compute
     pop = scenario.population
     k_exist = pop.num_existing
-    static_ids, _ = classify_users(pop)
     j1 = -(-k_exist // len(scenario.ris.subchannels))
 
     alloc = opt.empty_allocation(pop.num_total)
+    # new users follow the existing block, so every static id is below k_exist
     is_static = user_classes(pop)[:k_exist] == CLASS_STATIC
-    rho = np.where(is_static, radio.p_max_w / max(len(static_ids), 1), radio.tx_power_mobile_w)
+    static_ids = np.flatnonzero(is_static)
+    rho = np.where(is_static, radio.p_max_w / max(static_ids.size, 1), radio.tx_power_mobile_w)
     ris_of, slot_of, _ = opt.centralized_ris_config(
-        channels, list(range(k_exist)), rho, radio.noise_w, radio.subchannel_bw_hz, j1,
+        channels, np.arange(k_exist), rho, radio.noise_w, radio.subchannel_bw_hz, j1,
         scenario.ris.surfaces_by_subchannel,
     )
     alloc.ris_of_user[:k_exist] = ris_of

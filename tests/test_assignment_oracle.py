@@ -6,6 +6,8 @@ optimum is unique for continuous rates, so the column maps must agree
 exactly; with ties only the objective is unique.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
@@ -14,6 +16,8 @@ from ris_mac import experiments as exp
 from ris_mac import optimizer as opt
 from ris_mac import simulator as sim
 from ris_mac.scenario import default_scenario
+
+import oracles
 
 
 def matching_reference(rates, num_slots):
@@ -111,3 +115,42 @@ def test_tie_heavy_instances_reach_the_optimum():
         _, ref_obj = matching_reference(rates, j)
         assert obj == pytest.approx(ref_obj, abs=1e-9)
         assert_slots_compact(col_of, slot_of, c, j)
+
+
+def tied_rates(rng, x, c):
+    """An x-by-c rate matrix with forced ties: rows drawn from a small pool
+    (duplicate rows), entries from a few values that include 0.0 and -0.0
+    (so losses of +0.0 and -0.0), and on some draws a copied column."""
+    kind = int(rng.integers(0, 3))
+    if kind == 0:
+        pool = rng.choice([-0.0, 0.0, 1.0, 2.0, 3.5], size=(int(rng.integers(1, 6)), c))
+    elif kind == 1:
+        pool = rng.uniform(0.5, 9.0, size=(int(rng.integers(1, 6)), c))
+    else:
+        pool = rng.choice([-0.0, 0.0, 0.25, 1.0], size=(x, c))
+    rates = pool[rng.integers(0, pool.shape[0], size=x)]
+    if c > 1 and rng.random() < 0.5:
+        a, b = rng.choice(c, size=2, replace=False)
+        rates[:, b] = rates[:, a]
+    return rates
+
+
+def test_repair_equals_the_eager_heap_oracle():
+    # the repair builds each column pair's heap when Bellman-Ford first
+    # reads it; the oracle builds them all up front. The triples must be
+    # identical, the objective's bits included, at tight caps J = ceil(X/C)
+    rng = np.random.default_rng(803)
+    repaired = 0
+    for trial in range(600):
+        c = int(rng.integers(1, 5))
+        x = int(rng.integers(1, 300 if trial % 10 == 0 else 60))
+        j = -(-x // c) + int(rng.integers(0, 4) == 0)
+        rates = tied_rates(rng, x, c)
+        col_of, slot_of, obj = opt.assign_ris_static(rates, j)
+        with mock.patch.object(opt, "_repair_overfull", oracles.repair_overfull):
+            ref_col, ref_slot, ref_obj = opt.assign_ris_static(rates, j)
+        assert np.array_equal(col_of, ref_col)
+        assert np.array_equal(slot_of, ref_slot)
+        assert np.float64(obj).tobytes() == np.float64(ref_obj).tobytes()
+        repaired += overfull_start(rates, j)
+    assert repaired > 300

@@ -211,7 +211,9 @@ class TestCommands:
         assert "error: argument --" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("modes", ["proposed,scheme3", ",", ""])
+    @pytest.mark.parametrize(
+        "modes", ["proposed,scheme3", ",", "", "proposed,proposed", "scheme1,proposed, scheme1"]
+    )
     def test_bad_modes_is_usage_error_before_any_draw(self, tmp_path, capsys, monkeypatch, modes):
         draws = []
 

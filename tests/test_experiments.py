@@ -143,3 +143,10 @@ def test_a_sweep_needs_distinct_seeds(seeds):
     # draw, so a row would claim more seeds than it has
     with pytest.raises(ValueError, match="no seed twice"):
         exp.run_experiment(small_scenario(total_users=8), exp.parse_sweep("point"), seeds)
+
+
+@pytest.mark.parametrize("modes", [("proposed", "proposed"), ("scheme1", "proposed", "scheme1")])
+def test_a_sweep_needs_distinct_modes(modes):
+    # a repeated mode would write each of its rows twice
+    with pytest.raises(ValueError, match="no mode twice"):
+        exp.run_experiment(small_scenario(total_users=8), exp.parse_sweep("point"), [1], modes)

@@ -621,6 +621,34 @@ class TestJointOptimize:
         )
         assert bad == want
 
+    def test_audit_equals_the_per_user_oracle(self):
+        # corrupted allocations: surfaces and slots in and out of range,
+        # pairs held by two and by three users, static users listed out of
+        # order, and budgets over and under the sum of the powers; the ids
+        # come as lists and as arrays
+        rng = np.random.default_rng(804)
+        flagged = 0
+        for _ in range(400):
+            n = int(rng.integers(0, 30))
+            num_ris, num_slots = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+            subchannel_of_ris = tuple(rng.integers(0, 3, size=num_ris).tolist())
+            alloc = opt.empty_allocation(n)
+            alloc.ris_of_user[:] = rng.integers(-2, num_ris + 2, size=n)
+            alloc.slot_of_user[:] = rng.integers(-2, num_slots + 2, size=n)
+            alloc.rho_sq_w[:] = rng.uniform(0.0, 0.3, size=n)
+            ids = rng.permutation(n).tolist()
+            cut = int(rng.integers(0, n + 1))
+            static_ids = ids[:cut] if rng.random() < 0.3 else sorted(ids[:cut])
+            mobile_ids = sorted(ids[cut:])
+            p_max = float(rng.uniform(0.5, 3.0))
+            args = (alloc, static_ids, mobile_ids, subchannel_of_ris, num_slots, p_max)
+            want = oracles.check_allocation(*args)
+            assert opt.check_allocation(*args) == want
+            as_arrays = (np.asarray(static_ids, dtype=int), np.asarray(mobile_ids, dtype=int))
+            assert opt.check_allocation(alloc, *as_arrays, *args[3:]) == want
+            flagged += len(want) > 0
+        assert flagged > 300
+
     @pytest.mark.parametrize("p_max", [1.0, 1e5])
     def test_audit_budget_tolerance_scales_with_the_budget(self, p_max):
         # 1e-9 * P over is reported at either budget; two ulps of P over,

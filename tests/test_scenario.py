@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -116,6 +117,61 @@ class TestUserClasses:
         static, mobile = classify_users(pop)
         assert (static, mobile) == (static_ids, mobile_ids)
         assert all(type(k) is int for k in static + mobile)
+
+    def test_built_once_per_population(self, monkeypatch):
+        # one scheme 1 and one proposed cell read the vector in the plan,
+        # the frames, the fairness tally and classify_users: one build
+        from ris_mac import simulator as sim
+        from ris_mac.experiments import plan_cell
+
+        prop = UserPopulation.__dict__["classes"]
+        build, built = prop.func, []
+        monkeypatch.setattr(prop, "func", lambda pop: built.append(pop) or build(pop))
+        s = default_scenario(total_users=40, elements_per_ris=8)
+        channels, plan = plan_cell(s, 2)
+        for mode in ("proposed", "scheme1"):
+            frame, alloc = sim.plan_mode(s, channels, plan, mode)
+            sim.measure_fairness(sim.run_frame(s, channels, frame, alloc, mode, 2))
+        classify_users(s.population)
+        assert len(built) == 1 and built[0] is s.population
+
+    def test_read_only_and_not_a_field(self, tmp_path):
+        s = default_scenario(total_users=20)
+        pop = s.population
+        unread = dataclasses.replace(pop)
+        cls = user_classes(pop)
+        assert user_classes(pop) is cls and pop.classes is cls
+        with pytest.raises(ValueError):
+            cls[0] = CLASS_NEW
+        # equality, to_dict and scenario files see the fields alone
+        assert pop == unread and "classes" not in unread.__dict__
+        assert set(s.to_dict()["population"]) == {
+            "num_existing", "num_new_mobile", "mobility_flags", "positions",
+        }
+        path = tmp_path / "s.json"
+        save_scenario(s, str(path))
+        assert "classes" not in path.read_text()
+        assert load_scenario(str(path)) == s
+
+    @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+    def test_survives_pickling_read_only(self, protocol):
+        pop = flagged_population((1, 0, 1, 1), 2)
+        cls = user_classes(pop)
+        back = pickle.loads(pickle.dumps(pop, protocol=protocol))
+        assert back == pop and "classes" in back.__dict__
+        assert np.array_equal(back.classes, cls)
+        with pytest.raises(ValueError):
+            back.classes[0] = CLASS_NEW
+
+    def test_rebuilt_after_replace(self):
+        pop = flagged_population((1, 0, 1), 1)
+        assert user_classes(pop).tolist() == [CLASS_STATIC, CLASS_MOBILE, CLASS_STATIC, CLASS_NEW]
+        flipped = dataclasses.replace(pop, mobility_flags=(0, 0, 1))
+        assert "classes" not in flipped.__dict__
+        assert user_classes(flipped).tolist() == [
+            CLASS_MOBILE, CLASS_MOBILE, CLASS_STATIC, CLASS_NEW,
+        ]
+        assert user_classes(pop).tolist() == [CLASS_STATIC, CLASS_MOBILE, CLASS_STATIC, CLASS_NEW]
 
 
 def rule_case(part, field, changes, message):

@@ -345,7 +345,56 @@ class TestWordTape:
             sim.WordTape(np.random.Generator(np.random.MT19937(1)))
 
 
+@functools.lru_cache(maxsize=None)
+def scheduled_network():
+    """16 users on 3 surfaces over 2 subchannels, so equal slots on
+    surfaces 0 and 1 are on different subchannels."""
+    s = small_scenario(total_users=16, num_ris=3, elements=4, seed=5)
+    return s, chan.draw_channels(s, 5)
+
+
+def float_bytes(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
 class TestScheduledPeriod:
+    @given(
+        data=st.data(),
+        num_slots=st.integers(min_value=1, max_value=4),
+        nobody=st.booleans(),
+        record=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_per_user_oracle(self, data, num_slots, nobody, record):
+        # slots run from -1 (not scheduled) to past the J the frame holds,
+        # so grants are dropped and slots repeat on one and on different
+        # subchannels; ``nobody`` schedules no user at all
+        s, ch = scheduled_network()
+        n, dcf = s.population.num_total, s.dcf
+        per_user = functools.partial(st.lists, min_size=n, max_size=n)
+        alloc = opt.empty_allocation(n)
+        alloc.slot_of_user[:] = -1 if nobody else data.draw(
+            per_user(st.integers(min_value=-1, max_value=num_slots + 2))
+        )
+        alloc.ris_of_user[:] = data.draw(per_user(st.integers(0, s.ris.num_ris - 1)))
+        alloc.rho_sq_w[:] = data.draw(per_user(st.floats(min_value=1e-4, max_value=1.0)))
+        frame = opt.FrameConfig(
+            t0_s=n * dcf.pilot_time_s, t1_s=1.7e-5, t2_s=num_slots * dcf.data_slot_s,
+            alpha=1.0, beta=0.0, num_slots=num_slots, data_slot_s=dcf.data_slot_s,
+        )
+        trace = sim.run_frame(s, ch, frame, alloc, "scheme1", 5, record=record)
+        served, bits, dropped, sched_bits, events = oracles.scheduled_period(
+            s, ch, frame, alloc, record
+        )
+        assert np.array_equal(trace.served, served)
+        assert trace.bits.tobytes() == bits.tobytes()
+        assert trace.grants_dropped == dropped
+        s_s = opt.throughput_from_bits(frame, sched_bits, 0.0)[0]
+        assert float_bytes(trace.throughput_scheduled_bps) == float_bytes(s_s)
+        if record:
+            got = [e for e in trace.events if e.kind in ("slot-grant", "data")]
+            assert repr(got) == repr(events)
+
     def test_no_mobile_users_means_no_rts(self):
         s = small_scenario(total_users=6, ratio=(1, 0, 0))
         _, _, _, _, trace = planned_frame(s, 1)
