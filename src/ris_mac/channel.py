@@ -126,7 +126,7 @@ class ChannelRealization:
 
     def __init__(self, g: np.ndarray, h: np.ndarray, r: np.ndarray):
         self.r = r
-        self.aligned_amplitude = np.abs(r)[:, None] + (np.abs(h) * np.abs(g)).sum(axis=2)
+        self.aligned_amplitude = _aligned_amplitude(r, np.abs(h) * np.abs(g))
         self._links = (g, h)
         self._source = None
 
@@ -152,6 +152,12 @@ class ChannelRealization:
         if self._links is None:
             self._links = _draw(*self._source, links=True)[2]
         return self._links
+
+
+def _aligned_amplitude(r: np.ndarray, products: np.ndarray) -> np.ndarray:
+    """|r_k| + sum_n |h_kmn||g_kmn| for each user k and surface m, from the
+    direct links r and the element products |h||g| of shape (U, M, N)."""
+    return np.abs(r)[:, None] + products.sum(axis=2)
 
 
 def _pathloss_power(dist_m, exponent: float, ref_db: float):
@@ -259,8 +265,7 @@ def _draw(scenario: Scenario, rng_seed: int, links: bool = False) -> tuple:
         _pathloss_power(d_direct, radio.pathloss_exp_nlos, radio.pathloss_ref_db)
     )
     r = amp_direct * np.sqrt(0.5) * (normals((n_users,)) + 1j * normals((n_users,)))
-    amplitude = np.abs(r)[:, None] + mags.reshape(size).sum(axis=2)
-    return amplitude, r, (g, h)
+    return _aligned_amplitude(r, mags.reshape(size)), r, (g, h)
 
 
 def aligned_rates(amplitude, tx_power_w, noise_w: float, subchannel_bw_hz: float) -> np.ndarray:

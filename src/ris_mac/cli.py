@@ -19,6 +19,7 @@ from . import simulator as sim
 from .optimizer import InfeasibleError, joint_optimize
 from .scenario import (
     DcfParams,
+    ScenarioInvalid,
     default_scenario,
     load_scenario,
     validate_scenario,
@@ -129,10 +130,6 @@ def at_least(low: int):
     return parse
 
 
-class ScenarioInvalid(Exception):
-    """Raised with a failed validation's text, before any channel draw; main exits 2."""
-
-
 def _read(args):
     if args.scenario:
         return load_scenario(args.scenario, seed_override=args.seed)
@@ -212,11 +209,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_dcf_table(args) -> int:
-    dcf = DcfParams(
-        w_min=args.w_min,
-        w_max=args.w_min * 2**args.max_stage,
-        max_backoff_stage=args.max_stage,
-    )
+    dcf = DcfParams(w_min=args.w_min, max_backoff_stage=args.max_stage)
     cascade = dcfmod.contention_cascade(args.contenders, args.channels, dcf)
     print("round,contenders,tau,collision_prob,channel_success_prob,cumulative_served")
     for rd in cascade.rounds:

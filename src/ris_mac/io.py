@@ -9,7 +9,8 @@ by the simulator's documented rule: a word is the high 32 bits of one
 ``random_raw`` output, a draw below b is (w * b) >> 32 with no rejection
 (each value's probability off by at most b / 2^32 of itself), and each
 contender takes one word a round, whose draw v below W_s * C_s is its
-counter times C_s plus its pick, so its sort key is v * n0 + index.  The
+counter times C_s plus its pick, and its sort key is (v << 32) | term
+(the simulator's docstring defines the term).  The
 channel draws are Generator normals, so a byte-for-byte rerun needs the
 same numpy.
 """

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -78,19 +78,23 @@ class DcfParams:
     """
 
     w_min: int = 15
-    w_max: int = 960
     max_backoff_stage: int = 6
     rts_bytes: int = 24
     cts_bytes: int = 16
     sifs_s: float = 10e-6
     difs_s: float = 50e-6
     prop_delay_s: float = 1e-6
-    payload_bytes: int = 500
     payload_time_s: float = 4e-3
     pilot_time_s: float = 1e-4
     data_slot_s: float = 4e-3
     control_rate_bps: float = 1e6
     slot_time_s: float = 20e-6
+
+    @property
+    def w_max(self) -> int:
+        """The last stage's window, derived and read-only: each collision
+        doubles a contender's window, from w_min up to this one."""
+        return self.w_min * 2**self.max_backoff_stage
 
 
 CLASS_STATIC = 0
@@ -121,10 +125,12 @@ class UserPopulation:
 
     @cached_property
     def classes(self) -> np.ndarray:
-        """Each user's class by id (see user_classes), built once per
-        population and read-only.  It is not a field, so equality, to_dict
-        and scenario files leave it out; a pickle carries it, and
-        dataclasses.replace builds a new population that rebuilds it."""
+        """Each user's class by id, built once per population and read-only:
+        an existing user is static (flag 1) or mobile, and the new
+        arrivals, which take the ids after the existing block, are new.  It
+        is not a field, so equality, to_dict and scenario files leave it
+        out; a pickle carries it, and dataclasses.replace builds a new
+        population that rebuilds it."""
         if len(self.mobility_flags) != self.num_existing:
             raise ValueError(
                 "mobility_flags length %d != num_existing %d"
@@ -208,6 +214,13 @@ class Scenario:
         return asdict(self)
 
 
+# each section's dataclass by its annotation in Scenario
+_SECTIONS = {
+    cls.__name__: cls
+    for cls in (UserPopulation, RadioParams, DcfParams, RisInventory, ComputeModel)
+}
+
+
 @dataclass
 class ValidationReport:
     violations: list = field(default_factory=list)
@@ -225,18 +238,10 @@ class ValidationReport:
         return "\n".join(self.violations)
 
 
-def user_classes(pop: UserPopulation) -> np.ndarray:
-    """Each user's class, by id: an existing user is static (flag 1) or
-    mobile, and the new arrivals, which take the ids after the existing
-    block, are new.  The population's read-only class vector
-    (UserPopulation.classes), built on first read."""
-    return pop.classes
-
-
 def classify_users(pop: UserPopulation) -> tuple:
     """Partition user ids into (static, mobile), each ascending: mobile
     users are the existing mobile users and the new arrivals."""
-    is_static = user_classes(pop) == CLASS_STATIC
+    is_static = pop.classes == CLASS_STATIC
     return np.flatnonzero(is_static).tolist(), np.flatnonzero(~is_static).tolist()
 
 
@@ -370,51 +375,66 @@ def _is_point(p) -> bool:
     try:
         x, y, z = p
         return math.isfinite(x) and math.isfinite(y) and math.isfinite(z)
-    except (TypeError, ValueError):  # not three numbers
+    except (TypeError, ValueError, OverflowError):  # not three finite numbers
         return False
 
 
-def _is_seed(seed) -> bool:
-    """Whether ``seed`` is a non-negative int (a bool is not a seed)."""
-    return isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0
+# the one type rule, by field annotation: what a value must be, and the test
+_TYPE_RULE = {
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "float": (
+        "a finite number",
+        lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v),
+    ),
+    "tuple": ("a list", lambda v: isinstance(v, tuple)),
+}
+
+
+def _type_faults(obj, prefix: str = "") -> list:
+    """The type rule over the fields of ``obj`` and of its sections, read
+    off their annotations: an int field holds an int, a bool field a bool,
+    a float field a finite int or float (a bool is neither) and a tuple
+    field a tuple.  One line per fault, naming its key path."""
+    faults = []
+    for f in fields(obj):
+        value, key = getattr(obj, f.name), prefix + f.name
+        if f.type in _SECTIONS:
+            faults += _type_faults(value, key + ".")
+        elif not _TYPE_RULE[f.type][1](value):
+            faults.append("%s must be %s (got %.40r)" % (key, _TYPE_RULE[f.type][0], value))
+    return faults
 
 
 def validate_scenario(s: Scenario) -> ValidationReport:
-    """Collect every violated invariant; an empty report means runnable."""
-    rep = ValidationReport()
-    if not _is_seed(s.seed):
-        rep.add("seed must be an integer >= 0 (got %r)" % (s.seed,))
+    """Collect every violated invariant; an empty report means runnable.
+    Type faults are reported alone, since the value checks compare numbers."""
+    rep = ValidationReport(_type_faults(s))
+    if not rep.ok:
+        return rep
+    if s.seed < 0:
+        rep.add("seed >= 0 violated (%d)" % s.seed)
     r = s.radio
     if r.num_subchannels < 1:
         rep.add("num_subchannels >= 1 violated (C=%d)" % r.num_subchannels)
     if not (r.bandwidth_total_hz > 0):
         rep.add("bandwidth_total_hz > 0 violated")
-    for name in (
-        "noise_power_dbm",
-        "tx_power_mobile_dbm",
-        "tx_power_budget_static_dbm",
-        "rate_min_bps",
-    ):
-        if not math.isfinite(getattr(r, name)):
-            rep.add("%s must be finite" % name)
 
     d = s.dcf
     if d.w_min < 1:
         rep.add("w_min >= 1 violated (w_min=%d)" % d.w_min)
-    if d.w_min > d.w_max:
-        rep.add("w_min <= w_max violated (%d > %d)" % (d.w_min, d.w_max))
-    if d.w_max * r.num_subchannels > 2**20:
+    if d.max_backoff_stage < 0:
+        rep.add("max_backoff_stage >= 0 violated (%d)" % d.max_backoff_stage)
+    elif d.max_backoff_stage > 20:
+        # w_max * C passes 2^20 at any w_min, C >= 1; 2^stage is not built
+        rep.add("max_backoff_stage <= 20 violated (%d)" % d.max_backoff_stage)
+    elif d.w_max * r.num_subchannels > 2**20:
         # a contention draw below w_max * C_s is off by at most its bound /
         # 2^32 of each value's probability (simulator's draw rule); the cap
         # keeps that at or below 2^-12, and a round's products inside int64
         rep.add(
             "w_max * num_subchannels <= 2^20 violated (%d * %d)"
             % (d.w_max, r.num_subchannels)
-        )
-    if d.w_max != d.w_min * 2**d.max_backoff_stage:
-        rep.add(
-            "w_max = w_min * 2^stage violated (%d != %d * 2^%d)"
-            % (d.w_max, d.w_min, d.max_backoff_stage)
         )
     for name in (
         "sifs_s",
@@ -466,7 +486,8 @@ def validate_scenario(s: Scenario) -> ValidationReport:
         rep.add("surface %d position is not three finite coordinates" % bad[0])
     if len(ris.subchannel_of_ris) != ris.num_ris:
         rep.add("subchannel_of_ris length != num_ris")
-    elif any(not (0 <= c < r.num_subchannels) for c in ris.subchannel_of_ris):
+    elif any(not (isinstance(c, int) and 0 <= c < r.num_subchannels)
+             for c in ris.subchannel_of_ris):
         rep.add("subchannel_of_ris entries must index a subchannel")
 
     c = s.compute
@@ -481,56 +502,81 @@ def scenario_to_json(s: Scenario) -> str:
     return json.dumps(s.to_dict(), indent=2, sort_keys=True)
 
 
-def _points(entries) -> tuple:
-    """Positions as tuples; an entry that is not a list is kept as it is,
-    for validate_scenario to reject."""
-    return tuple(tuple(p) if isinstance(p, (list, tuple)) else p for p in entries)
+class ScenarioInvalid(ValueError):
+    """A scenario that cannot run, one line per fault; the command-line
+    tool exits 2 on it, before any channel draw."""
+
+
+# keys that older scenario files carry, each with the reason it went
+RETIRED_KEYS = {
+    "dcf.payload_bytes": "retired key: nothing reads it; dcf.payload_time_s is the payload airtime",
+    "dcf.w_max": "retired key: the last window is derived, w_min * 2^max_backoff_stage",
+}
+
+
+def _loaded(annotation: str, value):
+    """A file's value as its field holds it: a list for a tuple field
+    becomes a tuple, each list inside it too (the points), and an int for a
+    float field a float, so a saved scenario loads back equal.  Any other
+    value stays as it is, for validate_scenario's type rule."""
+    if annotation == "tuple" and isinstance(value, list):
+        return tuple(tuple(v) if isinstance(v, list) else v for v in value)
+    if annotation == "float" and type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:  # past the float range, as 1e999 reads
+            return math.inf
+    return value
+
+
+def _section(cls, d, prefix: str, faults: list):
+    """``cls`` built from the mapping ``d`` of its fields by name, a section
+    field from its own mapping.  Each structural fault is appended to
+    ``faults`` under its key path, and then nothing is built."""
+    if not isinstance(d, dict):
+        faults.append("%s: not an object (got %.40r)" % (prefix[:-1] or "scenario", d))
+        return None
+    known = {f.name: f for f in fields(cls)}
+    faults += ["%s%s: %s" % (prefix, key, RETIRED_KEYS.get(prefix + key, "unknown key"))
+               for key in d if key not in known]
+    kwargs = {}
+    for name, f in known.items():
+        if name in d:
+            kwargs[name] = (_section(_SECTIONS[f.type], d[name], prefix + name + ".", faults)
+                            if f.type in _SECTIONS else _loaded(f.type, d[name]))
+        elif f.default is MISSING and f.default_factory is MISSING:
+            faults.append("%s%s: required key missing" % (prefix, name))
+    return None if faults else cls(**kwargs)
 
 
 def scenario_from_dict(d: dict) -> Scenario:
-    pop = UserPopulation(
-        num_existing=d["population"]["num_existing"],
-        num_new_mobile=d["population"]["num_new_mobile"],
-        mobility_flags=tuple(d["population"]["mobility_flags"]),
-        positions=_points(d["population"]["positions"]),
-    )
-    radio = RadioParams(**d.get("radio", {}))
-    dcf = DcfParams(**d.get("dcf", {}))
-    ris_d = dict(d.get("ris", {}))
-    if "positions" in ris_d:
-        ris_d["positions"] = _points(ris_d["positions"])
-    if "subchannel_of_ris" in ris_d:
-        ris_d["subchannel_of_ris"] = tuple(ris_d["subchannel_of_ris"])
-    ris = RisInventory(**ris_d)
-    compute = ComputeModel(**d.get("compute", {}))
-    return Scenario(
-        population=pop,
-        radio=radio,
-        dcf=dcf,
-        ris=ris,
-        compute=compute,
-        seed=d.get("seed", 1),
-        area_side_m=d.get("area_side_m", 50.0),
-        bs_position=tuple(d.get("bs_position", (0.0, 0.0, 100.0))),
-        csi_best_channel=d.get("csi_best_channel", False),
-    )
+    """The scenario a parsed scenario file holds.
+
+    The file's keys are the fields of Scenario and, in each section, of
+    that section's dataclass.  A missing key takes its field's default; a
+    field with no default (the population's) is required.  An unknown or
+    retired key, a missing required key or a section that is not an object
+    raises ScenarioInvalid, one line per fault naming its key path.  The
+    values are validate_scenario's to check.
+    """
+    faults: list = []
+    s = _section(Scenario, d, "", faults)
+    if faults:
+        raise ScenarioInvalid("\n".join(faults))
+    return s
 
 
 def load_scenario(path: str, seed_override=None) -> Scenario:
     with open(path, "r", encoding="utf-8") as f:
-        d = json.load(f)
+        s = scenario_from_dict(json.load(f))
     if seed_override is not None:
-        d["seed"] = int(seed_override)
-    s = scenario_from_dict(d)
-    if len(s.population.positions) == 0 and s.population.num_total > 0 and _is_seed(s.seed):
-        # draw only the positions: the file's class mix stays; without a
-        # seed to draw them from, validate_scenario reports both
-        drawn = build_population(
-            s.population.num_total,
-            seed=s.seed,
-            area_side_m=s.area_side_m,
-        )
-        s = replace(s, population=replace(s.population, positions=drawn.positions))
+        s = replace(s, seed=seed_override)
+    pop = s.population
+    if not _type_faults(s) and not pop.positions and pop.num_total > 0 and s.seed >= 0:
+        # draw only the positions: the file's class mix stays; a file whose
+        # types or seed validate_scenario rejects draws none
+        drawn = build_population(pop.num_total, seed=s.seed, area_side_m=s.area_side_m)
+        s = replace(s, population=replace(pop, positions=drawn.positions))
     return s
 
 

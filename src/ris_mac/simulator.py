@@ -21,8 +21,8 @@ value, so each value's probability is off by at most b / 2^32 of itself
 (4.5e-7 at the reference's window of 960 on 2 subchannels;
 validate_scenario caps w_max * C at 2^20, which keeps it at or below
 2^-12).  A round takes one word per remaining contender, in sorted-id
-order, and draws v below its span W_s * C_s, where W_s = min(w_min * 2^s,
-w_max) is its stage's window: its backoff counter is v // C_s and its
+order, and draws v below its span W_s * C_s, where W_s = w_min * 2^s is
+its stage's window: its backoff counter is v // C_s and its
 subchannel pick v % C_s.  Picks are fixed, and the span is W_s alone, on a
 single subchannel and under csi_best_channel.  The grant order is a
 Fisher-Yates shuffle of the occupied channels by the same rule (position
@@ -55,7 +55,7 @@ and bits arrays once, when its rounds end.
 The round loop reads only the seed, the contender count n0, the live
 channel count C, the DCF windows and the fixed picks, never a user id,
 rate or surface.  So it is one object, a ContentionRun, keyed by (seed,
-n0, C, w_min, w_max, max_backoff_stage, draw_picks, fixed picks under
+n0, C, w_min, max_backoff_stage, draw_picks, fixed picks under
 csi_best_channel), which works in contender positions and logs each
 grant's position, channel and round, and the running collision and
 shortfall counts in the rounds that change them.  ``through(budget)``
@@ -137,7 +137,6 @@ from .scenario import (
     CLASS_NEW,
     CLASS_STATIC,
     Scenario,
-    user_classes,
 )
 
 MODES = ("proposed", "scheme1", "scheme2")
@@ -185,10 +184,10 @@ class FrameTrace:
 
 
 def window_table(dcf) -> list:
-    """Binary exponential backoff: the window min(w_min * 2^s, w_max) at each
-    stage s = 0..max_backoff_stage; a collision moves a contender one stage
-    up, capped at the last."""
-    return [min(dcf.w_min * 2**s, dcf.w_max) for s in range(dcf.max_backoff_stage + 1)]
+    """Binary exponential backoff: the window w_min * 2^s at each stage
+    s = 0..max_backoff_stage; a collision moves a contender one stage up,
+    capped at the last, whose window is w_max."""
+    return [dcf.w_min * 2**s for s in range(dcf.max_backoff_stage + 1)]
 
 
 class WordTape:
@@ -309,7 +308,7 @@ def run_frame(
     radio, dcf = scenario.radio, scenario.dcf
     pop = scenario.population
     n_users = pop.num_total
-    cls = user_classes(pop)
+    cls = pop.classes
     slot = alloc.slot_of_user
     holds_slot = slot >= 0
     scheduled = np.flatnonzero(holds_slot)
@@ -596,7 +595,7 @@ def memo_cut(seed, n0: int, num_channels: int, dcf, picks, budget: int) -> tuple
     """
     draw_picks = num_channels > 1 and picks is None
     key = (
-        seed, n0, num_channels, dcf.w_min, dcf.w_max, dcf.max_backoff_stage, draw_picks,
+        seed, n0, num_channels, dcf.w_min, dcf.max_backoff_stage, draw_picks,
         None if picks is None else picks.tobytes(),
     )
     run = _MEMO.pop(key, None)  # a step that raises leaves the run out
@@ -726,7 +725,7 @@ def plan_scheme1(scenario, channels, t2_common: float) -> tuple:
 
     alloc = opt.empty_allocation(pop.num_total)
     # new users follow the existing block, so every static id is below k_exist
-    is_static = user_classes(pop)[:k_exist] == CLASS_STATIC
+    is_static = pop.classes[:k_exist] == CLASS_STATIC
     static_ids = np.flatnonzero(is_static)
     rho = np.where(is_static, radio.p_max_w / max(static_ids.size, 1), radio.tx_power_mobile_w)
     ris_of, slot_of, _ = opt.centralized_ris_config(

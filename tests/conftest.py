@@ -63,7 +63,7 @@ def guard_shortfall_cell(total_users, seed=22):
     budget holds three times the cascade's N_r rounds.  Returns (scenario,
     channels, frame, allocation, N_r).
     """
-    dcf = DcfParams(w_min=255, w_max=255 * 2**6)
+    dcf = DcfParams(w_min=255)
     s = small_scenario(total_users=total_users, seed=seed, elements=4, dcf=dcf)
     s = dataclasses.replace(s, csi_best_channel=True)
     ch = chan.draw_channels(s, seed)

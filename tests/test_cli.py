@@ -99,7 +99,7 @@ class TestCommands:
 
     def test_validate_rejects_zero_window(self, tmp_path, capsys):
         s = small_scenario()
-        s = dataclasses.replace(s, dcf=dataclasses.replace(s.dcf, w_min=0, w_max=0))
+        s = dataclasses.replace(s, dcf=dataclasses.replace(s.dcf, w_min=0))
         path = str(tmp_path / "zero_window.json")
         save_scenario(s, path)
         assert cli.main(["validate", "--scenario", path]) == cli.EXIT_VALIDATION
@@ -115,7 +115,7 @@ class TestCommands:
         s = small_scenario()
         s = dataclasses.replace(
             s, radio=dataclasses.replace(s.radio, num_subchannels=4),
-            dcf=dataclasses.replace(s.dcf, w_min=2**13, w_max=2**19),
+            dcf=dataclasses.replace(s.dcf, w_min=2**13),
         )
         path = str(tmp_path / "wide_window.json")
         save_scenario(s, path)
@@ -328,10 +328,11 @@ class TestCommands:
 
         monkeypatch.setattr(chan, "draw_channels", no_draw)
         monkeypatch.setattr(scenario_mod, "build_population", no_draw)
+        want = "seed >= 0 violated (-1)" if seed == -1 else "seed must be an integer (got %r)" % (seed,)
         assert cli.main(["validate", "--scenario", str(path)]) == cli.EXIT_VALIDATION
-        assert "seed must be an integer >= 0 (got %r)" % (seed,) in capsys.readouterr().out
+        assert want in capsys.readouterr().out
         assert cli.main(["optimize", "--scenario", str(path)]) == cli.EXIT_VALIDATION
-        assert "seed must be an integer >= 0" in capsys.readouterr().err
+        assert want in capsys.readouterr().err
 
     def test_scenario_with_no_users_fails_validation(self, tmp_path, capsys):
         _, path = save_small(tmp_path, total_users=0)
@@ -369,7 +370,7 @@ class TestCommands:
         # a zero backoff window fails validation; every command that runs the
         # model exits 2 with the report before drawing channels or writing output
         s = small_scenario()
-        s = dataclasses.replace(s, dcf=dataclasses.replace(s.dcf, w_min=0, w_max=0))
+        s = dataclasses.replace(s, dcf=dataclasses.replace(s.dcf, w_min=0))
         path = str(tmp_path / "zero_window.json")
         save_scenario(s, path)
         out = tmp_path / "out.csv"
@@ -470,6 +471,100 @@ class TestCommands:
         manifest = json.loads(Path(out + ".manifest.json").read_text())
         assert manifest["outputs"][out] == rio.file_sha256(out)
         assert manifest["timestamp"] == "pinned"
+
+
+def set_key(section, key, value):
+    """An edit of a scenario file's dict: ``key`` of ``section`` (None for
+    the top level) set to ``value``."""
+    return lambda d: (d if section is None else d[section]).__setitem__(key, value)
+
+
+def drop_key(section, key):
+    return lambda d: d[section].pop(key)
+
+
+# one edit of a saved 20-user reference file each, and the key path that
+# the one line of its report names
+FILE_PROBES = [
+    pytest.param(set_key(None, "csi_best_channel", "no"),
+                 "csi_best_channel must be true or false", id="csi-string"),
+    pytest.param(set_key(None, "csi_best_channel", 1),
+                 "csi_best_channel must be true or false", id="csi-int"),
+    pytest.param(set_key(None, "area_side", 10), "area_side: unknown key", id="top-level-typo"),
+    pytest.param(set_key("population", "classes", [0]),
+                 "population.classes: unknown key", id="population-extra-key"),
+    pytest.param(set_key("dcf", "payload_bytes", -5),
+                 "dcf.payload_bytes: retired key", id="payload-bytes"),
+    pytest.param(set_key("dcf", "w_max", 960), "dcf.w_max: retired key", id="w-max"),
+    pytest.param(set_key("radio", "carrier_hz", float("inf")),
+                 "radio.carrier_hz must be a finite number", id="carrier-infinity"),
+    pytest.param(set_key("ris", "elements_per_ris", 12.5),
+                 "ris.elements_per_ris must be an integer", id="elements-float"),
+    pytest.param(set_key("compute", "l1", 2.0), "compute.l1 must be an integer", id="l1-float"),
+    pytest.param(set_key("radio", "num_subchannels", 2.0),
+                 "radio.num_subchannels must be an integer", id="subchannels-float"),
+    pytest.param(set_key("dcf", "w_min", "15"), "dcf.w_min must be an integer", id="w-min-string"),
+    pytest.param(set_key("radio", "noise_power_dBm", -94.0),
+                 "radio.noise_power_dBm: unknown key", id="radio-unknown-key"),
+    pytest.param(drop_key("population", "num_new_mobile"),
+                 "population.num_new_mobile: required key missing", id="population-missing-key"),
+    pytest.param(set_key(None, "dcf", 5), "dcf: not an object", id="dcf-not-an-object"),
+]
+
+
+class TestScenarioFile:
+    """A scenario file holds the dataclass fields and nothing else, each of
+    its field's type: any other file fails validate and every model command
+    with exit 2 and one line naming the key, before any draw."""
+
+    @pytest.mark.parametrize("edit, want", FILE_PROBES)
+    @pytest.mark.parametrize("argv", [["validate"], ["optimize"]], ids=lambda argv: argv[0])
+    def test_fault_exits_2_naming_its_key(self, tmp_path, capsys, monkeypatch, argv, edit, want):
+        d = default_scenario(total_users=20).to_dict()
+        edit(d)
+        path = tmp_path / "probe.json"
+        path.write_text(json.dumps(d))
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a draw ran for a faulty scenario file")
+
+        monkeypatch.setattr(chan, "draw_channels", no_draw)
+        monkeypatch.setattr(scenario_mod, "build_population", no_draw)
+        assert cli.main(argv + ["--scenario", str(path)]) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        lines = (captured.out + captured.err).splitlines()
+        assert len(lines) == 1 and lines[0].startswith(want)
+
+    def test_every_fault_is_reported(self, tmp_path, capsys):
+        d = default_scenario(total_users=20).to_dict()
+        for edit, _ in [p.values for p in FILE_PROBES if p.id in (
+            "top-level-typo", "payload-bytes", "w-max", "population-missing-key",
+        )]:
+            edit(d)
+        path = tmp_path / "faults.json"
+        path.write_text(json.dumps(d))
+        assert cli.main(["validate", "--scenario", str(path)]) == cli.EXIT_VALIDATION
+        assert sorted(capsys.readouterr().err.splitlines()) == [
+            "area_side: unknown key",
+            "dcf.payload_bytes: retired key: nothing reads it; "
+            "dcf.payload_time_s is the payload airtime",
+            "dcf.w_max: retired key: the last window is derived, w_min * 2^max_backoff_stage",
+            "population.num_new_mobile: required key missing",
+        ]
+
+    def test_type_faults_are_reported_alone(self, tmp_path, capsys):
+        # a type fault skips the value checks, which would compare "15"
+        d = default_scenario(total_users=20).to_dict()
+        d["dcf"]["w_min"] = "15"
+        d["radio"]["num_subchannels"] = 0
+        d["seed"] = True
+        path = tmp_path / "types.json"
+        path.write_text(json.dumps(d))
+        assert cli.main(["validate", "--scenario", str(path)]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().out.splitlines() == [
+            "dcf.w_min must be an integer (got '15')",
+            "seed must be an integer (got True)",
+        ]
 
 
 class TestWriteResults:

@@ -41,8 +41,8 @@ import contention_oracle
 
 
 EDGE_DCFS = {
-    "w_min_1": DcfParams(w_min=1, w_max=64, max_backoff_stage=6),
-    "one_stage": DcfParams(w_min=15, w_max=15, max_backoff_stage=0),
+    "w_min_1": DcfParams(w_min=1, max_backoff_stage=6),
+    "one_stage": DcfParams(w_min=15, max_backoff_stage=0),
 }
 
 

@@ -11,10 +11,13 @@ since this test process has these modules loaded already.  A last check
 reads the source: every module-level import of a package module is read
 there, and every function and method is read by package code, so that
 src/ holds only what a command or the benchmark runs; the specifications
-that only tests read live in tests/oracles.py.
+that only tests read live in tests/oracles.py.  Likewise every field of a
+scenario dataclass is read by package code, so a scenario file carries
+nothing that the model ignores.
 """
 
 import ast
+import dataclasses
 import glob
 import os
 import subprocess
@@ -123,16 +126,22 @@ def traced_functions():
     return set(ast.literal_eval(traced))
 
 
+def package_trees():
+    """(module name, parsed source) of every package module."""
+    pkg = os.path.dirname(os.path.abspath(ris_mac.__file__))
+    trees = []
+    for path in sorted(glob.glob(os.path.join(pkg, "*.py"))):
+        with open(path, encoding="utf-8") as f:
+            trees.append((os.path.basename(path)[:-3], ast.parse(f.read(), filename=path)))
+    return trees
+
+
 def test_package_code_reads_every_function():
     # a module-level function or a method (dunders aside) is read when its
     # name is loaded, bare or as an attribute, anywhere in the package; an
     # import alone, such as an __init__ re-export, is no read
-    pkg = os.path.dirname(os.path.abspath(ris_mac.__file__))
     defined, read = [], set()
-    for path in sorted(glob.glob(os.path.join(pkg, "*.py"))):
-        module = os.path.basename(path)[:-3]
-        with open(path, encoding="utf-8") as f:
-            tree = ast.parse(f.read(), filename=path)
+    for module, tree in package_trees():
         for node in tree.body:
             if isinstance(node, ast.FunctionDef):
                 defined.append((module, node.name))
@@ -154,3 +163,33 @@ def test_package_code_reads_every_function():
     ]
     assert unread == []
     assert set(UNREAD_KEPT) <= set(defined)
+
+
+# (dataclass, field) of a scenario that no package code reads as an
+# attribute, each with the reason it stays
+FIELDS_KEPT = {
+    ("DcfParams", "slot_time_s"): "the slot-level engine of ROADMAP item 2 is to be its first reader",
+}
+
+
+def test_package_code_reads_every_scenario_field():
+    # a field is read when its name is loaded as an attribute anywhere in
+    # the package; the generic reads of every field (asdict, the loader,
+    # the type rule) are no read, so a field the model never reads is caught
+    from ris_mac.scenario import (
+        ComputeModel, DcfParams, RadioParams, RisInventory, Scenario, UserPopulation,
+    )
+
+    read = {
+        n.attr for _, tree in package_trees() for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    declared = [
+        (cls.__name__, f.name)
+        for cls in (RadioParams, DcfParams, UserPopulation, RisInventory, ComputeModel, Scenario)
+        for f in dataclasses.fields(cls)
+    ]
+    unread = [(cls, name) for cls, name in declared
+              if name not in read and (cls, name) not in FIELDS_KEPT]
+    assert unread == []
+    assert set(FIELDS_KEPT) <= set(declared)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 import pickle
 
 import numpy as np
@@ -20,9 +21,12 @@ from ris_mac.scenario import (
     build_population,
     classify_users,
     default_scenario,
+    Scenario,
+    ScenarioInvalid,
     load_scenario,
     save_scenario,
-    user_classes,
+    scenario_from_dict,
+    scenario_to_json,
     validate_scenario,
 )
 
@@ -96,7 +100,7 @@ class TestUserClasses:
     def test_class_vector_matches_per_user_reference(self, flags, num_new):
         want = [CLASS_STATIC if u == 1 else CLASS_MOBILE for u in flags]
         want += [CLASS_NEW] * num_new
-        got = user_classes(flagged_population(flags, num_new))
+        got = flagged_population(flags, num_new).classes
         assert got.tolist() == want
         assert got.dtype == np.array([0]).dtype
 
@@ -110,7 +114,7 @@ class TestUserClasses:
         # the per-user class, and the list comprehensions classify_users was
         want = [CLASS_STATIC if u == 1 else CLASS_MOBILE for u in flags]
         want += [CLASS_NEW] * num_new
-        assert user_classes(pop).tolist() == want
+        assert pop.classes.tolist() == want
         static_ids = [k for k, u in enumerate(flags) if u == 1]
         mobile_ids = [k for k, u in enumerate(flags) if u == 0]
         mobile_ids += list(range(len(flags), len(flags) + num_new))
@@ -139,8 +143,8 @@ class TestUserClasses:
         s = default_scenario(total_users=20)
         pop = s.population
         unread = dataclasses.replace(pop)
-        cls = user_classes(pop)
-        assert user_classes(pop) is cls and pop.classes is cls
+        cls = pop.classes
+        assert pop.classes is cls  # built once, then read
         with pytest.raises(ValueError):
             cls[0] = CLASS_NEW
         # equality, to_dict and scenario files see the fields alone
@@ -156,7 +160,7 @@ class TestUserClasses:
     @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
     def test_survives_pickling_read_only(self, protocol):
         pop = flagged_population((1, 0, 1, 1), 2)
-        cls = user_classes(pop)
+        cls = pop.classes
         back = pickle.loads(pickle.dumps(pop, protocol=protocol))
         assert back == pop and "classes" in back.__dict__
         assert np.array_equal(back.classes, cls)
@@ -165,13 +169,13 @@ class TestUserClasses:
 
     def test_rebuilt_after_replace(self):
         pop = flagged_population((1, 0, 1), 1)
-        assert user_classes(pop).tolist() == [CLASS_STATIC, CLASS_MOBILE, CLASS_STATIC, CLASS_NEW]
+        assert pop.classes.tolist() == [CLASS_STATIC, CLASS_MOBILE, CLASS_STATIC, CLASS_NEW]
         flipped = dataclasses.replace(pop, mobility_flags=(0, 0, 1))
         assert "classes" not in flipped.__dict__
-        assert user_classes(flipped).tolist() == [
+        assert flipped.classes.tolist() == [
             CLASS_MOBILE, CLASS_MOBILE, CLASS_STATIC, CLASS_NEW,
         ]
-        assert user_classes(pop).tolist() == [CLASS_STATIC, CLASS_MOBILE, CLASS_STATIC, CLASS_NEW]
+        assert pop.classes.tolist() == [CLASS_STATIC, CLASS_MOBILE, CLASS_STATIC, CLASS_NEW]
 
 
 def rule_case(part, field, changes, message):
@@ -184,7 +188,8 @@ NAN, INF = float("nan"), float("inf")
 RULE_CASES = [
     rule_case("radio", "bandwidth", lambda r: {"bandwidth_total_hz": 0.0},
               "bandwidth_total_hz > 0 violated"),
-    *[rule_case("radio", f, lambda r, f=f, v=v: {f: v}, "%s must be finite" % f)
+    *[rule_case("radio", f, lambda r, f=f, v=v: {f: v},
+                "radio.%s must be a finite number (got %r)" % (f, v))
       for f, v in [("noise_power_dbm", NAN), ("tx_power_mobile_dbm", INF),
                    ("tx_power_budget_static_dbm", -INF), ("rate_min_bps", NAN)]],
     *[rule_case("dcf", f, lambda d, f=f: {f: 0.0}, "%s > 0 violated" % f)
@@ -227,31 +232,24 @@ class TestValidation:
         assert not report.ok
         assert any("num_subchannels" in v for v in report.violations)
 
-    def test_window_ordering_flagged(self):
-        s = default_scenario()
-        s = dataclasses.replace(
-            s, dcf=dataclasses.replace(s.dcf, w_min=64, w_max=32, max_backoff_stage=1)
-        )
-        report = validate_scenario(s)
-        assert any("w_min" in v for v in report.violations)
-
-    @pytest.mark.parametrize("w_min, w_max", [(0, 0), (0, 64), (-1, -64)])
+    @pytest.mark.parametrize("w_min, w_max", [(0, 0), (-1, -64)])
     def test_window_below_one_flagged(self, w_min, w_max):
         # a window of 0 leaves no backoff counter to draw, and the analysis
-        # gives tau = 2 from it; w = w_max = 0 passes every other check
+        # gives tau = 2 from it; its derived w_max passes every other check
         s = default_scenario()
-        s = dataclasses.replace(s, dcf=dataclasses.replace(s.dcf, w_min=w_min, w_max=w_max))
+        s = dataclasses.replace(s, dcf=dataclasses.replace(s.dcf, w_min=w_min))
+        assert s.dcf.w_max == w_max
         report = validate_scenario(s)
-        assert "w_min >= 1 violated (w_min=%d)" % w_min in report.violations
+        assert report.violations == ["w_min >= 1 violated (w_min=%d)" % w_min]
 
     def test_window_too_wide_for_round_keys_flagged(self):
         # a contention draw below w_max * C is off by at most that span over
         # 2^32 of each value's probability; the cap is a span of 2^20
         s = default_scenario()  # C = 2
-        wide = dataclasses.replace(s.dcf, w_min=2**15, w_max=2**20, max_backoff_stage=5)
+        wide = dataclasses.replace(s.dcf, w_min=2**15, max_backoff_stage=5)
         report = validate_scenario(dataclasses.replace(s, dcf=wide))
         assert report.violations == ["w_max * num_subchannels <= 2^20 violated (%d * 2)" % 2**20]
-        ok = dataclasses.replace(wide, w_min=2**14, w_max=2**19)
+        ok = dataclasses.replace(wide, w_min=2**14)
         assert validate_scenario(dataclasses.replace(s, dcf=ok)).ok
         one = dataclasses.replace(
             s, radio=dataclasses.replace(s.radio, num_subchannels=1),
@@ -343,6 +341,56 @@ class TestPersistence:
     def test_dcf_window_defaults_consistent(self):
         d = DcfParams()
         assert d.w_max == d.w_min * 2**d.max_backoff_stage
+
+
+GOLDEN_C4 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "scenario_c4.json")
+
+
+class TestSchema:
+    """The dataclass fields are the scenario file's schema."""
+
+    @pytest.mark.parametrize("make", [
+        default_scenario,
+        lambda: default_scenario(total_users=800, ratio=(18, 1, 1)),
+        lambda: load_scenario(GOLDEN_C4),
+    ], ids=["reference", "static-heavy", "c4"])
+    def test_json_round_trip_is_exact(self, make):
+        s = make()
+        back = scenario_from_dict(json.loads(scenario_to_json(s)))
+        assert back == s and scenario_to_json(back) == scenario_to_json(s)
+
+    def test_missing_keys_take_the_field_defaults(self):
+        pop = default_scenario(total_users=5).population
+        d = {"population": dataclasses.asdict(pop)}
+        assert scenario_from_dict(d) == Scenario(population=pop)
+
+    def test_an_int_for_a_float_field_loads_as_a_float(self):
+        d = default_scenario(total_users=5).to_dict()
+        d["area_side_m"], d["radio"]["carrier_hz"] = 50, 3 * 10**9
+        d["dcf"]["sifs_s"] = 10**400  # past the float range: infinite
+        s = scenario_from_dict(d)
+        assert (type(s.area_side_m), type(s.radio.carrier_hz)) == (float, float)
+        assert s.dcf.sifs_s == float("inf")
+        assert validate_scenario(s).violations == [
+            "dcf.sifs_s must be a finite number (got inf)"]
+
+    def test_not_an_object_at_the_top(self):
+        with pytest.raises(ScenarioInvalid, match="^scenario: not an object"):
+            scenario_from_dict([1, 2])
+
+    @pytest.mark.parametrize("part, key, value, message", [
+        ("dcf", "max_backoff_stage", -1, "max_backoff_stage >= 0 violated (-1)"),
+        ("dcf", "max_backoff_stage", 10**12, "max_backoff_stage <= 20 violated (%d)" % 10**12),
+        ("ris", "subchannel_of_ris", (0, "1"),
+         "subchannel_of_ris entries must index a subchannel"),
+        ("population", "positions", ((10**400, 1.0, 0.0),) * 5,
+         "user 0 position is not three finite coordinates"),
+    ])
+    def test_value_checks_reject_without_raising(self, part, key, value, message):
+        s = default_scenario(total_users=5)
+        broken = dataclasses.replace(getattr(s, part), **{key: value})
+        report = validate_scenario(dataclasses.replace(s, **{part: broken}))
+        assert report.violations == [message]
 
 
 class TestFrameAdvance:

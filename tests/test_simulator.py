@@ -74,7 +74,7 @@ def per_channel_reference(pick, counters, num_channels) -> tuple:
 class TestBackoff:
     def test_window_doubles_and_caps(self):
         # eight collisions in a row walk the table and then stay on its last stage
-        dcf = DcfParams(w_min=15, w_max=960, max_backoff_stage=6)
+        dcf = DcfParams(w_min=15, max_backoff_stage=6)
         table = sim.window_table(dcf)
         sizes = [table[min(collided, dcf.max_backoff_stage)] for collided in range(8)]
         assert sizes == [15, 30, 60, 120, 240, 480, 960, 960]
@@ -273,9 +273,9 @@ class TestBackoff:
 # below its contender count; then the largest span validate_scenario allows
 RULE_DCFS = [
     DcfParams(),
-    DcfParams(w_min=1, w_max=64, max_backoff_stage=6),
-    DcfParams(w_min=15, w_max=15, max_backoff_stage=0),
-    DcfParams(w_min=255, w_max=255 * 2**6),
+    DcfParams(w_min=1, max_backoff_stage=6),
+    DcfParams(w_min=15, max_backoff_stage=0),
+    DcfParams(w_min=255),
 ]
 RULE_BOUNDS = sorted(
     {w * c for d in RULE_DCFS for w in sim.window_table(d) for c in range(1, 5)}
@@ -634,7 +634,7 @@ def contention_network(num_channels, stage, csi, total_users, draw_seed):
     """(scenario, channels): ``total_users`` on ``num_channels`` subchannels
     with one 4-element surface each, windows 2^s (w_min = 1) up to
     ``max_backoff_stage = stage``, drawn at ``draw_seed``."""
-    dcf = DcfParams(w_min=1, w_max=2**stage, max_backoff_stage=stage)
+    dcf = DcfParams(w_min=1, max_backoff_stage=stage)
     radio = RadioParams(num_subchannels=num_channels, rate_min_bps=1e4)
     s = default_scenario(
         total_users=total_users, num_ris=num_channels, elements_per_ris=4, seed=3,
@@ -736,7 +736,7 @@ class TestContentionMemo:
         # whose csi picks differ, each read their own run
         s, channels = contention_network(2, 3, False, 12, 1)
         wider = dataclasses.replace(s, dcf=dataclasses.replace(s.dcf, w_min=2))
-        assert (s.dcf.w_min, s.dcf.w_max) == (1, wider.dcf.w_max)
+        assert (s.dcf.w_min, s.dcf.max_backoff_stage) == (1, wider.dcf.max_backoff_stage)
         assert_memo_matches_fresh([(s, channels), (wider, channels)], (5,), [300, 20])
         picks = [contention_network(3, 2, True, 12, draw_seed) for draw_seed in (1, 2, 3)]
         assert len({
