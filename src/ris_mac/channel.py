@@ -32,9 +32,8 @@ import math
 
 import numpy as np
 
-from .scenario import Scenario, db_to_linear
+from .scenario import Scenario, db_to_linear, link_distances, short_link
 
-MIN_LINK_DISTANCE_M = 0.1
 TWO_PI = 2.0 * np.pi
 # Reflect links are built as complex in row blocks of at most this many
 # values (2 MiB), or of one row where a row is longer, so a streamed draw
@@ -165,10 +164,6 @@ def _pathloss_power(dist_m, exponent: float, ref_db: float):
     return db_to_linear(ref_db) * np.asarray(dist_m, dtype=float) ** (-exponent)
 
 
-def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(a - b, axis=-1)
-
-
 def draw_channels(scenario: Scenario, rng_seed: int) -> ChannelRealization:
     """Sample one quasi-static realization for every user and surface.
 
@@ -193,26 +188,11 @@ def _draw(scenario: Scenario, rng_seed: int, links: bool = False) -> tuple:
     n_ris = ris.num_ris
     n_el = ris.elements_per_ris
 
-    users = np.asarray(pop.positions, dtype=float).reshape(n_users, 3)
-    bs = np.asarray(scenario.bs_position, dtype=float)
-    surfaces = np.asarray(ris.positions, dtype=float).reshape(n_ris, 3)
-
-    d_direct = _distances(users, bs)  # (U,)
-    d_user_ris = _distances(users[:, None, :], surfaces[None, :, :])  # (U, M)
-    d_ris_bs = _distances(surfaces, bs)  # (M,)
-
-    for name, d in (
-        ("user-BS", d_direct),
-        ("user-RIS", d_user_ris),
-        ("RIS-BS", d_ris_bs),
-    ):
-        if n_users == 0 and name != "RIS-BS":
-            continue
-        if d.size and float(np.min(d)) < MIN_LINK_DISTANCE_M:
-            raise DegenerateGeometryError(
-                "degenerate geometry: %s distance %.3g m below %.1f m"
-                % (name, float(np.min(d)), MIN_LINK_DISTANCE_M)
-            )
+    # validate_scenario rejects a short link up front; this is the safety net
+    d_direct, d_user_ris, d_ris_bs = distances = link_distances(scenario)
+    fault = short_link(distances)
+    if fault:
+        raise DegenerateGeometryError(fault)
 
     kf = db_to_linear(radio.rician_k_factor_db)
     lam = radio.wavelength_m

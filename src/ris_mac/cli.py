@@ -22,6 +22,7 @@ from .scenario import (
     ScenarioInvalid,
     default_scenario,
     load_scenario,
+    require_valid,
     validate_scenario,
 )
 
@@ -136,17 +137,9 @@ def _read(args):
     return default_scenario(seed=args.seed if args.seed is not None else 1)
 
 
-def _require_valid(s, label: str = "") -> None:
-    report = validate_scenario(s)
-    if not report.ok:
-        raise ScenarioInvalid(label + str(report))
-
-
 def _load(args):
     """The scenario of a model-running command, validated before any channel draw."""
-    s = _read(args)
-    _require_valid(s)
-    return s
+    return require_valid(_read(args))
 
 
 def cmd_validate(args) -> int:
@@ -263,9 +256,7 @@ def cmd_simulate(args) -> int:
 def cmd_experiment(args) -> int:
     s = _load(args)
     sweep = exp.parse_sweep(args.sweep)
-    for value in sweep.values:  # every sweep point, before the first draw
-        _require_valid(exp.scenario_for_value(s, sweep.axis, value),
-                       "sweep value %s=%s:\n" % (sweep.axis, value))
+    exp.require_valid_points(s, sweep)
     rows = exp.run_experiment(s, sweep, args.seeds, modes=args.modes)
     rio.write_table(rows, exp.RESULT_COLUMNS, args.out, fmt=args.format)
     manifest_path = args.out + ".manifest.json"

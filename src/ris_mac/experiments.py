@@ -36,6 +36,7 @@ from .scenario import (
     build_population,
     build_ris_inventory,
     classify_users,
+    require_valid,
     with_per_user_static_budget,
 )
 
@@ -184,6 +185,14 @@ def scenario_for_value(template: Scenario, axis: str, value) -> Scenario:
     raise SweepSpecError("unknown axis %r" % axis)
 
 
+def require_valid_points(template: Scenario, sweep: SweepSpec) -> None:
+    """Raise ScenarioInvalid, naming the value, on the first point of
+    ``sweep`` on ``template`` that validate_scenario rejects; it draws nothing."""
+    for value in sweep.values:
+        require_valid(scenario_for_value(template, sweep.axis, value),
+                      "sweep value %s=%s:\n" % (sweep.axis, value))
+
+
 def plan_cell(scenario: Scenario, seed: int) -> tuple:
     """The (channels, plan) every mode of a (scenario, seed) shares."""
     channels = chan.draw_channels(scenario, seed)
@@ -317,53 +326,42 @@ FIGURE_PRESETS = {
     "fig5": {
         "sweep": "users=50:200:25",
         "modes": ("proposed", "scheme1", "scheme2"),
-        "x": "value (total users)",
-        "y": "s_o_bps",
     },
     # throughput vs the scheduled/contended split, one curve per class mix
     "fig6": {
         "sweep": "beta-alpha-rel=0.6:1.8:0.2",
         "ratios": ((6, 3, 1), (5, 4, 1), (3, 6, 1)),
-        "x": "beta_alpha",
-        "y": "s_o_bps",
     },
     # throughput vs surface count
     "fig7": {
         "sweep": "ris=1:4:1",
         "modes": ("proposed", "scheme1", "scheme2"),
-        "x": "value (surfaces)",
-        "y": "s_o_bps",
     },
     # throughput vs surface count, one curve per class mix (proposed only)
     "fig8": {
         "sweep": "ris=1:4:1",
         "ratios": ((6, 3, 1), (5, 4, 1), (3, 6, 1)),
-        "x": "value (surfaces)",
-        "y": "s_o_bps",
     },
     # served fraction per class mix, all three modes
     "fig9": {
         "sweep": "ratio=5:4:1,5:3:2,5:2:3",
         "modes": ("proposed", "scheme1", "scheme2"),
-        "x": "value (ratio)",
-        "y": "served_static/served_mobile/served_new",
     },
     # served fraction vs the split, one curve per class mix
     "fig10": {
         "sweep": "beta-alpha-rel=0.6:1.4:0.2",
         "ratios": ((6, 3, 1), (5, 4, 1), (3, 6, 1)),
-        "x": "beta_alpha",
-        "y": "served fraction (all classes)",
     },
 }
 
 
 def run_figure(name: str, template: Scenario, seeds) -> list:
-    """Reproduce one of the six reference figures as a tidy result table."""
+    """Reproduce one of the six reference figures as a tidy result table;
+    every point of its sweeps is validated before the first draw."""
     if name not in FIGURE_PRESETS:
         raise SweepSpecError("unknown figure %r (want fig5..fig10)" % name)
     preset = FIGURE_PRESETS[name]
-    rows = []
+    curves = []  # (scenario, sweep, modes, the class mix's ratio column)
     if "ratios" in preset:
         rel = parse_sweep(preset["sweep"].replace("beta-alpha-rel", "beta-alpha"))
         for ratio in preset["ratios"]:
@@ -376,12 +374,15 @@ def run_figure(name: str, template: Scenario, seeds) -> list:
                 )
             else:
                 sweep = rel
-            for row in run_experiment(scen, sweep, seeds, modes=("proposed",)):
-                row["ratio"] = ":".join(str(x) for x in ratio)
-                rows.append(row)
+            curves.append((scen, sweep, ("proposed",), ":".join(str(x) for x in ratio)))
     else:
-        sweep = parse_sweep(preset["sweep"])
-        rows = run_experiment(template, sweep, seeds, modes=preset["modes"])
+        curves.append((template, parse_sweep(preset["sweep"]), preset["modes"], None))
+    for scen, sweep, _, _ in curves:
+        require_valid_points(scen, sweep)
+    rows = []
+    for scen, sweep, modes, ratio in curves:
+        rows += [dict(row, ratio=ratio) if ratio else row
+                 for row in run_experiment(scen, sweep, seeds, modes=modes)]
     return rows
 
 

@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
 
 SPEED_OF_LIGHT = 299792458.0
+# the path-loss model's validity floor: every link is at least this long
+MIN_LINK_DISTANCE_M = 0.1
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -23,6 +26,19 @@ def dbm_to_watts(dbm: float) -> float:
 
 def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
+
+
+# a declared range's comparisons, by the sign its messages print
+_HOLDS = {">=": operator.ge, "<=": operator.le, ">": operator.gt}
+
+
+def _ranged(default=MISSING, *, low=None, high=None, above=None):
+    """A field whose value must be >= ``low`` and <= ``high``, where given,
+    or > ``above``; in an int tuple, each entry.  validate_scenario checks
+    it, and a field of no declared range takes any value of its type."""
+    bounds = ((">=", low), ("<=", high), (">", above))
+    return field(default=default,
+                 metadata={"range": tuple((op, b) for op, b in bounds if b is not None)})
 
 
 @dataclass(frozen=True)
@@ -34,8 +50,8 @@ class RadioParams:
     LoS conditions, the direct user-BS link does not).
     """
 
-    bandwidth_total_hz: float = 20e6
-    num_subchannels: int = 2
+    bandwidth_total_hz: float = _ranged(20e6, above=0)
+    num_subchannels: int = _ranged(2, low=1)
     noise_power_dbm: float = -94.0
     tx_power_mobile_dbm: float = 10.0
     tx_power_budget_static_dbm: float = 30.0
@@ -44,7 +60,7 @@ class RadioParams:
     pathloss_exp_nlos: float = 3.6
     rician_k_factor_db: float = 10.0
     pathloss_ref_db: float = -30.0  # power gain at 1 m reference distance
-    carrier_hz: float = 3e9
+    carrier_hz: float = _ranged(3e9, above=0)
 
     @property
     def subchannel_bw_hz(self) -> float:
@@ -77,18 +93,19 @@ class DcfParams:
     ``control_rate_bps`` (the classic 1 Mb/s basic rate unless overridden).
     """
 
-    w_min: int = 15
-    max_backoff_stage: int = 6
-    rts_bytes: int = 24
-    cts_bytes: int = 16
-    sifs_s: float = 10e-6
-    difs_s: float = 50e-6
-    prop_delay_s: float = 1e-6
-    payload_time_s: float = 4e-3
-    pilot_time_s: float = 1e-4
-    data_slot_s: float = 4e-3
-    control_rate_bps: float = 1e6
-    slot_time_s: float = 20e-6
+    w_min: int = _ranged(15, low=1)
+    # past 20, w_max * C passes 2^20 at any w_min and C (validate_scenario)
+    max_backoff_stage: int = _ranged(6, low=0, high=20)
+    rts_bytes: int = _ranged(24, low=0)
+    cts_bytes: int = _ranged(16, low=0)
+    sifs_s: float = _ranged(10e-6, above=0)
+    difs_s: float = _ranged(50e-6, above=0)
+    prop_delay_s: float = _ranged(1e-6, low=0)
+    payload_time_s: float = _ranged(4e-3, above=0)
+    pilot_time_s: float = _ranged(1e-4, above=0)
+    data_slot_s: float = _ranged(4e-3, above=0)
+    control_rate_bps: float = _ranged(1e6, above=0)
+    slot_time_s: float = _ranged(20e-6, above=0)
 
     @property
     def w_max(self) -> int:
@@ -110,9 +127,9 @@ class UserPopulation:
     users take ids num_existing..num_existing+num_new_mobile-1.
     """
 
-    num_existing: int
-    num_new_mobile: int
-    mobility_flags: tuple  # 1 = static, 0 = mobile, length num_existing
+    num_existing: int = _ranged(low=0)
+    num_new_mobile: int = _ranged(low=0)
+    mobility_flags: tuple[int, ...] = _ranged(low=0, high=1)  # 1 = static, 0 = mobile
     positions: tuple  # (x, y, z) per user, length num_existing + num_new_mobile
 
     @property
@@ -153,10 +170,10 @@ class UserPopulation:
 class RisInventory:
     """Surfaces, element counts, and the RIS-to-subchannel binding."""
 
-    num_ris: int = 2
-    elements_per_ris: int = 128
+    num_ris: int = _ranged(2, low=1)
+    elements_per_ris: int = _ranged(128, low=1)
     positions: tuple = ((25.0, 50.0, 50.0), (50.0, 25.0, 50.0))
-    subchannel_of_ris: tuple = (0, 1)
+    subchannel_of_ris: tuple[int, ...] = (0, 1)
 
     @property
     def subchannels(self) -> tuple:
@@ -190,10 +207,10 @@ class ComputeModel:
     carry them, so they stay fields.
     """
 
-    kappa_s_per_op: float = 1.6e-9
-    l1: int = 4
-    l2: int = 8
-    l3: int = 4
+    kappa_s_per_op: float = _ranged(1.6e-9, low=0)
+    l1: int = _ranged(4, low=1)
+    l2: int = _ranged(8, low=1)
+    l3: int = _ranged(4, low=1)
 
 
 @dataclass(frozen=True)
@@ -205,8 +222,8 @@ class Scenario:
     dcf: DcfParams = field(default_factory=DcfParams)
     ris: RisInventory = field(default_factory=RisInventory)
     compute: ComputeModel = field(default_factory=ComputeModel)
-    seed: int = 1
-    area_side_m: float = 50.0
+    seed: int = _ranged(1, low=0)
+    area_side_m: float = _ranged(50.0, above=0)
     bs_position: tuple = (0.0, 0.0, 100.0)
     csi_best_channel: bool = False
 
@@ -381,54 +398,72 @@ def _is_point(p) -> bool:
 
 # the one type rule, by field annotation: what a value must be, and the test
 _TYPE_RULE = {
-    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "int": ("an integer", lambda v: type(v) is int),
     "bool": ("true or false", lambda v: isinstance(v, bool)),
     "float": (
         "a finite number",
         lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v),
     ),
     "tuple": ("a list", lambda v: isinstance(v, tuple)),
+    "tuple[int, ...]": ("a list of integers",
+                        lambda v: isinstance(v, tuple) and all(type(u) is int for u in v)),
 }
 
 
-def _type_faults(obj, prefix: str = "") -> list:
-    """The type rule over the fields of ``obj`` and of its sections, read
-    off their annotations: an int field holds an int, a bool field a bool,
-    a float field a finite int or float (a bool is neither) and a tuple
-    field a tuple.  One line per fault, naming its key path."""
-    faults = []
+def _field_faults(obj, types: list, ranges: list, prefix: str = "") -> tuple:
+    """(types, ranges), extended with the faults of the fields of ``obj``
+    and of its sections, one line each naming its key path.  The type rule
+    reads each field's annotation (a bool is no int or float); a value of
+    its type is then checked against its field's declared range, and an int
+    tuple's first entry out of range is its fault."""
     for f in fields(obj):
         value, key = getattr(obj, f.name), prefix + f.name
         if f.type in _SECTIONS:
-            faults += _type_faults(value, key + ".")
+            _field_faults(value, types, ranges, key + ".")
         elif not _TYPE_RULE[f.type][1](value):
-            faults.append("%s must be %s (got %.40r)" % (key, _TYPE_RULE[f.type][0], value))
-    return faults
+            types.append("%s must be %s (got %.40r)" % (key, _TYPE_RULE[f.type][0], value))
+        elif "range" in f.metadata:
+            entries = enumerate(value) if isinstance(value, tuple) else [(None, value)]
+            ranges += [
+                "%s %s %s violated (%r)" % (key if i is None else "%s[%d]" % (key, i), op, bound, v)
+                for i, v in entries for op, bound in f.metadata["range"] if not _HOLDS[op](v, bound)
+            ][:1]
+    return types, ranges
+
+
+def link_distances(s: Scenario) -> tuple:
+    """The user-BS (U,), user-RIS (U, M) and RIS-BS (M,) distances in m."""
+    users = np.asarray(s.population.positions, dtype=float).reshape(-1, 3)
+    bs = np.asarray(s.bs_position, dtype=float)
+    surfaces = np.asarray(s.ris.positions, dtype=float).reshape(-1, 3)
+    return (
+        np.linalg.norm(users - bs, axis=-1),
+        np.linalg.norm(users[:, None, :] - surfaces[None, :, :], axis=-1),
+        np.linalg.norm(surfaces - bs, axis=-1),
+    )
+
+
+def short_link(distances: tuple) -> str:
+    """The first kind of link_distances with one under MIN_LINK_DISTANCE_M,
+    named with its shortest; "" when every link clears the floor."""
+    for name, d in zip(("user-BS", "user-RIS", "RIS-BS"), distances):
+        if d.size and float(np.min(d)) < MIN_LINK_DISTANCE_M:
+            return "degenerate geometry: %s distance %.3g m below %.1f m" % (
+                name, float(np.min(d)), MIN_LINK_DISTANCE_M)
+    return ""
 
 
 def validate_scenario(s: Scenario) -> ValidationReport:
     """Collect every violated invariant; an empty report means runnable.
-    Type faults are reported alone, since the value checks compare numbers."""
-    rep = ValidationReport(_type_faults(s))
-    if not rep.ok:
-        return rep
-    if s.seed < 0:
-        rep.add("seed >= 0 violated (%d)" % s.seed)
-    r = s.radio
-    if r.num_subchannels < 1:
-        rep.add("num_subchannels >= 1 violated (C=%d)" % r.num_subchannels)
-    if not (r.bandwidth_total_hz > 0):
-        rep.add("bandwidth_total_hz > 0 violated")
-
-    d = s.dcf
-    if d.w_min < 1:
-        rep.add("w_min >= 1 violated (w_min=%d)" % d.w_min)
-    if d.max_backoff_stage < 0:
-        rep.add("max_backoff_stage >= 0 violated (%d)" % d.max_backoff_stage)
-    elif d.max_backoff_stage > 20:
-        # w_max * C passes 2^20 at any w_min, C >= 1; 2^stage is not built
-        rep.add("max_backoff_stage <= 20 violated (%d)" % d.max_backoff_stage)
-    elif d.w_max * r.num_subchannels > 2**20:
+    Type faults are reported alone, since the range checks compare numbers,
+    and range faults alone, since the checks across fields read in-range
+    values (2^max_backoff_stage is built only for a stage up to 20)."""
+    types, ranges = _field_faults(s, [], [])
+    if types or ranges:
+        return ValidationReport(types or ranges)
+    rep = ValidationReport()
+    r, d, pop, ris = s.radio, s.dcf, s.population, s.ris
+    if d.w_max * r.num_subchannels > 2**20:
         # a contention draw below w_max * C_s is off by at most its bound /
         # 2^32 of each value's probability (simulator's draw rule); the cap
         # keeps that at or below 2^-12, and a round's products inside int64
@@ -436,29 +471,11 @@ def validate_scenario(s: Scenario) -> ValidationReport:
             "w_max * num_subchannels <= 2^20 violated (%d * %d)"
             % (d.w_max, r.num_subchannels)
         )
-    for name in (
-        "sifs_s",
-        "difs_s",
-        "payload_time_s",
-        "pilot_time_s",
-        "data_slot_s",
-        "slot_time_s",
-    ):
-        if not (getattr(d, name) > 0):
-            rep.add("%s > 0 violated" % name)
-    if not (d.prop_delay_s >= 0):
-        rep.add("prop_delay_s >= 0 violated")
 
-    pop = s.population
-    for name in ("num_existing", "num_new_mobile"):
-        if getattr(pop, name) < 0:
-            rep.add("%s >= 0 violated (%d)" % (name, getattr(pop, name)))
     if pop.num_total < 1:
         rep.add("at least one user violated (no users to serve)")
     if len(pop.mobility_flags) != pop.num_existing:
         rep.add("mobility_flags length != num_existing")
-    if any(u not in (0, 1) for u in pop.mobility_flags):
-        rep.add("mobility_flags must be 0/1")
     if len(pop.positions) != pop.num_total:
         rep.add(
             "positions length %d != total users %d"
@@ -474,11 +491,6 @@ def validate_scenario(s: Scenario) -> ValidationReport:
     if not _is_point(s.bs_position):
         rep.add("bs_position is not three finite coordinates")
 
-    ris = s.ris
-    if ris.num_ris < 1:
-        rep.add("num_ris >= 1 violated")
-    if ris.elements_per_ris < 1:
-        rep.add("elements_per_ris >= 1 violated (N=%d)" % ris.elements_per_ris)
     if len(ris.positions) != ris.num_ris:
         rep.add("ris positions length != num_ris")
     bad = [m for m, p in enumerate(ris.positions) if not _is_point(p)]
@@ -486,15 +498,12 @@ def validate_scenario(s: Scenario) -> ValidationReport:
         rep.add("surface %d position is not three finite coordinates" % bad[0])
     if len(ris.subchannel_of_ris) != ris.num_ris:
         rep.add("subchannel_of_ris length != num_ris")
-    elif any(not (isinstance(c, int) and 0 <= c < r.num_subchannels)
-             for c in ris.subchannel_of_ris):
+    elif any(not 0 <= c < r.num_subchannels for c in ris.subchannel_of_ris):
         rep.add("subchannel_of_ris entries must index a subchannel")
-
-    c = s.compute
-    if not (c.kappa_s_per_op >= 0):
-        rep.add("kappa_s_per_op >= 0 violated")
-    if min(c.l1, c.l2, c.l3) < 1:
-        rep.add("iteration caps l1/l2/l3 >= 1 violated")
+    if rep.ok:  # every position is a point, so every link has a length
+        fault = short_link(link_distances(s))
+        if fault:
+            rep.add(fault)
     return rep
 
 
@@ -505,6 +514,15 @@ def scenario_to_json(s: Scenario) -> str:
 class ScenarioInvalid(ValueError):
     """A scenario that cannot run, one line per fault; the command-line
     tool exits 2 on it, before any channel draw."""
+
+
+def require_valid(s: Scenario, label: str = "") -> Scenario:
+    """``s``, or ScenarioInvalid with ``label`` and validate_scenario's
+    report unless ``s`` is valid."""
+    report = validate_scenario(s)
+    if not report.ok:
+        raise ScenarioInvalid(label + str(report))
+    return s
 
 
 # keys that older scenario files carry, each with the reason it went
@@ -519,7 +537,7 @@ def _loaded(annotation: str, value):
     becomes a tuple, each list inside it too (the points), and an int for a
     float field a float, so a saved scenario loads back equal.  Any other
     value stays as it is, for validate_scenario's type rule."""
-    if annotation == "tuple" and isinstance(value, list):
+    if annotation.startswith("tuple") and isinstance(value, list):
         return tuple(tuple(v) if isinstance(v, list) else v for v in value)
     if annotation == "float" and type(value) is int:
         try:
@@ -568,13 +586,17 @@ def scenario_from_dict(d: dict) -> Scenario:
 
 def load_scenario(path: str, seed_override=None) -> Scenario:
     with open(path, "r", encoding="utf-8") as f:
-        s = scenario_from_dict(json.load(f))
+        try:
+            d = json.load(f)
+        except ValueError as e:  # not JSON, or not UTF-8 text
+            raise ScenarioInvalid("%s: not a JSON scenario file (%s)" % (path, e)) from e
+    s = scenario_from_dict(d)
     if seed_override is not None:
         s = replace(s, seed=seed_override)
     pop = s.population
-    if not _type_faults(s) and not pop.positions and pop.num_total > 0 and s.seed >= 0:
-        # draw only the positions: the file's class mix stays; a file whose
-        # types or seed validate_scenario rejects draws none
+    if not pop.positions and _field_faults(s, [], []) == ([], []):
+        # draw only the positions: the file's class mix stays; a file with
+        # a field of the wrong type or out of its range draws none
         drawn = build_population(pop.num_total, seed=s.seed, area_side_m=s.area_side_m)
         s = replace(s, population=replace(pop, positions=drawn.positions))
     return s

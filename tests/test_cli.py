@@ -269,6 +269,34 @@ class TestCommands:
         assert "sweep value %s=0:" % sweep.partition("=")[0] in err and violation in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "--sweep", "ris=1:2:1", "--seeds", "1"],
+        ["report", "--figure", "fig7", "--seeds", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_every_figure_point_is_validated_before_any_draw(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        # users in a 5 cm square under surfaces at 10 m: the template is
+        # valid, but a sweep's own surfaces sit 5 cm up, under the 0.1 m
+        # link floor, so the command exits 2 before any channel draw
+        d = small_scenario().to_dict()
+        d["area_side_m"] = 0.05
+        d["population"]["positions"] = []
+        d["ris"]["positions"] = [[0.025, 0.05, 10.0], [0.05, 0.025, 10.0]]
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(d))
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("channels drawn for an invalid sweep value")
+
+        monkeypatch.setattr(chan, "draw_channels", no_draw)
+        out = tmp_path / "out.csv"
+        assert cli.main(["validate", "--scenario", str(path)]) == cli.EXIT_OK
+        assert cli.main(argv + ["--scenario", str(path), "--out", str(out)]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "sweep value ris=1:\ndegenerate geometry: user-RIS distance" in err
+        assert sorted(tmp_path.iterdir()) == [path]
+
     @pytest.mark.parametrize("where", ["user", "surface", "bs", "user-number", "surface-number"])
     def test_positions_must_be_three_finite_coordinates(self, tmp_path, capsys, monkeypatch, where):
         # a 2-coordinate position, or one that is a bare number, fails
@@ -483,6 +511,23 @@ def drop_key(section, key):
     return lambda d: d[section].pop(key)
 
 
+def edits(*fns):
+    return lambda d: [fn(d) for fn in fns]
+
+
+def set_first(section, key, value):
+    """An edit that sets the first entry of a list ``key`` of ``section``."""
+    return lambda d: d[section].__setitem__(key, [value, *d[section][key][1:]])
+
+
+def surface_above_user(height):
+    """An edit that moves surface 0 to ``height`` m straight above user 0."""
+    def edit(d):
+        x, y, z = d["population"]["positions"][0]
+        d["ris"]["positions"] = [[x, y, z + height], *d["ris"]["positions"][1:]]
+    return edit
+
+
 # one edit of a saved 20-user reference file each, and the key path that
 # the one line of its report names
 FILE_PROBES = [
@@ -509,6 +554,26 @@ FILE_PROBES = [
     pytest.param(drop_key("population", "num_new_mobile"),
                  "population.num_new_mobile: required key missing", id="population-missing-key"),
     pytest.param(set_key(None, "dcf", 5), "dcf: not an object", id="dcf-not-an-object"),
+    pytest.param(set_key("radio", "carrier_hz", 0.0),
+                 "radio.carrier_hz > 0 violated (0.0)", id="carrier-zero"),
+    pytest.param(set_key("dcf", "control_rate_bps", 0.0),
+                 "dcf.control_rate_bps > 0 violated (0.0)", id="control-rate-zero"),
+    pytest.param(set_key("dcf", "rts_bytes", -500),
+                 "dcf.rts_bytes >= 0 violated (-500)", id="rts-negative"),
+    pytest.param(set_key("dcf", "cts_bytes", -1),
+                 "dcf.cts_bytes >= 0 violated (-1)", id="cts-negative"),
+    # with no positions stored, a load draws them only in a valid area
+    pytest.param(edits(set_key(None, "area_side_m", -5.0),
+                       set_key("population", "positions", [])),
+                 "area_side_m > 0 violated (-5.0)", id="area-negative"),
+    pytest.param(set_first("population", "mobility_flags", True),
+                 "population.mobility_flags must be a list of integers", id="flag-bool"),
+    pytest.param(set_first("population", "mobility_flags", 1.0),
+                 "population.mobility_flags must be a list of integers", id="flag-float"),
+    pytest.param(set_key("ris", "subchannel_of_ris", [False, True]),
+                 "ris.subchannel_of_ris must be a list of integers", id="subchannels-bool"),
+    pytest.param(surface_above_user(0.02),
+                 "degenerate geometry: user-RIS distance 0.02 m below 0.1 m", id="short-link"),
 ]
 
 
@@ -550,6 +615,16 @@ class TestScenarioFile:
             "dcf.payload_time_s is the payload airtime",
             "dcf.w_max: retired key: the last window is derived, w_min * 2^max_backoff_stage",
             "population.num_new_mobile: required key missing",
+        ]
+
+    @pytest.mark.parametrize("argv", [["validate"], ["optimize"]], ids=lambda argv: argv[0])
+    def test_malformed_json_exits_2_naming_the_file(self, tmp_path, capsys, argv):
+        path = tmp_path / "broken.json"
+        path.write_text("{not json")
+        assert cli.main(argv + ["--scenario", str(path)]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == [
+            "%s: not a JSON scenario file (Expecting property name enclosed in double quotes:"
+            " line 1 column 2 (char 1))" % path
         ]
 
     def test_type_faults_are_reported_alone(self, tmp_path, capsys):

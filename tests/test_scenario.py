@@ -14,8 +14,10 @@ from ris_mac.scenario import (
     CLASS_MOBILE,
     CLASS_NEW,
     CLASS_STATIC,
+    ComputeModel,
     DcfParams,
     RadioParams,
+    RisInventory,
     UserPopulation,
     advance_frame,
     build_population,
@@ -187,36 +189,36 @@ def rule_case(part, field, changes, message):
 NAN, INF = float("nan"), float("inf")
 RULE_CASES = [
     rule_case("radio", "bandwidth", lambda r: {"bandwidth_total_hz": 0.0},
-              "bandwidth_total_hz > 0 violated"),
+              "radio.bandwidth_total_hz > 0 violated (0.0)"),
     *[rule_case("radio", f, lambda r, f=f, v=v: {f: v},
                 "radio.%s must be a finite number (got %r)" % (f, v))
       for f, v in [("noise_power_dbm", NAN), ("tx_power_mobile_dbm", INF),
                    ("tx_power_budget_static_dbm", -INF), ("rate_min_bps", NAN)]],
-    *[rule_case("dcf", f, lambda d, f=f: {f: 0.0}, "%s > 0 violated" % f)
+    *[rule_case("dcf", f, lambda d, f=f: {f: 0.0}, "dcf.%s > 0 violated (0.0)" % f)
       for f in ("sifs_s", "difs_s", "payload_time_s", "pilot_time_s", "data_slot_s",
                 "slot_time_s")],
     rule_case("dcf", "prop_delay_s", lambda d: {"prop_delay_s": -1e-6},
-              "prop_delay_s >= 0 violated"),
+              "dcf.prop_delay_s >= 0 violated (-1e-06)"),
     rule_case("population", "flags_length", lambda p: {"mobility_flags": p.mobility_flags[:-1]},
               "mobility_flags length != num_existing"),
     rule_case("population", "flags_values",
               lambda p: {"mobility_flags": (2,) + p.mobility_flags[1:]},
-              "mobility_flags must be 0/1"),
+              "population.mobility_flags[0] <= 1 violated (2)"),
     rule_case("population", "positions_length", lambda p: {"positions": p.positions[:-1]},
               "positions length 9 != total users 10"),
     rule_case("ris", "num_ris",
               lambda r: {"num_ris": 0, "positions": (), "subchannel_of_ris": ()},
-              "num_ris >= 1 violated"),
+              "ris.num_ris >= 1 violated (0)"),
     rule_case("ris", "elements_per_ris", lambda r: {"elements_per_ris": 0},
-              "elements_per_ris >= 1 violated (N=0)"),
+              "ris.elements_per_ris >= 1 violated (0)"),
     rule_case("ris", "ris_positions_length", lambda r: {"positions": r.positions[:-1]},
               "ris positions length != num_ris"),
     rule_case("ris", "subchannel_of_ris_length",
               lambda r: {"subchannel_of_ris": r.subchannel_of_ris[:-1]},
               "subchannel_of_ris length != num_ris"),
     rule_case("compute", "kappa_s_per_op", lambda c: {"kappa_s_per_op": -1e-9},
-              "kappa_s_per_op >= 0 violated"),
-    *[rule_case("compute", f, lambda c, f=f: {f: 0}, "iteration caps l1/l2/l3 >= 1 violated")
+              "compute.kappa_s_per_op >= 0 violated (-1e-09)"),
+    *[rule_case("compute", f, lambda c, f=f: {f: 0}, "compute.%s >= 1 violated (0)" % f)
       for f in ("l1", "l2", "l3")],
 ]
 
@@ -240,7 +242,7 @@ class TestValidation:
         s = dataclasses.replace(s, dcf=dataclasses.replace(s.dcf, w_min=w_min))
         assert s.dcf.w_max == w_max
         report = validate_scenario(s)
-        assert report.violations == ["w_min >= 1 violated (w_min=%d)" % w_min]
+        assert report.violations == ["dcf.w_min >= 1 violated (%d)" % w_min]
 
     def test_window_too_wide_for_round_keys_flagged(self):
         # a contention draw below w_max * C is off by at most that span over
@@ -379,10 +381,12 @@ class TestSchema:
             scenario_from_dict([1, 2])
 
     @pytest.mark.parametrize("part, key, value, message", [
-        ("dcf", "max_backoff_stage", -1, "max_backoff_stage >= 0 violated (-1)"),
-        ("dcf", "max_backoff_stage", 10**12, "max_backoff_stage <= 20 violated (%d)" % 10**12),
+        pytest.param("dcf", "max_backoff_stage", -1, "dcf.max_backoff_stage >= 0 violated (-1)",
+                     id="dcf-max_backoff_stage--1-max_backoff_stage below 0"),
+        ("dcf", "max_backoff_stage", 10**12,
+         "dcf.max_backoff_stage <= 20 violated (%d)" % 10**12),
         ("ris", "subchannel_of_ris", (0, "1"),
-         "subchannel_of_ris entries must index a subchannel"),
+         "ris.subchannel_of_ris must be a list of integers (got (0, '1'))"),
         ("population", "positions", ((10**400, 1.0, 0.0),) * 5,
          "user 0 position is not three finite coordinates"),
     ])
@@ -391,6 +395,36 @@ class TestSchema:
         broken = dataclasses.replace(getattr(s, part), **{key: value})
         report = validate_scenario(dataclasses.replace(s, **{part: broken}))
         assert report.violations == [message]
+
+
+# int and float fields that declare no range, each with the reason
+UNBOUNDED = {
+    ("RadioParams", "noise_power_dbm"): "a level in dBm: every value is a power above zero",
+    ("RadioParams", "tx_power_mobile_dbm"): "a level in dBm: every value is a power above zero",
+    ("RadioParams", "tx_power_budget_static_dbm"):
+        "a level in dBm: every value is a power above zero",
+    ("RadioParams", "rate_min_bps"): "a floor at or below zero holds for every rate",
+    ("RadioParams", "pathloss_exp_los"): "every exponent of the power law is a positive gain",
+    ("RadioParams", "pathloss_exp_nlos"): "every exponent of the power law is a positive gain",
+    ("RadioParams", "rician_k_factor_db"): "a ratio in dB: every value is a K factor above zero",
+    ("RadioParams", "pathloss_ref_db"): "a gain in dB: every value is a gain above zero",
+}
+
+
+def test_every_numeric_field_declares_its_range():
+    # a range is declared once, on its field, and validate_scenario checks
+    # it; a new int or float field must declare one or join UNBOUNDED
+    numeric = [
+        (cls.__name__, f)
+        for cls in (RadioParams, DcfParams, UserPopulation, RisInventory, ComputeModel, Scenario)
+        for f in dataclasses.fields(cls) if f.type in ("int", "float")
+    ]
+    undeclared = [(cls, f.name) for cls, f in numeric
+                  if (cls, f.name) not in UNBOUNDED and not f.metadata.get("range")]
+    assert undeclared == []
+    assert [(cls, f.name) for cls, f in numeric if (cls, f.name) in UNBOUNDED
+            and "range" in f.metadata] == []
+    assert set(UNBOUNDED) <= {(cls, f.name) for cls, f in numeric}
 
 
 class TestFrameAdvance:
