@@ -33,9 +33,9 @@ from . import simulator as sim
 from .optimizer import DegenerateFrameError, fairness_floor, joint_optimize, retime
 from .scenario import (
     Scenario,
+    ScenarioInvalid,
     build_population,
     build_ris_inventory,
-    classify_users,
     require_valid,
     with_per_user_static_budget,
 )
@@ -145,8 +145,10 @@ def scenario_for_value(template: Scenario, axis: str, value) -> Scenario:
     if axis == "point":
         return template
     if axis == "beta-alpha":
-        if not classify_users(template.population)[0]:
-            raise DegenerateFrameError("beta/alpha override needs a scheduled period")
+        if not template.population.num_static:
+            raise DegenerateFrameError(
+                "beta/alpha override needs a scheduled period, and the scenario has no static user"
+            )
         return template
     if axis == "users":
         # the template's own class counts are the ratio, so its mix stays
@@ -185,12 +187,17 @@ def scenario_for_value(template: Scenario, axis: str, value) -> Scenario:
     raise SweepSpecError("unknown axis %r" % axis)
 
 
-def require_valid_points(template: Scenario, sweep: SweepSpec) -> None:
-    """Raise ScenarioInvalid, naming the value, on the first point of
-    ``sweep`` on ``template`` that validate_scenario rejects; it draws nothing."""
+def require_valid_points(template: Scenario, sweep: SweepSpec, curve: str = "") -> None:
+    """Raise ScenarioInvalid on the first point of ``sweep`` on ``template``
+    that cannot run, after ``curve`` (a preset's curve) and the value: a
+    point that validate_scenario rejects, or any point of a split sweep
+    with no scheduled period.  It draws nothing."""
     for value in sweep.values:
-        require_valid(scenario_for_value(template, sweep.axis, value),
-                      "sweep value %s=%s:\n" % (sweep.axis, value))
+        try:
+            point = scenario_for_value(template, sweep.axis, value)
+        except DegenerateFrameError as e:
+            raise ScenarioInvalid("%s%s sweep: %s" % (curve, sweep.axis, e)) from None
+        require_valid(point, "%ssweep value %s=%s:\n" % (curve, sweep.axis, value))
 
 
 def plan_cell(scenario: Scenario, seed: int) -> tuple:
@@ -377,8 +384,8 @@ def run_figure(name: str, template: Scenario, seeds) -> list:
             curves.append((scen, sweep, ("proposed",), ":".join(str(x) for x in ratio)))
     else:
         curves.append((template, parse_sweep(preset["sweep"]), preset["modes"], None))
-    for scen, sweep, _, _ in curves:
-        require_valid_points(scen, sweep)
+    for scen, sweep, _, ratio in curves:
+        require_valid_points(scen, sweep, "%s, class mix %s: " % (name, ratio) if ratio else "")
     rows = []
     for scen, sweep, modes, ratio in curves:
         rows += [dict(row, ratio=ratio) if ratio else row
@@ -387,10 +394,10 @@ def run_figure(name: str, template: Scenario, seeds) -> list:
 
 
 def _optimal_beta_alpha(scenario: Scenario) -> float:
-    static_ids, mobile_ids = classify_users(scenario.population)
+    pop = scenario.population
     c = len(scenario.ris.subchannels)
-    cascade = dcfmod.contention_cascade(len(mobile_ids), c, scenario.dcf)
-    j = -(-len(static_ids) // c)
+    cascade = dcfmod.contention_cascade(pop.num_total - pop.num_static, c, scenario.dcf)
+    j = -(-pop.num_static // c)
     if j == 0:
         return float("inf")
     return fairness_floor(cascade, j, scenario.dcf.data_slot_s)

@@ -254,7 +254,7 @@ def allocate_power(
     total = floors.sum()
     # a floor over the budget is >= 0, so the sum of the floors is over it too
     if total > p_max_w + POWER_TOL:
-        user = worst if user_ids is None else list(user_ids)[worst]
+        user = worst if user_ids is None else user_ids[worst]
         if floors[worst] > p_max_w + POWER_TOL:
             raise InfeasibleError(
                 "rate floor infeasible for user %s: needs %.6g W, budget %.6g W"
@@ -285,7 +285,7 @@ def static_power(channels: chan.ChannelRealization, static_ids, ris_of, radio) -
     each gain is the aligned amplitude squared by ``np.float_power``, which
     equals Python's ``float ** 2``, over the noise power, and the powers are
     allocate_power's."""
-    amps = channels.aligned_amplitude[np.asarray(static_ids, dtype=int), ris_of]
+    amps = channels.aligned_amplitude[static_ids, ris_of]
     gains = np.float_power(amps, 2.0) / radio.noise_w
     powers = allocate_power(
         gains, radio.p_max_w, radio.rate_min_bps, radio.subchannel_bw_hz, user_ids=static_ids
@@ -526,8 +526,8 @@ def complexity_report(
 class OptimizationResult:
     frame: FrameConfig
     allocation: AllocationState
-    static_ids: list
-    mobile_ids: list
+    static_ids: np.ndarray
+    mobile_ids: np.ndarray
     throughput_scheduled_bps: float
     throughput_contended_bps: float
     throughput_overall_bps: float
@@ -564,7 +564,6 @@ def analytic_throughput(
     def period_bits(ids, airtime):
         # rates of the users with a surface, 0.0 for the rest, summed one
         # by one in the order listed
-        ids = np.asarray(list(ids), dtype=int)
         surface = alloc.ris_of_user[ids]
         on = surface >= 0
         rate = np.zeros(len(ids))
@@ -621,7 +620,6 @@ def joint_optimize(scenario: Scenario, channels: chan.ChannelRealization) -> Opt
     trace = []
     sweeps = 0
     if x:
-        sidx = np.asarray(static_ids, dtype=int)
         rho_static = np.full(x, radio.p_max_w / x)
         prev_obj = -math.inf
         for sweep in range(1, comp.l1 + 1):
@@ -635,9 +633,9 @@ def joint_optimize(scenario: Scenario, channels: chan.ChannelRealization) -> Opt
             if obj < prev_obj - 1e-9:
                 break  # the floored power step lost ground: keep the previous iterate
             trace.append(obj)
-            alloc.ris_of_user[sidx] = ris_of
-            alloc.slot_of_user[sidx] = slot_of
-            alloc.rho_sq_w[sidx] = rho_static
+            alloc.ris_of_user[static_ids] = ris_of
+            alloc.slot_of_user[static_ids] = slot_of
+            alloc.rho_sq_w[static_ids] = rho_static
             if obj - prev_obj < ALTERNATION_TOL:
                 break
             prev_obj = obj

@@ -256,10 +256,10 @@ class ValidationReport:
 
 
 def classify_users(pop: UserPopulation) -> tuple:
-    """Partition user ids into (static, mobile), each ascending: mobile
-    users are the existing mobile users and the new arrivals."""
+    """Partition user ids into (static, mobile), two ascending int arrays:
+    mobile users are the existing mobile users and the new arrivals."""
     is_static = pop.classes == CLASS_STATIC
-    return np.flatnonzero(is_static).tolist(), np.flatnonzero(~is_static).tolist()
+    return np.flatnonzero(is_static), np.flatnonzero(~is_static)
 
 
 def build_population(

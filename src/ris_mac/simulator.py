@@ -22,50 +22,45 @@ value, so each value's probability is off by at most b / 2^32 of itself
 validate_scenario caps w_max * C at 2^20, which keeps it at or below
 2^-12).  A round takes one word per remaining contender, in sorted-id
 order, and draws v below its span W_s * C_s, where W_s = w_min * 2^s is
-its stage's window: its backoff counter is v // C_s and its
-subchannel pick v % C_s.  Picks are fixed, and the span is W_s alone, on a
-single subchannel and under csi_best_channel.  The grant order is a
-Fisher-Yates shuffle of the occupied channels by the same rule (position
-i = k-1 .. 1 swaps with a draw below i + 1, so one channel takes no
-word), and a granted collided channel re-draws its winner below the count
-of its contenders, in ascending index order.  The round loop reads all of
-these words by position from one read-ahead buffer, a WordTape, and a
-round that grants no one in a frame that records no trace skips its
-shuffle's k - 1 words without building the order.
+its stage's window: its backoff counter is v // C_s and its subchannel
+pick v % C_s.  Under csi_best_channel, and only then, the picks are fixed
+and the span is W_s alone; on one subchannel the two rules draw the same
+v.  The grant order is a Fisher-Yates shuffle of the occupied channels by
+the same rule (position i = k-1 .. 1 swaps with a draw below i + 1, so
+one channel takes no word), and a granted collided channel re-draws its
+winner below the count of its contenders, in ascending index order.  The
+round loop reads all of these words by position from one read-ahead
+buffer, a WordTape, and a round that grants no one in a frame that
+records no trace skips its shuffle's k - 1 words without building the
+order.
 
 One sort of the unique key (v << 32) | term resolves every occupied
 subchannel at once.  The term is the contender's index, plus n0 times its
 pick when the picks are fixed; n0 is the frame's starting contender
-count, and C_s * n0 < 2^32 (checked) keeps the term in the low word.  A
-round builds its keys in three array operations: the product of its
-words and the spans, whose high word is v, a mask that keeps that word,
-and an or with the terms; the product stays unsorted for a collided
-channel's re-draw and the trace's counters.  Sorted, the keys run by
-counter, then channel, then index, so each channel's first key holds its
-minimum counter, whose unique holder wins, while a run of keys that share
-it is a collision that raises the tied users' stages, and only their
-spans are rewritten.  The round reads only the head of the sorted keys:
-the scan stops once every channel has shown its minimum and that
-minimum's run has ended, and slices the rest only when the head does not
-settle the round, as when fewer than C_s channels are occupied.  A round
-that serves anyone shrinks the spans and terms by moving their kept
-stretches down in place, and the frame writes its grants into its served
-and bits arrays once, when its rounds end.
+count, and C_s * n0 < 2^32 (checked) keeps the term in the low word.  The
+product of a round's words and spans has v in its high word, and stays
+unsorted for a collided channel's re-draw and the trace's counters.
+Sorted, the keys run by counter, then channel, then index, so each
+channel's first key holds its minimum counter, whose unique holder wins,
+while a run of keys that share it is a collision that raises the tied
+users' stages.  The round reads only the head of the sorted keys: the
+scan stops once every channel has shown its minimum and that minimum's
+run has ended, and slices the rest only when the head does not settle the
+round, as when fewer than C_s channels are occupied.
 
 The round loop reads only the seed, the contender count n0, the live
 channel count C, the DCF windows and the fixed picks, never a user id,
 rate or surface.  So it is one object, a ContentionRun, keyed by (seed,
-n0, C, w_min, max_backoff_stage, draw_picks, fixed picks under
-csi_best_channel), which works in contender positions and logs each
-grant's position, channel and round, and the running collision and
-shortfall counts in the rounds that change them.  ``through(budget)``
-steps it only as far as a reader asks, like dcf.ServiceSchedule, and a
-frame reads its cut at min(budget, rounds): a shorter budget only ends
-the same run sooner.  The frame maps positions to its own ids and its
-best_surfaces rates, and sums the bits in grant order, so every byte is
-that of a run stepped for the frame alone.  Unrecorded frames read their
-run through a process memo (memo_cut) of the current seed's runs, sweep
-jobs being seed-major, under a hard cap of MEMO_VALUES entries; an
+n0, C, w_min, max_backoff_stage, the fixed picks or None), which works in
+contender positions.  It logs each grant's position and channel, and one
+change-point log of its tally (collisions, shortfall, grants), so
+``through(budget)`` steps it only as far as a reader asks, like
+dcf.ServiceSchedule, and reads the cut at min(budget, rounds) in one
+bisection: a shorter budget only ends the same run sooner.  The frame
+maps positions to its own ids and its best_surfaces rates, so every byte
+is that of a run stepped for the frame alone.  Unrecorded frames read
+their run through a process memo (memo_cut) of the current seed's runs,
+sweep jobs being seed-major, under a hard cap of MEMO_VALUES entries; an
 evicted run is stepped again from round 0 by its next reader.  Frames
 that share a run: the proposed frames of a users sweep and the scheme 2
 frames at half their size (both contend with the same n0), every element
@@ -312,7 +307,7 @@ def run_frame(
     slot = alloc.slot_of_user
     holds_slot = slot >= 0
     scheduled = np.flatnonzero(holds_slot)
-    contenders = np.flatnonzero(~holds_slot).tolist() if frame.contended_s > 0 else []
+    contenders = np.flatnonzero(~holds_slot)
 
     events: list = []
     served = np.zeros(n_users, dtype=bool)
@@ -356,7 +351,7 @@ def run_frame(
 
     n_r_measured = collisions = grant_shortfall = contenders_left = 0
     cont_bits = 0.0
-    if contenders:
+    if contenders.size and frame.contended_s > 0:
         n_r_measured, collisions, grant_shortfall, contenders_left, cont_bits = _run_contention(
             scenario, channels, alloc, contenders, sched_start + frame.scheduled_s,
             frame.contended_s, seed, events if record else None, served, bits,
@@ -389,7 +384,8 @@ def run_frame(
 
 
 # the contention memo's cap, in entries of ContentionRun.values, each at
-# most 40 bytes (a list slot and its int object, or an int64 word): 2.5 MiB
+# most 40 bytes: a list slot and its int object, or an int64 word (a change
+# point counts six: a round's 8 + 32 bytes and a tally's 8 + 64 + 3 * 32): 2.5 MiB
 MEMO_VALUES = 1 << 16
 
 
@@ -399,16 +395,15 @@ class ContentionRun:
 
     ``n0`` contenders on ``num_channels`` live channels draw from the
     fresh PCG64 of ``seed``; position p is the p-th smallest contender id.
-    The picks are drawn when ``picks`` is None and C > 1, else fixed:
-    ``picks`` per position (csi_best_channel), or channel 0 on one channel.
-    ``through(budget)`` resumes the loop where the last call stopped and
-    returns the cut at the budget.  The log: ``won`` and ``won_on`` hold
-    every grant's position and channel index in grant order, ``won_at``
-    the round it was made in, counted from 1; the running collision and
-    shortfall counts are logged the same way, in the rounds that change
-    them.  With ``log_events``, ``events`` holds one (round, kind,
-    position, channel, counter) per collision (position -1), grant and
-    ignored RTS, in the order a trace appends them.
+    The picks are drawn when ``picks`` is None, else fixed at ``picks`` per
+    position (csi_best_channel).  ``through(budget)`` resumes the loop
+    where the last call stopped and returns the cut at the budget.
+    ``won`` and ``won_on`` hold every grant's position and channel index in
+    grant order.  The cut reads one change-point log: round 0 and each
+    round in which the tally (collisions, grant_shortfall, grants) changed,
+    with the tally after it.  With ``log_events``, ``events`` holds one
+    (round, kind, position, channel, counter) per collision (position -1),
+    grant and ignored RTS, in the order a trace appends them.
     """
 
     def __init__(self, seed, n0: int, num_channels: int, dcf, picks=None, log_events=False):
@@ -416,7 +411,7 @@ class ContentionRun:
         self._schedule = dcfmod.service_schedule(n0, num_channels, dcf.w_min, dcf.max_backoff_stage)
         top = dcf.max_backoff_stage
         self._up = list(range(1, top + 1)) + [top]  # the stage a collision moves each stage to
-        self._draw_picks = num_channels > 1 and picks is None
+        self._draw_picks = picks is None
         self._per_counter = num_channels if self._draw_picks else 1  # values of v per counter
         self._spans = [w * self._per_counter for w in window_table(dcf)]
         # stepping state, indexed like the positions left: each one's
@@ -432,16 +427,15 @@ class ContentionRun:
         self._tape = WordTape(np.random.default_rng(seed))
         self._pos = self._owed = 0
         self.rounds = 0
-        self.won, self.won_on, self.won_at = [], [], []
-        self._collisions_at, self._collisions = [], []
-        self._shortfall_at, self._shortfall = [], []
+        self.won, self.won_on = [], []
+        self._changed, self._tally = [0], [(0, 0, 0)]
         self.events = [] if log_events else None
 
     @property
     def values(self) -> int:
         """The entries the run holds: its logs, and its stepping state (tape,
         spans, terms, stages, positions) until its last grant."""
-        held = 3 * len(self.won) + 2 * (len(self._collisions_at) + len(self._shortfall_at))
+        held = 2 * len(self.won) + 6 * len(self._changed)
         if self._tape is not None:
             held += len(self._tape.words) + 4 * self.n0
         return held
@@ -453,18 +447,13 @@ class ContentionRun:
         if self.rounds < budget and self._remaining:
             self._step(budget)
         r = min(budget, self.rounds)
-        return (
-            r, _count_at(self._collisions_at, self._collisions, r),
-            _count_at(self._shortfall_at, self._shortfall, r), bisect_right(self.won_at, r),
-        )
+        return (r,) + self._tally[bisect_right(self._changed, r) - 1]
 
     def _step(self, budget: int) -> None:
         remaining, stage, span, term = self._remaining, self._stage, self._span, self._term
         n, n0, num_channels = len(remaining), self.n0, self.num_channels
         up, spans, per_counter, draw_picks = self._up, self._spans, self._per_counter, self._draw_picks
-        won, won_on, won_at = self.won, self.won_on, self.won_at
-        collisions_at, collisions_log = self._collisions_at, self._collisions
-        shortfall_at, shortfall_log = self._shortfall_at, self._shortfall
+        won, won_on, changed, tally = self.won, self.won_on, self._changed, self._tally
         events = self.events
         tape = self._tape
         # a round reads at most n + 2 C - 1 words: its n draws, k - 1 for the
@@ -475,8 +464,7 @@ class ContentionRun:
         paced = self._schedule.through(budget)
         paced_rounds = len(paced)
         rounds, owed = self.rounds, self._owed
-        collisions = collisions_log[-1] if collisions_log else 0
-        shortfall = shortfall_log[-1] if shortfall_log else 0
+        collisions, shortfall, _ = tally[-1]
         words, pos = tape.words, self._pos
         while n and rounds < budget:
             if rounds < paced_rounds:
@@ -498,8 +486,6 @@ class ContentionRun:
                 span[i] = spans[s]
             if tied:
                 collisions += sum(collided)
-                collisions_at.append(rounds)
-                collisions_log.append(collisions)
             if events is not None:
                 for c, i, tie in zip(occupied, lead, collided):
                     if tie:
@@ -512,10 +498,10 @@ class ContentionRun:
             k = len(occupied)
             grants = min(owed, k)
             owed -= grants
-            if owed:
-                shortfall += owed
-                shortfall_at.append(rounds)
-                shortfall_log.append(shortfall)
+            shortfall += owed
+            if tied or owed or grants:
+                changed.append(rounds)
+                tally.append((collisions, shortfall, len(won) + grants))
             if not grants and events is None:
                 pos += k - 1  # no grant and no trace reads the order: skip its words
                 continue
@@ -537,7 +523,6 @@ class ContentionRun:
                     pos += 1
                 won.append(remaining[i])
                 won_on.append(c)
-                won_at.append(rounds)
                 granted.append(i)
                 if events is not None:
                     events.append((
@@ -574,12 +559,6 @@ class ContentionRun:
             self._tape = self._span = self._term = None
 
 
-def _count_at(at, counts, rounds: int) -> int:
-    """A running count logged at the round counts ``at``, after ``rounds`` rounds."""
-    i = bisect_right(at, rounds)
-    return counts[i - 1] if i else 0
-
-
 # the current seed's runs by key, least recently read first (see memo_cut)
 _MEMO: dict = {}
 
@@ -593,9 +572,8 @@ def memo_cut(seed, n0: int, num_channels: int, dcf, picks, budget: int) -> tuple
     drops the least recently read runs first, the one just read too when
     it alone is over the cap.
     """
-    draw_picks = num_channels > 1 and picks is None
     key = (
-        seed, n0, num_channels, dcf.w_min, dcf.max_backoff_stage, draw_picks,
+        seed, n0, num_channels, dcf.w_min, dcf.max_backoff_stage,
         None if picks is None else picks.tobytes(),
     )
     run = _MEMO.pop(key, None)  # a step that raises leaves the run out
@@ -615,8 +593,8 @@ def _run_contention(
     scenario, channels, alloc, contenders, start_s, budget_s, seed, events, served, bits
 ):
     """Round-paced DCF with BS-gated grants: the contention run of
-    ``seed`` over the sorted ``contenders``, cut at the frame's round
-    budget.
+    ``seed`` over the ``contenders``, an ascending id array, cut at the
+    frame's round budget.
 
     An unrecorded frame reads the run from the memo (memo_cut); with
     ``events`` (a list, else None) the frame steps a fresh run outside the
@@ -631,8 +609,7 @@ def _run_contention(
     # channels are handled by their index into the sorted live subchannels
     live_channels = scenario.ris.subchannels
     num_channels = len(live_channels)
-    ids = sorted(int(k) for k in contenders)
-    n0 = len(ids)
+    n0 = len(contenders)
     if num_channels * n0 > LOW:
         raise ValueError(
             "a round key's low word holds index + n0 * pick: C * n0 = %d must be below 2^32"
@@ -643,11 +620,11 @@ def _run_contention(
     # every rate a grant can read: each contender's best surface and its
     # rate on each channel, by position
     surface_on, rate_on = opt.best_surfaces(
-        channels, ids, scenario.ris.surfaces_by_subchannel, alloc.rho_sq_w[ids],
+        channels, contenders, scenario.ris.surfaces_by_subchannel, alloc.rho_sq_w[contenders],
         radio.noise_w, radio.subchannel_bw_hz,
     )
     # csi_best_channel picks, fixed before the first round
-    picks = np.argmax(rate_on, axis=1) if scenario.csi_best_channel and num_channels > 1 else None
+    picks = np.argmax(rate_on, axis=1) if scenario.csi_best_channel else None
     if events is None:
         run, (rounds, collisions, shortfall, grants) = memo_cut(
             seed, n0, num_channels, dcf, picks, rounds_budget
@@ -660,7 +637,7 @@ def _run_contention(
     granted = np.array(run.won[:grants], dtype=np.int64)
     gains = dcf.payload_time_s * rate_on[granted, np.array(run.won_on[:grants], dtype=np.int64)]
     bits_sum = float(np.cumsum(gains)[-1]) if grants else 0.0
-    won = np.asarray(ids)[granted]
+    won = contenders[granted]
     if events is not None:
         rts_s = dcf.rts_bytes * 8 / dcf.control_rate_bps
         cts_s = dcf.cts_bytes * 8 / dcf.control_rate_bps
@@ -671,9 +648,9 @@ def _run_contention(
             if kind == "collision":
                 events.append(TraceEvent(t_rts, "collision", -1, ch, -1, float(counter)))
             elif kind == "rts":
-                events.append(TraceEvent(t_rts, "rts", ids[p], ch, -1, float(counter)))
+                events.append(TraceEvent(t_rts, "rts", contenders.item(p), ch, -1, float(counter)))
             else:
-                user, m_star = ids[p], surface_on.item(p, c)
+                user, m_star = contenders.item(p), surface_on.item(p, c)
                 t_cts = t_rts + rts_s + dcf.sifs_s
                 t_data = t_cts + cts_s + dcf.sifs_s
                 events.append(TraceEvent(t_rts, "rts", user, ch, m_star, float(counter)))

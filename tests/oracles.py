@@ -229,7 +229,7 @@ def check_allocation(
                 )
             else:
                 holder[pair] = k
-    if static_ids:
+    if len(static_ids):
         total = float(alloc.rho_sq_w[np.asarray(static_ids, dtype=int)].sum())
         if total > p_max_w + opt.POWER_TOL * max(1.0, p_max_w):
             bad.append("static power budget exceeded: %.6g > %.6g" % (total, p_max_w))

@@ -297,6 +297,31 @@ class TestCommands:
         assert "sweep value ris=1:\ndegenerate geometry: user-RIS distance" in err
         assert sorted(tmp_path.iterdir()) == [path]
 
+    @pytest.mark.parametrize("argv, users, ratio, curve", [
+        (["report", "--figure", "fig6"], 1, (5, 4, 1), "fig6, class mix 5:4:1: "),
+        (["report", "--figure", "fig10"], 1, (5, 4, 1), "fig10, class mix 5:4:1: "),
+        (["experiment", "--sweep", "beta-alpha=4:6:1"], 20, (0, 1, 0), ""),
+    ], ids=["fig6", "fig10", "experiment"])
+    def test_split_sweep_with_no_static_user_exits_2_before_any_draw(
+        self, tmp_path, capsys, monkeypatch, argv, users, ratio, curve
+    ):
+        # a valid scenario whose split sweep has no scheduled period to
+        # re-time: one user rounds to no static user in a preset's 5:4:1
+        # curve, and an all-mobile file has none at all
+        path = tmp_path / "scenario.json"
+        save_scenario(default_scenario(total_users=users, ratio=ratio), str(path))
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("channels drawn for a split sweep with no static user")
+
+        monkeypatch.setattr(chan, "draw_channels", no_draw)
+        assert cli.main(["validate", "--scenario", str(path)]) == cli.EXIT_OK
+        argv = argv + ["--seeds", "1", "--scenario", str(path), "--out", str(tmp_path / "out.csv")]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(curve + "beta-alpha sweep: beta/alpha override needs a scheduled period")
+        assert sorted(tmp_path.iterdir()) == [path]
+
     @pytest.mark.parametrize("where", ["user", "surface", "bs", "user-number", "surface-number"])
     def test_positions_must_be_three_finite_coordinates(self, tmp_path, capsys, monkeypatch, where):
         # a 2-coordinate position, or one that is a bare number, fails

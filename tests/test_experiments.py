@@ -76,7 +76,7 @@ def test_split_sweep_without_static_user_fails_before_any_draw(monkeypatch, tmp_
         "experiment", "--scenario", path, "--sweep", "beta-alpha=0.5,1.0",
         "--seeds", "1,2", "--out", str(tmp_path / "out.csv"),
     ]
-    assert cli.main(argv) == cli.EXIT_RUNTIME
+    assert cli.main(argv) == cli.EXIT_VALIDATION
     assert "beta/alpha override needs a scheduled period" in capsys.readouterr().err
     assert calls == {"draw": 0, "plan": 0, "cell": 0}
 

@@ -646,6 +646,7 @@ class TestJointOptimize:
             assert opt.check_allocation(*args) == want
             as_arrays = (np.asarray(static_ids, dtype=int), np.asarray(mobile_ids, dtype=int))
             assert opt.check_allocation(alloc, *as_arrays, *args[3:]) == want
+            assert oracles.check_allocation(alloc, *as_arrays, *args[3:]) == want
             flagged += len(want) > 0
         assert flagged > 300
 

@@ -47,7 +47,7 @@ class TestClassify:
     def test_empty_population(self):
         pop = build_population(0)
         static, mobile = classify_users(pop)
-        assert static == [] and mobile == []
+        assert static.tolist() == [] and mobile.tolist() == []
 
     def test_explicit_flags(self):
         pop = UserPopulation(
@@ -57,8 +57,8 @@ class TestClassify:
             positions=tuple((float(i), 0.0, 0.0) for i in range(5)),
         )
         static, mobile = classify_users(pop)
-        assert static == [0, 2]
-        assert mobile == [1, 3, 4]  # new users appended with fresh ids
+        assert static.tolist() == [0, 2]
+        assert mobile.tolist() == [1, 3, 4]  # new users appended with fresh ids
 
     def test_flag_length_mismatch_rejected(self):
         pop = UserPopulation(2, 0, (1,), ((0.0, 0.0, 0.0),) * 2)
@@ -79,7 +79,7 @@ class TestClassify:
             positions=tuple((1.0, 1.0, 0.0) for _ in range(k + z)),
         )
         static, mobile = classify_users(pop)
-        assert sorted(static + mobile) == list(range(k + z))
+        assert sorted(static.tolist() + mobile.tolist()) == list(range(k + z))
         assert set(static).isdisjoint(mobile)
         assert len(static) == sum(flags)
         assert len(mobile) == k - sum(flags) + z
@@ -121,8 +121,8 @@ class TestUserClasses:
         mobile_ids = [k for k, u in enumerate(flags) if u == 0]
         mobile_ids += list(range(len(flags), len(flags) + num_new))
         static, mobile = classify_users(pop)
-        assert (static, mobile) == (static_ids, mobile_ids)
-        assert all(type(k) is int for k in static + mobile)
+        assert (static.tolist(), mobile.tolist()) == (static_ids, mobile_ids)
+        assert static.dtype.kind == mobile.dtype.kind == "i"
 
     def test_built_once_per_population(self, monkeypatch):
         # one scheme 1 and one proposed cell read the vector in the plan,

@@ -805,6 +805,53 @@ class TestContentionMemo:
         assert frame_bytes(traced) == frame_bytes(quiet)
         assert sim._MEMO == memo and {k: r.values for k, r in sim._MEMO.items()} == values
 
+
+class TestContentionRun:
+    @pytest.mark.parametrize("fixed", [False, True], ids=["drawn", "fixed"])
+    @pytest.mark.parametrize("num_channels", [1, 2, 3])
+    def test_every_cut_of_a_finished_run_equals_a_fresh_run(self, num_channels, fixed):
+        # a run stepped to its end answers every budget, below its rounds
+        # and past them, with the tally and grant log of a run stepped from
+        # round 0 to that budget alone, and with the collisions and grants
+        # its event log holds up to that round.  Fixed picks leave the last
+        # channel empty, and w_min = 1 at stage 0 runs the starvation
+        # guard, so collisions and grant shortfall both move along the log
+        cases = [
+            (DcfParams(w_min=4, max_backoff_stage=3), 1, 3),
+            (DcfParams(w_min=4, max_backoff_stage=3), 7, 16),
+            (DcfParams(w_min=1, max_backoff_stage=0), 2, 8),
+        ]
+        for dcf, seed, n0 in cases:
+            rng = np.random.default_rng(seed)
+            picks = rng.integers(0, max(1, num_channels - 1), size=n0) if fixed else None
+            run = sim.ContentionRun(seed, n0, num_channels, dcf, picks, log_events=True)
+            assert run.through(10**6)[3] == n0 and not run._remaining
+            for budget in range(run.rounds + 3):
+                fresh = sim.ContentionRun(seed, n0, num_channels, dcf, picks)
+                cut = fresh.through(budget)
+                assert run.through(budget) == cut, (seed, n0, budget)
+                assert (run.won[:cut[3]], run.won_on[:cut[3]]) == (fresh.won, fresh.won_on)
+                logged = [kind for r, kind, *_ in run.events if r <= budget]
+                assert (logged.count("collision"), logged.count("grant")) == (cut[1], cut[3])
+
+    @pytest.mark.parametrize("budget", [6, 200], ids=["cut", "whole"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_one_channel_frame_is_the_same_with_and_without_csi(self, seed, budget):
+        # on one channel every pick is that channel, so fixing the picks by
+        # CSI changes no draw: recorded and memo-read frames are the same
+        s, channels = contention_network(1, 3, False, 16, 1)
+        csi = dataclasses.replace(s, csi_best_channel=True)
+        frame, alloc = sim.plan_scheme2(s, budget * dcfmod.handshake_time(s.dcf))
+        for record in (True, False):
+            off, on = (
+                sim.run_frame(net, channels, frame, alloc, "scheme2", seed, record=record)
+                for net in (s, csi)
+            )
+            assert frame_bytes(off) == frame_bytes(on)
+            assert off.events == on.events
+            assert bool(off.events) == record
+
+
 def old_period_lengths(frame, mode):
     """(scheduled length, contention offset, contention budget) as run_frame
     derived them from the mode name before it read them all from the frame."""
@@ -820,7 +867,7 @@ def old_user_split(scenario, mode):
     pop = scenario.population
     static_ids, mobile_ids = classify_users(pop)
     if mode == "proposed":
-        return static_ids, mobile_ids
+        return static_ids.tolist(), mobile_ids.tolist()
     if mode == "scheme1":
         return list(range(pop.num_existing)), []
     return [], list(range(pop.num_total))
